@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	c6xrun [-uart] [-interp] prog.c6x
+//	c6xrun [-uart] [-interp] [-nofuse] [-stats] prog.c6x
 package main
 
 import (
@@ -29,6 +29,7 @@ func main() {
 	uart := flag.Bool("uart", false, "attach the SoC-bus UART and timer")
 	interp := flag.Bool("interp", false, "run on the packet interpreter instead of the compiled engine")
 	nofuse := flag.Bool("nofuse", false, "disable superblock fusion in the compiled engine (differential reference)")
+	stats := flag.Bool("stats", false, "also report how execution split between fused and generic code")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: c6xrun prog.c6x")
@@ -62,6 +63,12 @@ func main() {
 	fmt.Printf("regions:          %d executed\n", st.Regions)
 	fmt.Printf("packets:          %d (%d instructions, %d stall cycles)\n",
 		st.Packets, st.Instructions, st.StallCycles)
+	if *stats {
+		es := sys.CPU.EngineStats()
+		fmt.Printf("fused entries:    %d clean + %d matched (%d hook stops, %d deopts)\n",
+			es.EntriesClean, es.EntriesMatched, es.HookStops, es.Deopts)
+		fmt.Printf("generic packets:  %d of %d (%.1f%%)\n", es.GenericPackets, es.Packets, 100*es.GenericShare())
+	}
 	for i, w := range sys.Output {
 		fmt.Printf("out[%d] = %d (%#x)\n", i, int32(w), w)
 	}

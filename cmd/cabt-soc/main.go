@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/c6x"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/simfarm"
@@ -169,6 +170,9 @@ func printSummary(w *os.File, results []simfarm.SoCResult, stats simfarm.SoCBatc
 		fmt.Fprintf(w, "%-16s %-16s %8d %10d %12d %12d %10d %6d  %s\n",
 			r.Name, r.Config, r.Quanta, r.TotalInstructions, r.TotalCycles,
 			r.MakespanCycles, r.BusWaitCycles, irqs, strings.Join(cpis, "/"))
+		if !det {
+			printEngine(w, r)
+		}
 	}
 	fmt.Fprintf(w, "\njobs %d (failed %d) · translation cache %d hits / %d misses\n",
 		stats.Jobs, stats.Failed, stats.CacheHits, stats.CacheMisses)
@@ -176,6 +180,30 @@ func printSummary(w *os.File, results []simfarm.SoCResult, stats simfarm.SoCBatc
 		fmt.Fprintf(w, "%.2fs wall · %.2f Msimcycles/s aggregate\n",
 			stats.WallSeconds, stats.CyclesPerSecond/1e6)
 	}
+}
+
+// printEngine adds a job's fused/generic engine split to the summary:
+// totals over its translated cores, and each core's share of packets
+// retired by the generic engine. Left out of -det output — the split is
+// what differs between the engines the CI byte-diffs compare.
+func printEngine(w *os.File, r simfarm.SoCResult) {
+	var sum c6x.EngineStats
+	var shares []string
+	for _, c := range r.PerCore {
+		if c.Kind != soc.KindTranslated {
+			continue
+		}
+		sum.EntriesClean += c.Engine.EntriesClean
+		sum.EntriesMatched += c.Engine.EntriesMatched
+		sum.HookStops += c.Engine.HookStops
+		sum.Deopts += c.Engine.Deopts
+		shares = append(shares, fmt.Sprintf("%.1f", 100*c.Engine.GenericShare()))
+	}
+	if len(shares) == 0 {
+		return
+	}
+	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d · generic packets %s %%\n",
+		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts, strings.Join(shares, "/"))
 }
 
 func parseNames(s string) ([]string, error) {

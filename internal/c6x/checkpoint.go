@@ -19,6 +19,7 @@ type checkpoint struct {
 	brTgt   int
 	brCnt   int
 	stats   Stats
+	es      EngineStats
 	valid   bool
 }
 
@@ -36,6 +37,7 @@ func (s *Sim) Checkpoint() {
 	ck.brTgt = s.brTgt
 	ck.brCnt = s.brCnt
 	ck.stats = s.stats
+	ck.es = s.es
 	ck.valid = true
 }
 
@@ -60,5 +62,6 @@ func (s *Sim) Rollback() {
 	s.brTgt = ck.brTgt
 	s.brCnt = ck.brCnt
 	s.stats = ck.stats
+	s.es = ck.es
 	ck.valid = false
 }

@@ -152,6 +152,7 @@ func (s *Sim) stepCompiled() error {
 	cp := &s.comp.packets[pktIdx]
 	s.pc++
 	s.stats.Packets++
+	s.es.GenericPackets++
 
 	s.cwb = s.cwb[:0]
 	s.cstall = 0

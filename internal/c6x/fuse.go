@@ -139,8 +139,11 @@ type fseg struct {
 	noEnter  bool // zero-progress (deopts immediately): not a re-entry point
 	entryBr  fbr
 	// entryFlush is the in-flight window at segment entry, flushed into
-	// Sim.pending when the hook stops or redirects execution here.
+	// Sim.pending when the hook stops or redirects execution here and
+	// matched against it on (re-)entry; entryFacts are the constants the
+	// segment was compiled under.
 	entryFlush []finflight
+	entryFacts []ffact
 	ops        []fop
 }
 
@@ -150,12 +153,14 @@ type fseg struct {
 type FusedProgram struct {
 	prog *Program
 	segs []*fseg
-	// entry maps a packet index to its clean-state re-entry segment, or
-	// -1. A dense slice rather than a map: entry dispatch runs once per
-	// region boundary on the hot path, and a bounds-checked load beats a
-	// hash lookup there.
-	entry   []int32
-	entries int
+	// The entry index: the segments execution can enter at packet p are
+	// cands[candStart[p]:candStart[p+1]] — every boundary segment the
+	// traces reached there, most facts first, the clean-state seed among
+	// them. Dense offsets rather than a map: the lookup runs before every
+	// generic step, and two bounds-checked loads beat a hash there.
+	candStart []int32
+	cands     []int32
+	entries   int
 }
 
 // Segments returns the number of compiled segments (introspection).
@@ -164,12 +169,12 @@ func (fp *FusedProgram) Segments() int { return len(fp.segs) }
 // Entries returns the number of clean re-entry points.
 func (fp *FusedProgram) Entries() int { return fp.entries }
 
-// entryAt returns the re-entry segment for packet pc, or -1.
-func (fp *FusedProgram) entryAt(pc int) int32 {
-	if pc < 0 || pc >= len(fp.entry) {
-		return -1
+// candidates returns the segments enterable at packet pc.
+func (fp *FusedProgram) candidates(pc int) []int32 {
+	if pc < 0 || pc+1 >= len(fp.candStart) {
+		return nil
 	}
-	return fp.entry[pc]
+	return fp.cands[fp.candStart[pc]:fp.candStart[pc+1]]
 }
 
 // fuser is the segment compiler.
@@ -221,17 +226,35 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		f.work = f.work[:len(f.work)-1]
 		f.compileSeg(si)
 	}
-	// +1: a program whose entry sits just past the last packet still
-	// seeds a (deopting) segment there.
-	fp := &FusedProgram{prog: prog, segs: f.segs, entry: make([]int32, len(prog.Packets)+1)}
-	for i := range fp.entry {
-		fp.entry[i] = -1
-	}
-	for pkt, si := range f.seeds {
-		if !f.segs[si].noEnter && pkt >= 0 && pkt < len(fp.entry) {
-			fp.entry[pkt] = si
+	fp := &FusedProgram{prog: prog, segs: f.segs}
+	for _, si := range f.seeds {
+		if !f.segs[si].noEnter {
 			fp.entries++
 		}
+	}
+	// Index the enterable segments per packet: those sitting where the
+	// generic engines hand control back (region starts and the program
+	// entry) that make progress, the one compiled under the most facts
+	// first so a re-entry keeps resolving the indirect branches its trace
+	// resolved (ties in the deterministic interning order).
+	for si, seg := range f.segs {
+		if !seg.noEnter && (seg.boundary || seg.pkt == prog.Entry) && seg.pkt >= 0 && seg.pkt < len(prog.Packets) {
+			fp.cands = append(fp.cands, int32(si))
+		}
+	}
+	sort.SliceStable(fp.cands, func(i, j int) bool {
+		a, b := f.segs[fp.cands[i]], f.segs[fp.cands[j]]
+		if a.pkt != b.pkt {
+			return a.pkt < b.pkt
+		}
+		return len(a.entryFacts) > len(b.entryFacts)
+	})
+	fp.candStart = make([]int32, len(prog.Packets)+1)
+	for _, si := range fp.cands {
+		fp.candStart[f.segs[si].pkt+1]++
+	}
+	for p := 1; p < len(fp.candStart); p++ {
+		fp.candStart[p] += fp.candStart[p-1]
 	}
 	return fp, nil
 }
@@ -282,6 +305,7 @@ func (f *fuser) compileSeg(si int32) {
 	seg.pkt = st.pkt
 	seg.entryBr = st.br
 	seg.entryFlush = append([]finflight(nil), st.inflight...)
+	seg.entryFacts = st.facts
 	seg.boundary = f.regionAt(st.pkt) >= 0
 
 	c := &fctx{

@@ -23,7 +23,7 @@ type FusedHook func() (stop bool, err error)
 
 // UseFused attaches a fused program. The Sim keeps executing through
 // Step/Run as before; fused execution only engages through
-// RunFused/StepFused at clean region entries.
+// RunFused/StepFused where FusedEntryOK holds.
 func (s *Sim) UseFused(fp *FusedProgram) error {
 	if fp == nil || fp.prog != s.prog {
 		return fmt.Errorf("c6x: fused program does not match the simulator's program")
@@ -41,15 +41,71 @@ func (s *Sim) UseFused(fp *FusedProgram) error {
 func (s *Sim) Fused() bool { return s.fused != nil }
 
 // FusedEntryOK reports whether fused execution can engage at the
-// current state: a clean machine state (no pending branch, no in-flight
-// writebacks) at a compiled re-entry point. After a deopt the state is
-// intentionally not clean mid-region; the generic engine carries it to
-// the next boundary where fusion re-engages.
-func (s *Sim) FusedEntryOK() bool {
-	if s.fused == nil || s.halted || s.brValid || len(s.pending) != 0 {
+// current state. The entry rule: some segment compiled for the current
+// packet was compiled for exactly the Sim's dynamic state — the same
+// pending branch (target and remaining delay), the same in-flight
+// writeback window (registers, landing cycles relative to the latency
+// clock, order; a predicated producer's write may be absent) and
+// register constants that hold in the register file. The clean state
+// (nothing pending) is the special case every region start is seeded
+// with, so there is one rule for the program entry and for every way a
+// core comes back from the generic engines: a hook stop, a rollback, an
+// interrupt redirect, a deopt, a debugger single-step.
+//
+// Soundness: a segment's code depends on its entry state only through
+// those three components. The fuser holds a fact only for a register
+// with no write in flight (any write kills it; an MVK/MVKH sets it only
+// as the sole writer, landing the same packet), so "the register file
+// holds the value" is the whole content of a fact, and a state that
+// matches on all three is one the segment's trace is bit-identical to
+// the generic engines from. A state nothing was compiled for — say the
+// sync-device scratch write still in flight after an interrupt redirect
+// — stays on the generic engine until a boundary it does match.
+func (s *Sim) FusedEntryOK() bool { return s.fusedEntry() >= 0 }
+
+// fusedEntry returns the segment matching the current state, or -1.
+func (s *Sim) fusedEntry() int32 {
+	if s.fused == nil || s.halted {
+		return -1
+	}
+	for _, si := range s.fused.candidates(s.pc) {
+		if s.fused.segs[si].enter(s, false) {
+			return si
+		}
+	}
+	return -1
+}
+
+// enter reports whether the Sim's dynamic state is the state seg was
+// compiled for (see FusedEntryOK); with load set it also moves the
+// pending values into the segment's slots — the inverse of flushEntry.
+// Only load a segment that matched.
+func (seg *fseg) enter(s *Sim, load bool) bool {
+	if s.brValid != seg.entryBr.valid || s.brValid && (s.brTgt != seg.entryBr.tgt || s.brCnt != seg.entryBr.cnt) {
 		return false
 	}
-	return s.fused.entryAt(s.pc) >= 0
+	for _, fa := range seg.entryFacts {
+		if s.Regs[fa.reg] != fa.val {
+			return false
+		}
+	}
+	j := 0
+	for _, fi := range seg.entryFlush {
+		on := j < len(s.pending) && s.pending[j].reg == fi.reg && s.pending[j].commitAt-s.busy == fi.rel
+		if !on && !fi.pred {
+			return false
+		}
+		if load {
+			s.fslotOn[fi.slot] = on
+			if on {
+				s.fslotVal[fi.slot] = s.pending[j].val
+			}
+		}
+		if on {
+			j++
+		}
+	}
+	return j == len(s.pending)
 }
 
 // flushEntry materializes a boundary segment's in-flight window into
@@ -64,8 +120,8 @@ func flushEntry(s *Sim, seg *fseg) {
 	}
 }
 
-// StepFused runs fused segments from the current state (the caller must
-// have checked FusedEntryOK) until the program halts, an op errors, the
+// StepFused runs fused segments from the current state (FusedEntryOK
+// must hold) until the program halts, an op errors, the
 // hook stops or redirects execution, or a segment deoptimizes back to
 // the generic engines. The hook fires at every region-boundary segment
 // except the first: the caller enters StepFused having just performed
@@ -78,10 +134,18 @@ func flushEntry(s *Sim, seg *fseg) {
 // ended the run (as opposed to a deopt, redirect or halt).
 func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 	fp := s.fused
-	si := fp.entryAt(s.pc)
+	si := s.fusedEntry()
 	if si < 0 {
 		return false, fmt.Errorf("c6x: StepFused at pc %d: not a fused entry", s.pc)
 	}
+	if len(s.pending) == 0 && !s.brValid {
+		s.es.EntriesClean++
+	} else {
+		s.es.EntriesMatched++
+	}
+	fp.segs[si].enter(s, true)
+	s.pending = s.pending[:0]
+	s.brValid = false // under static tracking from here
 	s.fusedActive = true
 	defer func() { s.fusedActive = false }()
 	first := true
@@ -104,6 +168,9 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 				}
 				stop, err := hook()
 				if err != nil || stop {
+					if stop {
+						s.es.HookStops++
+					}
 					flushEntry(s, seg)
 					return stop, err
 				}
@@ -127,6 +194,9 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 		}
 		if s.fnext < 0 {
 			// Terminal materialized the state (deopt or halt).
+			if !s.halted {
+				s.es.Deopts++
+			}
 			return false, nil
 		}
 		si = s.fnext
@@ -134,8 +204,8 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 }
 
 // RunFused executes until HALT or error, preferring fused segments and
-// falling back to generic steps between a deopt and the next clean
-// region entry. Semantically identical to Run.
+// falling back to generic steps between a deopt and the next state a
+// segment matches. Semantically identical to Run.
 func (s *Sim) RunFused() error {
 	for !s.halted {
 		if s.cycle > s.MaxCycles {

@@ -44,6 +44,32 @@ type Stats struct {
 	NopCycles    int64 // cycles spent in NOPs (explicit idle)
 }
 
+// EngineStats counts how execution moved between the fused and the
+// generic engines. It is kept apart from Stats, which the differential
+// suites require to be identical across engines; like Stats it
+// describes the committed execution (a Rollback restores it).
+type EngineStats struct {
+	// EntriesClean and EntriesMatched count entries into fused code with
+	// nothing pending, and with a pending branch or in-flight writebacks
+	// matched against a compiled segment (see FusedEntryOK).
+	EntriesClean, EntriesMatched int64
+	// HookStops counts boundary hooks that stopped fused execution;
+	// Deopts counts segments that handed back to the generic engines.
+	HookStops, Deopts int64
+	// GenericPackets of the Packets retired so far (Stats.Packets) went
+	// through Step, on either generic engine; the rest ran fused.
+	GenericPackets, Packets int64
+}
+
+// GenericShare is the fraction of the packets the generic engines
+// retired (0 before the first packet).
+func (e EngineStats) GenericShare() float64 {
+	if e.Packets == 0 {
+		return 0
+	}
+	return float64(e.GenericPackets) / float64(e.Packets)
+}
+
 // Sim is the cycle-exact C6x core simulator. It executes through one of
 // two engines sharing the same architectural state: the packet
 // interpreter (the reference below, and the equivalence oracle) or the
@@ -100,6 +126,10 @@ type Sim struct {
 	fusedActive bool                 // inside StepFused (MemPkt source selector)
 	fusedPkt    int32                // packet of the store being performed (fused engine)
 
+	// es counts engine transitions (see EngineStats); off the hot
+	// fields' cache lines.
+	es EngineStats
+
 	// Speculative-execution checkpoint (see checkpoint.go).
 	ck checkpoint
 }
@@ -151,6 +181,13 @@ func (s *Sim) Stats() Stats {
 	return st
 }
 
+// EngineStats returns the engine-transition counters.
+func (s *Sim) EngineStats() EngineStats {
+	es := s.es
+	es.Packets = s.stats.Packets
+	return es
+}
+
 func (s *Sim) errf(pkt int, format string, args ...any) error {
 	return &SimError{Packet: pkt, Cycle: s.cycle, Msg: fmt.Sprintf(format, args...)}
 }
@@ -196,6 +233,7 @@ func (s *Sim) Step() error {
 	pk := s.prog.Packets[pktIdx]
 	s.pc++
 	s.stats.Packets++
+	s.es.GenericPackets++
 
 	if err := s.validatePacket(pktIdx, pk); err != nil {
 		return err

@@ -114,45 +114,69 @@ func TestFusedIRQDeferredToBoundary(t *testing.T) {
 
 // TestFusedRunUntilQuantum: quantum-driven execution (the SoC
 // scheduler's path) stops the fused engine at the same clock positions
-// as the unfused engine, for pathological quantum sizes included.
+// as the unfused engine, for pathological quantum sizes included — and
+// the stopped core goes back into fused code: the stops add under 5 %
+// of the packets to what the generic engine retires in an
+// uninterrupted run (nothing, except behind fibonacci's recursion
+// returns, which deoptimize). The
+// comparison alone cannot tell: a core that never re-enters is the
+// unfused engine, and trivially agrees with it.
 func TestFusedRunUntilQuantum(t *testing.T) {
-	w, _ := workload.ByName("sieve")
-	f, err := tc32asm.Assemble(w.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, quantum := range []int64{1, 3, 64, 1024} {
-		t.Run(fmt.Sprintf("q%d", quantum), func(t *testing.T) {
-			prog, err := core.Translate(f, core.Options{Level: core.Level2})
+	for _, w := range workload.All() {
+		f, err := tc32asm.Assemble(w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []core.Level{core.Level1, core.Level2, core.Level3} {
+			prog, err := core.Translate(f, core.Options{Level: level})
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := NewWithEngine(prog, EngineCompiled)
-			b := NewWithEngine(prog, EngineCompiledNoFuse)
-			for limit := quantum; !a.CPU.Halted() || !b.CPU.Halted(); limit += quantum {
-				if err := a.RunUntil(limit); err != nil {
-					t.Fatalf("fused: %v", err)
-				}
-				if err := b.RunUntil(limit); err != nil {
-					t.Fatalf("nofuse: %v", err)
-				}
-				if a.Now() != b.Now() {
-					t.Fatalf("limit %d: clock %d vs %d", limit, a.Now(), b.Now())
-				}
-				if limit > 10_000_000 {
-					t.Fatal("runaway")
-				}
+			whole := NewWithEngine(prog, EngineCompiled)
+			if err := whole.Run(); err != nil {
+				t.Fatal(err)
 			}
-			comparePlat(t, "final", a, b)
-		})
+			for _, quantum := range []int64{1, 3, 64, 1024} {
+				t.Run(fmt.Sprintf("%s/L%d/q%d", w.Name, int(level), quantum), func(t *testing.T) {
+					a := NewWithEngine(prog, EngineCompiled)
+					if !a.CPU.Fused() {
+						t.Skip("program declined fusion")
+					}
+					b := NewWithEngine(prog, EngineCompiledNoFuse)
+					for limit := quantum; !a.CPU.Halted() || !b.CPU.Halted(); limit += quantum {
+						if err := a.RunUntil(limit); err != nil {
+							t.Fatalf("fused: %v", err)
+						}
+						if err := b.RunUntil(limit); err != nil {
+							t.Fatalf("nofuse: %v", err)
+						}
+						if a.Now() != b.Now() {
+							t.Fatalf("limit %d: clock %d vs %d", limit, a.Now(), b.Now())
+						}
+						if limit > 10_000_000 {
+							t.Fatal("runaway")
+						}
+					}
+					comparePlat(t, "final", a, b)
+					if es := a.CPU.EngineStats(); es.HookStops == 0 {
+						t.Errorf("no quantum stopped inside fused code: %+v", es)
+					}
+					if g, floor := a.CPU.EngineStats().GenericShare(), whole.CPU.EngineStats().GenericShare(); g >= floor+0.05 {
+						t.Errorf("generic engine retired %.1f%% of the packets, %.1f%% uninterrupted, want < 5%% added: %+v",
+							100*g, 100*floor, a.CPU.EngineStats())
+					}
+				})
+			}
+		}
 	}
 }
 
 // TestFusedCheckpointRollbackExact: checkpoint mid-run, speculate
 // through fused superblocks (RAM stores included), roll back, and
 // re-execute — the re-execution must reproduce the speculated world
-// exactly, and the rollback must leave no fused-engine residue. This is
-// the parallel SoC scheduler's exact usage pattern.
+// exactly, the rollback must leave no fused-engine residue, and the
+// re-execution must run fused again. This is the parallel SoC
+// scheduler's exact usage pattern.
 func TestFusedCheckpointRollbackExact(t *testing.T) {
 	build := func() *System { return buildCk(t, EngineCompiled) }
 	a, b := build(), build()
@@ -185,6 +209,11 @@ func TestFusedCheckpointRollbackExact(t *testing.T) {
 	}
 	if !b.CPU.Halted() {
 		t.Fatal("program did not halt")
+	}
+	// Every rollback restored a pending window; the re-runs entered fused
+	// code from it (the counters describe the committed execution only).
+	if es := a.CPU.EngineStats(); es.EntriesMatched == 0 || a.CPU.EngineStats().GenericShare() >= 0.05 {
+		t.Errorf("rolled-back core left fused code: generic engine retired %.1f%% of the packets: %+v", 100*a.CPU.EngineStats().GenericShare(), es)
 	}
 }
 

@@ -177,6 +177,10 @@ type System struct {
 
 	engine Engine
 
+	// untilLimit is the clock limit of the RunUntil call in progress,
+	// read by its boundary hook (runUntilHook).
+	untilLimit int64
+
 	// Dynamic-correction state (see dyncorr.go): trajectory recording,
 	// the reference curve, and the interrupt-delivery log.
 	dynRec     bool
@@ -694,6 +698,33 @@ func (sys *System) Run() error {
 	return nil
 }
 
+// runUntilHook is the fused-execution boundary callback of RunUntil: the
+// per-boundary actions of its generic inner loop, against untilLimit.
+func (sys *System) runUntilHook() (bool, error) {
+	if sys.irqWaiting {
+		// The generic inner loop breaks on a pending wfi before its
+		// boundary check, so no trace fires here either.
+		return true, nil
+	}
+	if sys.BoundaryTrace != nil {
+		sys.BoundaryTrace(sys.Prog.Blocks[sys.regionOfPkt[sys.CPU.PC()]].SrcStart, sys.Now())
+	}
+	if sys.Now() >= sys.untilLimit {
+		return true, nil
+	}
+	if sys.CPU.Cycle() > sys.CPU.MaxCycles {
+		return false, fmt.Errorf("platform: cycle limit (%d) exceeded", sys.CPU.MaxCycles)
+	}
+	// Delivery redirects the pc, ending StepFused; the handler region
+	// then re-dispatches in RunUntil without re-gating on the clock
+	// limit, exactly like the generic loop running it in the same
+	// iteration.
+	if _, err := sys.stepIRQ(); err != nil {
+		return false, err
+	}
+	return false, nil
+}
+
 // RunUntil executes until the emulated source-cycle clock reaches limit
 // or the program halts. The clock advances in region-sized jumps, so the
 // run may overshoot the limit by one cycle region. A core waiting in wfi
@@ -717,29 +748,7 @@ func (sys *System) RunUntil(limit int64) error {
 	// with an interrupt line, where the emulated clock advances with
 	// every packet instead of at region boundaries.
 	useFused := sys.CPU.Fused() && (sys.IRQLine == nil || sys.Prog.Level != core.Level0)
-	hook := func() (bool, error) {
-		if sys.irqWaiting {
-			// The generic inner loop breaks on a pending wfi before its
-			// boundary check, so no trace fires here either.
-			return true, nil
-		}
-		if sys.BoundaryTrace != nil {
-			sys.BoundaryTrace(sys.Prog.Blocks[sys.regionOfPkt[sys.CPU.PC()]].SrcStart, sys.Now())
-		}
-		if sys.Now() >= limit {
-			return true, nil
-		}
-		if sys.CPU.Cycle() > sys.CPU.MaxCycles {
-			return false, fmt.Errorf("platform: cycle limit (%d) exceeded", sys.CPU.MaxCycles)
-		}
-		// Delivery redirects the pc, ending StepFused; the handler region
-		// then re-dispatches below without re-gating on the clock limit,
-		// exactly like the generic loop running it in the same iteration.
-		if _, err := sys.stepIRQ(); err != nil {
-			return false, err
-		}
-		return false, nil
-	}
+	sys.untilLimit = limit
 	for !sys.CPU.Halted() && sys.Now() < limit {
 		if sys.CPU.Cycle() > sys.CPU.MaxCycles {
 			return fmt.Errorf("platform: cycle limit (%d) exceeded", sys.CPU.MaxCycles)
@@ -754,7 +763,7 @@ func (sys *System) RunUntil(limit int64) error {
 		}
 		for {
 			if useFused && !sys.irqWaiting && sys.CPU.FusedEntryOK() {
-				stopped, err := sys.CPU.StepFused(hook)
+				stopped, err := sys.CPU.StepFused(sys.runUntilHook)
 				if err != nil {
 					return err
 				}

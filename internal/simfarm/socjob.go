@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/c6x"
 	"repro/internal/core"
 	"repro/internal/soc"
 	"repro/internal/workload"
@@ -46,6 +47,10 @@ type SoCCoreResult struct {
 	// CacheHit reports whether the core's translation came from the
 	// content-addressed cache (always false for ISS cores).
 	CacheHit bool `json:"cache_hit"`
+	// Engine is the core's fused/generic engine split (host-side
+	// observation: not serialized, so reports stay identical across
+	// engines; zero for ISS cores and for results carried over the wire).
+	Engine c6x.EngineStats `json:"-"`
 }
 
 // SoCResult is the outcome of one SoCJob.
@@ -236,7 +241,7 @@ func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
 	r.BusTransactions = st.BusTransactions
 	r.BusWaitCycles = st.BusWaitCycles
 	for i, cr := range st.Cores {
-		r.PerCore = append(r.PerCore, SoCCoreResult{CoreResult: cr, CacheHit: hits[i]})
+		r.PerCore = append(r.PerCore, SoCCoreResult{CoreResult: cr, CacheHit: hits[i], Engine: sys.EngineStats(i)})
 	}
 	return r
 }

@@ -79,10 +79,22 @@ func newArbiter(cores int, busy int64) *Arbiter {
 }
 
 // slot returns the earliest grant cycle ≥ t whose occupancy interval
-// avoids every reserved slot, without reserving it.
+// avoids every reserved slot, without reserving it. The window's slots
+// are equally long, disjoint and sorted by start, hence by end too: the
+// scan starts at the first slot ending after t, found by binary search
+// (every earlier one leaves g untouched).
 func (a *Arbiter) slot(t int64) int64 {
+	lo, hi := 0, len(a.window)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a.window[mid].end <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	g := t
-	for _, s := range a.window {
+	for _, s := range a.window[lo:] {
 		if s.start >= g+a.BusyCycles {
 			break // sorted by start: nothing later can overlap either
 		}

@@ -1,6 +1,10 @@
 package soc
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
 
 // TestArbiterSlotPacking pins the windowed arbiter's defining behavior:
 // a request timestamped before existing reservations packs into the
@@ -82,5 +86,64 @@ func TestArbiterCloneIndependence(t *testing.T) {
 	}
 	if g := c.acquire(0, 11); g != 12 {
 		t.Errorf("refreshed clone granted %d, want 12", g)
+	}
+}
+
+// slotLinear is the arbiter's slot search as a scan from the window's
+// first slot — the reference the binary-search start is checked against.
+func slotLinear(a *Arbiter, t int64) int64 {
+	g := t
+	for _, s := range a.window {
+		if s.start >= g+a.BusyCycles {
+			break
+		}
+		if s.end > g {
+			g = s.end
+		}
+	}
+	return g
+}
+
+// TestArbiterSlotMatchesLinearScan: over random request streams —
+// out-of-order timestamps as large quanta produce them, pruning below
+// the request horizon, lanes cloned off and refreshed — every grant
+// equals the linear scan's, and the window keeps the ordering the
+// search relies on.
+func TestArbiterSlotMatchesLinearScan(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a := newArbiter(4, 1+int64(r.Intn(4)))
+		lane := a.clone()
+		base := int64(0)
+		for i := 0; i < 400; i++ {
+			arb := a
+			switch r.Intn(10) {
+			case 0:
+				base += int64(r.Intn(96))
+				a.prune(base - 8)
+				continue
+			case 1:
+				lane.copyStateFrom(a)
+				continue
+			case 2, 3:
+				arb = lane
+			}
+			req := base + int64(r.Intn(128)) - 4
+			want := slotLinear(arb, req)
+			if got := arb.acquire(r.Intn(4), req); got != want {
+				t.Errorf("seed %d op %d: request %d granted %d, linear scan grants %d", seed, i, req, got, want)
+				return false
+			}
+			for j := 1; j < len(arb.window); j++ {
+				if arb.window[j-1].end > arb.window[j].start {
+					t.Errorf("seed %d op %d: window slots %v and %v overlap or are out of order", seed, i, arb.window[j-1], arb.window[j])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -52,3 +52,53 @@ func TestEngineEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedCoresStayFused: the differential matrices cannot see a
+// core that fell out of fused code for good — it is the unfused engine,
+// and agrees with it. The engine counters can: on the sharded sieve at a
+// scheduler-sized quantum every core stops inside fused code hundreds of
+// times and the generic engine retires under 5 % of its packets, on
+// both schedulers (a rolled-back lane re-enters from the restored
+// pending window like any other stop).
+func TestFusedCoresStayFused(t *testing.T) {
+	mw, _ := workload.MCByName("mc-sieve", 4)
+	for _, level := range []core.Level{core.Level2, core.Level3} {
+		for _, parallel := range []bool{false, true} {
+			cfg := buildConfig(t, mw, 64, []bool{false}, core.Options{Level: level})
+			cfg.Parallel = parallel
+			s := mustRun(t, cfg, fmt.Sprintf("L%d par=%v", int(level), parallel))
+			for i := 0; i < s.Cores(); i++ {
+				es := s.EngineStats(i)
+				if es.HookStops < 100 || es.GenericShare() >= 0.05 {
+					t.Errorf("L%d parallel=%v core%d: generic engine retired %.1f%% of the packets: %+v",
+						int(level), parallel, i, 100*es.GenericShare(), es)
+				}
+			}
+		}
+	}
+}
+
+// TestFusedCoresReenterAfterIRQ: on the interrupt-driven set every
+// delivery redirects a core out of fused code, every reti deoptimizes
+// (an indirect branch through the shadow register), and wfi gates
+// fusion off until the wake. Each of those detours ends back in fused
+// code: a core enters it more often than it took interrupts, and the
+// generic engine retires under a quarter of the packets even of these
+// few-hundred-packet programs (ten per delivery).
+func TestFusedCoresReenterAfterIRQ(t *testing.T) {
+	for _, mw := range irqWorkloads(3) {
+		for _, parallel := range []bool{false, true} {
+			cfg := buildConfig(t, mw, 64, []bool{false}, core.Options{Level: core.Level2})
+			cfg.Parallel = parallel
+			label := fmt.Sprintf("%s par=%v", mw.Name, parallel)
+			s := mustRun(t, cfg, label)
+			for i, cr := range s.Results().Cores {
+				es := s.EngineStats(i)
+				if entries := es.EntriesClean + es.EntriesMatched; entries <= cr.IRQsTaken || es.GenericShare() >= 0.25 {
+					t.Errorf("%s core%d: %d fused entries for %d interrupts, generic share %.1f%%: %+v",
+						label, i, entries, cr.IRQsTaken, 100*es.GenericShare(), es)
+				}
+			}
+		}
+	}
+}

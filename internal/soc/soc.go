@@ -471,6 +471,16 @@ func (s *System) CoreRegs(i int) (d, a [16]uint32) {
 	return d, a
 }
 
+// EngineStats returns core i's engine-transition counters: how its
+// packets split between fused and generic execution (zero for an ISS
+// core). Kept out of Results, which is identical across engines.
+func (s *System) EngineStats(i int) c6x.EngineStats {
+	if c := s.cores[i]; c.plat != nil {
+		return c.plat.CPU.EngineStats()
+	}
+	return c6x.EngineStats{}
+}
+
 // CoreResult is the measurement of one core after a run.
 type CoreResult struct {
 	Name string `json:"name"`
