@@ -66,7 +66,8 @@ func main() {
 	if *stats {
 		es := sys.CPU.EngineStats()
 		fmt.Printf("fused entries:    %d clean + %d matched (%d hook stops, %d deopts)\n",
-			es.EntriesClean, es.EntriesMatched, es.HookStops, es.Deopts)
+			es.EntriesClean, es.EntriesMatched, es.HookStops, es.Deopts())
+		fmt.Printf("deopts by cause:  %s\n", es.DeoptSummary())
 		fmt.Printf("generic packets:  %d of %d (%.1f%%)\n", es.GenericPackets, es.Packets, 100*es.GenericShare())
 	}
 	for i, w := range sys.Output {

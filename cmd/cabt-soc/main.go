@@ -196,14 +196,16 @@ func printEngine(w *os.File, r simfarm.SoCResult) {
 		sum.EntriesClean += c.Engine.EntriesClean
 		sum.EntriesMatched += c.Engine.EntriesMatched
 		sum.HookStops += c.Engine.HookStops
-		sum.Deopts += c.Engine.Deopts
+		for cause, n := range c.Engine.DeoptsBy {
+			sum.DeoptsBy[cause] += n
+		}
 		shares = append(shares, fmt.Sprintf("%.1f", 100*c.Engine.GenericShare()))
 	}
 	if len(shares) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d · generic packets %s %%\n",
-		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts, strings.Join(shares, "/"))
+	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d (%s) · generic packets %s %%\n",
+		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts(), sum.DeoptSummary(), strings.Join(shares, "/"))
 }
 
 func parseNames(s string) ([]string, error) {

@@ -259,11 +259,23 @@ func TestCompileCachedSharesCompilation(t *testing.T) {
 // genLegalProgram builds a random schedule-contract-respecting program:
 // straight-line packets of ALU, memory and predicated operations with
 // conservative NOP padding covering every in-flight latency, plus a
-// counted loop, ending in HALT. Both engines must run it without error.
+// counted loop, ending in HALT, with a subroutine called through the
+// link register B7 (a SymImm return label, a BREG return) from
+// straight-line code and from the loop. Both engines must run it without
+// error.
 func genLegalProgram(r *rand.Rand) []Packet {
 	var packets []Packet
 	emit := func(in Inst) { packets = append(packets, pk(in)) }
 	pad := func(n int) { packets = append(packets, pk(Inst{Op: NOP, NopCycles: n})) }
+	var calls []int // the call branches, targeted once the subroutine is placed
+	call := func() {
+		emit(Inst{Op: MVK, Unit: S2, Dst: B(7), Src2: Imm(int32(len(packets) + 3)), SymImm: true})
+		calls = append(calls, len(packets))
+		emit(Inst{Op: BPKT, Unit: S1})
+		pad(5)
+		pad(4) // the subroutine's load may still be in flight at the return
+		emit(Inst{Op: ADD, Unit: L1, Dst: A(13), Src1: R(A(12)), Src2: R(A(11))})
+	}
 
 	// Seed a few registers on both sides.
 	for i := 0; i < 6; i++ {
@@ -312,12 +324,31 @@ func genLegalProgram(r *rand.Rand) []Packet {
 	// predicated backward branch with its five delay slots padded.
 	emit(Inst{Op: MVK, Unit: S1, Dst: A(8), Src2: Imm(int32(2 + r.Intn(5)))})
 	emit(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(0)})
+	call()
 	loop := len(packets)
 	emit(Inst{Op: ADD, Unit: L1, Dst: A(9), Src1: R(A(9)), Src2: R(A(8))})
 	emit(Inst{Op: SUB, Unit: L1, Dst: A(8), Src1: R(A(8)), Src2: Imm(1)})
+	call()
 	emit(Inst{Op: BPKT, Unit: S1, Target: loop, Pred: Pred{Valid: true, Reg: A(8)}})
 	pad(5)
 	emit(Inst{Op: HALT})
+
+	// The subroutine: its return's five delay slots hold a load at a
+	// random position, so the branch fires with the load 0–4 cycles from
+	// landing.
+	for _, c := range calls {
+		packets[c].Insts[0].Target = len(packets)
+	}
+	emit(Inst{Op: ADD, Unit: L1, Dst: A(11), Src1: R(A(11)), Src2: Imm(1)})
+	emit(Inst{Op: BREG, Unit: S2, Src1: R(B(7))})
+	k := r.Intn(5)
+	if k > 0 {
+		pad(k)
+	}
+	emit(Inst{Op: LDW, Unit: D1, Dst: A(12), Src1: R(A(10)), Src2: Imm(0)})
+	if k < 4 {
+		pad(4 - k)
+	}
 	return packets
 }
 

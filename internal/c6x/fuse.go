@@ -1,9 +1,6 @@
 package c6x
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // This file is the superblock (fused) execution engine: a region-graph
 // compiler that traces the translated program across execute packets —
@@ -17,12 +14,16 @@ import (
 // the caller's region dispatcher.
 //
 // The fuser is a tiny abstract interpreter over the scheduler's
-// machine-state contract: it tracks the branch-delay counter, the
-// in-flight writeback window and (for the registers in
-// FuseConfig.ConstRegs) MVK/MVKH-built constants symbolically, forking
-// compiled segments at predicated branches and chaining them at
-// resolved ones. Anything outside the contract — a read of an
-// in-flight register, an unresolvable indirect branch, an op with no
+// machine-state contract: it tracks the branch-delay counter and the
+// in-flight writeback window symbolically, forking compiled segments at
+// predicated branches and chaining them at static ones. Segments are
+// context-free: nothing about the caller is in a segment's key, so a
+// routine called from a thousand sites is compiled once. Its return — a
+// BREG through a register — captures the target at issue and, when the
+// branch fires, picks its continuation from a table of the return sites
+// the program loads into that register (FuseConfig.ConstRegs); a target
+// outside the table materializes the interpreter state there. Anything
+// outside the contract — a read of an in-flight register, an op with no
 // kernel, overlapping branches — ends the segment with a deoptimization
 // exit that materializes the exact interpreter state (pc, pending
 // writebacks, branch state, clocks, stats) and hands control back to
@@ -44,9 +45,13 @@ const (
 	// fuseMaxSegPackets bounds one segment's trace length; longer
 	// straight-line runs chain through a continuation segment.
 	fuseMaxSegPackets = 64
-	// fuseDefaultMaxSegments bounds the total compiled segments
-	// (distinct packet × machine-state pairs) before Fuse gives up.
+	// fuseDefaultMaxSegments bounds the traced segments (distinct packet ×
+	// machine-state pairs); states interned beyond it compile as
+	// immediate-deopt stubs.
 	fuseDefaultMaxSegments = 16384
+	// fnextMiss in Sim.fnext: an indirect branch fired to a target its
+	// table does not hold; the state is materialized there.
+	fnextMiss = -2
 )
 
 // FuseConfig parameterizes superblock compilation.
@@ -56,11 +61,15 @@ type FuseConfig struct {
 	// where the runner's hook fires (interrupt delivery points, trace,
 	// clock checks) and the only re-entry points after a deopt.
 	RegionOf []int32
-	// ConstRegs are registers whose MVK/MVKH-built values the fuser
-	// tracks symbolically to resolve indirect branches (the translator's
-	// link register and the source return-address register).
+	// ConstRegs are the registers that hold return-site packet indices
+	// (the translator's link register and the source return-address
+	// register): the packets the program loads into one of them as a
+	// SymImm MVK are the table candidates of every indirect branch
+	// through it.
 	ConstRegs []Reg
-	// MaxSegments overrides fuseDefaultMaxSegments when positive.
+	// MaxSegments overrides fuseDefaultMaxSegments when positive. It is a
+	// budget, not a limit on what fuses: states beyond it become deopt
+	// stubs and the program degrades per state.
 	MaxSegments int
 }
 
@@ -78,42 +87,52 @@ type finflight struct {
 	pred bool
 }
 
-// fbr is the symbolic branch-delay state.
+// fbr is the symbolic branch-delay state. An indirect branch (ind) has
+// no static target: the BREG through reg captured it into Sim.brTgt at
+// issue, where it stays until the branch fires.
 type fbr struct {
-	valid bool
-	tgt   int
-	cnt   int
+	valid, ind bool
+	reg        Reg
+	tgt        int
+	cnt        int
 }
 
-// ffact is a known register constant (MVK/MVKH tracking).
-type ffact struct {
-	reg Reg
-	val uint32
+// restore materializes the branch state into the Sim (a captured target
+// already sits in brTgt).
+func (b fbr) restore(s *Sim) {
+	if b.valid {
+		s.brValid, s.brCnt = true, b.cnt
+		if !b.ind {
+			s.brTgt = b.tgt
+		}
+	}
 }
 
 // fstate is the symbolic machine state keying a segment: the packet the
-// trace continues at, the branch-delay state, the in-flight writeback
-// window (rel relative to the state's busy clock) and the known
-// constants. Two traces reaching one packet in the same state share a
-// segment.
+// trace continues at, the branch-delay state and the in-flight writeback
+// window (rel relative to the state's busy clock). Two traces reaching
+// one packet in the same state share a segment.
 type fstate struct {
 	pkt      int
 	br       fbr
 	inflight []finflight
-	facts    []ffact
 }
 
-func (st *fstate) key() string {
-	b := make([]byte, 0, 12+10*len(st.inflight)+5*len(st.facts))
+// appendKey appends the state's interning key to b.
+func (st *fstate) appendKey(b []byte) []byte {
 	put := func(v uint32) {
 		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
 	put(uint32(st.pkt))
-	if st.br.valid {
+	switch {
+	case st.br.ind:
+		b = append(b, 2, byte(st.br.reg))
+		put(uint32(st.br.cnt))
+	case st.br.valid:
 		b = append(b, 1)
 		put(uint32(st.br.tgt))
 		put(uint32(st.br.cnt))
-	} else {
+	default:
 		b = append(b, 0)
 	}
 	b = append(b, byte(len(st.inflight)))
@@ -125,11 +144,7 @@ func (st *fstate) key() string {
 		b = append(b, byte(fi.reg), fi.slot, flag)
 		put(uint32(fi.rel))
 	}
-	for _, fa := range st.facts {
-		b = append(b, byte(fa.reg))
-		put(fa.val)
-	}
-	return string(b)
+	return b
 }
 
 // fseg is one compiled segment.
@@ -140,10 +155,8 @@ type fseg struct {
 	entryBr  fbr
 	// entryFlush is the in-flight window at segment entry, flushed into
 	// Sim.pending when the hook stops or redirects execution here and
-	// matched against it on (re-)entry; entryFacts are the constants the
-	// segment was compiled under.
+	// matched against it on (re-)entry.
 	entryFlush []finflight
-	entryFacts []ffact
 	ops        []fop
 }
 
@@ -151,13 +164,14 @@ type fseg struct {
 // after Fuse and safe to share across Sims (closures only touch the Sim
 // passed to them).
 type FusedProgram struct {
-	prog *Program
-	segs []*fseg
+	prog     *Program
+	segs     []*fseg
+	regionOf []int32 // FuseConfig.RegionOf
 	// The entry index: the segments execution can enter at packet p are
 	// cands[candStart[p]:candStart[p+1]] — every boundary segment the
-	// traces reached there, most facts first, the clean-state seed among
-	// them. Dense offsets rather than a map: the lookup runs before every
-	// generic step, and two bounds-checked loads beat a hash there.
+	// traces reached there, the clean-state seed among them. Dense offsets
+	// rather than a map: the lookup runs before every generic step, and
+	// two bounds-checked loads beat a hash there.
 	candStart []int32
 	cands     []int32
 	entries   int
@@ -177,6 +191,14 @@ func (fp *FusedProgram) candidates(pc int) []int32 {
 	return fp.cands[fp.candStart[pc]:fp.candStart[pc+1]]
 }
 
+// retTable is the return-site table of one ConstRegs register: the
+// packets the program loads into it as SymImm MVKs, ascending, and their
+// dense inverse (packet -> index into sites, -1 elsewhere).
+type retTable struct {
+	sites []int
+	ord   []int32
+}
+
 // fuser is the segment compiler.
 type fuser struct {
 	prog    *Program
@@ -185,14 +207,15 @@ type fuser struct {
 	segs    []*fseg
 	states  []fstate
 	index   map[string]int32
+	keyBuf  []byte // state's scratch: a lookup that hits allocates nothing
 	work    []int32
 	seeds   map[int]int32 // seed packet -> segment index
+	rets    map[Reg]*retTable
 }
 
 // Fuse compiles prog into superblock segments. Programs with malformed
-// packets are rejected (like Compile); a program whose control flow
-// explodes the segment budget returns an error, and the caller runs
-// unfused.
+// packets are rejected (like Compile); nothing else is: control flow
+// that outgrows the segment budget leaves deopt stubs behind.
 func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 	for i, pk := range prog.Packets {
 		if msg := issueViolation(pk); msg != "" {
@@ -205,10 +228,12 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		maxSegs: cfg.MaxSegments,
 		index:   map[string]int32{},
 		seeds:   map[int]int32{},
+		rets:    map[Reg]*retTable{},
 	}
 	if f.maxSegs <= 0 {
 		f.maxSegs = fuseDefaultMaxSegments
 	}
+	f.findReturnSites()
 	// Seeds: the program entry and every region start, in clean state.
 	f.seeds[prog.Entry] = f.state(fstate{pkt: prog.Entry})
 	for pkt, ri := range cfg.RegionOf {
@@ -219,14 +244,11 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		}
 	}
 	for len(f.work) > 0 {
-		if len(f.segs) > f.maxSegs {
-			return nil, fmt.Errorf("c6x: fuse: segment budget exceeded (%d)", f.maxSegs)
-		}
 		si := f.work[len(f.work)-1]
 		f.work = f.work[:len(f.work)-1]
 		f.compileSeg(si)
 	}
-	fp := &FusedProgram{prog: prog, segs: f.segs}
+	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf}
 	for _, si := range f.seeds {
 		if !f.segs[si].noEnter {
 			fp.entries++
@@ -234,20 +256,14 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 	}
 	// Index the enterable segments per packet: those sitting where the
 	// generic engines hand control back (region starts and the program
-	// entry) that make progress, the one compiled under the most facts
-	// first so a re-entry keeps resolving the indirect branches its trace
-	// resolved (ties in the deterministic interning order).
+	// entry) that make progress, in the deterministic interning order.
 	for si, seg := range f.segs {
 		if !seg.noEnter && (seg.boundary || seg.pkt == prog.Entry) && seg.pkt >= 0 && seg.pkt < len(prog.Packets) {
 			fp.cands = append(fp.cands, int32(si))
 		}
 	}
 	sort.SliceStable(fp.cands, func(i, j int) bool {
-		a, b := f.segs[fp.cands[i]], f.segs[fp.cands[j]]
-		if a.pkt != b.pkt {
-			return a.pkt < b.pkt
-		}
-		return len(a.entryFacts) > len(b.entryFacts)
+		return f.segs[fp.cands[i]].pkt < f.segs[fp.cands[j]].pkt
 	})
 	fp.candStart = make([]int32, len(prog.Packets)+1)
 	for _, si := range fp.cands {
@@ -259,25 +275,53 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 	return fp, nil
 }
 
+// findReturnSites builds the return-site table of every ConstRegs
+// register from the program's SymImm MVKs.
+func (f *fuser) findReturnSites() {
+	for _, r := range f.cfg.ConstRegs {
+		rt := &retTable{ord: make([]int32, len(f.prog.Packets))}
+		for i := range rt.ord {
+			rt.ord[i] = -1
+		}
+		f.rets[r] = rt
+	}
+	for _, pk := range f.prog.Packets {
+		for _, in := range pk.Insts {
+			if in.Op != MVK || !in.SymImm || in.Src2.Imm < 0 || int(in.Src2.Imm) >= len(f.prog.Packets) {
+				continue
+			}
+			if rt := f.rets[in.Dst]; rt != nil {
+				rt.ord[in.Src2.Imm] = 0 // a site; numbered below
+			}
+		}
+	}
+	for _, rt := range f.rets {
+		for p, o := range rt.ord {
+			if o == 0 {
+				rt.ord[p] = int32(len(rt.sites))
+				rt.sites = append(rt.sites, p)
+			}
+		}
+	}
+}
+
 // state interns a symbolic state, scheduling compilation on first use.
 func (f *fuser) state(st fstate) int32 {
-	k := st.key()
-	if si, ok := f.index[k]; ok {
+	f.keyBuf = st.appendKey(f.keyBuf[:0])
+	if si, ok := f.index[string(f.keyBuf)]; ok {
 		return si
 	}
 	si := int32(len(f.segs))
-	f.index[k] = si
+	f.index[string(f.keyBuf)] = si
 	f.segs = append(f.segs, &fseg{})
 	f.states = append(f.states, st)
 	f.work = append(f.work, si)
 	return si
 }
 
-func (f *fuser) regionAt(pkt int) int32 {
-	if pkt >= 0 && pkt < len(f.cfg.RegionOf) {
-		return f.cfg.RegionOf[pkt]
-	}
-	return -1
+// regionStart reports whether a cycle region starts at pkt.
+func regionStart(regionOf []int32, pkt int) bool {
+	return pkt >= 0 && pkt < len(regionOf) && regionOf[pkt] >= 0
 }
 
 // fctx is the per-segment compilation context: the working symbolic
@@ -290,7 +334,6 @@ type fctx struct {
 	busy     int64 // busy offset since segment entry
 	br       fbr
 	inflight []finflight
-	facts    []ffact
 	slots    uint32 // bitmask of live slots
 
 	accCyc, accPkts, accInsts, accNop int64
@@ -305,30 +348,34 @@ func (f *fuser) compileSeg(si int32) {
 	seg.pkt = st.pkt
 	seg.entryBr = st.br
 	seg.entryFlush = append([]finflight(nil), st.inflight...)
-	seg.entryFacts = st.facts
-	seg.boundary = f.regionAt(st.pkt) >= 0
+	seg.boundary = regionStart(f.cfg.RegionOf, st.pkt)
 
 	c := &fctx{
 		f:        f,
 		seg:      seg,
 		br:       st.br,
 		inflight: append([]finflight(nil), st.inflight...),
-		facts:    append([]ffact(nil), st.facts...),
 	}
 	for _, fi := range st.inflight {
 		c.slots |= 1 << fi.slot
 	}
 
+	if int(si) >= f.maxSegs {
+		// Interned after the budget ran out: a stub instead of a trace.
+		c.exitDeopt(st.pkt, DeoptBudgetStub)
+		seg.noEnter = true
+		return
+	}
 	pkt := st.pkt
 	pkts := 0
 	for {
 		if pkt < 0 || pkt >= len(f.prog.Packets) {
 			// Out of range: deopt; the generic engine produces the exact
 			// "fell off the program" error.
-			c.exitDeopt(pkt)
+			c.exitDeopt(pkt, DeoptContract)
 			break
 		}
-		if pkt != st.pkt && f.regionAt(pkt) >= 0 {
+		if pkt != st.pkt && regionStart(f.cfg.RegionOf, pkt) {
 			// Region boundary: end the segment so the runner hook fires.
 			c.termJump(c.stateAt(pkt))
 			break
@@ -337,9 +384,9 @@ func (f *fuser) compileSeg(si int32) {
 			c.termJump(c.stateAt(pkt))
 			break
 		}
-		pl, ok := c.plan(pkt, f.prog.Packets[pkt])
+		pl, cause, ok := c.plan(pkt, f.prog.Packets[pkt])
 		if !ok {
-			c.exitDeopt(pkt)
+			c.exitDeopt(pkt, cause)
 			break
 		}
 		pkts++
@@ -356,13 +403,7 @@ func (f *fuser) compileSeg(si int32) {
 // stateAt interns the continuation state at pkt with the current
 // symbolic machine state (rels rebased to the new segment's entry).
 func (c *fctx) stateAt(pkt int) int32 {
-	st := fstate{pkt: pkt, br: c.br}
-	for _, fi := range c.inflight {
-		fi.rel -= c.busy
-		st.inflight = append(st.inflight, fi)
-	}
-	st.facts = append(st.facts, c.facts...)
-	return c.f.state(st)
+	return c.f.state(fstate{pkt: pkt, br: c.br, inflight: c.flushList()})
 }
 
 // fwrite is one planned register write of a packet.
@@ -387,17 +428,14 @@ type fplan struct {
 	due    []finflight // commits landing at this packet's end, in order
 	keep   []finflight // still in flight afterwards
 
-	condBr    bool // predicated branch issued (fork at terminal)
-	brTgt     int  // static branch target if a branch issues
-	halt      bool // unpredicated HALT
-	haltCond  bool // predicated HALT
-	fired     bool // unpredicated branch fires at this packet's end
-	firedTgt  int
-	brAfter   fbr // branch state after this packet (not-taken path for condBr)
-	brTaken   fbr // branch state after this packet on the taken path (condBr)
-	killFacts []Reg
-	setFact   *ffact
-	next      int // fallthrough packet
+	condBr   bool // predicated branch issued (fork at terminal)
+	issued   fbr  // the branch this packet issues
+	halt     bool // unpredicated HALT
+	haltCond bool // predicated HALT
+	fired    fbr  // the unpredicated branch firing at this packet's end
+	brAfter  fbr  // branch state after this packet (not-taken path for condBr)
+	brTaken  fbr  // branch state after this packet on the taken path (condBr)
+	next     int  // fallthrough packet
 }
 
 // readsOf appends the registers inst reads at issue (the strict
@@ -436,29 +474,11 @@ func readsOf(in Inst, dst []Reg) []Reg {
 	return dst
 }
 
-// fact returns the tracked constant of r, if known.
-func (c *fctx) fact(r Reg) (uint32, bool) {
-	for _, fa := range c.facts {
-		if fa.reg == r {
-			return fa.val, true
-		}
-	}
-	return 0, false
-}
-
-func (c *fctx) tracked(r Reg) bool {
-	for _, tr := range c.f.cfg.ConstRegs {
-		if tr == r {
-			return true
-		}
-	}
-	return false
-}
-
 // plan statically simulates one packet against the symbolic state. A
 // false result means the packet (in this state) is outside the fusable
-// contract and the segment must deoptimize before it.
-func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
+// contract and the segment must deoptimize before it, for the cause
+// returned.
+func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 	var pl fplan
 	pl.next = pkt + 1
 	pl.busyPk = int64(pk.Cycles())
@@ -468,15 +488,18 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 
 	// Strict in-flight read contract: any read of an in-flight register
 	// deopts (the generic engine errors, or proceeds when not strict).
-	var readBuf [16]Reg
+	// readEnd[i] ends instruction i's reads (Fuse checked len(Insts) ≤ 8).
+	var readBuf [24]Reg
+	var readEnd [8]int
 	reads := readBuf[:0]
-	for _, in := range pk.Insts {
+	for i, in := range pk.Insts {
 		reads = readsOf(in, reads)
+		readEnd[i] = len(reads)
 	}
 	for _, r := range reads {
 		for _, fi := range c.inflight {
 			if fi.reg == r {
-				return pl, false
+				return pl, DeoptInflightRead, false
 			}
 		}
 	}
@@ -497,23 +520,18 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 		case in.Op == BPKT || in.Op == BREG:
 			branches++
 			if branches > 1 || c.br.valid {
-				return pl, false // overlap: generic reproduces the strict error
+				return pl, DeoptContract, false // overlap: generic reproduces the strict error
 			}
-			tgt := in.Target
+			pl.issued = fbr{valid: true, tgt: in.Target, cnt: BranchDelay + 1}
+			pl.condBr = in.Pred.Valid
 			if in.Op == BREG {
-				if in.Src1.IsImm {
-					tgt = int(in.Src1.Imm)
-				} else {
-					v, known := c.fact(in.Src1.Reg)
-					if !known {
-						return pl, false // unresolvable indirect branch
+				pl.issued.tgt = int(in.Src1.Imm)
+				if !in.Src1.IsImm {
+					if pl.condBr {
+						return pl, DeoptContract, false // predicated capture: not a scheduler shape
 					}
-					tgt = int(int32(v))
+					pl.issued.ind, pl.issued.reg = true, in.Src1.Reg
 				}
-			}
-			pl.brTgt = tgt
-			if in.Pred.Valid {
-				pl.condBr = true
 			}
 		case in.Op.IsLoad(), in.Op.IsStore():
 			pl.hasMem = true
@@ -526,7 +544,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 			}
 		default:
 			if in.Op != MVK && in.Op != MVKH && unaryKernel(in.Op) == nil && binaryKernel(in.Op) == nil {
-				return pl, false // no kernel (INVALID etc.): generic errors
+				return pl, DeoptNoKernel, false // INVALID etc.: generic errors
 			}
 			pl.writes = append(pl.writes, fwrite{
 				inst: idx, reg: in.Dst,
@@ -549,7 +567,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 			takenEff = int64(BranchDelay + 1)
 		}
 		if takenEff != pl.busyEff {
-			return pl, false
+			return pl, DeoptContract, false
 		}
 	}
 	busyAfter := c.busy + pl.busyEff
@@ -562,14 +580,19 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 	for wi := range pl.writes {
 		w := &pl.writes[wi]
 		// A direct write (straight to Regs at issue) is legal when the
-		// commit lands exactly at this packet's end, no same-packet
-		// instruction reads the register, and no other write to it is
-		// in flight or planned — otherwise commit order matters and the
-		// value goes through a slot.
+		// commit lands exactly at this packet's end, no other same-packet
+		// instruction reads the register (the writer's own read precedes
+		// its write inside one op), and no other write to it is in flight
+		// or planned — otherwise commit order matters and the value goes
+		// through a slot.
 		w.direct = w.commitOff == busyAfter
 		if w.direct {
-			for _, r := range reads {
-				if r == w.reg {
+			own := 0
+			if w.inst > 0 {
+				own = readEnd[w.inst-1]
+			}
+			for i, r := range reads {
+				if r == w.reg && (i < own || i >= readEnd[w.inst]) {
 					w.direct = false
 					break
 				}
@@ -598,7 +621,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 				}
 			}
 			if slot < 0 {
-				return pl, false // slot pressure: deopt
+				return pl, DeoptSlotPressure, false
 			}
 			c.slots |= 1 << slot // provisional; freed on commit or rolled back by caller discipline
 			w.slot = uint8(slot)
@@ -616,45 +639,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 	for i := range pl.due {
 		for j := i + 1; j < len(pl.due); j++ {
 			if pl.due[i].reg == pl.due[j].reg && pl.due[i].rel == pl.due[j].rel {
-				return pl, false // writeback collision: generic reproduces it
-			}
-		}
-	}
-
-	// Facts: kills first (any write to a tracked register), then the
-	// MVK/MVKH set when the new value is statically known.
-	for wi := range pl.writes {
-		if c.tracked(pl.writes[wi].reg) {
-			pl.killFacts = append(pl.killFacts, pl.writes[wi].reg)
-		}
-	}
-	for _, in := range pk.Insts {
-		if (in.Op != MVK && in.Op != MVKH) || in.Pred.Valid || !c.tracked(in.Dst) {
-			continue
-		}
-		// The value must land this packet (lat 1 always does), be the
-		// only write to the register in flight, and be computable.
-		solo := true
-		for _, fi := range pl.keep {
-			if fi.reg == in.Dst {
-				solo = false
-			}
-		}
-		writers := 0
-		for _, w := range pl.writes {
-			if w.reg == in.Dst {
-				writers++
-			}
-		}
-		if !solo || writers != 1 {
-			continue
-		}
-		switch in.Op {
-		case MVK:
-			pl.setFact = &ffact{reg: in.Dst, val: uint32(int32(int16(in.Src2.Imm)))}
-		case MVKH:
-			if old, known := c.fact(in.Dst); known {
-				pl.setFact = &ffact{reg: in.Dst, val: old&0xFFFF | uint32(in.Src2.Imm)<<16}
+				return pl, DeoptContract, false // writeback collision: generic reproduces it
 			}
 		}
 	}
@@ -662,27 +647,30 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, bool) {
 	// Branch bookkeeping after this packet.
 	pl.brAfter = c.br
 	if branches == 1 && !pl.condBr {
-		pl.brAfter = fbr{valid: true, tgt: pl.brTgt, cnt: BranchDelay + 1}
+		pl.brAfter = pl.issued
 	}
 	if pl.brAfter.valid {
 		pl.brAfter.cnt -= int(pl.busyEff)
 		if pl.brAfter.cnt <= 0 {
 			if !pl.condBr {
-				pl.fired = true
-				pl.firedTgt = pl.brAfter.tgt
+				pl.fired = pl.brAfter
 			}
 			pl.brAfter = fbr{}
 		}
 	}
 	if pl.condBr {
-		pl.brTaken = fbr{valid: true, tgt: pl.brTgt, cnt: BranchDelay + 1 - int(pl.busyEff)}
+		pl.brTaken = pl.issued
+		pl.brTaken.cnt -= int(pl.busyEff)
 		if pl.brTaken.cnt <= 0 {
 			// Degenerate: a predicated branch firing at its own packet end
 			// (busy ≥ 6) cannot come from the scheduler; deopt.
-			return pl, false
+			return pl, DeoptContract, false
 		}
 	}
-	return pl, true
+	if pl.fired.ind && (pl.halt || pl.haltCond) {
+		return pl, DeoptContract, false // HALT under a captured branch: no static exit pc
+	}
+	return pl, 0, true
 }
 
 // emit lowers the planned packet into ops and advances the symbolic
@@ -732,20 +720,6 @@ func (c *fctx) emit(pkt int, pl fplan) {
 	c.accNop += pl.nop
 	c.busy += pl.busyEff
 	c.inflight = append(c.inflight[:0], pl.keep...)
-
-	// Facts.
-	for _, r := range pl.killFacts {
-		for i := 0; i < len(c.facts); i++ {
-			if c.facts[i].reg == r {
-				c.facts = append(c.facts[:i], c.facts[i+1:]...)
-				i--
-			}
-		}
-	}
-	if pl.setFact != nil {
-		c.facts = append(c.facts, *pl.setFact)
-		sort.Slice(c.facts, func(i, j int) bool { return c.facts[i].reg < c.facts[j].reg })
-	}
 }
 
 // terminal emits the segment terminal the packet requires, returning
@@ -756,8 +730,8 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 	case pl.halt:
 		c.br = pl.brAfter
 		exitPC := pl.next
-		if pl.fired {
-			exitPC = pl.firedTgt
+		if pl.fired.valid {
+			exitPC = pl.fired.tgt
 		}
 		c.exitHalt(exitPC)
 		return true
@@ -767,8 +741,8 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 		// target of a pre-existing branch firing at this packet's end).
 		c.br = pl.brAfter
 		next := pl.next
-		if pl.fired {
-			next = pl.firedTgt
+		if pl.fired.valid {
+			next = pl.fired.tgt
 		}
 		c.termHaltCond(next, c.stateAt(next))
 		return true
@@ -779,9 +753,13 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 		fallSeg := c.stateAt(pl.next)
 		c.termCond(taken, fallSeg)
 		return true
-	case pl.fired:
+	case pl.fired.ind:
 		c.br = fbr{}
-		c.termJump(c.stateAt(pl.firedTgt))
+		c.termIndirect(pl.fired.reg)
+		return true
+	case pl.fired.valid:
+		c.br = fbr{}
+		c.termJump(c.stateAt(pl.fired.tgt))
 		return true
 	default:
 		c.br = pl.brAfter
@@ -789,37 +767,46 @@ func (c *fctx) terminal(pkt int, pl fplan) bool {
 	}
 }
 
-// take drains the accounting accumulators for a terminal/sync op.
-func (c *fctx) take() (cyc, pkts, insts, nop int64) {
-	cyc, pkts, insts, nop = c.accCyc, c.accPkts, c.accInsts, c.accNop
-	c.accCyc, c.accPkts, c.accInsts, c.accNop = 0, 0, 0, 0
-	c.memSeen = false
-	return
+// facct is the constant part of every interpreted packet epilogue since
+// the last synchronization point, folded at fuse time and paid once.
+type facct struct{ cyc, pkts, insts, nop int64 }
+
+// apply folds the accounting into the Sim. Memory stalls collected in
+// fstall freeze the cycle clock exactly like the interpreter's
+// per-packet stall accounting.
+func (a facct) apply(s *Sim) {
+	s.cycle += a.cyc + s.fstall
+	s.busy += a.cyc
+	s.stats.StallCycles += s.fstall
+	s.fstall = 0
+	s.stats.Packets += a.pkts
+	s.stats.Instructions += a.insts
+	s.stats.NopCycles += a.nop
 }
 
-// emitSync folds the accumulated constants into the Sim — the constant
-// part of every interpreted packet epilogue since the last sync point,
-// paid once. Memory stalls collected in fstall freeze the cycle clock
-// exactly like the interpreter's per-packet stall accounting.
+// take drains the accounting accumulators for a terminal/sync op.
+func (c *fctx) take() facct {
+	a := facct{c.accCyc, c.accPkts, c.accInsts, c.accNop}
+	c.accCyc, c.accPkts, c.accInsts, c.accNop = 0, 0, 0, 0
+	c.memSeen = false
+	return a
+}
+
+// emitSync folds the accumulated constants into the Sim.
 func (c *fctx) emitSync() {
 	if c.accCyc == 0 && c.accPkts == 0 && !c.memSeen {
 		return
 	}
-	cyc, pkts, insts, nop := c.take()
+	a := c.take()
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		a.apply(s)
 		return nil
 	})
 }
 
-// flushOps returns the runtime flush of the current in-flight window
-// (rels rebased to the exit's busy clock).
+// flushList returns the current in-flight window with rels rebased to
+// the exit's busy clock: a continuation's entry window, and what
+// flushWindow materializes at run time.
 func (c *fctx) flushList() []finflight {
 	var fl []finflight
 	for _, fi := range c.inflight {
@@ -829,92 +816,59 @@ func (c *fctx) flushList() []finflight {
 	return fl
 }
 
-// exitDeopt materializes the exact interpreter state at pkt and leaves
-// fused execution (fnext = -1).
-func (c *fctx) exitDeopt(pkt int) {
-	cyc, pkts, insts, nop := c.take()
-	fl := c.flushList()
-	br := c.br
+// flushWindow materializes an in-flight window held in fused slots into
+// the ordinary pending list.
+func flushWindow(s *Sim, fl []finflight) {
+	for _, fi := range fl {
+		if fi.pred && !s.fslotOn[fi.slot] {
+			continue
+		}
+		s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
+	}
+}
+
+// leaveFused materializes the exact interpreter state at pc — in-flight
+// window, branch state — and ends fused execution (fnext = -1).
+func leaveFused(s *Sim, fl []finflight, pc int, br fbr) {
+	flushWindow(s, fl)
+	s.pc = pc
+	br.restore(s)
+	s.fnext = -1
+}
+
+// exitDeopt leaves fused execution at pkt, counting the deopt under its
+// cause.
+func (c *fctx) exitDeopt(pkt int, cause DeoptCause) {
+	a, fl, br := c.take(), c.flushList(), c.br
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
-		for _, fi := range fl {
-			if fi.pred && !s.fslotOn[fi.slot] {
-				continue
-			}
-			s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-		}
-		s.pc = pkt
-		if br.valid {
-			s.brValid, s.brTgt, s.brCnt = true, br.tgt, br.cnt
-		}
-		s.fnext = -1
+		a.apply(s)
+		leaveFused(s, fl, pkt, br)
+		s.es.DeoptsBy[cause]++
 		return nil
 	})
 }
 
 // exitHalt materializes the halted state (HALT executed this packet).
 func (c *fctx) exitHalt(exitPC int) {
-	cyc, pkts, insts, nop := c.take()
-	fl := c.flushList()
-	br := c.br
+	a, fl, br := c.take(), c.flushList(), c.br
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		a.apply(s)
 		s.halted = true
-		for _, fi := range fl {
-			if fi.pred && !s.fslotOn[fi.slot] {
-				continue
-			}
-			s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-		}
-		s.pc = exitPC
-		if br.valid {
-			s.brValid, s.brTgt, s.brCnt = true, br.tgt, br.cnt
-		}
-		s.fnext = -1
+		leaveFused(s, fl, exitPC, br)
 		return nil
 	})
 }
 
 // termHaltCond forks at run time on whether the guarded HALT executed.
 func (c *fctx) termHaltCond(exitPC int, fall int32) {
-	cyc, pkts, insts, nop := c.take()
-	fl := c.flushList()
-	br := c.br
+	a, fl, br := c.take(), c.flushList(), c.br
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		a.apply(s)
 		if !s.halted {
 			s.fnext = fall
 			return nil
 		}
-		for _, fi := range fl {
-			if fi.pred && !s.fslotOn[fi.slot] {
-				continue
-			}
-			s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
-		}
-		s.pc = exitPC
-		if br.valid {
-			s.brValid, s.brTgt, s.brCnt = true, br.tgt, br.cnt
-		}
-		s.fnext = -1
+		leaveFused(s, fl, exitPC, br)
 		return nil
 	})
 }
@@ -922,15 +876,9 @@ func (c *fctx) termHaltCond(exitPC int, fall int32) {
 // termCond forks on the predicated branch issued this packet (fcond0
 // was set by its issue op).
 func (c *fctx) termCond(taken, fall int32) {
-	cyc, pkts, insts, nop := c.take()
+	a := c.take()
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		a.apply(s)
 		if s.fcond0 {
 			s.fnext = taken
 		} else {
@@ -942,16 +890,38 @@ func (c *fctx) termCond(taken, fall int32) {
 
 // termJump chains to the next segment.
 func (c *fctx) termJump(next int32) {
-	cyc, pkts, insts, nop := c.take()
+	a := c.take()
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		s.cycle += cyc + s.fstall
-		s.busy += cyc
-		s.stats.StallCycles += s.fstall
-		s.fstall = 0
-		s.stats.Packets += pkts
-		s.stats.Instructions += insts
-		s.stats.NopCycles += nop
+		a.apply(s)
 		s.fnext = next
+		return nil
+	})
+}
+
+// termIndirect ends the segment where the branch captured from reg
+// fires: the target (in Sim.brTgt since issue) selects its continuation
+// among the segments compiled, for this exit's window, at each of reg's
+// return sites. Any other target materializes the interpreter state
+// there (fnextMiss): the same table dispatch with nothing compiled.
+func (c *fctx) termIndirect(reg Reg) {
+	rt := c.f.rets[reg]
+	if rt == nil {
+		rt = &retTable{} // not a return-site register: every target misses
+	}
+	a, fl := c.take(), c.flushList()
+	next := make([]int32, len(rt.sites))
+	for i, p := range rt.sites {
+		next[i] = c.f.state(fstate{pkt: p, inflight: fl})
+	}
+	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+		a.apply(s)
+		if t := s.brTgt; uint(t) < uint(len(rt.ord)) && rt.ord[t] >= 0 {
+			s.fnext = next[rt.ord[t]]
+			return nil
+		}
+		leaveFused(s, fl, s.brTgt, fbr{})
+		s.es.DeoptsBy[DeoptIndirectMiss]++
+		s.fnext = fnextMiss
 		return nil
 	})
 }
@@ -978,7 +948,15 @@ func (c *fctx) emitInst(pkt int, in Inst, w *fwrite) {
 		return
 	case in.Op == BPKT || in.Op == BREG:
 		if !in.Pred.Valid {
-			return // fully static: accounting folded, target known
+			// Accounting folded; only a register target is captured, at
+			// issue like Step (later writes to the register do not move it).
+			if r := in.Src1.Reg; in.Op == BREG && !in.Src1.IsImm {
+				c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+					s.brTgt = int(int32(s.Regs[r]))
+					return nil
+				})
+			}
+			return
 		}
 		pr, neg := in.Pred.Reg, in.Pred.Neg
 		c.seg.ops = append(c.seg.ops, func(s *Sim) error {

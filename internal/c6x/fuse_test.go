@@ -278,42 +278,91 @@ func TestFusedMatchesInterpreterErrors(t *testing.T) {
 	}
 }
 
-// TestFusedBREGFactResolution: MVK/MVKH-built indirect branch targets in
-// tracked registers are resolved statically and stay fused; untracked
-// ones deoptimize to the generic engine with identical results.
-func TestFusedBREGFactResolution(t *testing.T) {
-	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(8)}),
-		pk(Inst{Op: MVKH, Unit: S1, Dst: B(3), Src2: Imm(0)}),
-		pk(Inst{Op: BREG, Unit: S1, Src1: R(B(3))}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(9)}), // skipped
-		pk(Inst{Op: HALT}), // skipped
-		pk(Inst{Op: NOP}),  // skipped
-		pk(Inst{Op: NOP}),  // skipped
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(1)}), // BREG target
-		pk(Inst{Op: HALT}),
-	}
-	t.Run("tracked", func(t *testing.T) {
-		_, fs := runTriple(t, FuseConfig{
-			RegionOf:  regions(len(packets), 0, 8),
-			ConstRegs: []Reg{B(3)},
-		}, packets...)
-		if fs.Reg(A(1)) != 1 {
-			t.Fatalf("A1 = %d, want 1", fs.Reg(A(1)))
+// TestFusedIndirectBranch: a BREG through a register dispatches at run
+// time through the table of its register's return sites. A hit (the
+// target is a SymImm label loaded into a ConstRegs register) chains to
+// the continuation compiled there; a miss (a target no table holds, or
+// a register with no table) materializes the interpreter state at the
+// target. Both are bit-identical to the interpreter and the compiled
+// engine, in the middle of a region and at a region start, with a
+// writeback in flight across the exit.
+func TestFusedIndirectBranch(t *testing.T) {
+	gen := func(sym bool) []Packet {
+		return []Packet{
+			pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(0x100)}),
+			pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(9), SymImm: sym}),
+			pk(Inst{Op: STW, Unit: D1, Data: B(3), Src1: R(A(5)), Src2: Imm(0)}),
+			pk(Inst{Op: BREG, Unit: S1, Src1: R(B(3))}),
+			pk(Inst{Op: NOP, NopCycles: 4}),
+			pk(Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0)}), // in flight at the exit
+			pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(9)}),                // skipped
+			pk(Inst{Op: HALT}), // skipped
+			pk(Inst{Op: NOP}),  // skipped
+			pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(1)}), // BREG target
+			pk(Inst{Op: NOP, NopCycles: 4}),
+			pk(Inst{Op: ADD, Unit: L1, Dst: A(1), Src1: R(A(1)), Src2: R(A(2))}),
+			pk(Inst{Op: HALT}),
 		}
-	})
-	t.Run("untracked-deopts", func(t *testing.T) {
-		runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0, 8)}, packets...)
-	})
+	}
+	for _, tc := range []struct {
+		name   string
+		sym    bool
+		consts []Reg
+		starts []int
+		misses int64
+	}{
+		{"hit", true, []Reg{B(3)}, []int{0}, 0},
+		{"hit-at-region-start", true, []Reg{B(3)}, []int{0, 9}, 0},
+		{"miss-plain-immediate", false, []Reg{B(3)}, []int{0}, 1},
+		{"miss-at-region-start", false, []Reg{B(3)}, []int{0, 9}, 1},
+		{"miss-no-table", true, nil, []int{0, 9}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			packets := gen(tc.sym)
+			_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), tc.starts...), ConstRegs: tc.consts}, packets...)
+			es := fs.EngineStats()
+			if es.DeoptsBy[DeoptIndirectMiss] != tc.misses || es.Deopts() != tc.misses {
+				t.Errorf("deopts %s, want %d indirect misses and nothing else", es.DeoptSummary(), tc.misses)
+			}
+			if tc.misses == 0 && es.GenericPackets != 0 {
+				t.Errorf("table hit left fused code: %+v", es)
+			}
+			if fs.Reg(A(1)) != 10 {
+				t.Errorf("A1 = %d, want 10 (the load in flight across the exit landed)", fs.Reg(A(1)))
+			}
+		})
+	}
 }
 
-// TestFusedBREGStaysFused proves fact-resolved indirect loops execute
-// without deoptimizing: the boundary hook keeps firing, which a deopt
-// (StepFused returning) would cut short.
+// TestFusedCapturedTargetWins: the branch target is the register's value
+// when the BREG issues; a write to the register in the delay slots does
+// not move it (Step reads the operand at issue).
+func TestFusedCapturedTargetWins(t *testing.T) {
+	packets := []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(7), SymImm: true}),
+		pk(Inst{Op: BREG, Unit: S1, Src1: R(B(3))}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(9), SymImm: true}), // delay slot
+		pk(Inst{Op: NOP, NopCycles: 4}),
+		pk(Inst{Op: HALT}), // skipped
+		pk(Inst{Op: NOP}),
+		pk(Inst{Op: NOP}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(7)}), // the captured target
+		pk(Inst{Op: HALT}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(9)}), // the overwritten link
+		pk(Inst{Op: HALT}),
+	}
+	_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0), ConstRegs: []Reg{B(3)}}, packets...)
+	if es := fs.EngineStats(); fs.Reg(A(1)) != 7 || es.Deopts() != 0 || es.GenericPackets != 0 {
+		t.Fatalf("A1 = %d, %+v; want the target captured at issue (7), through the table", fs.Reg(A(1)), es)
+	}
+}
+
+// TestFusedBREGStaysFused proves indirect loops through a return-site
+// table execute without deoptimizing: the boundary hook keeps firing,
+// which a deopt (StepFused returning) would cut short.
 func TestFusedBREGStaysFused(t *testing.T) {
 	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(0)}), // loop head and BREG target
+		pk(Inst{Op: MVK, Unit: S1, Dst: B(3), Src2: Imm(0), SymImm: true}), // loop head and BREG target
 		pk(Inst{Op: ADD, Unit: L1, Dst: A(1), Src1: R(A(1)), Src2: Imm(1)}),
 		pk(Inst{Op: BREG, Unit: S1, Src1: R(B(3))}),
 		pk(Inst{Op: NOP, NopCycles: 5}),
@@ -554,39 +603,52 @@ func TestRunFusedCycleLimit(t *testing.T) {
 	}
 }
 
-// TestFusedNoEnterSegment: a region start that deoptimizes immediately
-// (unresolvable BREG) is excluded from the entry map so RunFused cannot
-// livelock re-entering a zero-progress segment.
-func TestFusedNoEnterSegment(t *testing.T) {
+// TestFuseBudgetStubs: the segment budget is not a reason to decline a
+// program. States interned after it ran out compile as immediate-deopt
+// stubs — zero-progress segments, which are excluded from the entry map
+// so RunFused cannot livelock re-entering one — and the run degrades
+// per state: what was traced runs fused, the rest on the generic
+// engine, bit-identical, with the shortfall counted.
+func TestFuseBudgetStubs(t *testing.T) {
 	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(7), Src2: Imm(4)}),
-		pk(Inst{Op: BREG, Unit: S1, Src1: R(A(7))}), // region start; A7 untracked
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(0), Src2: Imm(3)}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(1), Src1: R(A(1)), Src2: Imm(1)}), // region start: loop head
+		pk(Inst{Op: SUB, Unit: L1, Dst: A(0), Src1: R(A(0)), Src2: Imm(1)}),
+		pk(Inst{Op: BPKT, Unit: S1, Target: 1, Pred: Pred{Valid: true, Reg: A(0)}}),
 		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(9)}), // skipped
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(1)}), // BREG target
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(2), Src2: Imm(2)}), // region start
 		pk(Inst{Op: HALT}),
 	}
+	cfg := FuseConfig{RegionOf: regions(len(packets), 0, 1, 5)}
+	full := mustFuse(t, &Program{Packets: packets}, cfg)
+
+	cfg.MaxSegments = 1
 	prog := &Program{Packets: packets}
-	fp := mustFuse(t, prog, FuseConfig{RegionOf: regions(len(packets), 0, 1)})
+	fp := mustFuse(t, prog, cfg)
+	if fp.Entries() != 1 || fp.Segments() >= full.Segments() {
+		t.Fatalf("budget 1: %d entries, %d segments (unbounded: %d); want the program entry alone and stubs that trace no further",
+			fp.Entries(), fp.Segments(), full.Segments())
+	}
 	s := NewSim(prog, newTestMem())
 	if err := s.UseFused(fp); err != nil {
 		t.Fatal(err)
 	}
 	s.SetPC(1)
 	if s.FusedEntryOK() {
-		t.Fatal("zero-progress segment advertised as a fused entry")
+		t.Fatal("stub advertised as a fused entry")
 	}
 	s.SetPC(0)
 	if !s.FusedEntryOK() {
 		t.Fatal("program entry not a fused entry")
 	}
-	if err := s.RunFused(); err != nil {
-		t.Fatal(err)
+	_, fs := runTriple(t, cfg, packets...)
+	es := fs.EngineStats()
+	if es.DeoptsBy[DeoptBudgetStub] != 1 || es.Deopts() != 1 || es.GenericPackets == 0 {
+		t.Fatalf("%+v, want one budget-stub deopt and the rest of the run on the generic engine", es)
 	}
-	if !s.Halted() || s.Reg(A(1)) != 1 {
-		t.Fatalf("halted=%v A1=%d", s.Halted(), s.Reg(A(1)))
+	if fs.Reg(A(1)) != 3 || fs.Reg(A(2)) != 2 {
+		t.Fatalf("A1=%d A2=%d, want 3 and 2", fs.Reg(A(1)), fs.Reg(A(2)))
 	}
-	runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0, 1)}, packets...)
 }
 
 func TestFuseRejectsIssueViolations(t *testing.T) {
@@ -643,7 +705,11 @@ func TestFusedMatchesInterpreterRandom(t *testing.T) {
 		for i := 0; i < len(packets); i += stride {
 			starts = append(starts, i)
 		}
-		is, _ := runTriple(t, FuseConfig{RegionOf: regions(len(packets), starts...)}, packets...)
+		cfg := FuseConfig{RegionOf: regions(len(packets), starts...)}
+		if seed&1 == 0 {
+			cfg.ConstRegs = []Reg{B(7)} // the subroutine returns through its table; else every return misses
+		}
+		is, _ := runTriple(t, cfg, packets...)
 		return is.Halted()
 	}
 	cfg := &quick.Config{MaxCount: 120}
@@ -690,5 +756,34 @@ func TestFusedSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, run)
 	if allocs != 0 {
 		t.Fatalf("steady-state fused execution allocates: %.1f allocs per 16 iterations", allocs)
+	}
+}
+
+// TestFusedSelfReadWritesDirect: an instruction that reads its own
+// destination at issue (MVKH always does) still writes the register
+// file directly — one op — because its read precedes its write inside
+// that op. Only another same-packet reader of the register forces the
+// value through a slot and a commit op, since that reader must see the
+// old value.
+func TestFusedSelfReadWritesDirect(t *testing.T) {
+	ops := func(packets ...Packet) int {
+		t.Helper()
+		packets = append([]Packet{pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(0x1234)})}, packets...)
+		packets = append(packets, pk(Inst{Op: HALT}))
+		_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0)}, packets...)
+		if fs.EngineStats().GenericPackets != 0 {
+			t.Fatalf("left fused code: %+v", fs.EngineStats())
+		}
+		return len(fs.fused.segs[0].ops) - 2 // the seeding MVK and the halt exit
+	}
+	mvkh := Inst{Op: MVKH, Unit: S2, Dst: B(3), Src2: Imm(0x5678)}
+	if n := ops(pk(mvkh)); n != 1 {
+		t.Errorf("lone MVKH lowered to %d ops, want 1 (direct write)", n)
+	}
+	if n := ops(pk(Inst{Op: ADD, Unit: L2, Dst: B(3), Src1: R(B(3)), Src2: Imm(1)})); n != 1 {
+		t.Errorf("self-incrementing ADD lowered to %d ops, want 1 (direct write)", n)
+	}
+	if n := ops(pk(mvkh, Inst{Op: MV, Unit: L2, Dst: B(4), Src1: R(B(3))})); n != 3 {
+		t.Errorf("MVKH with a foreign same-packet reader lowered to %d ops, want 3 (slot write, the reader, commit)", n)
 	}
 }

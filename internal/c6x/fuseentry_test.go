@@ -112,42 +112,75 @@ func TestFusedEntryPredicatedProducer(t *testing.T) {
 	}
 }
 
-// TestFusedEntryFactMismatch: a segment compiled under a register
-// constant is not entered when the register file no longer holds it.
-// With an in-flight write keeping the clean seed out as well, nothing
-// matches: the generic engine carries on from the boundary and the run
-// stays bit-identical.
-func TestFusedEntryFactMismatch(t *testing.T) {
+// TestFusedEntryCapturedBranch: a branch through a register has no
+// static target; the value captured at issue is run-time data that
+// crosses segment ends, hook stops and rollbacks in brTgt. A core
+// stopped in the delay slots re-enters the one segment compiled for the
+// pending capture whatever the target is, and the firing terminal
+// dispatches on the value it finds — also one a debugger put there.
+func TestFusedEntryCapturedBranch(t *testing.T) {
 	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(0x100)}),
-		pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(11)}),
-		pk(Inst{Op: MVKH, Unit: S2, Dst: B(3), Src2: Imm(0)}),
-		pk(Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0)}),
-		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(3))}), // region start: fact B3=11, A2 in flight
-		pk(Inst{Op: NOP, NopCycles: 5}),
+		pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(9), SymImm: true}),
+		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(3))}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(2), Src2: Imm(2)}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(3), Src2: Imm(3)}), // region start, capture pending
+		pk(Inst{Op: NOP, NopCycles: 3}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(9), Src2: Imm(9)}), // skipped
+		pk(Inst{Op: HALT}), // skipped
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(4), Src2: Imm(7)}), // the debugger's target
 		pk(Inst{Op: HALT}),
-		pk(Inst{Op: NOP}),
-		pk(Inst{Op: NOP}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(9)}), // the debugger's target
-		pk(Inst{Op: HALT}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(11)}), // the compiled target
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(4), Src2: Imm(9)}), // the captured target
 		pk(Inst{Op: HALT}),
 	}
-	cfg := FuseConfig{RegionOf: regions(len(packets), 0, 4), ConstRegs: []Reg{B(3)}}
+	cfg := FuseConfig{RegionOf: regions(len(packets), 0, 3), ConstRegs: []Reg{B(3)}}
 
 	_, fs := stopEveryBoundary(t, cfg, nil, packets...)
-	if es := fs.EngineStats(); es.EntriesMatched != 1 || es.GenericPackets != 0 || fs.Reg(A(1)) != 11 {
-		t.Fatalf("facts intact: %+v A1=%d, want a matched re-entry and the compiled target", es, fs.Reg(A(1)))
+	if es := fs.EngineStats(); es.HookStops != 1 || es.EntriesMatched != 1 || es.GenericPackets != 0 || es.Deopts() != 0 || fs.Reg(A(4)) != 9 {
+		t.Fatalf("%+v A4=%d, want the capture carried across the stop, a table hit and no generic packet", es, fs.Reg(A(4)))
 	}
 
 	retarget := func(s *Sim) {
-		if s.PC() == 4 {
-			s.SetReg(B(3), 9)
+		if s.PC() == 3 {
+			s.brTgt = 7
 		}
 	}
 	_, fs = stopEveryBoundary(t, cfg, retarget, packets...)
-	if es := fs.EngineStats(); es.EntriesMatched != 0 || es.GenericPackets == 0 || fs.Reg(A(1)) != 9 {
-		t.Fatalf("fact broken: %+v A1=%d, want no re-entry, generic packets and the new target", es, fs.Reg(A(1)))
+	if es := fs.EngineStats(); es.EntriesMatched != 1 || es.DeoptsBy[DeoptIndirectMiss] != 1 || fs.Reg(A(4)) != 7 {
+		t.Fatalf("retargeted: %+v A4=%d, want the same segment entered and the new target reached through a table miss", es, fs.Reg(A(4)))
+	}
+
+	// The remaining delay is part of the entry state; the target is not.
+	// A rollback to the stop restores the capture with everything else.
+	prog := &Program{Packets: packets}
+	s := NewSim(prog, newTestMem())
+	if err := s.UseFused(mustFuse(t, prog, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if stopped, err := s.StepFused(func() (bool, error) { return true, nil }); err != nil || !stopped {
+		t.Fatalf("StepFused: stopped=%v err=%v", stopped, err)
+	}
+	if !s.brValid || s.brTgt != 9 || !s.FusedEntryOK() {
+		t.Fatalf("stop at the boundary: brValid=%v brTgt=%d entryOK=%v, want the capture materialized and enterable", s.brValid, s.brTgt, s.FusedEntryOK())
+	}
+	s.brCnt--
+	if s.FusedEntryOK() {
+		t.Error("entered with a different remaining branch delay")
+	}
+	s.brCnt++
+	s.Checkpoint()
+	if err := s.RunFused(); err != nil {
+		t.Fatal(err)
+	}
+	regs, cycle := s.Regs, s.Cycle()
+	s.Rollback()
+	if s.Halted() || !s.brValid || s.brTgt != 9 {
+		t.Fatalf("after rollback: halted=%v brValid=%v brTgt=%d", s.Halted(), s.brValid, s.brTgt)
+	}
+	if err := s.RunFused(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Regs != regs || s.Cycle() != cycle || s.Reg(A(4)) != 9 {
+		t.Fatalf("re-execution after rollback diverged: A4=%d cycle %d vs %d", s.Reg(A(4)), s.Cycle(), cycle)
 	}
 }
 
@@ -199,46 +232,51 @@ func TestFusedEntryPendingBranch(t *testing.T) {
 	}
 }
 
-// TestFusedEntryPicksByFacts: a callee reached from two call sites has
-// one boundary segment per link constant plus the fact-free seed. A
-// core stopped at the callee re-enters the segment whose constant the
-// register file holds, so the return stays a resolved branch: no deopt,
-// no generic packet.
-func TestFusedEntryPicksByFacts(t *testing.T) {
-	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(5)}),
-		pk(Inst{Op: MVKH, Unit: S2, Dst: B(3), Src2: Imm(0)}),
-		pk(Inst{Op: BPKT, Unit: S1, Target: 11}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: HALT}),
-		pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(10)}), // region start: first return
-		pk(Inst{Op: MVKH, Unit: S2, Dst: B(3), Src2: Imm(0)}),
-		pk(Inst{Op: BPKT, Unit: S1, Target: 11}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: HALT}),
-		pk(Inst{Op: HALT}),                                                  // region start: second return
-		pk(Inst{Op: ADD, Unit: L1, Dst: A(1), Src1: R(A(1)), Src2: Imm(1)}), // region start: callee
-		pk(Inst{Op: BREG, Unit: S2, Src1: R(B(3))}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: HALT}),
+// TestFusedRoutineCompiledOnce: segments are context-free. A callee
+// reached from n call sites is one segment, entered in one state, and
+// its return dispatches through the link register's table to the return
+// sites — which are the region seeds. So the program costs one segment
+// per region however many sites call, every call and return stays fused
+// with a stop at every boundary, and nothing deoptimizes.
+func TestFusedRoutineCompiledOnce(t *testing.T) {
+	gen := func(n int) ([]Packet, FuseConfig) {
+		var packets []Packet
+		var starts []int
+		for i := 0; i < n; i++ {
+			starts = append(starts, len(packets))
+			packets = append(packets,
+				pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(int32(3 * (i + 1))), SymImm: true}),
+				pk(Inst{Op: BPKT, Unit: S1, Target: 3*n + 1}),
+				pk(Inst{Op: NOP, NopCycles: 5}))
+		}
+		starts = append(starts, len(packets), len(packets)+1)
+		packets = append(packets,
+			pk(Inst{Op: HALT}), // last return site
+			pk(Inst{Op: ADD, Unit: L1, Dst: A(1), Src1: R(A(1)), Src2: Imm(1)}), // callee
+			pk(Inst{Op: BREG, Unit: S2, Src1: R(B(3))}),
+			pk(Inst{Op: NOP, NopCycles: 5}))
+		return packets, FuseConfig{RegionOf: regions(len(packets), starts...), ConstRegs: []Reg{B(3)}}
 	}
-	cfg := FuseConfig{RegionOf: regions(len(packets), 0, 5, 10, 11), ConstRegs: []Reg{B(3)}}
-	fp := mustFuse(t, &Program{Packets: packets}, cfg)
-	if n := len(fp.candidates(11)); n != 3 {
-		t.Fatalf("%d candidate segments at the callee, want 3 (two link constants and the seed)", n)
-	}
-	_, fs := stopEveryBoundary(t, cfg, nil, packets...)
-	if es := fs.EngineStats(); es.HookStops != 4 || es.Deopts != 0 || es.GenericPackets != 0 {
-		t.Fatalf("%+v, want 4 hook stops, every return resolved (no deopt) and no generic packet", es)
-	}
-	if fs.Reg(A(1)) != 2 {
-		t.Fatalf("A1 = %d, want 2 calls", fs.Reg(A(1)))
+	for _, n := range []int{2, 50} {
+		packets, cfg := gen(n)
+		fp := mustFuse(t, &Program{Packets: packets}, cfg)
+		if fp.Segments() != n+2 || len(fp.candidates(3*n+1)) != 1 {
+			t.Fatalf("%d call sites: %d segments, %d at the callee; want %d (one per region) and 1",
+				n, fp.Segments(), len(fp.candidates(3*n+1)), n+2)
+		}
+		_, fs := stopEveryBoundary(t, cfg, nil, packets...)
+		if es := fs.EngineStats(); es.HookStops != int64(2*n) || es.Deopts() != 0 || es.GenericPackets != 0 {
+			t.Fatalf("%d call sites: %+v, want %d hook stops, no deopt and no generic packet", n, es, 2*n)
+		}
+		if fs.Reg(A(1)) != uint32(n) {
+			t.Fatalf("A1 = %d, want %d calls", fs.Reg(A(1)), n)
+		}
 	}
 }
 
 // TestFusedEntryRandom: the engine-differential property test with a
-// stop at every boundary, so every window, branch state and fact set
-// the generator produces is flushed, matched (or not) and resumed.
+// stop at every boundary, so every window and branch state the
+// generator produces is flushed, matched (or not) and resumed.
 func TestFusedEntryRandom(t *testing.T) {
 	var matched, generic, total int64
 	f := func(seed int64) bool {
@@ -249,7 +287,11 @@ func TestFusedEntryRandom(t *testing.T) {
 		for i := 0; i < len(packets); i += stride {
 			starts = append(starts, i)
 		}
-		is, fs := stopEveryBoundary(t, FuseConfig{RegionOf: regions(len(packets), starts...)}, nil, packets...)
+		cfg := FuseConfig{RegionOf: regions(len(packets), starts...)}
+		if seed&1 == 0 {
+			cfg.ConstRegs = []Reg{B(7)} // table hits; else every return misses
+		}
+		is, fs := stopEveryBoundary(t, cfg, nil, packets...)
 		matched += fs.EngineStats().EntriesMatched
 		generic += fs.EngineStats().GenericPackets
 		total += fs.Stats().Packets

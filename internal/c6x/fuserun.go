@@ -43,24 +43,31 @@ func (s *Sim) Fused() bool { return s.fused != nil }
 // FusedEntryOK reports whether fused execution can engage at the
 // current state. The entry rule: some segment compiled for the current
 // packet was compiled for exactly the Sim's dynamic state — the same
-// pending branch (target and remaining delay), the same in-flight
-// writeback window (registers, landing cycles relative to the latency
-// clock, order; a predicated producer's write may be absent) and
-// register constants that hold in the register file. The clean state
-// (nothing pending) is the special case every region start is seeded
-// with, so there is one rule for the program entry and for every way a
-// core comes back from the generic engines: a hook stop, a rollback, an
-// interrupt redirect, a deopt, a debugger single-step.
+// pending branch (remaining delay, and target unless the segment was
+// compiled under a captured one, which continues to any target) and the
+// same in-flight writeback window (registers, landing cycles relative to
+// the latency clock, order; a predicated producer's write may be
+// absent). The clean state (nothing pending) is the special case every
+// region start is seeded with, so there is one rule for the program
+// entry and for every way a core comes back from the generic engines: a
+// hook stop, a rollback, an interrupt redirect, a deopt, a debugger
+// single-step.
 //
 // Soundness: a segment's code depends on its entry state only through
-// those three components. The fuser holds a fact only for a register
-// with no write in flight (any write kills it; an MVK/MVKH sets it only
-// as the sole writer, landing the same packet), so "the register file
-// holds the value" is the whole content of a fact, and a state that
-// matches on all three is one the segment's trace is bit-identical to
-// the generic engines from. A state nothing was compiled for — say the
-// sync-device scratch write still in flight after an interrupt redirect
-// — stays on the generic engine until a boundary it does match.
+// those two components — no register value is folded into a segment. A
+// captured branch target is run-time data like a register: it sits in
+// brTgt from the BREG's issue until the branch fires, across segment
+// ends, hook stops and rollbacks, and the firing terminal dispatches on
+// it through a table whose every entry was compiled for that exit's
+// window, so a hit is the trace the generic engines would run and a
+// miss is their exact state at the target. When that target is a region
+// start, StepFused runs the boundary hook there itself — the caller
+// re-enters without its boundary actions, and a reti returning to the
+// interrupted leader with the next interrupt already pending is
+// delivered at that boundary, as on the generic engines. A state
+// nothing was compiled for — say the sync-device scratch write still in
+// flight after an interrupt redirect — stays on the generic engine
+// until a boundary it does match.
 func (s *Sim) FusedEntryOK() bool { return s.fusedEntry() >= 0 }
 
 // fusedEntry returns the segment matching the current state, or -1.
@@ -78,16 +85,11 @@ func (s *Sim) fusedEntry() int32 {
 
 // enter reports whether the Sim's dynamic state is the state seg was
 // compiled for (see FusedEntryOK); with load set it also moves the
-// pending values into the segment's slots — the inverse of flushEntry.
+// pending values into the segment's slots — the inverse of flushWindow.
 // Only load a segment that matched.
 func (seg *fseg) enter(s *Sim, load bool) bool {
-	if s.brValid != seg.entryBr.valid || s.brValid && (s.brTgt != seg.entryBr.tgt || s.brCnt != seg.entryBr.cnt) {
+	if br := seg.entryBr; s.brValid != br.valid || s.brValid && (s.brCnt != br.cnt || !br.ind && s.brTgt != br.tgt) {
 		return false
-	}
-	for _, fa := range seg.entryFacts {
-		if s.Regs[fa.reg] != fa.val {
-			return false
-		}
 	}
 	j := 0
 	for _, fi := range seg.entryFlush {
@@ -108,16 +110,23 @@ func (seg *fseg) enter(s *Sim, load bool) bool {
 	return j == len(s.pending)
 }
 
-// flushEntry materializes a boundary segment's in-flight window into
-// the ordinary pending list (pc and branch state are handled by the
-// caller's protocol).
-func flushEntry(s *Sim, seg *fseg) {
-	for _, fi := range seg.entryFlush {
-		if fi.pred && !s.fslotOn[fi.slot] {
-			continue
+// fusedBoundary runs the caller's boundary actions at the region start
+// s.pc, pc and branch state materialized. leave reports that fused
+// execution ends here: the hook stopped, failed or redirected it.
+func (s *Sim) fusedBoundary(hook FusedHook) (leave, stopped bool, err error) {
+	if hook == nil {
+		if s.cycle > s.MaxCycles {
+			return true, false, s.errf(s.pc, "cycle limit exceeded")
 		}
-		s.pending = append(s.pending, writeback{reg: fi.reg, val: s.fslotVal[fi.slot], commitAt: s.busy + fi.rel})
+		return false, false, nil
 	}
+	pc := s.pc
+	if stopped, err = hook(); stopped {
+		s.es.HookStops++
+	}
+	// A moved pc is a redirect (interrupt delivery, debugger): the caller
+	// re-dispatches from the materialized state.
+	return err != nil || stopped || s.pc != pc || s.halted, stopped, err
 }
 
 // StepFused runs fused segments from the current state (FusedEntryOK
@@ -125,9 +134,10 @@ func flushEntry(s *Sim, seg *fseg) {
 // hook stops or redirects execution, or a segment deoptimizes back to
 // the generic engines. The hook fires at every region-boundary segment
 // except the first: the caller enters StepFused having just performed
-// its own boundary actions there. With a nil hook the engine checks
-// MaxCycles itself at boundaries, producing the interpreter-flavored
-// limit error.
+// its own boundary actions there. It also fires, on the materialized
+// state, where an indirect branch missed its table onto a region start.
+// With a nil hook the engine checks MaxCycles itself at boundaries,
+// producing the interpreter-flavored limit error.
 //
 // On return the architectural state is always one the generic engines
 // can continue from bit-identically; stopped reports that the hook
@@ -152,38 +162,13 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 	for {
 		seg := fp.segs[si]
 		if seg.boundary && !first {
-			if hook == nil {
-				if s.cycle > s.MaxCycles {
-					s.pc = seg.pkt
-					if seg.entryBr.valid {
-						s.brValid, s.brTgt, s.brCnt = true, seg.entryBr.tgt, seg.entryBr.cnt
-					}
-					flushEntry(s, seg)
-					return false, s.errf(seg.pkt, "cycle limit exceeded")
-				}
-			} else {
-				s.pc = seg.pkt
-				if seg.entryBr.valid {
-					s.brValid, s.brTgt, s.brCnt = true, seg.entryBr.tgt, seg.entryBr.cnt
-				}
-				stop, err := hook()
-				if err != nil || stop {
-					if stop {
-						s.es.HookStops++
-					}
-					flushEntry(s, seg)
-					return stop, err
-				}
-				if s.pc != seg.pkt || s.halted {
-					// Redirected (interrupt delivery, debugger): hand the
-					// materialized state back; the caller re-dispatches.
-					flushEntry(s, seg)
-					return false, nil
-				}
-				if seg.entryBr.valid {
-					s.brValid = false // back under static tracking
-				}
+			s.pc = seg.pkt
+			seg.entryBr.restore(s)
+			if leave, stopped, err := s.fusedBoundary(hook); leave {
+				flushWindow(s, seg.entryFlush)
+				return stopped, err
 			}
+			s.brValid = false // back under static tracking
 		}
 		first = false
 		s.fnext = -1
@@ -193,11 +178,13 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 			}
 		}
 		if s.fnext < 0 {
-			// Terminal materialized the state (deopt or halt).
-			if !s.halted {
-				s.es.Deopts++
+			// Terminal materialized the state (deopt, halt or table miss).
+			// A miss onto a region start owes the caller its boundary
+			// actions: it re-enters here without running them.
+			if s.fnext == fnextMiss && regionStart(fp.regionOf, s.pc) {
+				_, stopped, err = s.fusedBoundary(hook)
 			}
-			return false, nil
+			return stopped, err
 		}
 		si = s.fnext
 	}

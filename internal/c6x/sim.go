@@ -54,11 +54,57 @@ type EngineStats struct {
 	// matched against a compiled segment (see FusedEntryOK).
 	EntriesClean, EntriesMatched int64
 	// HookStops counts boundary hooks that stopped fused execution;
-	// Deopts counts segments that handed back to the generic engines.
-	HookStops, Deopts int64
+	// DeoptsBy counts segments that handed back to the generic engines,
+	// by the cause compiled into the exit that ran.
+	HookStops int64
+	DeoptsBy  [NumDeoptCauses]int64
 	// GenericPackets of the Packets retired so far (Stats.Packets) went
 	// through Step, on either generic engine; the rest ran fused.
 	GenericPackets, Packets int64
+}
+
+// DeoptCause says why a fused segment ends in a deoptimization exit.
+type DeoptCause uint8
+
+// The deopt causes. DeoptContract collects the shapes the scheduler
+// never emits (overlapping branches, writeback collisions, running off
+// the program), where the generic engine reproduces the strict error.
+const (
+	DeoptInflightRead DeoptCause = iota // read of a register with a write in flight
+	DeoptSlotPressure                   // more in-flight values than fused slots
+	DeoptNoKernel                       // op without a compiled kernel
+	DeoptIndirectMiss                   // indirect branch to a target outside its table
+	DeoptBudgetStub                     // state interned after the segment budget ran out
+	DeoptContract
+	NumDeoptCauses
+)
+
+var deoptCauseNames = [NumDeoptCauses]string{"inflight-read", "slot-pressure", "no-kernel", "indirect-miss", "budget-stub", "contract"}
+
+func (c DeoptCause) String() string { return deoptCauseNames[c] }
+
+// Deopts is the total over all causes.
+func (e EngineStats) Deopts() int64 {
+	var n int64
+	for _, d := range e.DeoptsBy {
+		n += d
+	}
+	return n
+}
+
+// DeoptSummary renders the non-zero causes ("indirect-miss=3 contract=1"),
+// "none" when no segment deoptimized.
+func (e EngineStats) DeoptSummary() string {
+	out := ""
+	for c, d := range e.DeoptsBy {
+		if d != 0 {
+			out += fmt.Sprintf(" %s=%d", DeoptCause(c), d)
+		}
+	}
+	if out == "" {
+		return "none"
+	}
+	return out[1:]
 }
 
 // GenericShare is the fraction of the packets the generic engines

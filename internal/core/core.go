@@ -119,14 +119,15 @@ var (
 	regWaitDummy = c6x.A(31) // sync wait load destination (never read)
 )
 
-// FusedConstRegs returns the registers whose MVK/MVKH-built constants the
-// superblock fuser (c6x.Fuse) tracks symbolically to resolve the
-// translator's indirect branches: the runtime-routine link register and
-// the source return-address register — calls park the translated return
-// packet index in both as plain MVK immediates. RegIRQShadow is
-// deliberately absent: its value is written by the platform at interrupt
-// entry, so the translated reti always deoptimizes to the generic
-// engine.
+// FusedConstRegs returns the registers that hold return-site packet
+// indices: the runtime-routine link register and the source
+// return-address register. Calls park the translated return packet
+// index in them as SymImm MVK immediates, and the superblock fuser
+// (c6x.Fuse) makes those packets the dispatch table of every indirect
+// branch through the register. RegIRQShadow is deliberately absent: its
+// value is written by the platform at interrupt entry, not loaded by
+// the program, so the translated reti has no table and leaves fused
+// code at the interrupted leader.
 func FusedConstRegs() []c6x.Reg {
 	return []c6x.Reg{regLink, aR(tc32.RA)}
 }

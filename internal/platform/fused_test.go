@@ -117,10 +117,9 @@ func TestFusedIRQDeferredToBoundary(t *testing.T) {
 // as the unfused engine, for pathological quantum sizes included — and
 // the stopped core goes back into fused code: the stops add under 5 %
 // of the packets to what the generic engine retires in an
-// uninterrupted run (nothing, except behind fibonacci's recursion
-// returns, which deoptimize). The
-// comparison alone cannot tell: a core that never re-enters is the
-// unfused engine, and trivially agrees with it.
+// uninterrupted run (nothing). The comparison alone cannot tell: a core
+// that never re-enters is the unfused engine, and trivially agrees with
+// it.
 func TestFusedRunUntilQuantum(t *testing.T) {
 	for _, w := range workload.All() {
 		f, err := tc32asm.Assemble(w.Source)

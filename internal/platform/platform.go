@@ -13,6 +13,7 @@
 package platform
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/c6x"
@@ -255,9 +256,9 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 		}
 	}
 	// Superblock fusion rides on top of the compiled engine: region
-	// starts are the boundary/deopt points, and the translator's link
-	// registers resolve its indirect branches. A program the fuser
-	// declines (segment budget) simply runs unfused.
+	// starts are the boundary/deopt points, and the return sites loaded
+	// into the translator's link registers are where its indirect
+	// branches dispatch to. Only a malformed program is not fused.
 	if sys.engine == EngineCompiled {
 		cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs()}
 		if fp, err := c6x.FuseCached(prog.C6x, cfg); err == nil {
@@ -277,7 +278,15 @@ func (sys *System) SetText(base uint32, data []byte) {
 	sys.text = append([]byte(nil), data...)
 }
 
+// rd and wr are the little-endian memory port: size bytes at b[off:],
+// bounds-checked by the caller. Words and halfwords move in one access.
 func rd(b []byte, off uint32, size int) uint32 {
+	switch size {
+	case 4:
+		return binary.LittleEndian.Uint32(b[off:])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b[off:]))
+	}
 	var v uint32
 	for i := 0; i < size; i++ {
 		v |= uint32(b[off+uint32(i)]) << (8 * i)
@@ -286,8 +295,15 @@ func rd(b []byte, off uint32, size int) uint32 {
 }
 
 func wr(b []byte, off uint32, val uint32, size int) {
-	for i := 0; i < size; i++ {
-		b[off+uint32(i)] = byte(val >> (8 * i))
+	switch size {
+	case 4:
+		binary.LittleEndian.PutUint32(b[off:], val)
+	case 2:
+		binary.LittleEndian.PutUint16(b[off:], uint16(val))
+	default:
+		for i := 0; i < size; i++ {
+			b[off+uint32(i)] = byte(val >> (8 * i))
+		}
 	}
 }
 

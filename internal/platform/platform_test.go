@@ -235,3 +235,63 @@ _start:	movi	d0, 1
 		t.Error("no cycle regions executed")
 	}
 }
+
+// TestMemoryPortEdges: loads and stores of 1, 2 and 4 bytes agree with a
+// byte-at-a-time reference at both edges of every memory window — RAM
+// (whose backing array ends before the window does: the tail reads
+// zero, also when an access straddles the array's end), the cache table
+// and the text image — and one byte past a window is unmapped.
+func TestMemoryPortEdges(t *testing.T) {
+	_, sys := build(t, irqCountProg, core.Level3)
+	if len(sys.ctab) == 0 || len(sys.text) == 0 {
+		t.Fatal("Level3 program without cache table or text image")
+	}
+	loop := func(b []byte, off uint32, size int) uint32 {
+		var v uint32
+		for i := 0; i < size; i++ {
+			if j := int(off) + i; j < len(b) {
+				v |= uint32(b[j]) << (8 * i)
+			}
+		}
+		return v
+	}
+	check := func(label string, base uint32, backing *[]byte, window int, writable bool) {
+		t.Helper()
+		for _, size := range []int{1, 2, 4} {
+			offs := []int{0, 1, window - size}
+			if n := len(*backing); n < window {
+				offs = append(offs, n-size, n-size+1, n-1, n) // around the backing array's end
+			}
+			for k, off := range offs {
+				if off < 0 {
+					continue
+				}
+				addr, val := base+uint32(off), 0xA1B2C3D4+uint32(k)
+				if writable {
+					if _, err := sys.Store(addr, val, size, 0); err != nil {
+						t.Fatalf("%s: store%d @+%d: %v", label, size, off, err)
+					}
+					if got, want := loop(*backing, uint32(off), size), val&(1<<(8*size)-1); got != want {
+						t.Errorf("%s: store%d @+%d left %#x, want %#x", label, size, off, got, want)
+					}
+				}
+				got, _, err := sys.Load(addr, size, 0)
+				if err != nil {
+					t.Fatalf("%s: load%d @+%d: %v", label, size, off, err)
+				}
+				if want := loop(*backing, uint32(off), size); got != want {
+					t.Errorf("%s: load%d @+%d = %#x, want %#x", label, size, off, got, want)
+				}
+			}
+			if _, _, err := sys.Load(base+uint32(window-size+1), size, 0); err == nil {
+				t.Errorf("%s: load%d one byte past the window succeeded", label, size)
+			}
+		}
+	}
+	// Reads first, against the tail that was never stored to; then the
+	// stores, the last of which grow the backing array to the full window.
+	check("ram-read", sys.rBase, &sys.ram, iss.RAMSize, false)
+	check("text", sys.tBase, &sys.text, len(sys.text), false)
+	check("ctab", sys.cBase, &sys.ctab, len(sys.ctab), true)
+	check("ram", sys.rBase, &sys.ram, iss.RAMSize, true)
+}

@@ -29,6 +29,7 @@ type scriptOp struct {
 // on a bus plus a 3-core arbiter.
 type scriptWorld struct {
 	bus    *socbus.Bus
+	log    []socbus.Transaction // recorded through bus.Trace
 	arb    *Arbiter
 	shared *socbus.SharedRAM
 	mail   *socbus.Mailbox
@@ -46,6 +47,7 @@ func newScriptWorld() *scriptWorld {
 	}
 	w.mail.OnPost = func(slot int) { w.irq.Raise(slot, socbus.LineDoorbell) }
 	w.bus = socbus.NewBus(w.shared, w.mail, w.count, w.irq, socbus.NewTimer())
+	w.bus.Trace = func(tx socbus.Transaction) { w.log = append(w.log, tx) }
 	return w
 }
 
@@ -79,7 +81,7 @@ type worldState struct {
 
 func (w *scriptWorld) state() worldState {
 	st := worldState{
-		log:   append([]socbus.Transaction(nil), w.bus.Log...),
+		log:   append([]socbus.Transaction(nil), w.log...),
 		posts: w.mail.Posts, pops: w.mail.Pops, overruns: w.mail.Overruns,
 		raises: w.irq.Raises, claims: w.irq.Claims, acks: w.irq.Acks, spurious: w.irq.Spurious,
 		unmapped: w.bus.Unmapped,

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/socbus"
 	"repro/internal/workload"
 )
 
@@ -49,26 +50,36 @@ func buildParCfg(t *testing.T, mw workload.MultiWorkload, quantum int64, em engi
 
 func mustRun(t *testing.T, cfg Config, label string) *System {
 	t.Helper()
+	s, _ := mustRunLogged(t, cfg, label)
+	return s
+}
+
+// mustRunLogged also records, in order, the transactions the live bus
+// performed.
+func mustRunLogged(t *testing.T, cfg Config, label string) (*System, []socbus.Transaction) {
+	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatalf("%s: New: %v", label, err)
 	}
+	var log []socbus.Transaction
+	s.Bus.Trace = func(tx socbus.Transaction) { log = append(log, tx) }
 	if err := s.Run(); err != nil {
 		t.Fatalf("%s: Run: %v", label, err)
 	}
-	return s
+	return s, log
 }
 
 // compareWorlds demands complete observable equality between a
 // sequential and a parallel run of the same configuration.
-func compareWorlds(t *testing.T, label string, seq, par *System) {
+func compareWorlds(t *testing.T, label string, seq, par *System, seqLog, parLog []socbus.Transaction) {
 	t.Helper()
 	compareSnapshots(t, label, snapshotSoC(seq), snapshotSoC(par), compareFull)
 	if a, b := seq.Results(), par.Results(); !reflect.DeepEqual(a, b) {
 		t.Errorf("%s: Stats differ:\nseq: %+v\npar: %+v", label, a, b)
 	}
-	if !reflect.DeepEqual(seq.Bus.Log, par.Bus.Log) {
-		t.Errorf("%s: bus transaction logs differ (%d vs %d entries)", label, len(seq.Bus.Log), len(par.Bus.Log))
+	if !reflect.DeepEqual(seqLog, parLog) {
+		t.Errorf("%s: bus transaction logs differ (%d vs %d entries)", label, len(seqLog), len(parLog))
 	}
 	type devStats struct {
 		SharedReads, SharedWrites      int64
@@ -115,10 +126,10 @@ func TestParallelTortureMatrix(t *testing.T) {
 				for _, arb := range arbs {
 					name := fmt.Sprintf("%s/%s/q%d/%v", mw.Name, em.name, quantum, arb)
 					t.Run(name, func(t *testing.T) {
-						seq := mustRun(t, buildParCfg(t, mw, quantum, em, arb, false), name+"/seq")
-						par := mustRun(t, buildParCfg(t, mw, quantum, em, arb, true), name+"/par")
+						seq, seqLog := mustRunLogged(t, buildParCfg(t, mw, quantum, em, arb, false), name+"/seq")
+						par, parLog := mustRunLogged(t, buildParCfg(t, mw, quantum, em, arb, true), name+"/par")
 						verifyOutputs(t, mw, par, name)
-						compareWorlds(t, name, seq, par)
+						compareWorlds(t, name, seq, par, seqLog, parLog)
 					})
 				}
 			}
@@ -143,17 +154,17 @@ func TestParallelDeterminismStress(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		for r := 0; r < reps; r++ {
 			cfg := buildParCfg(t, mw, 16, engineModes()[3], RoundRobin, true)
-			s := mustRun(t, cfg, fmt.Sprintf("procs%d/rep%d", procs, r))
+			s, log := mustRunLogged(t, cfg, fmt.Sprintf("procs%d/rep%d", procs, r))
 			st := s.Results()
 			if first {
-				ref, refLog, first = st, len(s.Bus.Log), false
+				ref, refLog, first = st, len(log), false
 				continue
 			}
 			if !reflect.DeepEqual(ref, st) {
 				t.Errorf("GOMAXPROCS=%d rep %d: results diverged:\nref: %+v\ngot: %+v", procs, r, ref, st)
 			}
-			if len(s.Bus.Log) != refLog {
-				t.Errorf("GOMAXPROCS=%d rep %d: bus log length %d, want %d", procs, r, len(s.Bus.Log), refLog)
+			if len(log) != refLog {
+				t.Errorf("GOMAXPROCS=%d rep %d: bus log length %d, want %d", procs, r, len(log), refLog)
 			}
 		}
 		runtime.GOMAXPROCS(old)

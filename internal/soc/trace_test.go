@@ -7,18 +7,20 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/socbus"
 	"repro/internal/workload"
 )
 
 // runTraced runs one configuration with the global tracer in the given
-// state and returns the system plus the captured event stream.
-func runTraced(t *testing.T, cfg Config, label string, traced bool) (*System, []obs.Event) {
+// state and returns the system, its bus transaction log and the captured
+// event stream.
+func runTraced(t *testing.T, cfg Config, label string, traced bool) (*System, []socbus.Transaction, []obs.Event) {
 	t.Helper()
 	obs.Trace.Reset()
 	obs.Trace.SetEnabled(traced)
 	defer obs.Trace.SetEnabled(false)
-	s := mustRun(t, cfg, label)
-	return s, obs.Trace.Events()
+	s, log := mustRunLogged(t, cfg, label)
+	return s, log, obs.Trace.Events()
 }
 
 // TestTracingIsObservationOnly is the determinism contract of the trace
@@ -36,17 +38,17 @@ func TestTracingIsObservationOnly(t *testing.T) {
 			}
 			cfg := buildParCfg(t, mw, 64, engineModes()[2], RoundRobin, parallel)
 
-			plain, none := runTraced(t, cfg, label+"/untraced", false)
+			plain, plainLog, none := runTraced(t, cfg, label+"/untraced", false)
 			if len(none) != 0 {
 				t.Fatalf("%s: disabled tracer captured %d events", label, len(none))
 			}
-			traced, events := runTraced(t, cfg, label+"/traced", true)
-			traced2, events2 := runTraced(t, cfg, label+"/traced2", true)
+			traced, tracedLog, events := runTraced(t, cfg, label+"/traced", true)
+			traced2, _, events2 := runTraced(t, cfg, label+"/traced2", true)
 
 			if a, b := plain.Results(), traced.Results(); !reflect.DeepEqual(a, b) {
 				t.Errorf("%s: tracing changed results:\noff: %+v\non:  %+v", label, a, b)
 			}
-			if !reflect.DeepEqual(plain.Bus.Log, traced.Bus.Log) {
+			if !reflect.DeepEqual(plainLog, tracedLog) {
 				t.Errorf("%s: tracing changed the bus transaction log", label)
 			}
 			if !reflect.DeepEqual(events, events2) {

@@ -63,7 +63,7 @@ type ShadowDevice interface {
 	SyncShadow(shadow Device)
 }
 
-// Transaction is one logged bus access.
+// Transaction is one bus access, as reported to Bus.Trace.
 type Transaction struct {
 	Addr  uint32
 	Val   uint32
@@ -71,14 +71,15 @@ type Transaction struct {
 	Cycle int64
 }
 
-// Bus routes accesses to devices and logs every transaction. It
-// implements the reference simulator's Bus interface and is driven by the
-// platform's bus interface on the translated side.
+// Bus routes accesses to devices. It implements the reference
+// simulator's Bus interface and is driven by the platform's bus interface
+// on the translated side.
 type Bus struct {
 	devs []Device
-	// Log holds every transaction in order (useful for handshake
-	// validation in tests and examples).
-	Log []Transaction
+	// Trace, if non-nil, is called with every transaction in order, after
+	// the device performed it (handshake validation and differential
+	// tests attach a recorder). Shadow buses do not inherit it.
+	Trace func(Transaction)
 	// Unmapped counts accesses that hit no device.
 	Unmapped int
 }
@@ -161,13 +162,11 @@ func (b *Bus) NewShadow() (*Bus, error) {
 }
 
 // SyncShadow refreshes a shadow bus built by NewShadow with the live
-// bus's device state and clears its transaction log — the per-quantum
-// reset of a speculative world.
+// bus's device state — the per-quantum reset of a speculative world.
 func (b *Bus) SyncShadow(sb *Bus) {
 	for i, d := range b.devs {
 		d.(ShadowDevice).SyncShadow(sb.devs[i])
 	}
-	sb.Log = sb.Log[:0]
 	sb.Unmapped = b.Unmapped
 }
 
@@ -180,7 +179,9 @@ func (b *Bus) BusRead32(addr uint32, cycle int64) uint32 {
 	} else {
 		b.Unmapped++
 	}
-	b.Log = append(b.Log, Transaction{Addr: addr, Val: v, Cycle: cycle})
+	if b.Trace != nil {
+		b.Trace(Transaction{Addr: addr, Val: v, Cycle: cycle})
+	}
 	return v
 }
 
@@ -192,7 +193,9 @@ func (b *Bus) BusWrite32(addr uint32, val uint32, cycle int64) {
 	} else {
 		b.Unmapped++
 	}
-	b.Log = append(b.Log, Transaction{Addr: addr, Val: val, Write: true, Cycle: cycle})
+	if b.Trace != nil {
+		b.Trace(Transaction{Addr: addr, Val: val, Write: true, Cycle: cycle})
+	}
 }
 
 // Timer is a free-running cycle counter with a resettable base — the

@@ -43,10 +43,13 @@ func TestUARTHandshake(t *testing.T) {
 	}
 }
 
-func TestBusRoutingAndLog(t *testing.T) {
+func TestBusRoutingAndTrace(t *testing.T) {
 	tm := NewTimer()
 	u := NewUART(8)
 	b := NewBus(tm, u)
+	b.BusRead32(TimerBase, 5) // untraced: nothing to report to
+	var log []Transaction
+	b.Trace = func(tx Transaction) { log = append(log, tx) }
 	b.BusWrite32(UARTBase, 'x', 10)
 	if got := b.BusRead32(TimerBase, 50); got != 50 {
 		t.Errorf("timer via bus = %d", got)
@@ -55,14 +58,18 @@ func TestBusRoutingAndLog(t *testing.T) {
 	if b.Unmapped != 1 {
 		t.Errorf("unmapped = %d, want 1", b.Unmapped)
 	}
-	if len(b.Log) != 3 {
-		t.Fatalf("log has %d entries, want 3", len(b.Log))
+	if len(log) != 3 {
+		t.Fatalf("trace has %d entries, want 3", len(log))
 	}
-	if !b.Log[0].Write || b.Log[0].Addr != UARTBase || b.Log[0].Cycle != 10 {
-		t.Errorf("log[0] = %+v", b.Log[0])
+	if !log[0].Write || log[0].Addr != UARTBase || log[0].Cycle != 10 {
+		t.Errorf("log[0] = %+v", log[0])
 	}
-	if b.Log[1].Write || b.Log[1].Val != 50 {
-		t.Errorf("log[1] = %+v", b.Log[1])
+	if log[1].Write || log[1].Val != 50 {
+		t.Errorf("log[1] = %+v", log[1])
+	}
+	sb, err := NewBus(NewSharedRAM(4)).NewShadow()
+	if err != nil || sb.Trace != nil {
+		t.Errorf("shadow bus: err=%v, traced=%v; want an untraced copy", err, sb.Trace != nil)
 	}
 }
 
