@@ -68,6 +68,7 @@ func main() {
 		fmt.Printf("fused entries:    %d clean + %d matched (%d hook stops, %d deopts)\n",
 			es.EntriesClean, es.EntriesMatched, es.HookStops, es.Deopts())
 		fmt.Printf("deopts by cause:  %s\n", es.DeoptSummary())
+		fmt.Printf("intrinsic sites:  %s (%d calls on the op)\n", es.IntrinsicSummary(), es.IntrinsicRuns)
 		fmt.Printf("generic packets:  %d of %d (%.1f%%)\n", es.GenericPackets, es.Packets, 100*es.GenericShare())
 	}
 	for i, w := range sys.Output {

@@ -199,13 +199,17 @@ func printEngine(w *os.File, r simfarm.SoCResult) {
 		for cause, n := range c.Engine.DeoptsBy {
 			sum.DeoptsBy[cause] += n
 		}
+		sum.IntrinsicRuns += c.Engine.IntrinsicRuns
+		for o, n := range c.Engine.IntrinsicSites {
+			sum.IntrinsicSites[o] += n
+		}
 		shares = append(shares, fmt.Sprintf("%.1f", 100*c.Engine.GenericShare()))
 	}
 	if len(shares) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d (%s) · generic packets %s %%\n",
-		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts(), sum.DeoptSummary(), strings.Join(shares, "/"))
+	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d (%s) · intrinsic sites %s, %d calls · generic packets %s %%\n",
+		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts(), sum.DeoptSummary(), sum.IntrinsicSummary(), sum.IntrinsicRuns, strings.Join(shares, "/"))
 }
 
 func parseNames(s string) ([]string, error) {

@@ -32,10 +32,14 @@ import "sort"
 // fusing rule below preserves; the differential tests in fuse_test.go
 // and the platform matrix enforce it.
 //
-// Known, deliberate inexactness: when a memory op faults mid-segment
-// the error value (packet, cycle, text) is exact, but the statistics
-// counters lag by the packets folded since the last synchronization
-// point. Errors are terminal, so no caller observes the difference.
+// A memory op that faults mid-segment returns the interpreter's error
+// (packet, cycle, text) and leaves the interpreter's Stats: the error
+// path adds the faulting packet's share of the folded counts (memFault;
+// TestFusedMemoryFaultExact, and platform's TestProbeFaultExact for a
+// fault inside an intrinsic routine). Two things do differ after such an
+// error, which is terminal: the pc, which fused code does not maintain,
+// and a register written directly by an instruction issued earlier in
+// the faulting packet, which the interpreter never commits.
 
 const (
 	// fuseMaxSlots bounds the in-flight writeback values a segment can
@@ -71,6 +75,10 @@ type FuseConfig struct {
 	// budget, not a limit on what fuses: states beyond it become deopt
 	// stubs and the program degrades per state.
 	MaxSegments int
+	// Intrinsics are the program's runtime routines whose meaning the
+	// caller knows (see Intrinsic); like the fields above they are
+	// derived from the program, not chosen.
+	Intrinsics []Intrinsic
 }
 
 // fop is one compiled fused operation.
@@ -111,11 +119,14 @@ func (b fbr) restore(s *Sim) {
 // fstate is the symbolic machine state keying a segment: the packet the
 // trace continues at, the branch-delay state and the in-flight writeback
 // window (rel relative to the state's busy clock). Two traces reaching
-// one packet in the same state share a segment.
+// one packet in the same state share a segment. generic keys the
+// per-instruction lowering of an intrinsic's entry state, kept beside
+// the segment that runs the intrinsic op.
 type fstate struct {
 	pkt      int
 	br       fbr
 	inflight []finflight
+	generic  bool
 }
 
 // appendKey appends the state's interning key to b.
@@ -135,7 +146,11 @@ func (st *fstate) appendKey(b []byte) []byte {
 	default:
 		b = append(b, 0)
 	}
-	b = append(b, byte(len(st.inflight)))
+	n := byte(len(st.inflight))
+	if st.generic {
+		n |= 0x80 // a window holds at most fuseMaxSlots entries
+	}
+	b = append(b, n)
 	for _, fi := range st.inflight {
 		flag := byte(0)
 		if fi.pred {
@@ -175,6 +190,7 @@ type FusedProgram struct {
 	candStart []int32
 	cands     []int32
 	entries   int
+	sites     [NumIntrinsicOutcomes]int64
 }
 
 // Segments returns the number of compiled segments (introspection).
@@ -211,6 +227,8 @@ type fuser struct {
 	work    []int32
 	seeds   map[int]int32 // seed packet -> segment index
 	rets    map[Reg]*retTable
+	exits   map[string]*indirectExit // (register, exit window) -> shared exit
+	sites   [NumIntrinsicOutcomes]int64
 }
 
 // Fuse compiles prog into superblock segments. Programs with malformed
@@ -229,6 +247,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		index:   map[string]int32{},
 		seeds:   map[int]int32{},
 		rets:    map[Reg]*retTable{},
+		exits:   map[string]*indirectExit{},
 	}
 	if f.maxSegs <= 0 {
 		f.maxSegs = fuseDefaultMaxSegments
@@ -248,7 +267,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		f.work = f.work[:len(f.work)-1]
 		f.compileSeg(si)
 	}
-	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf}
+	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf, sites: f.sites}
 	for _, si := range f.seeds {
 		if !f.segs[si].noEnter {
 			fp.entries++
@@ -258,7 +277,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 	// generic engines hand control back (region starts and the program
 	// entry) that make progress, in the deterministic interning order.
 	for si, seg := range f.segs {
-		if !seg.noEnter && (seg.boundary || seg.pkt == prog.Entry) && seg.pkt >= 0 && seg.pkt < len(prog.Packets) {
+		if !seg.noEnter && !f.states[si].generic && (seg.boundary || seg.pkt == prog.Entry) && seg.pkt >= 0 && seg.pkt < len(prog.Packets) {
 			fp.cands = append(fp.cands, int32(si))
 		}
 	}
@@ -348,7 +367,9 @@ func (f *fuser) compileSeg(si int32) {
 	seg.pkt = st.pkt
 	seg.entryBr = st.br
 	seg.entryFlush = append([]finflight(nil), st.inflight...)
-	seg.boundary = regionStart(f.cfg.RegionOf, st.pkt)
+	// A generic twin is reached only from its intrinsic segment's op: the
+	// boundary actions already ran there, and nothing enters it directly.
+	seg.boundary = regionStart(f.cfg.RegionOf, st.pkt) && !st.generic
 
 	c := &fctx{
 		f:        f,
@@ -364,6 +385,9 @@ func (f *fuser) compileSeg(si int32) {
 		// Interned after the budget ran out: a stub instead of a trace.
 		c.exitDeopt(st.pkt, DeoptBudgetStub)
 		seg.noEnter = true
+		return
+	}
+	if in := f.intrinsicAt(st.pkt); in != nil && !st.generic && f.compileIntrinsic(seg, st, in) {
 		return
 	}
 	pkt := st.pkt
@@ -682,13 +706,17 @@ func (c *fctx) emit(pkt int, pl fplan) {
 		c.emitSync()
 	}
 	wi := 0
+	var issued int64 // unpredicated instructions so far: what a fault owes the count
 	for idx, in := range pk.Insts {
 		var w *fwrite
 		if wi < len(pl.writes) && pl.writes[wi].inst == idx {
 			w = &pl.writes[wi]
 			wi++
 		}
-		c.emitInst(pkt, in, w)
+		if in.Op != NOP && !in.Pred.Valid {
+			issued++
+		}
+		c.emitInst(pkt, in, w, issued)
 	}
 	if pl.hasMem {
 		c.memSeen = true
@@ -710,10 +738,16 @@ func (c *fctx) emit(pkt int, pl fplan) {
 				return nil
 			})
 		}
-		c.slots &^= 1 << slot
 	}
+	c.advance(pl)
+}
 
-	// Fold the accounting constants.
+// advance moves the symbolic state past the planned packet: its landed
+// writebacks free their slots and its constants join the accounting.
+func (c *fctx) advance(pl fplan) {
+	for _, fi := range pl.due {
+		c.slots &^= 1 << fi.slot
+	}
 	c.accCyc += pl.busyEff
 	c.accPkts++
 	c.accInsts += pl.uncond
@@ -898,37 +932,64 @@ func (c *fctx) termJump(next int32) {
 	})
 }
 
-// termIndirect ends the segment where the branch captured from reg
-// fires: the target (in Sim.brTgt since issue) selects its continuation
-// among the segments compiled, for this exit's window, at each of reg's
-// return sites. Any other target materializes the interpreter state
-// there (fnextMiss): the same table dispatch with nothing compiled.
-func (c *fctx) termIndirect(reg Reg) {
+// indirectExit is the dispatch of a fired indirect branch: the target
+// (in Sim.brTgt since issue) selects its continuation among the segments
+// compiled, for this exit's window, at each of the register's return
+// sites. Any other target materializes the interpreter state there
+// (fnextMiss): the same table dispatch with nothing compiled.
+type indirectExit struct {
+	rt   *retTable
+	next []int32
+	fl   []finflight
+}
+
+// indirectExit returns the exit for a branch captured from reg firing in
+// the current symbolic state. Exits are shared per (register, window):
+// the paths of one routine usually leave with the same window, and a
+// table has an entry per call site.
+func (c *fctx) indirectExit(reg Reg) *indirectExit {
+	fl := c.flushList()
+	key := string((&fstate{pkt: int(reg), inflight: fl}).appendKey(nil))
+	if x := c.f.exits[key]; x != nil {
+		return x
+	}
 	rt := c.f.rets[reg]
 	if rt == nil {
 		rt = &retTable{} // not a return-site register: every target misses
 	}
-	a, fl := c.take(), c.flushList()
-	next := make([]int32, len(rt.sites))
+	x := &indirectExit{rt: rt, fl: fl, next: make([]int32, len(rt.sites))}
 	for i, p := range rt.sites {
-		next[i] = c.f.state(fstate{pkt: p, inflight: fl})
+		x.next[i] = c.f.state(fstate{pkt: p, inflight: fl})
 	}
+	c.f.exits[key] = x
+	return x
+}
+
+func (x *indirectExit) fire(s *Sim) {
+	if t := s.brTgt; uint(t) < uint(len(x.rt.ord)) && x.rt.ord[t] >= 0 {
+		s.fnext = x.next[x.rt.ord[t]]
+		return
+	}
+	leaveFused(s, x.fl, s.brTgt, fbr{})
+	s.es.DeoptsBy[DeoptIndirectMiss]++
+	s.fnext = fnextMiss
+}
+
+// termIndirect ends the segment where the branch captured from reg
+// fires.
+func (c *fctx) termIndirect(reg Reg) {
+	a, x := c.take(), c.indirectExit(reg)
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
 		a.apply(s)
-		if t := s.brTgt; uint(t) < uint(len(rt.ord)) && rt.ord[t] >= 0 {
-			s.fnext = next[rt.ord[t]]
-			return nil
-		}
-		leaveFused(s, fl, s.brTgt, fbr{})
-		s.es.DeoptsBy[DeoptIndirectMiss]++
-		s.fnext = fnextMiss
+		x.fire(s)
 		return nil
 	})
 }
 
 // emitInst lowers one instruction. w is its planned write (nil for
-// non-writing instructions).
-func (c *fctx) emitInst(pkt int, in Inst, w *fwrite) {
+// non-writing instructions); issued counts the packet's unpredicated
+// instructions up to and including this one.
+func (c *fctx) emitInst(pkt int, in Inst, w *fwrite, issued int64) {
 	switch {
 	case in.Op == NOP:
 		return
@@ -969,21 +1030,32 @@ func (c *fctx) emitInst(pkt int, in Inst, w *fwrite) {
 		})
 		return
 	case in.Op.IsLoad():
-		c.emitLoad(pkt, in, w)
+		c.emitLoad(pkt, in, w, issued)
 		return
 	case in.Op.IsStore():
-		c.emitStore(pkt, in)
+		c.emitStore(pkt, in, issued)
 		return
 	}
 	c.emitALU(in, w)
 }
 
+// memFault is the error of a faulting memory op. The packets before the
+// faulting one are synchronized (emit syncs ahead of every memory
+// packet); the faulting packet itself and its issued unpredicated
+// instructions, which the next sync would have folded, are added here,
+// so Stats at the fault equal the interpreter's.
+func (s *Sim) memFault(pkt int, issued int64, what string, addr uint32, err error) error {
+	s.stats.Packets++
+	s.stats.Instructions += issued
+	return s.errf(pkt, "%s @%#x: %v", what, addr, err)
+}
+
 // fusedLoadRaw performs the load access and stall accounting shared by
 // every load shape.
-func (s *Sim) fusedLoadRaw(pkt int, addr uint32, sz int) (uint32, error) {
+func (s *Sim) fusedLoadRaw(pkt int, issued int64, addr uint32, sz int) (uint32, error) {
 	v, cont, err := s.mem.Load(addr, sz, s.cycle)
 	if err != nil {
-		return 0, s.errf(pkt, "load @%#x: %v", addr, err)
+		return 0, s.memFault(pkt, issued, "load", addr, err)
 	}
 	s.fstall += cont - s.cycle
 	return v, nil
@@ -999,7 +1071,7 @@ func loadExtend(op Op, v uint32) uint32 {
 	return v
 }
 
-func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite) {
+func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite, issued int64) {
 	op := in.Op
 	off := uint32(in.Src2.Imm)
 	sz := in.Op.MemSize()
@@ -1019,7 +1091,7 @@ func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite) {
 			if !immBase {
 				addr = s.Regs[base] + off
 			}
-			v, err := s.fusedLoadRaw(pkt, addr, sz)
+			v, err := s.fusedLoadRaw(pkt, issued, addr, sz)
 			if err != nil {
 				return err
 			}
@@ -1046,7 +1118,7 @@ func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite) {
 		if !immBase {
 			addr = s.Regs[base] + off
 		}
-		v, err := s.fusedLoadRaw(pkt, addr, sz)
+		v, err := s.fusedLoadRaw(pkt, issued, addr, sz)
 		if err != nil {
 			return err
 		}
@@ -1061,7 +1133,7 @@ func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite) {
 	})
 }
 
-func (c *fctx) emitStore(pkt int, in Inst) {
+func (c *fctx) emitStore(pkt int, in Inst, issued int64) {
 	off := uint32(in.Src2.Imm)
 	sz := in.Op.MemSize()
 	immBase := in.Src1.IsImm
@@ -1082,7 +1154,7 @@ func (c *fctx) emitStore(pkt int, in Inst) {
 		}
 		cont, err := s.mem.Store(addr, s.Regs[data], sz, s.cycle)
 		if err != nil {
-			return s.errf(pkt, "store @%#x: %v", addr, err)
+			return s.memFault(pkt, issued, "store", addr, err)
 		}
 		s.fstall += cont - s.cycle
 		return nil
@@ -1101,13 +1173,21 @@ func (c *fctx) emitStore(pkt int, in Inst) {
 	})
 }
 
-// emitALU lowers a register-writing ALU op: a value computation wrapped
-// in the direct/slot and predicate shells.
+// emitALU lowers a register-writing ALU op. The unpredicated direct
+// writes that dominate translator output are one closure with the kernel
+// inlined (directALU); every other shape wraps a value computation in
+// the direct/slot and predicate shells.
 func (c *fctx) emitALU(in Inst, w *fwrite) {
-	compute := fusedCompute(in)
 	slot := w.slot
 	dst := w.reg
 	direct := w.direct
+	if direct && !in.Pred.Valid {
+		if op := directALU(in, dst); op != nil {
+			c.seg.ops = append(c.seg.ops, op)
+			return
+		}
+	}
+	compute := fusedCompute(in)
 	if !in.Pred.Valid {
 		// Instruction count folded into the accounting sync (pl.uncond).
 		if direct {
@@ -1145,6 +1225,83 @@ func (c *fctx) emitALU(in Inst, w *fwrite) {
 		s.fslotVal[slot] = compute(s)
 		return nil
 	})
+}
+
+// directALU is the single-closure lowering of an unpredicated ALU op
+// writing straight to Regs: constants, moves, and the common binary ops
+// on register/register and register/immediate operands. Other shapes
+// return nil and take the generic shells. The semantics are alu's, op by
+// op; TestFusedDirectALUShapes runs every shape against the interpreter.
+func directALU(in Inst, dst Reg) fop {
+	switch in.Op {
+	case MVK:
+		v := uint32(int32(int16(in.Src2.Imm)))
+		return func(s *Sim) error { s.Regs[dst] = v; return nil }
+	case MVKH:
+		hi := uint32(in.Src2.Imm) << 16
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[dst]&0xFFFF | hi; return nil }
+	}
+	if in.Src1.IsImm {
+		return nil
+	}
+	a := in.Src1.Reg
+	if in.Op == MV {
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a]; return nil }
+	}
+	if in.Src2.IsImm {
+		k := uint32(in.Src2.Imm)
+		switch in.Op {
+		case ADD:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] + k; return nil }
+		case SUB:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] - k; return nil }
+		case AND:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] & k; return nil }
+		case OR:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] | k; return nil }
+		case XOR:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] ^ k; return nil }
+		case SHL:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] << (k & 31); return nil }
+		case SHR:
+			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] >> (k & 31); return nil }
+		case SAR:
+			return func(s *Sim) error { s.Regs[dst] = uint32(int32(s.Regs[a]) >> (k & 31)); return nil }
+		case CMPEQ:
+			return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] == k); return nil }
+		case CMPLT:
+			return func(s *Sim) error { s.Regs[dst] = b2u(int32(s.Regs[a]) < int32(k)); return nil }
+		case CMPLTU:
+			return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] < k); return nil }
+		}
+		return nil
+	}
+	b := in.Src2.Reg
+	switch in.Op {
+	case ADD:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] + s.Regs[b]; return nil }
+	case SUB:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] - s.Regs[b]; return nil }
+	case AND:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] & s.Regs[b]; return nil }
+	case OR:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] | s.Regs[b]; return nil }
+	case XOR:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] ^ s.Regs[b]; return nil }
+	case SHL:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] << (s.Regs[b] & 31); return nil }
+	case SHR:
+		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] >> (s.Regs[b] & 31); return nil }
+	case SAR:
+		return func(s *Sim) error { s.Regs[dst] = uint32(int32(s.Regs[a]) >> (s.Regs[b] & 31)); return nil }
+	case CMPEQ:
+		return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] == s.Regs[b]); return nil }
+	case CMPLT:
+		return func(s *Sim) error { s.Regs[dst] = b2u(int32(s.Regs[a]) < int32(s.Regs[b])); return nil }
+	case CMPLTU:
+		return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] < s.Regs[b]); return nil }
+	}
+	return nil
 }
 
 // fusedCompute builds the value function of an ALU op (same-packet

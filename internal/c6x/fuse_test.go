@@ -787,3 +787,84 @@ func TestFusedSelfReadWritesDirect(t *testing.T) {
 		t.Errorf("MVKH with a foreign same-packet reader lowered to %d ops, want 3 (slot write, the reader, commit)", n)
 	}
 }
+
+// TestFusedMemoryFaultExact: a memory op faulting inside a fused segment
+// returns the interpreter's error — packet, cycle, text — and leaves the
+// interpreter's Stats (no counter lags: memFault adds the faulting
+// packet's share of the folded counts). What does differ is named here:
+// an instruction issued earlier in the faulting packet whose result goes
+// straight to the register file has already written it, where the
+// interpreter drops the packet's writebacks; errors are terminal.
+func TestFusedMemoryFaultExact(t *testing.T) {
+	const bad = 0x300
+	setup := []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(bad)}, Inst{Op: MVK, Unit: S2, Dst: B(1), Src2: Imm(3)}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(1), Src1: R(A(1)), Src2: Imm(1)}, Inst{Op: ADD, Unit: L2, Dst: B(2), Src1: R(B(1)), Src2: Imm(1)}),
+		pk(Inst{Op: NOP, NopCycles: 3}),
+	}
+	cases := map[string]struct {
+		fault  Packet
+		differ Reg // the one register allowed to differ (NoReg: none)
+	}{
+		"load":           {pk(Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0)}), NoReg},
+		"predicated":     {pk(Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0), Pred: Pred{Valid: true, Reg: A(1)}}), NoReg},
+		"store":          {pk(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(5)), Src2: Imm(0)}), NoReg},
+		"after-parallel": {pk(Inst{Op: ADD, Unit: L1, Dst: A(3), Src1: R(A(1)), Src2: Imm(1)}, Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0)}), A(3)},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			packets := append(append([]Packet(nil), setup...), tc.fault, pk(Inst{Op: NOP, NopCycles: 4}), pk(Inst{Op: HALT}))
+			mem := func() *testMem { m := newTestMem(); m.faultAddr = bad; return m }
+			is := NewSim(&Program{Packets: packets}, mem())
+			ierr := is.Run()
+			prog := &Program{Packets: packets}
+			fs := NewSim(prog, mem())
+			if err := fs.UseFused(mustFuse(t, prog, FuseConfig{RegionOf: regions(len(packets), 0)})); err != nil {
+				t.Fatal(err)
+			}
+			ferr := fs.RunFused()
+			if ierr == nil || ferr == nil || ierr.Error() != ferr.Error() {
+				t.Fatalf("errors differ:\n  interp: %v\n  fused:  %v", ierr, ferr)
+			}
+			if se := ferr.(*SimError); se.Packet != len(setup) || se.Cycle != is.Cycle() {
+				t.Fatalf("fault at packet %d cycle %d, want %d and %d", se.Packet, se.Cycle, len(setup), is.Cycle())
+			}
+			if is.Stats() != fs.Stats() || fs.EngineStats().GenericPackets != 0 {
+				t.Fatalf("stats differ (or the fault ran on generic code):\n  interp: %+v\n  fused:  %+v", is.Stats(), fs.Stats())
+			}
+			for r := range is.Regs {
+				if is.Regs[r] != fs.Regs[r] && Reg(r) != tc.differ {
+					t.Errorf("%s = %#x, interpreter has %#x", Reg(r), fs.Regs[r], is.Regs[r])
+				}
+			}
+			if tc.differ != NoReg && is.Regs[tc.differ] == fs.Regs[tc.differ] {
+				t.Errorf("%s equal: the documented difference is gone, update the comment", tc.differ)
+			}
+		})
+	}
+}
+
+// TestFusedDirectALUShapes runs every single-closure ALU shape
+// (directALU) against the interpreter and the compiled engine, on
+// operands that separate the signed, unsigned and shift-masking cases.
+func TestFusedDirectALUShapes(t *testing.T) {
+	packets := []Packet{
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(-3)}, Inst{Op: MVK, Unit: S2, Dst: B(1), Src2: Imm(0x1234)}),
+		pk(Inst{Op: MVKH, Unit: S2, Dst: B(1), Src2: Imm(0x8765)}, Inst{Op: MVK, Unit: S1, Dst: A(2), Src2: Imm(37)}),
+		pk(Inst{Op: MV, Unit: L1, Dst: A(3), Src1: R(A(1))}),
+	}
+	dst := 4
+	for _, op := range []Op{ADD, SUB, AND, OR, XOR, SHL, SHR, SAR, CMPEQ, CMPLT, CMPLTU} {
+		u := UnitFor(op.UnitKinds()[0], SideA)
+		for _, src2 := range []Operand{R(A(2)), R(A(3)), Imm(-3), Imm(5)} {
+			packets = append(packets, pk(Inst{Op: op, Unit: u, Dst: A(dst), Src1: R(A(1)), Src2: src2}))
+			dst = 4 + (dst-3)%20
+		}
+		packets = append(packets, pk(Inst{Op: op, Unit: u, Dst: A(1), Src1: R(A(1)), Src2: R(A(2))})) // reads its own destination
+	}
+	packets = append(packets, pk(Inst{Op: HALT}))
+	_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0)}, packets...)
+	if es := fs.EngineStats(); es.GenericPackets != 0 || es.Deopts() != 0 {
+		t.Fatalf("left fused code: %+v", es)
+	}
+}

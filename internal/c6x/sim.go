@@ -61,6 +61,12 @@ type EngineStats struct {
 	// GenericPackets of the Packets retired so far (Stats.Packets) went
 	// through Step, on either generic engine; the rest ran fused.
 	GenericPackets, Packets int64
+	// IntrinsicRuns counts routine calls an intrinsic op performed (in its
+	// exit only; a declined call runs generic code and is not counted).
+	// IntrinsicSites is static: the fused program's intrinsic entry
+	// states by how Fuse lowered them.
+	IntrinsicRuns  int64
+	IntrinsicSites [NumIntrinsicOutcomes]int64
 }
 
 // DeoptCause says why a fused segment ends in a deoptimization exit.
@@ -105,6 +111,26 @@ func (e EngineStats) DeoptSummary() string {
 		return "none"
 	}
 	return out[1:]
+}
+
+// IntrinsicSummary renders the intrinsic sites by outcome ("compiled=2
+// rejected=0" plus the non-zero reasons an entry state stayed generic),
+// "none" for a program without intrinsic routines.
+func (e EngineStats) IntrinsicSummary() string {
+	var total int64
+	for _, n := range e.IntrinsicSites {
+		total += n
+	}
+	if total == 0 {
+		return "none"
+	}
+	out := fmt.Sprintf("compiled=%d rejected=%d", e.IntrinsicSites[IntrinsicCompiled], e.IntrinsicSites[IntrinsicRejected])
+	for o := IntrinsicRejected + 1; o < NumIntrinsicOutcomes; o++ {
+		if n := e.IntrinsicSites[o]; n != 0 {
+			out += fmt.Sprintf(" generic:%s=%d", o, n)
+		}
+	}
+	return out
 }
 
 // GenericShare is the fraction of the packets the generic engines
@@ -231,6 +257,9 @@ func (s *Sim) Stats() Stats {
 func (s *Sim) EngineStats() EngineStats {
 	es := s.es
 	es.Packets = s.stats.Packets
+	if s.fused != nil {
+		es.IntrinsicSites = s.fused.sites
+	}
 	return es
 }
 

@@ -1,6 +1,7 @@
 package c6x
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -10,12 +11,18 @@ type testMem struct {
 	ram       map[uint32]byte
 	stallAddr uint32
 	stallLen  int64
+	faultAddr uint32 // accesses here fail (unmapped)
 	stores    []uint32
 }
 
-func newTestMem() *testMem { return &testMem{ram: map[uint32]byte{}, stallAddr: 0xFFFFFFFF} }
+func newTestMem() *testMem {
+	return &testMem{ram: map[uint32]byte{}, stallAddr: 0xFFFFFFFF, faultAddr: 0xFFFFFFFF}
+}
 
 func (m *testMem) Load(addr uint32, size int, cycle int64) (uint32, int64, error) {
+	if addr == m.faultAddr {
+		return 0, cycle, fmt.Errorf("testmem: unmapped load @%#x", addr)
+	}
 	var v uint32
 	for i := 0; i < size; i++ {
 		v |= uint32(m.ram[addr+uint32(i)]) << (8 * i)
@@ -27,6 +34,9 @@ func (m *testMem) Load(addr uint32, size int, cycle int64) (uint32, int64, error
 }
 
 func (m *testMem) Store(addr uint32, val uint32, size int, cycle int64) (int64, error) {
+	if addr == m.faultAddr {
+		return cycle, fmt.Errorf("testmem: unmapped store @%#x", addr)
+	}
 	for i := 0; i < size; i++ {
 		m.ram[addr+uint32(i)] = byte(val >> (8 * i))
 	}

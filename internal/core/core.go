@@ -119,6 +119,21 @@ var (
 	regWaitDummy = c6x.A(31) // sync wait load destination (never read)
 )
 
+// ProbeRegs is the register convention of the 1- and 2-way cache-probe
+// routine (emitProbeRoutine): the caller passes the expected tag/valid
+// word and the set's byte offset; the routine leaves the set's address,
+// the loaded words and its compare results behind and adds the miss
+// penalty to Corr.
+var ProbeRegs = struct {
+	Tag, SetOff, Table, Addr, Corr c6x.Reg
+	// Word, Word1 receive the words the routine loaded (and the LRU value
+	// it stored); Cmp, Cmp1 its compare results.
+	Word, Word1, Cmp, Cmp1 c6x.Reg
+}{
+	Tag: regArg0, SetOff: regArg1, Table: regCacheTab, Addr: regBScr0, Corr: regCorr,
+	Word: regScratch[0], Word1: regScratch[1], Cmp: regScratch[2], Cmp1: regScratch[3],
+}
+
 // FusedConstRegs returns the registers that hold return-site packet
 // indices: the runtime-routine link register and the source
 // return-address register. Calls park the translated return packet
@@ -179,6 +194,9 @@ type BlockInfo struct {
 	Leader bool
 }
 
+// PacketRange is the packets [Entry, End) of a runtime routine.
+type PacketRange struct{ Entry, End int }
+
 // Program is a translated program plus its metadata.
 type Program struct {
 	C6x   *c6x.Program
@@ -214,6 +232,14 @@ type Program struct {
 	// all zeros, the 1-/2-way case). The platform loads it into the
 	// reserved emulation RAM before the run.
 	CacheTableInit []uint32
+
+	// ProbeRoutine is where the generated cache-simulation subroutine
+	// (emitProbeRoutine, for Desc.ICache) sits in C6x.Packets; zero when
+	// the program has none (below Level3, or every probe inlined). The
+	// routine is leaf, entered only at Entry and left only through the
+	// link register, which is what lets the platform hand the fuser its
+	// meaning as one host function (platform.probeIntrinsics).
+	ProbeRoutine PacketRange
 
 	// TotalSrcInsts is the number of source instructions translated.
 	TotalSrcInsts int
@@ -257,6 +283,7 @@ type translator struct {
 	labelTarget []int // label id -> tblock index (-1 until defined)
 	blockLabel  []int // source block index -> label id
 	routines    map[string]int
+	probeTBs    [2]int // tblock index range of the cache-probe routine (empty = none)
 
 	prog *Program
 }

@@ -58,6 +58,12 @@ func (t *translator) link() (*Program, error) {
 		}
 	}
 	prog.C6x = &c6x.Program{Packets: packets, Entry: 0}
+	if first, end := t.probeTBs[0], t.probeTBs[1]; end > first {
+		prog.ProbeRoutine = PacketRange{Entry: tbStart[first], End: len(packets)}
+		if end < len(tbStart) {
+			prog.ProbeRoutine.End = tbStart[end]
+		}
+	}
 	for _, bi := range prog.Blocks {
 		prog.PacketOfSrc[bi.SrcStart] = bi.PacketStart
 		prog.SrcOfPacket[bi.PacketStart] = bi.SrcStart

@@ -43,9 +43,11 @@ func (t *translator) emitRoutines() error {
 				divDone = true
 			}
 		case "probe":
+			first := len(t.tblocks)
 			if err := t.emitProbeRoutine(); err != nil {
 				return err
 			}
+			t.probeTBs = [2]int{first, len(t.tblocks)}
 		default:
 			return fmt.Errorf("core: unknown runtime routine %q", n)
 		}

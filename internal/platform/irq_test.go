@@ -125,7 +125,9 @@ func runISSIRQ(t *testing.T, f *elf32.File, at []int64) (irqRunState, error) {
 	}, err
 }
 
-func runPlatformIRQ(t *testing.T, f *elf32.File, opts core.Options, engine Engine, at []int64) (irqRunState, error) {
+// runSysIRQ translates f and runs it to the end on the given engine with
+// the injection schedule at (nil = no interrupt line).
+func runSysIRQ(t *testing.T, f *elf32.File, opts core.Options, engine Engine, at []int64) (*System, error) {
 	t.Helper()
 	prog, err := core.Translate(f, opts)
 	if err != nil {
@@ -136,7 +138,12 @@ func runPlatformIRQ(t *testing.T, f *elf32.File, opts core.Options, engine Engin
 		inj := &injector{at: at, now: sys.Now, taken: func() int64 { return sys.Stats().IRQsTaken }}
 		sys.IRQLine = inj.line
 	}
-	err = sys.Run()
+	return sys, sys.Run()
+}
+
+func runPlatformIRQ(t *testing.T, f *elf32.File, opts core.Options, engine Engine, at []int64) (irqRunState, error) {
+	t.Helper()
+	sys, err := runSysIRQ(t, f, opts, engine, at)
 	st := sys.Stats()
 	rs := irqRunState{
 		Output:    sys.Output,

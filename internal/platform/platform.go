@@ -258,9 +258,10 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 	// Superblock fusion rides on top of the compiled engine: region
 	// starts are the boundary/deopt points, and the return sites loaded
 	// into the translator's link registers are where its indirect
-	// branches dispatch to. Only a malformed program is not fused.
+	// branches dispatch to, and the cache-probe routine is declared with
+	// its meaning (probe.go). Only a malformed program is not fused.
 	if sys.engine == EngineCompiled {
-		cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs()}
+		cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs(), Intrinsics: probeIntrinsics(prog, sys.rBase)}
 		if fp, err := c6x.FuseCached(prog.C6x, cfg); err == nil {
 			_ = sys.CPU.UseFused(fp)
 		}

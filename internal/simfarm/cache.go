@@ -37,7 +37,12 @@ func HashELF(f *elf32.File) (ELFHash, error) {
 // topology and the translator's link-register conventions into direct
 // segment chains; programs translated before the fusion contract
 // existed must be rebuilt, not replayed.
-const translatorGen = 3
+//
+// Generation 4: the translator annotates where it emitted the
+// cache-probe routine (core.Program.ProbeRoutine), which the platform
+// turns into a fused intrinsic; a program cached without the annotation
+// would run without it.
+const translatorGen = 4
 
 // Key is the content address of a translated program: ELF contents plus
 // a canonical fingerprint of the translation-relevant options.

@@ -38,7 +38,11 @@ import (
 // without the translator generation; refusing their format version
 // guarantees none of them replays into the fused engine even through a
 // store populated before the key change.
-const FormatVersion = 3
+//
+// Version 4: core.Program.ProbeRoutine. An older Level-3 object decodes
+// with the annotation zero and would run correctly but without the
+// cache-probe intrinsic — silently at half speed — so it is rebuilt.
+const FormatVersion = 4
 
 // indexVersion versions index.json independently of the object format;
 // an unreadable or wrong-version index is rebuilt by scanning objects/.

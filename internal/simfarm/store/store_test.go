@@ -182,12 +182,25 @@ func TestCorruptionTolerated(t *testing.T) {
 // the current translator generation and the cached program predates the
 // fused engine's contract. Unlike random corruption, this is the exact
 // shape of every object in a store populated before the version bump.
+// The stale payload here is what the previous version wrote for a
+// Level-3 program: everything but the probe-routine annotation. Decoded,
+// it would run correctly and silently without the probe intrinsic.
 func TestStaleFormatVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, store.Options{})
-	p := prog(t)
+	w, _ := workload.ByName("gcd")
+	f, err := tc32asm.Assemble(w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.Translate(f, core.Options{Level: core.Level3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := *p
+	stale.ProbeRoutine = core.PacketRange{}
 	k := key("stale-generation")
-	mustStore(t, s, k, p)
+	mustStore(t, s, k, &stale)
 
 	// Rewrite only the format version field to the previous generation.
 	// The payload checksum does not cover the header, so the file stays
@@ -221,8 +234,17 @@ func TestStaleFormatVersionRejected(t *testing.T) {
 		t.Fatalf("stale object not quarantined: %v", err)
 	}
 	mustStore(t, s2, k, p)
-	if _, ok, err := s2.Load(k); err != nil || !ok {
+	got, ok, err := s2.Load(k)
+	if err != nil || !ok {
 		t.Fatalf("rebuilt Load = (ok=%v, err=%v)", ok, err)
+	}
+	sys := platform.New(got)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got.ProbeRoutine != p.ProbeRoutine || sys.CPU.EngineStats().IntrinsicRuns == 0 {
+		t.Fatalf("rebuilt program: probe routine %+v (want %+v), %d probe-op runs",
+			got.ProbeRoutine, p.ProbeRoutine, sys.CPU.EngineStats().IntrinsicRuns)
 	}
 }
 
