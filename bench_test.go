@@ -246,9 +246,9 @@ func BenchmarkTable2(b *testing.B) {
 
 // BenchmarkEngines measures translated-program host throughput of the
 // two C6x execution engines — the packet interpreter (the oracle) and
-// the threaded-code compiled engine (the default) — on one hot
-// workload. The simcycles/s metric is the headline the compiled engine
-// moves; allocs/op shows the interpreter's per-packet allocations gone.
+// fused code (the default) — on one hot workload. The simcycles/s
+// metric is the headline fusion moves; allocs/op is platform set-up
+// only, since neither engine allocates per packet.
 func BenchmarkEngines(b *testing.B) {
 	prog := cachedProg(b, "sieve", Level2)
 	for _, eng := range []platform.Engine{platform.EngineInterp, platform.EngineCompiled} {

@@ -4,9 +4,9 @@
 // C6x execution cycles (the platform's real time at 200 MHz) and the
 // generated source cycles (the emulated core's time).
 //
-// The program executes on the compiled host-execution engine by
-// default; -interp selects the packet interpreter (the equivalence
-// oracle), which is bit-identical but slower.
+// The program executes as fused superblocks by default; -nofuse
+// compiles one packet per segment and -interp selects the packet
+// interpreter (the equivalence oracle), both bit-identical but slower.
 //
 // Usage:
 //
@@ -27,8 +27,8 @@ import (
 
 func main() {
 	uart := flag.Bool("uart", false, "attach the SoC-bus UART and timer")
-	interp := flag.Bool("interp", false, "run on the packet interpreter instead of the compiled engine")
-	nofuse := flag.Bool("nofuse", false, "disable superblock fusion in the compiled engine (differential reference)")
+	interp := flag.Bool("interp", false, "run on the packet interpreter instead of fused code")
+	nofuse := flag.Bool("nofuse", false, "compile one packet per segment, folding nothing across packets (differential reference)")
 	stats := flag.Bool("stats", false, "also report how execution split between fused and generic code")
 	flag.Parse()
 	if flag.NArg() != 1 {

@@ -19,7 +19,7 @@
 //	cabt-farm -table1 -table2     # the paper's tables, via the farm
 //	cabt-farm -progress           # stream per-job lines as they finish
 //	cabt-farm -interp             # interpreter engine (equivalence oracle)
-//	cabt-farm -det -nofuse        # deterministic output, fusion off (CI byte-diff)
+//	cabt-farm -det -nofuse        # deterministic output, one packet per segment (CI byte-diff)
 //	cabt-farm -trace-out trace.json   # Chrome trace of the pipeline stages
 package main
 
@@ -51,8 +51,8 @@ func main() {
 	table2 := flag.Bool("table2", false, "also print the paper's Table 2 (produced through the farm)")
 	cacheDir := flag.String("cache-dir", "", "persistent translation-cache store directory (empty = in-memory only)")
 	cacheBudget := flag.Int64("cache-budget", 0, "store size budget in bytes, LRU-evicted (0 = unbounded)")
-	interp := flag.Bool("interp", false, "run translated programs on the packet interpreter instead of the compiled engine")
-	nofuse := flag.Bool("nofuse", false, "disable superblock fusion in the compiled engine (differential reference)")
+	interp := flag.Bool("interp", false, "run translated programs on the packet interpreter instead of fused code")
+	nofuse := flag.Bool("nofuse", false, "compile one packet per segment, folding nothing across packets (differential reference)")
 	det := flag.Bool("det", false, "deterministic output: omit host wall-time figures (CI smoke)")
 	traceOut := cliutil.RegisterTraceFlag()
 	logFlags := cliutil.RegisterLogFlags()

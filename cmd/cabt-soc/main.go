@@ -50,8 +50,8 @@ func main() {
 	jsonOut := flag.String("json", "", "write the JSON report to this file ('-' = stdout)")
 	det := flag.Bool("det", false, "deterministic output: omit host wall-time figures (CI smoke)")
 	parallel := flag.Bool("parallel", false, "run each SoC on the speculative parallel scheduler (bit-identical results)")
-	interp := flag.Bool("interp", false, "run translated cores on the packet interpreter instead of the compiled engine")
-	nofuse := flag.Bool("nofuse", false, "disable superblock fusion in the compiled engine (differential reference)")
+	interp := flag.Bool("interp", false, "run translated cores on the packet interpreter instead of fused code")
+	nofuse := flag.Bool("nofuse", false, "compile one packet per segment, folding nothing across packets (differential reference)")
 	cacheDir := flag.String("cache-dir", "", "persistent translation-cache store directory (empty = in-memory only)")
 	cacheBudget := flag.Int64("cache-budget", 0, "store size budget in bytes, LRU-evicted (0 = unbounded)")
 	traceOut := cliutil.RegisterTraceFlag()
@@ -182,9 +182,9 @@ func printSummary(w *os.File, results []simfarm.SoCResult, stats simfarm.SoCBatc
 	}
 }
 
-// printEngine adds a job's fused/generic engine split to the summary:
+// printEngine adds a job's fused/interpreter split to the summary:
 // totals over its translated cores, and each core's share of packets
-// retired by the generic engine. Left out of -det output — the split is
+// retired by the interpreter. Left out of -det output — the split is
 // what differs between the engines the CI byte-diffs compare.
 func printEngine(w *os.File, r simfarm.SoCResult) {
 	var sum c6x.EngineStats

@@ -41,8 +41,8 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "local translation-store directory, the middle cache level (empty = memory + remote only)")
 	cacheBudget := flag.Int64("cache-budget", 0, "local store size budget in bytes, LRU-evicted (0 = unbounded)")
 	poll := flag.Duration("poll", 200*time.Millisecond, "idle sleep between empty lease polls")
-	interp := flag.Bool("interp", false, "run translated programs on the packet interpreter instead of the compiled engine")
-	nofuse := flag.Bool("nofuse", false, "disable superblock fusion in the compiled engine (differential reference)")
+	interp := flag.Bool("interp", false, "run translated programs on the packet interpreter instead of fused code")
+	nofuse := flag.Bool("nofuse", false, "compile one packet per segment, folding nothing across packets (differential reference)")
 	ephemeral := flag.Bool("ephemeral", false, "discard the in-memory cache after every task, forcing each task through the store levels")
 	quiet := flag.Bool("quiet", false, "suppress per-task progress lines")
 	logFlags := cliutil.RegisterLogFlags()

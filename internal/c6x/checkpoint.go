@@ -2,11 +2,10 @@ package c6x
 
 // This file is the speculative-execution hook of the C6x core: the
 // platform checkpoints the CPU at a quantum boundary and either commits
-// or rolls back (see platform.System.Checkpoint). Both engines share
-// the Sim state, so one hook serves the interpreter and the compiled
-// engine; the compiled engine's per-packet scratch (cwb, dueBuf,
-// cstall, cbrSeen) is reset at the top of every step and needs no
-// saving.
+// or rolls back (see platform.System.Checkpoint). Checkpoints are taken
+// and restored between steps and fused runs, where the state below is
+// all there is: Step's scratch is reset by every step, and fused
+// execution returns with its slots flushed into pending.
 
 type checkpoint struct {
 	regs    [2 * NumRegs]uint32

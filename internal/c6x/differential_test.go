@@ -2,59 +2,22 @@ package c6x
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
 
-// runBoth executes the same program on the interpreter and the compiled
-// engine (each with its own memory) and requires bit-identical outcomes:
-// error presence, final register file, cycle count, statistics and the
-// sequence of store addresses.
-func runBoth(t *testing.T, packets ...Packet) (*Sim, *Sim) {
+// runBoth executes the same program on the interpreter and on the
+// fuser at one packet per segment (the unfused build) and at the default
+// 64, each with its own memory, and requires bit-identical outcomes
+// (runTripleMem): error presence and text, registers, cycles, statistics,
+// store sequence and memory. B7 is genLegalProgram's link register.
+func runBoth(t *testing.T, packets ...Packet) *Sim {
 	t.Helper()
-	prog := &Program{Packets: packets}
-
-	im := newTestMem()
-	is := NewSim(prog, im)
-	ierr := is.Run()
-
-	cm := newTestMem()
-	cs := NewSim(prog, cm)
-	cp, err := Compile(prog)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	var is *Sim
+	for _, n := range []int{1, 64} {
+		is, _ = runTripleMem(t, FuseConfig{MaxSegPackets: n, ConstRegs: []Reg{B(7)}}, nil, packets...)
 	}
-	if err := cs.UseCompiled(cp); err != nil {
-		t.Fatal(err)
-	}
-	if !cs.Compiled() {
-		t.Fatal("compiled engine not attached")
-	}
-	cerr := cs.Run()
-
-	if (ierr == nil) != (cerr == nil) {
-		t.Fatalf("error divergence: interp=%v compiled=%v", ierr, cerr)
-	}
-	if ierr != nil && ierr.Error() != cerr.Error() {
-		t.Fatalf("error text divergence:\n  interp:   %v\n  compiled: %v", ierr, cerr)
-	}
-	if is.Regs != cs.Regs {
-		t.Fatalf("register divergence:\n  interp:   %v\n  compiled: %v", is.Regs, cs.Regs)
-	}
-	if is.Cycle() != cs.Cycle() {
-		t.Fatalf("cycle divergence: interp=%d compiled=%d", is.Cycle(), cs.Cycle())
-	}
-	if is.Stats() != cs.Stats() {
-		t.Fatalf("stats divergence:\n  interp:   %+v\n  compiled: %+v", is.Stats(), cs.Stats())
-	}
-	if !reflect.DeepEqual(im.stores, cm.stores) {
-		t.Fatalf("store-sequence divergence: interp=%v compiled=%v", im.stores, cm.stores)
-	}
-	if !reflect.DeepEqual(im.ram, cm.ram) {
-		t.Fatal("memory divergence")
-	}
-	return is, cs
+	return is
 }
 
 func TestCompiledMatchesInterpreterBasics(t *testing.T) {
@@ -174,7 +137,7 @@ func TestCompiledMatchesInterpreterBasics(t *testing.T) {
 }
 
 // TestCompiledMatchesInterpreterErrors checks that runtime contract
-// violations produce the same error from both engines.
+// violations produce the same error from every build.
 func TestCompiledMatchesInterpreterErrors(t *testing.T) {
 	t.Run("load-use-too-early", func(t *testing.T) {
 		runBoth(t,
@@ -229,39 +192,12 @@ func TestCompileRejectsIssueViolations(t *testing.T) {
 	}
 }
 
-func TestUseCompiledRejectsForeignProgram(t *testing.T) {
-	a := &Program{Packets: []Packet{pk(Inst{Op: HALT})}}
-	b := &Program{Packets: []Packet{pk(Inst{Op: HALT})}}
-	cp, err := Compile(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := NewSim(b, newTestMem()).UseCompiled(cp); err == nil {
-		t.Fatal("attached a compiled program to a different program's sim")
-	}
-}
-
-func TestCompileCachedSharesCompilation(t *testing.T) {
-	prog := &Program{Packets: []Packet{pk(Inst{Op: HALT})}}
-	c1, err := CompileCached(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := CompileCached(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("CompileCached recompiled the same program")
-	}
-}
-
 // genLegalProgram builds a random schedule-contract-respecting program:
 // straight-line packets of ALU, memory and predicated operations with
 // conservative NOP padding covering every in-flight latency, plus a
 // counted loop, ending in HALT, with a subroutine called through the
 // link register B7 (a SymImm return label, a BREG return) from
-// straight-line code and from the loop. Both engines must run it without
+// straight-line code and from the loop. Every build must run it without
 // error.
 func genLegalProgram(r *rand.Rand) []Packet {
 	var packets []Packet
@@ -354,11 +290,12 @@ func genLegalProgram(r *rand.Rand) []Packet {
 
 // TestCompiledMatchesInterpreterRandom is the engine-differential
 // property test: random legal programs must produce bit-identical
-// registers, cycles, stats and memory traffic on both engines.
+// registers, cycles, stats and memory traffic on the interpreter and on
+// both builds.
 func TestCompiledMatchesInterpreterRandom(t *testing.T) {
 	f := func(seed int64) bool {
 		packets := genLegalProgram(rand.New(rand.NewSource(seed)))
-		is, _ := runBoth(t, packets...)
+		is := runBoth(t, packets...)
 		return is.Halted()
 	}
 	cfg := &quick.Config{MaxCount: 120}
@@ -383,32 +320,25 @@ func FuzzCompiledVsInterpreter(f *testing.F) {
 	})
 }
 
-// TestCompiledSteadyStateAllocs is the allocation-free hot loop
-// guarantee: once warm, stepping the compiled engine performs zero heap
-// allocations per packet.
-func TestCompiledSteadyStateAllocs(t *testing.T) {
-	// A tight endless loop with in-flight loads and multiplies so the
-	// writeback machinery is exercised every iteration.
-	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(10), Src2: Imm(0x200)}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(3)}),
-		// loop (packet 2):
-		pk(Inst{Op: MPY, Unit: M1, Dst: A(2), Src1: R(A(1)), Src2: R(A(1))}),
-		pk(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(10)), Src2: Imm(0)}),
-		pk(Inst{Op: LDW, Unit: D1, Dst: A(3), Src1: R(A(10)), Src2: Imm(0)}),
-		pk(Inst{Op: BPKT, Unit: S1, Target: 2}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: HALT}), // never reached
-	}
-	prog := &Program{Packets: packets}
-	cp, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSim(prog, newAllocFreeMem())
-	if err := s.UseCompiled(cp); err != nil {
-		t.Fatal(err)
-	}
+// allocLoop is a tight endless loop with in-flight loads and multiplies,
+// so the writeback machinery is exercised every iteration.
+var allocLoop = []Packet{
+	pk(Inst{Op: MVK, Unit: S1, Dst: A(10), Src2: Imm(0x200)}),
+	pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(3)}),
+	// loop (packet 2):
+	pk(Inst{Op: MPY, Unit: M1, Dst: A(2), Src1: R(A(1)), Src2: R(A(1))}),
+	pk(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(10)), Src2: Imm(0)}),
+	pk(Inst{Op: LDW, Unit: D1, Dst: A(3), Src1: R(A(10)), Src2: Imm(0)}),
+	pk(Inst{Op: BPKT, Unit: S1, Target: 2}),
+	pk(Inst{Op: NOP, NopCycles: 5}),
+	pk(Inst{Op: HALT}), // never reached
+}
+
+// TestStepSteadyStateAllocs: once warm, the interpreter performs zero
+// heap allocations per packet (interrupt detours, wfi and debugger
+// single-steps run here).
+func TestStepSteadyStateAllocs(t *testing.T) {
+	s := NewSim(&Program{Packets: allocLoop}, newAllocFreeMem())
 	for i := 0; i < 256; i++ { // warm the scratch buffers
 		if err := s.Step(); err != nil {
 			t.Fatal(err)
@@ -425,6 +355,10 @@ func TestCompiledSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state Step allocates: %.1f allocs per 64 packets", allocs)
 	}
 }
+
+// TestCompiledSteadyStateAllocs: the unfused build (one packet per
+// segment) runs allocation-free once warm, like the default one.
+func TestCompiledSteadyStateAllocs(t *testing.T) { fusedSteadyStateAllocs(t, 1) }
 
 // allocFreeMem is a fixed-array MemPort (the map-backed testMem
 // allocates on writes, which would mask engine allocations).

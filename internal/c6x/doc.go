@@ -10,24 +10,22 @@
 // maps the TC32's 16 data + 16 address registers onto register file
 // A/B directly (see DESIGN.md).
 //
-// # Execution engines
+// # Execution
 //
-// The package ships two execution engines over one architectural state:
-//
-//   - The packet interpreter (sim.go) decodes and validates every packet
-//     as it executes. It is the reference semantics and the equivalence
-//     oracle.
-//   - The compiled engine (compile.go) lowers a Program once into chains
-//     of specialized Go closures — predicates, operand kinds, memory
-//     sizes, latencies and the VLIW issue check resolved at compile
-//     time — and executes with reused scratch buffers, so the steady-
-//     state hot loop performs zero heap allocations. Attach it with
-//     Compile/CompileCached + Sim.UseCompiled.
-//
-// Both engines run behind the same Sim API (Step, Run, SetPC, register
-// accessors), and the compiled engine is differentially tested to be
-// bit-identical to the interpreter in registers, cycles and statistics.
-// internal/platform selects the engine for the emulation-platform
-// simulation (compiled by default, interpreter via the front-ends'
-// -interp flag).
+// A Sim holds the architectural state. Its packet interpreter (Step, Run)
+// decodes and validates every packet as it executes: the reference
+// semantics and the one independent oracle. The fuser (fuse.go) compiles
+// a Program once into segments — closure chains that track the branch
+// delay and the in-flight writeback window symbolically and fold each
+// segment's cycle and statistics accounting into constants — ending at
+// region starts, control-flow forks and FuseConfig.MaxSegPackets (1 is
+// the unfused build, Compile); declared runtime routines become one
+// validated op (intrinsic.go). Attach a build with UseFused and run it
+// with RunFused/StepFused (fuserun.go): fused code hands back to Step
+// wherever its contract ends and re-enters wherever the dynamic state
+// matches a segment, so both interleave within one run, bit-identical to
+// the interpreter alone in registers, clocks, Stats and memory traffic
+// (EngineStats reports the split). internal/platform runs the fused build
+// by default, the unfused one under the front-ends' -nofuse and the
+// interpreter alone under -interp.
 package c6x

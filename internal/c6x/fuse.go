@@ -2,16 +2,16 @@ package c6x
 
 import "sort"
 
-// This file is the superblock (fused) execution engine: a region-graph
-// compiler that traces the translated program across execute packets —
-// and across cycle-region boundaries — folding the per-packet epilogue
-// (cycle accounting, stats, writeback commit scans, branch-delay
-// bookkeeping) into straight-line chains of closures with the constant
-// parts pre-added at fuse time. Where the compiled engine (compile.go)
-// pays a dispatch and a commit scan per packet, the fused engine pays
-// one constant-folded accounting closure per segment and dispatches
-// only at control-flow splits, so steady-state loops never return to
-// the caller's region dispatcher.
+// This file is the package's one compiler: a region-graph compiler that
+// traces the translated program across execute packets — and across
+// cycle-region boundaries — folding the per-packet epilogue (cycle
+// accounting, stats, writeback commit scans, branch-delay bookkeeping)
+// into straight-line chains of closures with the constant parts
+// pre-added at fuse time. A segment pays one constant-folded accounting
+// closure and dispatches only at control-flow splits, so steady-state
+// loops never return to the caller's region dispatcher. How much one
+// segment folds is FuseConfig.MaxSegPackets: at 1 every packet is its
+// own segment, the unfused reference the platform's -nofuse runs.
 //
 // The fuser is a tiny abstract interpreter over the scheduler's
 // machine-state contract: it tracks the branch-delay counter and the
@@ -27,8 +27,8 @@ import "sort"
 // kernel, overlapping branches — ends the segment with a deoptimization
 // exit that materializes the exact interpreter state (pc, pending
 // writebacks, branch state, clocks, stats) and hands control back to
-// the generic engines, which reproduce the oracle behavior including
-// its error texts. Bit-identity with Step is the invariant every
+// the interpreter, which reproduces the oracle behavior including its
+// error texts. Bit-identity with Step is the invariant every
 // fusing rule below preserves; the differential tests in fuse_test.go
 // and the platform matrix enforce it.
 //
@@ -46,9 +46,8 @@ const (
 	// hold in the Sim's fixed slot array (the deepest translator output
 	// keeps a handful in flight; overflow deoptimizes).
 	fuseMaxSlots = 16
-	// fuseMaxSegPackets bounds one segment's trace length; longer
-	// straight-line runs chain through a continuation segment.
-	fuseMaxSegPackets = 64
+	// fuseDefaultMaxSegPackets is FuseConfig.MaxSegPackets when unset.
+	fuseDefaultMaxSegPackets = 64
 	// fuseDefaultMaxSegments bounds the traced segments (distinct packet ×
 	// machine-state pairs); states interned beyond it compile as
 	// immediate-deopt stubs.
@@ -75,6 +74,10 @@ type FuseConfig struct {
 	// budget, not a limit on what fuses: states beyond it become deopt
 	// stubs and the program degrades per state.
 	MaxSegments int
+	// MaxSegPackets bounds one segment's trace length (0 means 64);
+	// longer straight-line runs chain through a continuation segment. 1
+	// folds nothing across packets: every packet runs as its own segment.
+	MaxSegPackets int
 	// Intrinsics are the program's runtime routines whose meaning the
 	// caller knows (see Intrinsic); like the fields above they are
 	// derived from the program, not chosen.
@@ -185,16 +188,21 @@ type FusedProgram struct {
 	// The entry index: the segments execution can enter at packet p are
 	// cands[candStart[p]:candStart[p+1]] — every boundary segment the
 	// traces reached there, the clean-state seed among them. Dense offsets
-	// rather than a map: the lookup runs before every generic step, and
+	// rather than a map: the lookup runs before every Step, and
 	// two bounds-checked loads beat a hash there.
 	candStart []int32
 	cands     []int32
 	entries   int
+	longest   int
 	sites     [NumIntrinsicOutcomes]int64
 }
 
 // Segments returns the number of compiled segments (introspection).
 func (fp *FusedProgram) Segments() int { return len(fp.segs) }
+
+// LongestSegment returns the most packets one segment traces
+// (introspection; at most FuseConfig.MaxSegPackets).
+func (fp *FusedProgram) LongestSegment() int { return fp.longest }
 
 // Entries returns the number of clean re-entry points.
 func (fp *FusedProgram) Entries() int { return fp.entries }
@@ -220,6 +228,8 @@ type fuser struct {
 	prog    *Program
 	cfg     FuseConfig
 	maxSegs int
+	maxPkts int
+	longest int
 	segs    []*fseg
 	states  []fstate
 	index   map[string]int32
@@ -231,9 +241,17 @@ type fuser struct {
 	sites   [NumIntrinsicOutcomes]int64
 }
 
-// Fuse compiles prog into superblock segments. Programs with malformed
-// packets are rejected (like Compile); nothing else is: control flow
-// that outgrows the segment budget leaves deopt stubs behind.
+// Compile is the unfused build: Fuse with one packet per segment and
+// nothing else configured.
+func Compile(prog *Program) (*FusedProgram, error) {
+	return Fuse(prog, FuseConfig{MaxSegPackets: 1})
+}
+
+// Fuse compiles prog into superblock segments. A program with a
+// malformed packet — even an unreachable one — is rejected, where the
+// interpreter would only fault if execution reached it; nothing else is:
+// control flow that outgrows the segment budget leaves deopt stubs
+// behind.
 func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 	for i, pk := range prog.Packets {
 		if msg := issueViolation(pk); msg != "" {
@@ -244,6 +262,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		prog:    prog,
 		cfg:     cfg,
 		maxSegs: cfg.MaxSegments,
+		maxPkts: cfg.MaxSegPackets,
 		index:   map[string]int32{},
 		seeds:   map[int]int32{},
 		rets:    map[Reg]*retTable{},
@@ -251,6 +270,9 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 	}
 	if f.maxSegs <= 0 {
 		f.maxSegs = fuseDefaultMaxSegments
+	}
+	if f.maxPkts <= 0 {
+		f.maxPkts = fuseDefaultMaxSegPackets
 	}
 	f.findReturnSites()
 	// Seeds: the program entry and every region start, in clean state.
@@ -267,14 +289,14 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		f.work = f.work[:len(f.work)-1]
 		f.compileSeg(si)
 	}
-	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf, sites: f.sites}
+	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf, longest: f.longest, sites: f.sites}
 	for _, si := range f.seeds {
 		if !f.segs[si].noEnter {
 			fp.entries++
 		}
 	}
 	// Index the enterable segments per packet: those sitting where the
-	// generic engines hand control back (region starts and the program
+	// interpreter hands control back (region starts and the program
 	// entry) that make progress, in the deterministic interning order.
 	for si, seg := range f.segs {
 		if !seg.noEnter && !f.states[si].generic && (seg.boundary || seg.pkt == prog.Entry) && seg.pkt >= 0 && seg.pkt < len(prog.Packets) {
@@ -394,7 +416,7 @@ func (f *fuser) compileSeg(si int32) {
 	pkts := 0
 	for {
 		if pkt < 0 || pkt >= len(f.prog.Packets) {
-			// Out of range: deopt; the generic engine produces the exact
+			// Out of range: deopt; the interpreter produces the exact
 			// "fell off the program" error.
 			c.exitDeopt(pkt, DeoptContract)
 			break
@@ -404,7 +426,7 @@ func (f *fuser) compileSeg(si int32) {
 			c.termJump(c.stateAt(pkt))
 			break
 		}
-		if pkts >= fuseMaxSegPackets {
+		if pkts >= f.maxPkts {
 			c.termJump(c.stateAt(pkt))
 			break
 		}
@@ -422,6 +444,7 @@ func (f *fuser) compileSeg(si int32) {
 		pkt = pl.next
 	}
 	seg.noEnter = !c.progress
+	f.longest = max(f.longest, pkts)
 }
 
 // stateAt interns the continuation state at pkt with the current
@@ -511,7 +534,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 	}
 
 	// Strict in-flight read contract: any read of an in-flight register
-	// deopts (the generic engine errors, or proceeds when not strict).
+	// deopts (the interpreter errors, or proceeds when not strict).
 	// readEnd[i] ends instruction i's reads (Fuse checked len(Insts) ≤ 8).
 	var readBuf [24]Reg
 	var readEnd [8]int
@@ -544,7 +567,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 		case in.Op == BPKT || in.Op == BREG:
 			branches++
 			if branches > 1 || c.br.valid {
-				return pl, DeoptContract, false // overlap: generic reproduces the strict error
+				return pl, DeoptContract, false // overlap: Step reproduces the strict error
 			}
 			pl.issued = fbr{valid: true, tgt: in.Target, cnt: BranchDelay + 1}
 			pl.condBr = in.Pred.Valid
@@ -568,7 +591,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 			}
 		default:
 			if in.Op != MVK && in.Op != MVKH && unaryKernel(in.Op) == nil && binaryKernel(in.Op) == nil {
-				return pl, DeoptNoKernel, false // INVALID etc.: generic errors
+				return pl, DeoptNoKernel, false // INVALID etc.: Step errors
 			}
 			pl.writes = append(pl.writes, fwrite{
 				inst: idx, reg: in.Dst,
@@ -597,8 +620,8 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 	busyAfter := c.busy + pl.busyEff
 
 	// Writeback window: split due/keep in pending order, stable-sort due
-	// by commit cycle, detect same-cycle collisions (deopt: the generic
-	// engine produces the exact strict error), decide direct writes.
+	// by commit cycle, detect same-cycle collisions (deopt: Step
+	// produces the exact strict error), decide direct writes.
 	var all []finflight
 	all = append(all, c.inflight...)
 	for wi := range pl.writes {
@@ -663,7 +686,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 	for i := range pl.due {
 		for j := i + 1; j < len(pl.due); j++ {
 			if pl.due[i].reg == pl.due[j].reg && pl.due[i].rel == pl.due[j].rel {
-				return pl, DeoptContract, false // writeback collision: generic reproduces it
+				return pl, DeoptContract, false // writeback collision: Step reproduces it
 			}
 		}
 	}
@@ -695,6 +718,58 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 		return pl, DeoptContract, false // HALT under a captured branch: no static exit pc
 	}
 	return pl, 0, true
+}
+
+// unaryKernel returns the value function of a one-source op.
+func unaryKernel(op Op) func(uint32) uint32 {
+	switch op {
+	case MV:
+		return func(a uint32) uint32 { return a }
+	case NEG:
+		return func(a uint32) uint32 { return -a }
+	case EXTB:
+		return func(a uint32) uint32 { return uint32(int32(int8(a))) }
+	case EXTH:
+		return func(a uint32) uint32 { return uint32(int32(int16(a))) }
+	}
+	return nil
+}
+
+// binaryKernel returns the value function of a two-source op.
+func binaryKernel(op Op) func(a, b uint32) uint32 {
+	switch op {
+	case ADD:
+		return func(a, b uint32) uint32 { return a + b }
+	case SUB:
+		return func(a, b uint32) uint32 { return a - b }
+	case MPY:
+		return func(a, b uint32) uint32 { return a * b }
+	case AND:
+		return func(a, b uint32) uint32 { return a & b }
+	case OR:
+		return func(a, b uint32) uint32 { return a | b }
+	case XOR:
+		return func(a, b uint32) uint32 { return a ^ b }
+	case ANDN:
+		return func(a, b uint32) uint32 { return a &^ b }
+	case SHL:
+		return func(a, b uint32) uint32 { return a << (b & 31) }
+	case SHR:
+		return func(a, b uint32) uint32 { return a >> (b & 31) }
+	case SAR:
+		return func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) }
+	case CMPEQ:
+		return func(a, b uint32) uint32 { return b2u(a == b) }
+	case CMPLT:
+		return func(a, b uint32) uint32 { return b2u(int32(a) < int32(b)) }
+	case CMPLTU:
+		return func(a, b uint32) uint32 { return b2u(a < b) }
+	case CMPGT:
+		return func(a, b uint32) uint32 { return b2u(int32(a) > int32(b)) }
+	case CMPGTU:
+		return func(a, b uint32) uint32 { return b2u(a > b) }
+	}
+	return nil
 }
 
 // emit lowers the planned packet into ops and advances the symbolic
@@ -1050,27 +1125,6 @@ func (s *Sim) memFault(pkt int, issued int64, what string, addr uint32, err erro
 	return s.errf(pkt, "%s @%#x: %v", what, addr, err)
 }
 
-// fusedLoadRaw performs the load access and stall accounting shared by
-// every load shape.
-func (s *Sim) fusedLoadRaw(pkt int, issued int64, addr uint32, sz int) (uint32, error) {
-	v, cont, err := s.mem.Load(addr, sz, s.cycle)
-	if err != nil {
-		return 0, s.memFault(pkt, issued, "load", addr, err)
-	}
-	s.fstall += cont - s.cycle
-	return v, nil
-}
-
-func loadExtend(op Op, v uint32) uint32 {
-	switch op {
-	case LDH:
-		return uint32(int32(int16(v)))
-	case LDB:
-		return uint32(int32(int8(v)))
-	}
-	return v
-}
-
 func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite, issued int64) {
 	op := in.Op
 	off := uint32(in.Src2.Imm)
@@ -1084,52 +1138,41 @@ func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite, issued int64) {
 	slot := w.slot
 	dst := w.reg
 	direct := w.direct
-	if !in.Pred.Valid {
-		// Instruction count folded into the accounting sync (pl.uncond).
-		c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-			addr := immAddr
-			if !immBase {
-				addr = s.Regs[base] + off
-			}
-			v, err := s.fusedLoadRaw(pkt, issued, addr, sz)
-			if err != nil {
-				return err
-			}
-			v = loadExtend(op, v)
-			if direct {
-				s.Regs[dst] = v
-			} else {
-				s.fslotVal[slot] = v
-			}
-			return nil
-		})
-		return
-	}
-	pr, neg := in.Pred.Reg, in.Pred.Neg
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		if (s.Regs[pr] != 0) == neg {
-			if !direct {
-				s.fslotOn[slot] = false
-			}
-			return nil
-		}
-		s.stats.Instructions++
+	// Instruction count: folded (pl.uncond) for the unpredicated shape,
+	// counted at run time by the predicated wrapper.
+	body := func(s *Sim) error {
 		addr := immAddr
 		if !immBase {
 			addr = s.Regs[base] + off
 		}
-		v, err := s.fusedLoadRaw(pkt, issued, addr, sz)
+		v, cont, err := s.mem.Load(addr, sz, s.cycle)
 		if err != nil {
-			return err
+			return s.memFault(pkt, issued, "load", addr, err)
 		}
+		s.fstall += cont - s.cycle
 		v = loadExtend(op, v)
 		if direct {
 			s.Regs[dst] = v
 		} else {
-			s.fslotOn[slot] = true
 			s.fslotVal[slot] = v
 		}
 		return nil
+	}
+	if !in.Pred.Valid {
+		c.seg.ops = append(c.seg.ops, body)
+		return
+	}
+	pr, neg := in.Pred.Reg, in.Pred.Neg
+	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+		on := (s.Regs[pr] != 0) != neg
+		if !direct {
+			s.fslotOn[slot] = on
+		}
+		if !on {
+			return nil
+		}
+		s.stats.Instructions++
+		return body(s)
 	})
 }
 

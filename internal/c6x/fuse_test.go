@@ -3,6 +3,7 @@ package c6x
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,13 +31,16 @@ func mustFuse(t *testing.T, prog *Program, cfg FuseConfig) *FusedProgram {
 	return fp
 }
 
-// runTriple executes the same program on the interpreter, the compiled
-// engine (via runBoth) and the fused engine, requiring bit-identical
-// outcomes across all three: error presence and text, registers, cycle
-// count, statistics, store sequences and memory.
+// runTriple executes the same program on the interpreter and on the
+// fuser under cfg, at one packet per segment and at cfg's own segment
+// length, requiring bit-identical outcomes across all three: error
+// presence and text, registers, cycle count, statistics, store sequences
+// and memory. It returns the interpreter and the cfg run.
 func runTriple(t *testing.T, cfg FuseConfig, packets ...Packet) (*Sim, *Sim) {
 	t.Helper()
-	runBoth(t, packets...)
+	unfused := cfg
+	unfused.MaxSegPackets = 1
+	runTripleMem(t, unfused, nil, packets...)
 	return runTripleMem(t, cfg, nil, packets...)
 }
 
@@ -678,18 +682,77 @@ func TestUseFusedRejectsForeignProgram(t *testing.T) {
 	}
 }
 
+// TestFuseCachedSharesFusion: FuseCached memoizes one build per program
+// and segment length — a second caller gets the first build, and the
+// unfused build of a program is not its fused one.
 func TestFuseCachedSharesFusion(t *testing.T) {
-	prog := &Program{Packets: []Packet{pk(Inst{Op: HALT})}}
-	f1, err := FuseCached(prog, FuseConfig{})
-	if err != nil {
-		t.Fatal(err)
+	prog := &Program{Packets: []Packet{pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(1)}), pk(Inst{Op: HALT})}}
+	fuse := func(segPkts int) *FusedProgram {
+		t.Helper()
+		fp, err := FuseCached(prog, FuseConfig{MaxSegPackets: segPkts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fp
 	}
-	f2, err := FuseCached(prog, FuseConfig{})
-	if err != nil {
-		t.Fatal(err)
+	fused, unfused := fuse(64), fuse(1)
+	if fuse(0) != fused || fuse(64) != fused || fuse(1) != unfused {
+		t.Fatal("FuseCached rebuilt a memoized build")
 	}
-	if f1 != f2 {
-		t.Fatal("FuseCached refused the same program")
+	if unfused == fused || unfused.LongestSegment() != 1 || fused.LongestSegment() != 2 {
+		t.Fatalf("lengths 1 and 64 share a build (longest segments %d and %d, want 1 and 2)",
+			unfused.LongestSegment(), fused.LongestSegment())
+	}
+}
+
+// pktMem records Sim.MemPkt at every store: the contract platform's
+// source-instruction attribution relies on.
+type pktMem struct {
+	*testMem
+	s    *Sim
+	pkts []int
+}
+
+func (m *pktMem) Store(addr uint32, val uint32, size int, cycle int64) (int64, error) {
+	m.pkts = append(m.pkts, m.s.MemPkt())
+	return m.testMem.Store(addr, val, size, cycle)
+}
+
+// TestMemPktOnStores: inside a Store callback MemPkt names the storing
+// packet, identically on the interpreter and on fused code at one and at
+// 64 packets per segment.
+func TestMemPktOnStores(t *testing.T) {
+	packets := genLegalProgram(rand.New(rand.NewSource(7)))
+	run := func(segPkts int) []int {
+		prog := &Program{Packets: packets}
+		m := &pktMem{testMem: newTestMem()}
+		m.s = NewSim(prog, m)
+		if segPkts == 0 {
+			if err := m.s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return m.pkts
+		}
+		cfg := FuseConfig{RegionOf: regions(len(packets), 0), ConstRegs: []Reg{B(7)}, MaxSegPackets: segPkts}
+		if err := m.s.UseFused(mustFuse(t, prog, cfg)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.s.RunFused(); err != nil {
+			t.Fatal(err)
+		}
+		if es := m.s.EngineStats(); es.GenericPackets != 0 {
+			t.Fatalf("length %d left fused code: %+v", segPkts, es)
+		}
+		return m.pkts
+	}
+	want := run(0)
+	if len(want) < 3 {
+		t.Fatalf("program performed %d stores, want several", len(want))
+	}
+	for _, n := range []int{1, 64} {
+		if got := run(n); !slices.Equal(got, want) {
+			t.Errorf("length %d: store packets %v, interpreter %v", n, got, want)
+		}
 	}
 }
 
@@ -723,23 +786,14 @@ func TestFusedMatchesInterpreterRandom(t *testing.T) {
 
 // TestFusedSteadyStateAllocs: steady-state fused execution performs zero
 // heap allocations, including the boundary-hook path.
-func TestFusedSteadyStateAllocs(t *testing.T) {
-	packets := []Packet{
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(10), Src2: Imm(0x200)}),
-		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(3)}),
-		// loop (packet 2 = region start):
-		pk(Inst{Op: MPY, Unit: M1, Dst: A(2), Src1: R(A(1)), Src2: R(A(1))}),
-		pk(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(10)), Src2: Imm(0)}),
-		pk(Inst{Op: LDW, Unit: D1, Dst: A(3), Src1: R(A(10)), Src2: Imm(0)}),
-		pk(Inst{Op: BPKT, Unit: S1, Target: 2}),
-		pk(Inst{Op: NOP, NopCycles: 5}),
-		pk(Inst{Op: HALT}), // never reached
-	}
-	prog := &Program{Packets: packets}
-	fp, err := Fuse(prog, FuseConfig{RegionOf: regions(len(packets), 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFusedSteadyStateAllocs(t *testing.T) { fusedSteadyStateAllocs(t, 0) }
+
+// fusedSteadyStateAllocs runs allocLoop, its loop head a region start,
+// fused at segment length segPkts and fails on any steady-state
+// allocation.
+func fusedSteadyStateAllocs(t *testing.T, segPkts int) {
+	prog := &Program{Packets: allocLoop}
+	fp := mustFuse(t, prog, FuseConfig{RegionOf: regions(len(allocLoop), 2), MaxSegPackets: segPkts})
 	s := NewSim(prog, newAllocFreeMem())
 	s.MaxCycles = 1 << 50
 	if err := s.UseFused(fp); err != nil {
@@ -845,7 +899,7 @@ func TestFusedMemoryFaultExact(t *testing.T) {
 }
 
 // TestFusedDirectALUShapes runs every single-closure ALU shape
-// (directALU) against the interpreter and the compiled engine, on
+// (directALU) against the interpreter and the unfused build, on
 // operands that separate the signed, unsigned and shift-masking cases.
 func TestFusedDirectALUShapes(t *testing.T) {
 	packets := []Packet{

@@ -8,11 +8,11 @@ import (
 // This file is the fused engine's runtime: entry detection, the segment
 // dispatch loop, and the boundary-hook protocol the platform uses to
 // keep interrupt delivery, tracing and clock limits bit-identical to
-// the generic engines while steady-state loops stay inside fused code.
+// the interpreter while steady-state loops stay inside fused code.
 
 // FusedHook is the per-boundary callback of StepFused. It runs with the
-// architectural state observable exactly as the generic engines present
-// it at a region boundary: pc at the boundary packet, cycle/busy/stats
+// architectural state observable exactly as the interpreter presents it
+// at a region boundary: pc at the boundary packet, cycle/busy/stats
 // synchronized, the register file committed, and any pending branch
 // restored. In-flight writebacks are held in fused slots; they are
 // flushed into the ordinary pending window automatically when the hook
@@ -49,7 +49,7 @@ func (s *Sim) Fused() bool { return s.fused != nil }
 // the latency clock, order; a predicated producer's write may be
 // absent). The clean state (nothing pending) is the special case every
 // region start is seeded with, so there is one rule for the program
-// entry and for every way a core comes back from the generic engines: a
+// entry and for every way a core comes back from the interpreter: a
 // hook stop, a rollback, an interrupt redirect, a deopt, a debugger
 // single-step.
 //
@@ -59,14 +59,14 @@ func (s *Sim) Fused() bool { return s.fused != nil }
 // brTgt from the BREG's issue until the branch fires, across segment
 // ends, hook stops and rollbacks, and the firing terminal dispatches on
 // it through a table whose every entry was compiled for that exit's
-// window, so a hit is the trace the generic engines would run and a
+// window, so a hit is the trace the interpreter would run and a
 // miss is their exact state at the target. When that target is a region
 // start, StepFused runs the boundary hook there itself — the caller
 // re-enters without its boundary actions, and a reti returning to the
 // interrupted leader with the next interrupt already pending is
-// delivered at that boundary, as on the generic engines. A state
+// delivered at that boundary, as on the interpreter. A state
 // nothing was compiled for — say the sync-device scratch write still in
-// flight after an interrupt redirect — stays on the generic engine
+// flight after an interrupt redirect — stays on the interpreter
 // until a boundary it does match.
 func (s *Sim) FusedEntryOK() bool { return s.fusedEntry() >= 0 }
 
@@ -132,15 +132,15 @@ func (s *Sim) fusedBoundary(hook FusedHook) (leave, stopped bool, err error) {
 // StepFused runs fused segments from the current state (FusedEntryOK
 // must hold) until the program halts, an op errors, the
 // hook stops or redirects execution, or a segment deoptimizes back to
-// the generic engines. The hook fires at every region-boundary segment
+// the interpreter. The hook fires at every region-boundary segment
 // except the first: the caller enters StepFused having just performed
 // its own boundary actions there. It also fires, on the materialized
 // state, where an indirect branch missed its table onto a region start.
 // With a nil hook the engine checks MaxCycles itself at boundaries,
 // producing the interpreter-flavored limit error.
 //
-// On return the architectural state is always one the generic engines
-// can continue from bit-identically; stopped reports that the hook
+// On return the architectural state is always one the interpreter can
+// continue from bit-identically; stopped reports that the hook
 // ended the run (as opposed to a deopt, redirect or halt).
 func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 	fp := s.fused
@@ -191,8 +191,8 @@ func (s *Sim) StepFused(hook FusedHook) (stopped bool, err error) {
 }
 
 // RunFused executes until HALT or error, preferring fused segments and
-// falling back to generic steps between a deopt and the next state a
-// segment matches. Semantically identical to Run.
+// falling back to Step between a deopt and the next state a segment
+// matches. Semantically identical to Run.
 func (s *Sim) RunFused() error {
 	for !s.halted {
 		if s.cycle > s.MaxCycles {
@@ -211,22 +211,35 @@ func (s *Sim) RunFused() error {
 	return nil
 }
 
-// fuseOnce memoizes one program's fusion.
+// fuseOnce memoizes one build.
 type fuseOnce struct {
 	once sync.Once
 	fp   *FusedProgram
 	err  error
 }
 
-// fuseCache memoizes Fuse per *Program identity (see compileCache for
-// why pointer keys are safe here).
-var fuseCache sync.Map // *Program -> *fuseOnce
+// fuseKey names a memoized build: a program and its segment length.
+type fuseKey struct {
+	prog    *Program
+	segPkts int
+}
 
-// FuseCached returns the memoized fusion of prog. The caller must
-// derive cfg deterministically from prog (the platform does): the first
-// caller's cfg wins for everyone sharing the program.
+// fuseCache memoizes Fuse per *Program identity and segment length.
+// Entries pin their program, which is what makes pointer keys safe (an
+// address can never be reused while its entry exists); programs are
+// themselves retained by the translation caches that hand them out, so
+// this adds no new lifetime class.
+var fuseCache sync.Map // fuseKey -> *fuseOnce
+
+// FuseCached returns the memoized build of prog at cfg's segment length.
+// The caller must derive the rest of cfg deterministically from prog and
+// that length (the platform does): the first such caller's cfg wins.
 func FuseCached(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
-	v, _ := fuseCache.LoadOrStore(prog, &fuseOnce{})
+	key := fuseKey{prog, cfg.MaxSegPackets}
+	if key.segPkts <= 0 {
+		key.segPkts = fuseDefaultMaxSegPackets
+	}
+	v, _ := fuseCache.LoadOrStore(key, &fuseOnce{})
 	e := v.(*fuseOnce)
 	e.once.Do(func() { e.fp, e.err = Fuse(prog, cfg) })
 	return e.fp, e.err

@@ -1,9 +1,6 @@
 package c6x
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // MemPort is the memory system seen by the core. Implementations may stall
 // the core by returning contCycle > cycle (e.g. the synchronization
@@ -44,8 +41,8 @@ type Stats struct {
 	NopCycles    int64 // cycles spent in NOPs (explicit idle)
 }
 
-// EngineStats counts how execution moved between the fused and the
-// generic engines. It is kept apart from Stats, which the differential
+// EngineStats counts how execution moved between the fused program and
+// the interpreter. It is kept apart from Stats, which the differential
 // suites require to be identical across engines; like Stats it
 // describes the committed execution (a Rollback restores it).
 type EngineStats struct {
@@ -54,12 +51,12 @@ type EngineStats struct {
 	// matched against a compiled segment (see FusedEntryOK).
 	EntriesClean, EntriesMatched int64
 	// HookStops counts boundary hooks that stopped fused execution;
-	// DeoptsBy counts segments that handed back to the generic engines,
-	// by the cause compiled into the exit that ran.
+	// DeoptsBy counts segments that handed back to the interpreter, by the
+	// cause compiled into the exit that ran.
 	HookStops int64
 	DeoptsBy  [NumDeoptCauses]int64
 	// GenericPackets of the Packets retired so far (Stats.Packets) went
-	// through Step, on either generic engine; the rest ran fused.
+	// through Step, the interpreter; the rest ran fused.
 	GenericPackets, Packets int64
 	// IntrinsicRuns counts routine calls an intrinsic op performed (in its
 	// exit only; a declined call runs generic code and is not counted).
@@ -74,7 +71,7 @@ type DeoptCause uint8
 
 // The deopt causes. DeoptContract collects the shapes the scheduler
 // never emits (overlapping branches, writeback collisions, running off
-// the program), where the generic engine reproduces the strict error.
+// the program), where the interpreter reproduces the strict error.
 const (
 	DeoptInflightRead DeoptCause = iota // read of a register with a write in flight
 	DeoptSlotPressure                   // more in-flight values than fused slots
@@ -133,8 +130,8 @@ func (e EngineStats) IntrinsicSummary() string {
 	return out
 }
 
-// GenericShare is the fraction of the packets the generic engines
-// retired (0 before the first packet).
+// GenericShare is the fraction of the packets the interpreter retired
+// (0 before the first packet).
 func (e EngineStats) GenericShare() float64 {
 	if e.Packets == 0 {
 		return 0
@@ -142,12 +139,12 @@ func (e EngineStats) GenericShare() float64 {
 	return float64(e.GenericPackets) / float64(e.Packets)
 }
 
-// Sim is the cycle-exact C6x core simulator. It executes through one of
-// two engines sharing the same architectural state: the packet
-// interpreter (the reference below, and the equivalence oracle) or the
-// threaded-code compiled engine attached with UseCompiled (see
-// compile.go). Step, Run, SetPC and the register accessors behave
-// identically under both.
+// Sim is the cycle-exact C6x core simulator. Step and Run are the packet
+// interpreter, the reference semantics. A fused program attached with
+// UseFused runs through RunFused/StepFused on the same architectural
+// state, handing back to Step wherever it cannot continue (see
+// fuserun.go), so the two interleave freely and every observable —
+// registers, clocks, Stats, memory traffic — is the interpreter's.
 type Sim struct {
 	Regs [2 * NumRegs]uint32
 
@@ -173,22 +170,17 @@ type Sim struct {
 	// MaxCycles aborts runaway programs (default 2e9).
 	MaxCycles int64
 
-	// Compiled-engine state (see compile.go). comp selects the engine;
-	// cwb, dueBuf, cstall and cbrSeen are the per-packet scratch the
-	// interpreter keeps in locals, hoisted onto the Sim so packet
-	// closures can share them without allocating.
-	comp    *CompiledProgram
-	cwb     []writeback // current packet's writebacks
-	dueBuf  []writeback // commit scratch
-	cstall  int64       // memory stall cycles of the current packet
-	cbrSeen bool        // a branch issued in the current packet
+	// Step's scratch, reused so stepping never allocates: the current
+	// packet's writebacks and the commits landing at its end. Both are
+	// dead between steps and need no checkpointing.
+	wbBuf  []writeback
+	dueBuf []writeback
 
-	// Fused-engine state (see fuse.go, fuserun.go). fused selects the
-	// superblock engine for RunFused/StepFused; fstall, fslotVal,
-	// fslotOn, fcond0, fnext and fusedPkt are segment-local scratch that
-	// is always drained (fstall) or dead by the time fused execution
-	// returns, so — like the compiled engine's scratch — it needs no
-	// checkpointing.
+	// Fused-engine state (see fuse.go, fuserun.go). fused is used by
+	// RunFused/StepFused; fstall, fslotVal, fslotOn, fcond0, fnext and
+	// fusedPkt are segment-local scratch that is always drained (fstall)
+	// or dead by the time fused execution returns, so it needs no
+	// checkpointing either.
 	fused       *FusedProgram
 	fstall      int64                // memory stalls since the last sync point
 	fslotVal    [fuseMaxSlots]uint32 // in-flight writeback values
@@ -223,11 +215,12 @@ func (s *Sim) Cycle() int64 { return s.cycle }
 // PC returns the current packet index.
 func (s *Sim) PC() int { return s.pc }
 
-// MemPkt returns the packet index of the memory access currently being
-// performed by a MemPort callback. Under the stepping engines the pc
-// has already advanced past the packet (pc-1); under the fused engine
-// the pc is not maintained per packet, so store ops record their packet
-// explicitly. Valid only during a MemPort Load/Store callback.
+// MemPkt returns the packet index of the store currently being
+// performed by a MemPort Store callback. Under Step the pc has already
+// advanced past the packet (pc-1); fused code does not maintain the pc
+// per packet, so its store ops record their packet explicitly. Valid
+// only inside Store: fused loads record nothing (that would cost every
+// load a write), so inside a fused Load it names the last store.
 func (s *Sim) MemPkt() int {
 	if s.fusedActive {
 		return int(s.fusedPkt)
@@ -269,35 +262,30 @@ func (s *Sim) errf(pkt int, format string, args ...any) error {
 
 // readReg reads a register value, enforcing the no-interlock contract in
 // strict mode: a register with a write still in flight from an earlier
-// cycle must not be read (delay-slot underflow = translator bug).
-func (s *Sim) readReg(pkt int, r Reg, thisPacket []writeback) (uint32, error) {
+// cycle must not be read (delay-slot underflow = translator bug). Writes
+// issued by the same packet are still queued, so reads see old values.
+func (s *Sim) readReg(pkt int, r Reg) (uint32, error) {
 	if s.Strict {
 		for i := range s.pending {
 			if s.pending[i].reg == r {
 				return 0, s.errf(pkt, "read of %s with write in flight (%d cycles remaining)", r, s.pending[i].commitAt-s.busy)
 			}
 		}
-		_ = thisPacket // same-packet writes are legal old-value reads
 	}
 	return s.Regs[r], nil
 }
 
-func (s *Sim) operand(pkt int, o Operand, wbs []writeback) (uint32, error) {
+func (s *Sim) operand(pkt int, o Operand) (uint32, error) {
 	if o.IsImm {
 		return uint32(o.Imm), nil
 	}
-	return s.readReg(pkt, o.Reg, wbs)
+	return s.readReg(pkt, o.Reg)
 }
 
-// Step executes one packet (possibly multi-cycle for NOP n) and returns
-// whether the core is still running. With a compiled program attached it
-// dispatches to the threaded-code engine; the body below is the
-// interpreter, the equivalence oracle the compiled engine is tested
-// against.
+// Step interprets one packet (possibly multi-cycle for NOP n). It is the
+// reference semantics: fused code is tested against it and hands back to
+// it wherever it cannot continue.
 func (s *Sim) Step() error {
-	if s.comp != nil {
-		return s.stepCompiled()
-	}
 	if s.halted {
 		return nil
 	}
@@ -310,16 +298,18 @@ func (s *Sim) Step() error {
 	s.stats.Packets++
 	s.es.GenericPackets++
 
-	if err := s.validatePacket(pktIdx, pk); err != nil {
-		return err
+	if s.Strict {
+		if msg := issueViolation(pk); msg != "" {
+			return s.errf(pktIdx, "%s", msg)
+		}
 	}
 
-	var newWbs []writeback
+	wbs := s.wbBuf[:0]
 	var stall int64
 	branchSeen := false
 	for _, in := range pk.Insts {
 		if in.Pred.Valid {
-			pv, err := s.readReg(pktIdx, in.Pred.Reg, newWbs)
+			pv, err := s.readReg(pktIdx, in.Pred.Reg)
 			if err != nil {
 				return err
 			}
@@ -336,25 +326,20 @@ func (s *Sim) Step() error {
 		case in.Op == HALT:
 			s.halted = true
 		case in.Op == BPKT, in.Op == BREG:
-			if s.brValid || branchSeen {
-				if s.Strict {
-					return s.errf(pktIdx, "branch issued while another branch is in flight")
-				}
+			if (s.brValid || branchSeen) && s.Strict {
+				return s.errf(pktIdx, "branch issued while another branch is in flight")
 			}
 			tgt := in.Target
 			if in.Op == BREG {
-				v, err := s.operand(pktIdx, in.Src1, newWbs)
+				v, err := s.operand(pktIdx, in.Src1)
 				if err != nil {
 					return err
 				}
 				tgt = int(int32(v))
 			}
-			s.brValid = true
-			s.brTgt = tgt
-			s.brCnt = BranchDelay + 1
-			branchSeen = true
+			s.brValid, s.brTgt, s.brCnt, branchSeen = true, tgt, BranchDelay+1, true
 		case in.Op.IsLoad():
-			base, err := s.operand(pktIdx, in.Src1, newWbs)
+			base, err := s.operand(pktIdx, in.Src1)
 			if err != nil {
 				return err
 			}
@@ -364,19 +349,13 @@ func (s *Sim) Step() error {
 				return s.errf(pktIdx, "load @%#x: %v", addr, err)
 			}
 			stall += cont - s.cycle
-			switch in.Op {
-			case LDH:
-				v = uint32(int32(int16(v)))
-			case LDB:
-				v = uint32(int32(int8(v)))
-			}
-			newWbs = append(newWbs, writeback{reg: in.Dst, val: v, commitAt: s.busy + int64(in.Op.Latency())})
+			wbs = append(wbs, writeback{reg: in.Dst, val: loadExtend(in.Op, v), commitAt: s.busy + int64(in.Op.Latency())})
 		case in.Op.IsStore():
-			base, err := s.operand(pktIdx, in.Src1, newWbs)
+			base, err := s.operand(pktIdx, in.Src1)
 			if err != nil {
 				return err
 			}
-			data, err := s.readReg(pktIdx, in.Data, newWbs)
+			data, err := s.readReg(pktIdx, in.Data)
 			if err != nil {
 				return err
 			}
@@ -387,24 +366,23 @@ func (s *Sim) Step() error {
 			}
 			stall += cont - s.cycle
 		default:
-			v, err := s.alu(pktIdx, in, newWbs)
+			v, err := s.alu(pktIdx, in)
 			if err != nil {
 				return err
 			}
-			newWbs = append(newWbs, writeback{reg: in.Dst, val: v, commitAt: s.busy + int64(in.Op.Latency())})
+			wbs = append(wbs, writeback{reg: in.Dst, val: v, commitAt: s.busy + int64(in.Op.Latency())})
 		}
 		if s.halted {
 			break
 		}
 	}
+	s.wbBuf = wbs
 
 	// Packet cycle accounting: a multi-cycle NOP runs until a pending
 	// branch fires; memory stalls freeze the pipeline (latency counters
 	// do not advance during a stall).
 	busy := int64(pk.Cycles())
-	if pk.Cycles() > 1 {
-		s.stats.NopCycles += int64(pk.Cycles() - 1)
-	}
+	s.stats.NopCycles += busy - 1
 	if s.brValid && int64(s.brCnt) < busy {
 		busy = int64(s.brCnt)
 	}
@@ -412,11 +390,11 @@ func (s *Sim) Step() error {
 	s.stats.StallCycles += stall
 
 	// Advance the latency clock and commit in-flight writes at their
-	// precise cycles (two writes to one register collide only if they
-	// land in the same cycle, matching the hardware contract).
+	// precise cycles. due collects the landing writes in pending order;
+	// an insertion sort orders them stably by commit cycle.
 	s.busy += busy
-	s.pending = append(s.pending, newWbs...)
-	var due []writeback
+	s.pending = append(s.pending, wbs...)
+	due := s.dueBuf[:0]
 	keep := s.pending[:0]
 	for _, wb := range s.pending {
 		if wb.commitAt <= s.busy {
@@ -426,14 +404,27 @@ func (s *Sim) Step() error {
 		}
 	}
 	s.pending = keep
-	sort.SliceStable(due, func(i, j int) bool { return due[i].commitAt < due[j].commitAt })
-	committed := map[Reg]int64{}
-	for _, wb := range due {
-		if prev, ok := committed[wb.reg]; ok && prev == wb.commitAt && s.Strict {
-			return s.errf(pktIdx, "writeback collision on %s", wb.reg)
+	s.dueBuf = due
+	for i := 1; i < len(due); i++ {
+		for j := i; j > 0 && due[j].commitAt < due[j-1].commitAt; j-- {
+			due[j], due[j-1] = due[j-1], due[j]
 		}
-		committed[wb.reg] = wb.commitAt
-		s.Regs[wb.reg] = wb.val
+	}
+	for i := range due {
+		if s.Strict {
+			// Two writes to one register collide only if they land in the
+			// same cycle (the hardware contract): compare with the latest
+			// earlier write to the register.
+			for j := i - 1; j >= 0; j-- {
+				if due[j].reg == due[i].reg {
+					if due[j].commitAt == due[i].commitAt {
+						return s.errf(pktIdx, "writeback collision on %s", due[i].reg)
+					}
+					break
+				}
+			}
+		}
+		s.Regs[due[i].reg] = due[i].val
 	}
 
 	if s.brValid {
@@ -446,20 +437,20 @@ func (s *Sim) Step() error {
 	return nil
 }
 
-func (s *Sim) alu(pkt int, in Inst, wbs []writeback) (uint32, error) {
+func (s *Sim) alu(pkt int, in Inst) (uint32, error) {
 	// Read only the operands the op actually uses: the unused operand
 	// field's zero value names A0, and a spurious read would trip the
 	// strict in-flight check.
 	var a, b uint32
 	var err error
 	if in.Op.ReadsSrc1() {
-		a, err = s.operand(pkt, in.Src1, wbs)
+		a, err = s.operand(pkt, in.Src1)
 		if err != nil {
 			return 0, err
 		}
 	}
 	if in.Op.ReadsSrc2() {
-		b, err = s.operand(pkt, in.Src2, wbs)
+		b, err = s.operand(pkt, in.Src2)
 		if err != nil {
 			return 0, err
 		}
@@ -470,7 +461,7 @@ func (s *Sim) alu(pkt int, in Inst, wbs []writeback) (uint32, error) {
 	case MVK:
 		return uint32(int32(int16(in.Src2.Imm))), nil
 	case MVKH:
-		old, err := s.readReg(pkt, in.Dst, wbs)
+		old, err := s.readReg(pkt, in.Dst)
 		if err != nil {
 			return 0, err
 		}
@@ -515,24 +506,12 @@ func (s *Sim) alu(pkt int, in Inst, wbs []writeback) (uint32, error) {
 	return 0, s.errf(pkt, "unimplemented op %v", in.Op)
 }
 
-// validatePacket enforces the VLIW issue rules in strict mode: one
-// instruction per unit, ops on legal unit kinds, one cross-path read per
-// side, distinct data-path (T) sides for paired memory ops, and memory
-// base registers on the unit's side. The compiled engine performs the
-// same check once per packet at compile time (see Compile).
-func (s *Sim) validatePacket(pktIdx int, pk Packet) error {
-	if !s.Strict {
-		return nil
-	}
-	if msg := issueViolation(pk); msg != "" {
-		return s.errf(pktIdx, "%s", msg)
-	}
-	return nil
-}
-
 // issueViolation reports the packet's VLIW issue-rule violation, or ""
-// for a well-formed packet. The rules do not depend on machine state, so
-// the compiled engine hoists this check out of the execution loop.
+// for a well-formed packet: one instruction per unit, ops on legal unit
+// kinds, one cross-path read per side, distinct data-path (T) sides for
+// paired memory ops, and memory base registers on the unit's side. Step
+// checks it in strict mode; the rules do not depend on machine state, so
+// Fuse checks every packet once, for the whole program.
 func issueViolation(pk Packet) string {
 	if len(pk.Insts) == 0 {
 		return "empty packet"
@@ -618,6 +597,17 @@ func (s *Sim) Run() error {
 		}
 	}
 	return nil
+}
+
+// loadExtend sign-extends a loaded value per op (LDH, LDB).
+func loadExtend(op Op, v uint32) uint32 {
+	switch op {
+	case LDH:
+		return uint32(int32(int16(v)))
+	case LDB:
+		return uint32(int32(int8(v)))
+	}
+	return v
 }
 
 func b2u(b bool) uint32 {

@@ -178,6 +178,37 @@ func TestLoadUseTooEarlyFails(t *testing.T) {
 	}
 }
 
+// TestWritebackCommitOrder: writes landing at the end of one multi-cycle
+// packet commit by landing cycle, not by issue order — the later-issued
+// multiply lands first, and the earlier-issued load overwrites it.
+func TestWritebackCommitOrder(t *testing.T) {
+	s := runProg(t,
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(0x100)}),
+		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(0x2A)}),
+		pk(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(5)), Src2: Imm(0)}),
+		pk(Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0)}),  // lands 5 cycles on
+		pk(Inst{Op: MPY, Unit: M1, Dst: A(2), Src1: R(A(1)), Src2: R(A(1))}), // lands 2 cycles on
+		pk(Inst{Op: NOP, NopCycles: 4}),
+		pk(Inst{Op: HALT}),
+	)
+	if got := s.Reg(A(2)); got != 0x2A {
+		t.Errorf("A2 = %#x, want the load's 0x2A (it lands last)", got)
+	}
+}
+
+// TestWritebackCollisionFails: two writes to one register landing in the
+// same cycle violate the schedule contract.
+func TestWritebackCollisionFails(t *testing.T) {
+	s := NewSim(&Program{Packets: []Packet{
+		pk(Inst{Op: MPY, Unit: M1, Dst: A(3), Src1: R(A(1)), Src2: R(A(2))}),
+		pk(Inst{Op: ADD, Unit: L1, Dst: A(3), Src1: R(A(1)), Src2: R(A(2))}),
+		pk(Inst{Op: HALT}),
+	}}, newTestMem())
+	if err := s.Run(); err == nil || !strings.Contains(err.Error(), "packet 1 cycle 2: writeback collision on A3") {
+		t.Errorf("err = %v, want a writeback collision on A3 at packet 1", err)
+	}
+}
+
 func TestBranchDelaySlots(t *testing.T) {
 	// Branch at P0; delay slots P1..P5 execute; target P7 skips P6.
 	var adds []Packet

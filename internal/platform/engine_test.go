@@ -38,7 +38,7 @@ func runEngines(t *testing.T, name string, opts core.Options) {
 	}
 
 	interp := NewWithEngine(prog, EngineInterp)
-	if interp.Engine() != EngineInterp || interp.CPU.Compiled() {
+	if interp.Engine() != EngineInterp || interp.CPU.Fused() {
 		t.Fatal("interpreter engine not selected")
 	}
 	if err := interp.Run(); err != nil {
@@ -93,10 +93,11 @@ func TestEnginesBitIdenticalVariants(t *testing.T) {
 	})
 }
 
-// TestCompiledPlatformSteadyStateAllocs: the platform's compiled hot
-// loop (CPU + sync device + RAM traffic) stays allocation-free in
+// TestCompiledPlatformSteadyStateAllocs: stepping a platform through the
+// interpreter (CPU + sync device + RAM traffic) stays allocation-free in
 // steady state — debug-port writes excepted, which sieve only performs
-// at the end of the run.
+// at the end of the run. A fused-engine platform steps here on interrupt
+// detours, wfi and debugger single-steps.
 func TestCompiledPlatformSteadyStateAllocs(t *testing.T) {
 	w, _ := workload.ByName("sieve")
 	f, err := tc32asm.Assemble(w.Source)

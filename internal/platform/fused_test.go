@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/c6x"
 	"repro/internal/core"
 	"repro/internal/tc32asm"
 	"repro/internal/workload"
@@ -16,32 +17,53 @@ import (
 // exit must land in a state the unfused engines continue from
 // bit-identically.
 
-// TestFusedEngineSelection pins the engine plumbing: EngineCompiled
-// attaches the fused program, EngineCompiledNoFuse compiles but does
-// not fuse, and the interpreter does neither.
+// TestFusedEngineSelection pins the engine plumbing and proves that
+// -nofuse is not a vacuous reference: on every workload and level
+// EngineCompiledNoFuse retires every packet in fused code, at one packet
+// per segment, with no intrinsic op, while EngineCompiled attaches
+// longer segments and EngineInterp attaches nothing.
 func TestFusedEngineSelection(t *testing.T) {
-	w, _ := workload.ByName("sieve")
-	f, err := tc32asm.Assemble(w.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := core.Translate(f, core.Options{Level: core.Level2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused := NewWithEngine(prog, EngineCompiled)
-	if fused.Engine() != EngineCompiled || !fused.CPU.Compiled() || !fused.CPU.Fused() {
-		t.Fatalf("EngineCompiled: engine=%v compiled=%v fused=%v, want compiled+fused",
-			fused.Engine(), fused.CPU.Compiled(), fused.CPU.Fused())
-	}
-	nofuse := NewWithEngine(prog, EngineCompiledNoFuse)
-	if nofuse.Engine() != EngineCompiledNoFuse || !nofuse.CPU.Compiled() || nofuse.CPU.Fused() {
-		t.Fatalf("EngineCompiledNoFuse: engine=%v compiled=%v fused=%v, want compiled only",
-			nofuse.Engine(), nofuse.CPU.Compiled(), nofuse.CPU.Fused())
-	}
-	interp := NewWithEngine(prog, EngineInterp)
-	if interp.CPU.Compiled() || interp.CPU.Fused() {
-		t.Fatal("EngineInterp must not attach compiled or fused programs")
+	for _, w := range workload.All() {
+		f, err := tc32asm.Assemble(w.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []core.Level{core.Level0, core.Level1, core.Level2, core.Level3} {
+			label := fmt.Sprintf("%s/L%d", w.Name, int(level))
+			prog, err := core.Translate(f, core.Options{Level: level})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// FuseCached hands back the memoized builds NewWithEngine attached.
+			build := func(engine Engine, segPkts int) *c6x.FusedProgram {
+				sys := NewWithEngine(prog, engine)
+				if sys.Engine() != engine || !sys.CPU.Fused() {
+					t.Fatalf("%s %v: engine=%v fused=%v", label, engine, sys.Engine(), sys.CPU.Fused())
+				}
+				fp, err := c6x.FuseCached(prog.C6x, c6x.FuseConfig{MaxSegPackets: segPkts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fp
+			}
+			if fp := build(EngineCompiled, 0); fp.LongestSegment() <= 1 {
+				t.Errorf("%s: fused build's longest segment holds %d packets", label, fp.LongestSegment())
+			}
+			if fp := build(EngineCompiledNoFuse, 1); fp.LongestSegment() != 1 {
+				t.Errorf("%s: unfused build's longest segment holds %d packets, want 1", label, fp.LongestSegment())
+			}
+			nofuse := NewWithEngine(prog, EngineCompiledNoFuse)
+			if err := nofuse.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if es := nofuse.CPU.EngineStats(); es.Packets == 0 || es.GenericShare() != 0 || es.IntrinsicRuns != 0 {
+				t.Errorf("%s: -nofuse ran %d of %d packets on the interpreter and %d intrinsic ops, want 0 and 0: %+v",
+					label, es.GenericPackets, es.Packets, es.IntrinsicRuns, es)
+			}
+			if interp := NewWithEngine(prog, EngineInterp); interp.Engine() != EngineInterp || interp.CPU.Fused() {
+				t.Fatalf("%s: EngineInterp attached a fused program", label)
+			}
+		}
 	}
 }
 

@@ -79,20 +79,20 @@ func (s *SyncDev) Drain(t int64) int64 {
 type Engine int
 
 const (
-	// EngineCompiled is the threaded-code compiled engine (the default):
-	// the translated program is lowered once into specialized closures
-	// and executed with an allocation-free hot loop. Bit-identical to
-	// the interpreter (differentially tested).
+	// EngineCompiled (the default) runs the translated program as fused
+	// superblocks (c6x.Fuse, with the cache-probe intrinsic), handing
+	// back to the interpreter wherever fused code cannot continue.
+	// Bit-identical to the interpreter (differentially tested).
 	EngineCompiled Engine = iota
-	// EngineInterp is the packet interpreter — the reference semantics
-	// and the equivalence oracle, selected by the front-ends' -interp
-	// escape hatch.
+	// EngineInterp is the packet interpreter alone — the reference
+	// semantics and the equivalence oracle, selected by the front-ends'
+	// -interp escape hatch.
 	EngineInterp
-	// EngineCompiledNoFuse is the compiled engine with superblock fusion
-	// disabled — the per-packet closure engine exactly as it was before
-	// fusion existed, selected by the front-ends' -nofuse flag. It is
-	// the like-for-like differential reference for the fused hot path
-	// (CI byte-diffs fused vs nofuse deterministic output).
+	// EngineCompiledNoFuse is the same compiler with fusion turned down:
+	// one packet per segment and no intrinsics, so nothing is folded
+	// across packets. Selected by the front-ends' -nofuse flag, it is the
+	// like-for-like differential reference for the fused hot path (CI
+	// byte-diffs fused vs nofuse deterministic output).
 	EngineCompiledNoFuse
 )
 
@@ -197,15 +197,16 @@ type System struct {
 }
 
 // New builds a platform around a translated program, executing on the
-// compiled engine.
+// fused engine.
 func New(prog *core.Program) *System { return NewWithEngine(prog, EngineCompiled) }
 
 // NewWithEngine builds a platform with an explicit C6x execution engine.
-// EngineCompiled compiles the program once (memoized per program, so
-// farm workers sharing a cached translation share its compilation); a
-// program that fails compile-time issue validation falls back to the
-// interpreter, whose runtime checking reproduces the oracle behavior
-// exactly — including for malformed packets that are never reached.
+// The compiled engines build the program once (memoized per program and
+// segment length, so farm workers sharing a cached translation share its
+// build); a program that fails compile-time issue validation falls back
+// to the interpreter, whose runtime checking reproduces the oracle
+// behavior exactly — including for malformed packets that are never
+// reached.
 func NewWithEngine(prog *core.Program, engine Engine) *System {
 	sys := &System{
 		Prog:       prog,
@@ -248,23 +249,21 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 	}
 	sys.CPU = c6x.NewSim(prog.C6x, sys)
 	sys.engine = EngineInterp
-	if engine == EngineCompiled || engine == EngineCompiledNoFuse {
-		if cp, err := c6x.CompileCached(prog.C6x); err == nil {
-			if sys.CPU.UseCompiled(cp) == nil {
-				sys.engine = engine
-			}
-		}
+	if engine != EngineCompiled && engine != EngineCompiledNoFuse {
+		return sys
 	}
-	// Superblock fusion rides on top of the compiled engine: region
-	// starts are the boundary/deopt points, and the return sites loaded
-	// into the translator's link registers are where its indirect
-	// branches dispatch to, and the cache-probe routine is declared with
-	// its meaning (probe.go). Only a malformed program is not fused.
-	if sys.engine == EngineCompiled {
-		cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs(), Intrinsics: probeIntrinsics(prog, sys.rBase)}
-		if fp, err := c6x.FuseCached(prog.C6x, cfg); err == nil {
-			_ = sys.CPU.UseFused(fp)
-		}
+	// Region starts are the boundary/deopt points, the return sites loaded
+	// into the translator's link registers are where its indirect branches
+	// dispatch to, and the fused build declares the cache-probe routine
+	// with its meaning (probe.go).
+	cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs()}
+	if engine == EngineCompiled {
+		cfg.Intrinsics = probeIntrinsics(prog, sys.rBase)
+	} else {
+		cfg.MaxSegPackets = 1
+	}
+	if fp, err := c6x.FuseCached(prog.C6x, cfg); err == nil && sys.CPU.UseFused(fp) == nil {
+		sys.engine = engine
 	}
 	return sys
 }
@@ -759,12 +758,6 @@ func (sys *System) runUntilHook() (bool, error) {
 // mid-region on the clock gate would push an access one slice later and
 // reorder same-cycle bus contention between the engines.
 func (sys *System) RunUntil(limit int64) error {
-	// Fused execution is gated off while a wfi wait is pending — the
-	// generic path owns the packet-granular clock bookkeeping between a
-	// wfi trap and its leader-boundary idle — and entirely at Level0
-	// with an interrupt line, where the emulated clock advances with
-	// every packet instead of at region boundaries.
-	useFused := sys.CPU.Fused() && (sys.IRQLine == nil || sys.Prog.Level != core.Level0)
 	sys.untilLimit = limit
 	for !sys.CPU.Halted() && sys.Now() < limit {
 		if sys.CPU.Cycle() > sys.CPU.MaxCycles {
@@ -779,7 +772,10 @@ func (sys *System) RunUntil(limit int64) error {
 			return nil
 		}
 		for {
-			if useFused && !sys.irqWaiting && sys.CPU.FusedEntryOK() {
+			// Fused execution is gated off while a wfi wait is pending: the
+			// interpreter owns the packet-granular clock bookkeeping between
+			// a wfi trap and its leader-boundary idle.
+			if !sys.irqWaiting && sys.CPU.FusedEntryOK() {
 				stopped, err := sys.CPU.StepFused(sys.runUntilHook)
 				if err != nil {
 					return err

@@ -51,16 +51,17 @@ func mustAssemble(t *testing.T, src string) *elf32.File {
 }
 
 // checkProbeOp asserts through the engine counters that the intrinsic
-// op ran exactly where it should: on a fused system with a covered
+// op ran exactly where it should: on the fused engine with a covered
 // geometry every entry state compiled and calls went through the op;
-// anywhere else no call did, and an uncovered geometry's routine is
-// reported as generic for want of an effect.
+// anywhere else no call did (-nofuse declares no intrinsics), and an
+// uncovered geometry's routine is reported as generic for want of an
+// effect.
 func checkProbeOp(t *testing.T, label string, sys *System, op bool) {
 	t.Helper()
 	es := sys.CPU.EngineStats()
 	var want [c6x.NumIntrinsicOutcomes]int64
 	switch {
-	case !sys.CPU.Fused():
+	case sys.Engine() != EngineCompiled:
 	case op:
 		want[c6x.IntrinsicCompiled] = es.IntrinsicSites[c6x.IntrinsicCompiled]
 		if es.IntrinsicRuns == 0 || want[c6x.IntrinsicCompiled] == 0 {
@@ -72,7 +73,7 @@ func checkProbeOp(t *testing.T, label string, sys *System, op bool) {
 			t.Errorf("%s: routine not reported generic: sites %s", label, es.IntrinsicSummary())
 		}
 	}
-	if es.IntrinsicSites != want || (!op || !sys.CPU.Fused()) && es.IntrinsicRuns != 0 {
+	if es.IntrinsicSites != want || (!op || sys.Engine() != EngineCompiled) && es.IntrinsicRuns != 0 {
 		t.Errorf("%s: %d op runs, sites %s", label, es.IntrinsicRuns, es.IntrinsicSummary())
 	}
 }
@@ -91,7 +92,7 @@ func compareProbe(t *testing.T, label string, a, b *System) {
 }
 
 // TestProbeOpMatrix: geometries × workloads at Level 3, fused against
-// the unfused compiled engine and the interpreter.
+// the unfused build and the interpreter.
 func TestProbeOpMatrix(t *testing.T) {
 	for _, g := range probeGeoms {
 		for _, w := range workload.All() {

@@ -47,7 +47,7 @@ type SoCCoreResult struct {
 	// CacheHit reports whether the core's translation came from the
 	// content-addressed cache (always false for ISS cores).
 	CacheHit bool `json:"cache_hit"`
-	// Engine is the core's fused/generic engine split (host-side
+	// Engine is the core's fused/interpreter split (host-side
 	// observation: not serialized, so reports stay identical across
 	// engines; zero for ISS cores and for results carried over the wire).
 	Engine c6x.EngineStats `json:"-"`

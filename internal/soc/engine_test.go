@@ -7,14 +7,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/platform"
+	"repro/internal/socbus"
 	"repro/internal/workload"
 )
 
-// TestEngineEquivalence runs every multi-core workload on the compiled
-// and interpreted C6x engines — all-translated and mixed
-// translated/ISS, cycle lockstep and a large quantum — and requires
-// bit-identical SoC results, including per-core CPI, cycles, bus
-// traffic and output.
+// TestEngineEquivalence runs every multi-core workload on the fused,
+// unfused and interpreted C6x engines — all-translated and mixed
+// translated/ISS, cycle lockstep and a large quantum, Level 0 (untimed,
+// where the clock moves with every packet) and Level 2 — and requires
+// bit-identical SoC results, including per-core CPI, cycles, bus traffic
+// and output, and the identical bus transaction trace.
 func TestEngineEquivalence(t *testing.T) {
 	for _, mw := range workload.MCAll(4) {
 		for _, quantum := range []int64{1, 64} {
@@ -26,25 +28,33 @@ func TestEngineEquivalence(t *testing.T) {
 					label = "mixed"
 				}
 				t.Run(fmt.Sprintf("%s/q%d/%s", mw.Name, quantum, label), func(t *testing.T) {
-					engines := []platform.Engine{platform.EngineCompiled, platform.EngineCompiledNoFuse, platform.EngineInterp}
-					results := make([]Stats, len(engines))
-					for i, engine := range engines {
-						cfg := buildConfig(t, mw, quantum, useISS, core.Options{Level: core.Level2})
-						cfg.Engine = engine
-						s, err := New(cfg)
-						if err != nil {
-							t.Fatal(err)
+					for _, level := range []core.Level{core.Level0, core.Level2} {
+						engines := []platform.Engine{platform.EngineCompiled, platform.EngineCompiledNoFuse, platform.EngineInterp}
+						results := make([]Stats, len(engines))
+						logs := make([][]socbus.Transaction, len(engines))
+						for i, engine := range engines {
+							cfg := buildConfig(t, mw, quantum, useISS, core.Options{Level: level})
+							cfg.Engine = engine
+							s, log := mustRunLogged(t, cfg, fmt.Sprintf("L%d %v", int(level), engine))
+							verifyOutputs(t, mw, s, engine.String())
+							results[i], logs[i] = s.Results(), log
+							// The comparison alone cannot see a core that never enters
+							// fused code: it is the interpreter, and agrees with it.
+							for c := 0; c < s.Cores() && engine != platform.EngineInterp; c++ {
+								if es := s.EngineStats(c); es.GenericShare() >= 0.25 {
+									t.Errorf("L%d %v core%d: the interpreter retired %.1f%% of the packets", int(level), engine, c, 100*es.GenericShare())
+								}
+							}
 						}
-						if err := s.Run(); err != nil {
-							t.Fatalf("%v: %v", engine, err)
-						}
-						verifyOutputs(t, mw, s, engine.String())
-						results[i] = s.Results()
-					}
-					for i := 1; i < len(engines); i++ {
-						if !reflect.DeepEqual(results[0], results[i]) {
-							t.Fatalf("engine divergence:\n  %v: %+v\n  %v: %+v",
-								engines[0], results[0], engines[i], results[i])
+						for i := 1; i < len(engines); i++ {
+							if !reflect.DeepEqual(results[0], results[i]) {
+								t.Fatalf("L%d engine divergence:\n  %v: %+v\n  %v: %+v",
+									int(level), engines[0], results[0], engines[i], results[i])
+							}
+							if !reflect.DeepEqual(logs[0], logs[i]) {
+								t.Fatalf("L%d bus trace divergence: %v %d transactions, %v %d",
+									int(level), engines[0], len(logs[0]), engines[i], len(logs[i]))
+							}
 						}
 					}
 				})
