@@ -1,7 +1,9 @@
 package c6x
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -220,7 +222,12 @@ func genLegalProgram(r *rand.Rand) []Packet {
 	}
 	emit(Inst{Op: MVK, Unit: S1, Dst: A(10), Src2: Imm(0x200)}) // scratch base
 
-	binOps := []Op{ADD, SUB, AND, OR, XOR, ANDN, SHL, SHR, SAR, CMPEQ, CMPLT, CMPLTU, CMPGT, CMPGTU}
+	var binOps []Op // the single-cycle two-source ops
+	for op := Op(0); op < NumOps; op++ {
+		if opTable[op].use == useSrc1|useSrc2|useDst && op.Latency() == 1 {
+			binOps = append(binOps, op)
+		}
+	}
 	pickBin := func() (Op, Unit) {
 		op := binOps[r.Intn(len(binOps))]
 		return op, UnitFor(op.UnitKinds()[0], SideA)
@@ -317,6 +324,64 @@ func FuzzCompiledVsInterpreter(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		packets := genLegalProgram(rand.New(rand.NewSource(seed)))
 		runBoth(t, packets...)
+	})
+}
+
+// malformedPacket decodes fuzz bytes into one packet, ten bytes per
+// instruction (at most nine): Op, Unit, Dst, Src1.Reg, Src2.Reg, Data,
+// Pred.Reg, flags (bit 0 Src1.IsImm, 1 Src2.IsImm, 2 Pred.Valid, 3
+// Pred.Neg), Src1.Imm (its low bits also the Target) and Src2.Imm (its
+// low bits also NopCycles). Fields are taken raw, so ops, units and
+// registers outside the ISA come up.
+func malformedPacket(b []byte) Packet {
+	var p Packet
+	for ; len(b) >= 10 && len(p.Insts) < 9; b = b[10:] {
+		p.Insts = append(p.Insts, Inst{
+			Op: Op(b[0]), Unit: Unit(b[1]), Dst: Reg(b[2]), Data: Reg(b[5]),
+			Src1:   Operand{IsImm: b[7]&1 != 0, Reg: Reg(b[3]), Imm: int32(int8(b[8]))},
+			Src2:   Operand{IsImm: b[7]&2 != 0, Reg: Reg(b[4]), Imm: int32(int8(b[9]))},
+			Pred:   Pred{Valid: b[7]&4 != 0, Neg: b[7]&8 != 0, Reg: Reg(b[6])},
+			Target: int(b[8] & 3), NopCycles: int(b[9] & 15),
+		})
+	}
+	return p
+}
+
+// FuzzMalformedPacket feeds one raw packet, followed by HALT, to both
+// sides of the packet decode boundary: Fuse validates it at load, Step as
+// it executes. Neither may panic; a packet Fuse rejects the interpreter
+// rejects with the same message, and one it accepts runs bit-identically
+// on the interpreter and on both builds. Its addresses lie within 256
+// bytes of 0, so the memory never faults: a fault mid-packet is where
+// fused code documents a difference (TestFusedMemoryFaultExact).
+func FuzzMalformedPacket(f *testing.F) {
+	for _, seed := range [][]byte{
+		{byte(ADD), byte(L1), 1, 2, 3, 0, 0, 0, 0, 0},
+		{byte(MVKH), byte(S2), 33, 0, 0, 0, 1, 2 | 4, 0, 7},
+		{byte(LDB), byte(D1), 4, 5, 0, 0, 0, 2, 0, 3, byte(STH), byte(D2), 0, 0, 0, 40, 0, 1 | 2, -4 & 0xFF, 2},
+		{byte(BREG), byte(S1), 0, 1, 0, 0, 0, 0, 0, 0},
+		{byte(ADD), 9, 1, 2, 3, 0, 0, 0, 0, 0},
+		{byte(ADD), byte(L1), 100, 2, 3, 0, 0, 0, 0, 0},
+		{byte(ADD), byte(L1), 1, 100, 3, 0, 0, 0, 0, 0},
+		{byte(NOP), 0, 0, 0, 0, 0, byte(NoReg), 4, 0, 5},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		packets := []Packet{malformedPacket(b), pk(Inst{Op: HALT})}
+		cfg := FuseConfig{RegionOf: regions(len(packets), 0)}
+		if _, err := Fuse(&Program{Packets: packets}, cfg); err != nil {
+			var se *SimError
+			ierr := NewSim(&Program{Packets: packets}, newTestMem()).Run()
+			if !errors.As(err, &se) || ierr == nil || !strings.Contains(ierr.Error(), se.Msg) {
+				t.Fatalf("Fuse rejected the packet (%v), the interpreter returned %v", err, ierr)
+			}
+			return
+		}
+		for _, n := range []int{1, 0} {
+			cfg.MaxSegPackets = n
+			runTripleMem(t, cfg, func(m *testMem) { m.faultAddr = 1 << 31 }, packets...)
+		}
 	})
 }
 

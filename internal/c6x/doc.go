@@ -10,6 +10,12 @@
 // maps the TC32's 16 data + 16 address registers onto register file
 // A/B directly (see DESIGN.md).
 //
+// # The ISA
+//
+// An opcode is defined once, by its row of opTable (isa.go); the
+// interpreter, the fuser, the issue rules and internal/sched derive what
+// they know from it; no lowering restates an op's semantics.
+//
 // # Execution
 //
 // A Sim holds the architectural state. Its packet interpreter (Step, Run)

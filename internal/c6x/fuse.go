@@ -485,42 +485,6 @@ type fplan struct {
 	next     int  // fallthrough packet
 }
 
-// readsOf appends the registers inst reads at issue (the strict
-// in-flight contract set: predicate registers unconditionally, operand
-// registers per the interpreter's Step switch).
-func readsOf(in Inst, dst []Reg) []Reg {
-	if in.Pred.Valid {
-		dst = append(dst, in.Pred.Reg)
-	}
-	switch {
-	case in.Op == NOP, in.Op == HALT, in.Op == BPKT:
-	case in.Op == BREG:
-		if !in.Src1.IsImm {
-			dst = append(dst, in.Src1.Reg)
-		}
-	case in.Op.IsLoad():
-		if !in.Src1.IsImm {
-			dst = append(dst, in.Src1.Reg)
-		}
-	case in.Op.IsStore():
-		if !in.Src1.IsImm {
-			dst = append(dst, in.Src1.Reg)
-		}
-		dst = append(dst, in.Data)
-	default:
-		if in.Op.ReadsSrc1() && !in.Src1.IsImm {
-			dst = append(dst, in.Src1.Reg)
-		}
-		if in.Op.ReadsSrc2() && !in.Src2.IsImm {
-			dst = append(dst, in.Src2.Reg)
-		}
-		if in.Op == MVKH {
-			dst = append(dst, in.Dst)
-		}
-	}
-	return dst
-}
-
 // plan statically simulates one packet against the symbolic state. A
 // false result means the packet (in this state) is outside the fusable
 // contract and the segment must deoptimize before it, for the cause
@@ -533,14 +497,14 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 		pl.nop = int64(n - 1)
 	}
 
-	// Strict in-flight read contract: any read of an in-flight register
-	// deopts (the interpreter errors, or proceeds when not strict).
+	// In-flight read contract: any read of an in-flight register deopts
+	// (the interpreter errors).
 	// readEnd[i] ends instruction i's reads (Fuse checked len(Insts) ≤ 8).
 	var readBuf [24]Reg
 	var readEnd [8]int
 	reads := readBuf[:0]
 	for i, in := range pk.Insts {
-		reads = readsOf(in, reads)
+		reads = in.Reads(reads)
 		readEnd[i] = len(reads)
 	}
 	for _, r := range reads {
@@ -567,7 +531,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 		case in.Op == BPKT || in.Op == BREG:
 			branches++
 			if branches > 1 || c.br.valid {
-				return pl, DeoptContract, false // overlap: Step reproduces the strict error
+				return pl, DeoptContract, false // overlap: Step reproduces the contract error
 			}
 			pl.issued = fbr{valid: true, tgt: in.Target, cnt: BranchDelay + 1}
 			pl.condBr = in.Pred.Valid
@@ -580,18 +544,13 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 					pl.issued.ind, pl.issued.reg = true, in.Src1.Reg
 				}
 			}
-		case in.Op.IsLoad(), in.Op.IsStore():
+		case in.Op.IsStore():
 			pl.hasMem = true
+		default: // a load or an ALU op: one register write
 			if in.Op.IsLoad() {
-				pl.writes = append(pl.writes, fwrite{
-					inst: idx, reg: in.Dst,
-					commitOff: c.busy + int64(in.Op.Latency()),
-					pred:      in.Pred.Valid,
-				})
-			}
-		default:
-			if in.Op != MVK && in.Op != MVKH && unaryKernel(in.Op) == nil && binaryKernel(in.Op) == nil {
-				return pl, DeoptNoKernel, false // INVALID etc.: Step errors
+				pl.hasMem = true
+			} else if in.Op.info().kernel == nil {
+				return pl, DeoptNoKernel, false // Step errors
 			}
 			pl.writes = append(pl.writes, fwrite{
 				inst: idx, reg: in.Dst,
@@ -621,7 +580,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 
 	// Writeback window: split due/keep in pending order, stable-sort due
 	// by commit cycle, detect same-cycle collisions (deopt: Step
-	// produces the exact strict error), decide direct writes.
+	// produces the exact contract error), decide direct writes.
 	var all []finflight
 	all = append(all, c.inflight...)
 	for wi := range pl.writes {
@@ -718,58 +677,6 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 		return pl, DeoptContract, false // HALT under a captured branch: no static exit pc
 	}
 	return pl, 0, true
-}
-
-// unaryKernel returns the value function of a one-source op.
-func unaryKernel(op Op) func(uint32) uint32 {
-	switch op {
-	case MV:
-		return func(a uint32) uint32 { return a }
-	case NEG:
-		return func(a uint32) uint32 { return -a }
-	case EXTB:
-		return func(a uint32) uint32 { return uint32(int32(int8(a))) }
-	case EXTH:
-		return func(a uint32) uint32 { return uint32(int32(int16(a))) }
-	}
-	return nil
-}
-
-// binaryKernel returns the value function of a two-source op.
-func binaryKernel(op Op) func(a, b uint32) uint32 {
-	switch op {
-	case ADD:
-		return func(a, b uint32) uint32 { return a + b }
-	case SUB:
-		return func(a, b uint32) uint32 { return a - b }
-	case MPY:
-		return func(a, b uint32) uint32 { return a * b }
-	case AND:
-		return func(a, b uint32) uint32 { return a & b }
-	case OR:
-		return func(a, b uint32) uint32 { return a | b }
-	case XOR:
-		return func(a, b uint32) uint32 { return a ^ b }
-	case ANDN:
-		return func(a, b uint32) uint32 { return a &^ b }
-	case SHL:
-		return func(a, b uint32) uint32 { return a << (b & 31) }
-	case SHR:
-		return func(a, b uint32) uint32 { return a >> (b & 31) }
-	case SAR:
-		return func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) }
-	case CMPEQ:
-		return func(a, b uint32) uint32 { return b2u(a == b) }
-	case CMPLT:
-		return func(a, b uint32) uint32 { return b2u(int32(a) < int32(b)) }
-	case CMPLTU:
-		return func(a, b uint32) uint32 { return b2u(a < b) }
-	case CMPGT:
-		return func(a, b uint32) uint32 { return b2u(int32(a) > int32(b)) }
-	case CMPGTU:
-		return func(a, b uint32) uint32 { return b2u(a > b) }
-	}
-	return nil
 }
 
 // emit lowers the planned packet into ops and advances the symbolic
@@ -1104,11 +1011,8 @@ func (c *fctx) emitInst(pkt int, in Inst, w *fwrite, issued int64) {
 			return nil
 		})
 		return
-	case in.Op.IsLoad():
-		c.emitLoad(pkt, in, w, issued)
-		return
-	case in.Op.IsStore():
-		c.emitStore(pkt, in, issued)
+	case in.Op.IsMem():
+		c.emitMem(pkt, in, w, issued)
 		return
 	}
 	c.emitALU(in, w)
@@ -1125,47 +1029,24 @@ func (s *Sim) memFault(pkt int, issued int64, what string, addr uint32, err erro
 	return s.errf(pkt, "%s @%#x: %v", what, addr, err)
 }
 
-func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite, issued int64) {
-	op := in.Op
-	off := uint32(in.Src2.Imm)
-	sz := in.Op.MemSize()
-	immBase := in.Src1.IsImm
-	var immAddr uint32
-	base := in.Src1.Reg
-	if immBase {
-		immAddr = uint32(in.Src1.Imm) + off
+// emitMem lowers a load or a store: the access, wrapped in its
+// predicate if it has one. The instruction count is folded (pl.uncond)
+// for the unpredicated shape and counted at run time by the wrapper,
+// which also records whether a load bound for a slot ran.
+func (c *fctx) emitMem(pkt int, in Inst, w *fwrite, issued int64) {
+	var wr fwrite // a store plans no register write
+	if w != nil {
+		wr = *w
 	}
-	slot := w.slot
-	dst := w.reg
-	direct := w.direct
-	// Instruction count: folded (pl.uncond) for the unpredicated shape,
-	// counted at run time by the predicated wrapper.
-	body := func(s *Sim) error {
-		addr := immAddr
-		if !immBase {
-			addr = s.Regs[base] + off
-		}
-		v, cont, err := s.mem.Load(addr, sz, s.cycle)
-		if err != nil {
-			return s.memFault(pkt, issued, "load", addr, err)
-		}
-		s.fstall += cont - s.cycle
-		v = loadExtend(op, v)
-		if direct {
-			s.Regs[dst] = v
-		} else {
-			s.fslotVal[slot] = v
-		}
-		return nil
-	}
+	body := memAccess(pkt, in, wr, issued)
 	if !in.Pred.Valid {
 		c.seg.ops = append(c.seg.ops, body)
 		return
 	}
-	pr, neg := in.Pred.Reg, in.Pred.Neg
+	pr, neg, track, slot := in.Pred.Reg, in.Pred.Neg, in.Op.IsLoad() && !wr.direct, wr.slot
 	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
 		on := (s.Regs[pr] != 0) != neg
-		if !direct {
+		if track {
 			s.fslotOn[slot] = on
 		}
 		if !on {
@@ -1176,74 +1057,68 @@ func (c *fctx) emitLoad(pkt int, in Inst, w *fwrite, issued int64) {
 	})
 }
 
-func (c *fctx) emitStore(pkt int, in Inst, issued int64) {
-	off := uint32(in.Src2.Imm)
-	sz := in.Op.MemSize()
-	immBase := in.Src1.IsImm
-	var immAddr uint32
-	base := in.Src1.Reg
-	if immBase {
-		immAddr = uint32(in.Src1.Imm) + off
+// memAccess returns the op performing a load (into w's register or
+// slot) or a store.
+func memAccess(pkt int, in Inst, w fwrite, issued int64) fop {
+	off, sz, base := uint32(in.Src2.Imm), in.Op.MemSize(), in.Src1.Reg
+	immBase, immAddr := in.Src1.IsImm, uint32(in.Src1.Imm)+off
+	if in.Op.IsStore() {
+		data, p32 := in.Data, int32(pkt)
+		return func(s *Sim) error {
+			s.fusedPkt = p32
+			addr := immAddr
+			if !immBase {
+				addr = s.Regs[base] + off
+			}
+			cont, err := s.mem.Store(addr, s.Regs[data], sz, s.cycle)
+			if err != nil {
+				return s.memFault(pkt, issued, "store", addr, err)
+			}
+			s.fstall += cont - s.cycle
+			return nil
+		}
 	}
-	data := in.Data
-	p32 := int32(pkt)
-	// Instruction count: folded (pl.uncond) for the unpredicated shape,
-	// counted at run time by the predicated wrapper.
-	body := func(s *Sim) error {
-		s.fusedPkt = p32
+	ext, slot, dst, direct := in.Op.info().kernel, w.slot, w.reg, w.direct
+	return func(s *Sim) error {
 		addr := immAddr
 		if !immBase {
 			addr = s.Regs[base] + off
 		}
-		cont, err := s.mem.Store(addr, s.Regs[data], sz, s.cycle)
+		v, cont, err := s.mem.Load(addr, sz, s.cycle)
 		if err != nil {
-			return s.memFault(pkt, issued, "store", addr, err)
+			return s.memFault(pkt, issued, "load", addr, err)
 		}
 		s.fstall += cont - s.cycle
+		if ext != nil {
+			v = ext(v, 0)
+		}
+		if direct {
+			s.Regs[dst] = v
+		} else {
+			s.fslotVal[slot] = v
+		}
 		return nil
 	}
-	if !in.Pred.Valid {
-		c.seg.ops = append(c.seg.ops, body)
-		return
-	}
-	pr, neg := in.Pred.Reg, in.Pred.Neg
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-		if (s.Regs[pr] != 0) == neg {
-			return nil
-		}
-		s.stats.Instructions++
-		return body(s)
-	})
 }
 
-// emitALU lowers a register-writing ALU op. The unpredicated direct
-// writes that dominate translator output are one closure with the kernel
-// inlined (directALU); every other shape wraps a value computation in
-// the direct/slot and predicate shells.
+// emitALU lowers a register-writing ALU op: its table kernel bound to
+// the operand shape (fusedCompute) inside the direct/slot and predicate
+// shells. The unpredicated direct write, most of translator output, is
+// one closure (directWrite).
 func (c *fctx) emitALU(in Inst, w *fwrite) {
-	slot := w.slot
-	dst := w.reg
-	direct := w.direct
+	slot, dst, direct := w.slot, w.reg, w.direct
+	// Unpredicated: instruction count folded into the accounting sync
+	// (pl.uncond).
 	if direct && !in.Pred.Valid {
-		if op := directALU(in, dst); op != nil {
-			c.seg.ops = append(c.seg.ops, op)
-			return
-		}
+		c.seg.ops = append(c.seg.ops, directWrite(in, dst))
+		return
 	}
 	compute := fusedCompute(in)
 	if !in.Pred.Valid {
-		// Instruction count folded into the accounting sync (pl.uncond).
-		if direct {
-			c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-				s.Regs[dst] = compute(s)
-				return nil
-			})
-		} else {
-			c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-				s.fslotVal[slot] = compute(s)
-				return nil
-			})
-		}
+		c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+			s.fslotVal[slot] = compute(s)
+			return nil
+		})
 		return
 	}
 	pr, neg := in.Pred.Reg, in.Pred.Neg
@@ -1270,117 +1145,44 @@ func (c *fctx) emitALU(in Inst, w *fwrite) {
 	})
 }
 
-// directALU is the single-closure lowering of an unpredicated ALU op
-// writing straight to Regs: constants, moves, and the common binary ops
-// on register/register and register/immediate operands. Other shapes
-// return nil and take the generic shells. The semantics are alu's, op by
-// op; TestFusedDirectALUShapes runs every shape against the interpreter.
-func directALU(in Inst, dst Reg) fop {
-	switch in.Op {
-	case MVK:
-		v := uint32(int32(int16(in.Src2.Imm)))
-		return func(s *Sim) error { s.Regs[dst] = v; return nil }
-	case MVKH:
-		hi := uint32(in.Src2.Imm) << 16
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[dst]&0xFFFF | hi; return nil }
+// fusedCompute builds the value function of an ALU op from its kernel
+// (same-packet reads see packet-start register values: plan routes any
+// same-packet writer of a read register through a slot, so Regs is
+// stable here).
+func fusedCompute(in Inst) func(s *Sim) uint32 {
+	k := in.Op.info().kernel
+	a, b := in.args()
+	switch {
+	case !a.IsImm && !b.IsImm:
+		r1, r2 := a.Reg, b.Reg
+		return func(s *Sim) uint32 { return k(s.Regs[r1], s.Regs[r2]) }
+	case !a.IsImm:
+		r1, v2 := a.Reg, uint32(b.Imm)
+		return func(s *Sim) uint32 { return k(s.Regs[r1], v2) }
+	case !b.IsImm:
+		v1, r2 := uint32(a.Imm), b.Reg
+		return func(s *Sim) uint32 { return k(v1, s.Regs[r2]) }
 	}
-	if in.Src1.IsImm {
-		return nil
-	}
-	a := in.Src1.Reg
-	if in.Op == MV {
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a]; return nil }
-	}
-	if in.Src2.IsImm {
-		k := uint32(in.Src2.Imm)
-		switch in.Op {
-		case ADD:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] + k; return nil }
-		case SUB:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] - k; return nil }
-		case AND:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] & k; return nil }
-		case OR:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] | k; return nil }
-		case XOR:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] ^ k; return nil }
-		case SHL:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] << (k & 31); return nil }
-		case SHR:
-			return func(s *Sim) error { s.Regs[dst] = s.Regs[a] >> (k & 31); return nil }
-		case SAR:
-			return func(s *Sim) error { s.Regs[dst] = uint32(int32(s.Regs[a]) >> (k & 31)); return nil }
-		case CMPEQ:
-			return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] == k); return nil }
-		case CMPLT:
-			return func(s *Sim) error { s.Regs[dst] = b2u(int32(s.Regs[a]) < int32(k)); return nil }
-		case CMPLTU:
-			return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] < k); return nil }
-		}
-		return nil
-	}
-	b := in.Src2.Reg
-	switch in.Op {
-	case ADD:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] + s.Regs[b]; return nil }
-	case SUB:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] - s.Regs[b]; return nil }
-	case AND:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] & s.Regs[b]; return nil }
-	case OR:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] | s.Regs[b]; return nil }
-	case XOR:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] ^ s.Regs[b]; return nil }
-	case SHL:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] << (s.Regs[b] & 31); return nil }
-	case SHR:
-		return func(s *Sim) error { s.Regs[dst] = s.Regs[a] >> (s.Regs[b] & 31); return nil }
-	case SAR:
-		return func(s *Sim) error { s.Regs[dst] = uint32(int32(s.Regs[a]) >> (s.Regs[b] & 31)); return nil }
-	case CMPEQ:
-		return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] == s.Regs[b]); return nil }
-	case CMPLT:
-		return func(s *Sim) error { s.Regs[dst] = b2u(int32(s.Regs[a]) < int32(s.Regs[b])); return nil }
-	case CMPLTU:
-		return func(s *Sim) error { s.Regs[dst] = b2u(s.Regs[a] < s.Regs[b]); return nil }
-	}
-	return nil
+	v := k(uint32(a.Imm), uint32(b.Imm))
+	return func(*Sim) uint32 { return v }
 }
 
-// fusedCompute builds the value function of an ALU op (same-packet
-// reads see packet-start register values: plan routes any same-packet
-// writer of a read register through a slot, so Regs is stable here).
-func fusedCompute(in Inst) func(s *Sim) uint32 {
-	switch in.Op {
-	case MVK:
-		v := uint32(int32(int16(in.Src2.Imm)))
-		return func(*Sim) uint32 { return v }
-	case MVKH:
-		hi := uint32(in.Src2.Imm) << 16
-		dst := in.Dst
-		return func(s *Sim) uint32 { return s.Regs[dst]&0xFFFF | hi }
-	}
-	if k := unaryKernel(in.Op); k != nil {
-		if in.Src1.IsImm {
-			v := k(uint32(in.Src1.Imm))
-			return func(*Sim) uint32 { return v }
-		}
-		r1 := in.Src1.Reg
-		return func(s *Sim) uint32 { return k(s.Regs[r1]) }
-	}
-	k := binaryKernel(in.Op)
+// directWrite is fusedCompute's shapes writing straight to Regs[dst]:
+// per op one closure call and one kernel call instead of two and one.
+func directWrite(in Inst, dst Reg) fop {
+	k := in.Op.info().kernel
+	a, b := in.args()
 	switch {
-	case !in.Src1.IsImm && !in.Src2.IsImm:
-		r1, r2 := in.Src1.Reg, in.Src2.Reg
-		return func(s *Sim) uint32 { return k(s.Regs[r1], s.Regs[r2]) }
-	case !in.Src1.IsImm && in.Src2.IsImm:
-		r1, b := in.Src1.Reg, uint32(in.Src2.Imm)
-		return func(s *Sim) uint32 { return k(s.Regs[r1], b) }
-	case in.Src1.IsImm && !in.Src2.IsImm:
-		a, r2 := uint32(in.Src1.Imm), in.Src2.Reg
-		return func(s *Sim) uint32 { return k(a, s.Regs[r2]) }
-	default:
-		v := k(uint32(in.Src1.Imm), uint32(in.Src2.Imm))
-		return func(*Sim) uint32 { return v }
+	case !a.IsImm && !b.IsImm:
+		r1, r2 := a.Reg, b.Reg
+		return func(s *Sim) error { s.Regs[dst] = k(s.Regs[r1], s.Regs[r2]); return nil }
+	case !a.IsImm:
+		r1, v2 := a.Reg, uint32(b.Imm)
+		return func(s *Sim) error { s.Regs[dst] = k(s.Regs[r1], v2); return nil }
+	case !b.IsImm:
+		v1, r2 := uint32(a.Imm), b.Reg
+		return func(s *Sim) error { s.Regs[dst] = k(v1, s.Regs[r2]); return nil }
 	}
+	v := k(uint32(a.Imm), uint32(b.Imm))
+	return func(s *Sim) error { s.Regs[dst] = v; return nil }
 }

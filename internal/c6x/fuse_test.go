@@ -898,23 +898,46 @@ func TestFusedMemoryFaultExact(t *testing.T) {
 	}
 }
 
-// TestFusedDirectALUShapes runs every single-closure ALU shape
-// (directALU) against the interpreter and the unfused build, on
-// operands that separate the signed, unsigned and shift-masking cases.
+// TestFusedDirectALUShapes runs every op the table gives a kernel in
+// every operand shape — register/register, register/immediate,
+// immediate/register, reading its own destination, predicated on and
+// off, and a slot write (a same-packet reader of the destination) —
+// against the interpreter and the unfused build, on operands that
+// separate the signed, unsigned and shift-masking cases.
 func TestFusedDirectALUShapes(t *testing.T) {
 	packets := []Packet{
 		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(-3)}, Inst{Op: MVK, Unit: S2, Dst: B(1), Src2: Imm(0x1234)}),
 		pk(Inst{Op: MVKH, Unit: S2, Dst: B(1), Src2: Imm(0x8765)}, Inst{Op: MVK, Unit: S1, Dst: A(2), Src2: Imm(37)}),
-		pk(Inst{Op: MV, Unit: L1, Dst: A(3), Src1: R(A(1))}),
+		pk(Inst{Op: MV, Unit: L1, Dst: A(3), Src1: R(B(1))}),
 	}
 	dst := 4
-	for _, op := range []Op{ADD, SUB, AND, OR, XOR, SHL, SHR, SAR, CMPEQ, CMPLT, CMPLTU} {
+	for op := Op(0); op < NumOps; op++ {
+		if op.IsMem() || opTable[op].kernel == nil {
+			continue
+		}
 		u := UnitFor(op.UnitKinds()[0], SideA)
-		for _, src2 := range []Operand{R(A(2)), R(A(3)), Imm(-3), Imm(5)} {
-			packets = append(packets, pk(Inst{Op: op, Unit: u, Dst: A(dst), Src1: R(A(1)), Src2: src2}))
+		on, off := Pred{Valid: true, Reg: A(2)}, Pred{Valid: true, Neg: true, Reg: A(2)}
+		for _, sh := range []Inst{
+			{Src1: R(A(1)), Src2: R(A(2))},
+			{Src1: R(A(1)), Src2: R(A(3))},
+			{Src1: R(A(1)), Src2: Imm(-3)},
+			{Src1: R(A(1)), Src2: Imm(5)},
+			{Src1: Imm(-3), Src2: R(A(3))},
+			{Src1: R(A(dst)), Src2: R(A(1))},
+			{Src1: R(A(1)), Src2: R(A(3)), Pred: on},
+			{Src1: R(A(1)), Src2: R(A(3)), Pred: off},
+		} {
+			sh.Op, sh.Unit, sh.Dst = op, u, A(dst)
+			packets = append(packets, pk(sh))
+			if op.Latency() > 1 {
+				packets = append(packets, pk(Inst{Op: NOP, NopCycles: op.Latency() - 1}))
+			}
 			dst = 4 + (dst-3)%20
 		}
-		packets = append(packets, pk(Inst{Op: op, Unit: u, Dst: A(1), Src1: R(A(1)), Src2: R(A(2))})) // reads its own destination
+		packets = append(packets, pk(
+			Inst{Op: op, Unit: u, Dst: A(dst), Src1: R(A(1)), Src2: R(A(3))},
+			Inst{Op: MV, Unit: D1, Dst: A(24), Src1: R(A(dst))},
+		), pk(Inst{Op: NOP, NopCycles: op.Latency()}))
 	}
 	packets = append(packets, pk(Inst{Op: HALT}))
 	_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0)}, packets...)

@@ -133,10 +133,10 @@ func (f *fuser) routineRegs(in *Intrinsic) (set uint64) {
 	var buf [8]Reg
 	for _, pk := range f.prog.Packets[in.Entry:in.End] {
 		for _, inst := range pk.Insts {
-			for _, r := range readsOf(inst, buf[:0]) {
+			for _, r := range inst.Reads(buf[:0]) {
 				set |= 1 << r
 			}
-			if inst.Op != NOP && inst.Op != HALT && inst.Op != BPKT && inst.Op != BREG && !inst.Op.IsStore() {
+			if inst.HasDst() {
 				set |= 1 << inst.Dst
 			}
 		}

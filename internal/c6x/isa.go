@@ -1,6 +1,9 @@
 package c6x
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // NumRegs is the number of registers per file.
 const NumRegs = 32
@@ -67,7 +70,12 @@ const (
 var unitNames = [...]string{"--", ".L1", ".S1", ".M1", ".D1", ".L2", ".S2", ".M2", ".D2"}
 
 // String returns the assembler name of the unit.
-func (u Unit) String() string { return unitNames[u] }
+func (u Unit) String() string {
+	if u > D2 {
+		return "<bad>"
+	}
+	return unitNames[u]
+}
 
 // Side returns the datapath side of the unit.
 func (u Unit) Side() Side {
@@ -77,93 +85,149 @@ func (u Unit) Side() Side {
 	return SideA
 }
 
-// Kind returns the unit kind letter ('L', 'S', 'M', 'D').
+// Kind returns the unit kind letter ('L', 'S', 'M', 'D'; '-' for none).
 func (u Unit) Kind() byte {
-	switch u {
-	case L1, L2:
-		return 'L'
-	case S1, S2:
-		return 'S'
-	case M1, M2:
-		return 'M'
-	case D1, D2:
-		return 'D'
+	if u > D2 {
+		return '-'
 	}
-	return '-'
+	return unitNames[u][1]
 }
 
 // UnitFor returns the unit of the given kind on the given side.
 func UnitFor(kind byte, side Side) Unit {
-	var base Unit
-	switch kind {
-	case 'L':
-		base = L1
-	case 'S':
-		base = S1
-	case 'M':
-		base = M1
-	case 'D':
-		base = D1
-	default:
+	i := strings.IndexByte("LSMD", kind)
+	if i < 0 {
 		return UnitNone
 	}
-	if side == SideB {
-		base += 4
-	}
-	return base
+	return L1 + Unit(i) + 4*Unit(side)
 }
 
-// Op is a C6x operation.
+// Op is a C6x operation (the subset the translator emits). What each one
+// does is its row of opTable.
 type Op uint8
 
-// C6x operations (the subset the translator emits).
+// The operations.
 const (
 	INVALID Op = iota
-	MV         // dst = src1
-	MVK        // dst = sext16(imm)            (TI MVKL)
-	MVKH       // dst = (dst & 0xFFFF) | imm<<16
-	ADD        // dst = src1 + src2
-	SUB        // dst = src1 - src2
-	MPY        // dst = src1 * src2 (low 32; 1 delay slot)
+	MV
+	MVK  // TI MVKL: dst = sext16(imm)
+	MVKH // dst = (dst & 0xFFFF) | imm<<16
+	ADD
+	SUB
+	MPY // low 32 bits
 	AND
 	OR
 	XOR
-	ANDN   // dst = src1 &^ src2
-	SHL    // dst = src1 << (src2 & 31)
-	SHR    // logical
-	SAR    // arithmetic (TI SHR on signed)
-	NEG    // dst = -src1
-	EXTB   // dst = sext8(src1)  (C64x-style)
-	EXTH   // dst = sext16(src1)
-	CMPEQ  // dst = src1 == src2
-	CMPLT  // signed <
-	CMPLTU // unsigned <
-	CMPGT  // signed >
-	CMPGTU // unsigned >
-	LDW    // dst = mem32[src1 + offset] (4 delay slots)
-	LDH    // signed halfword
+	ANDN // src1 &^ src2
+	SHL
+	SHR // logical
+	SAR // arithmetic (TI SHR on signed)
+	NEG
+	EXTB // sext8 (C64x-style)
+	EXTH
+	CMPEQ
+	CMPLT // signed <
+	CMPLTU
+	CMPGT
+	CMPGTU
+	LDW // dst = mem32[src1 + offset]
+	LDH // signed halfword
 	LDHU
 	LDB // signed byte
 	LDBU
 	STW // mem[src1 + offset] = data
 	STH
 	STB
-	BPKT // branch to packet Target (5 delay slots)
-	BREG // branch to packet index in src1 (5 delay slots)
+	BPKT // branch to packet Target
+	BREG // branch to the packet index in src1
 	NOP  // idle NopCycles cycles
 	HALT // stop the core
 	NumOps
 )
 
-var opNames = [NumOps]string{
-	INVALID: "<invalid>", MV: "mv", MVK: "mvk", MVKH: "mvkh",
-	ADD: "add", SUB: "sub", MPY: "mpy", AND: "and", OR: "or", XOR: "xor",
-	ANDN: "andn", SHL: "shl", SHR: "shr", SAR: "sar", NEG: "neg",
-	EXTB: "extb", EXTH: "exth",
-	CMPEQ: "cmpeq", CMPLT: "cmplt", CMPLTU: "cmpltu", CMPGT: "cmpgt", CMPGTU: "cmpgtu",
-	LDW: "ldw", LDH: "ldh", LDHU: "ldhu", LDB: "ldb", LDBU: "ldbu",
-	STW: "stw", STH: "sth", STB: "stb",
-	BPKT: "b", BREG: "b", NOP: "nop", HALT: "halt",
+// opUse is the set of instruction fields an op reads and writes.
+type opUse uint8
+
+const (
+	useSrc1  opUse = 1 << iota // reads Src1, register or immediate
+	useSrc2                    // reads Src2 as a value (a memory offset is not one)
+	useMerge                   // reads Dst: the kernel's first argument is its old value
+	useDst                     // writes Dst
+	useData                    // reads Data, the stored register
+)
+
+// opInfo is one op's row of opTable.
+type opInfo struct {
+	name  string
+	units string // the unit kinds that execute it ("LS" = .L or .S)
+	delay int    // delay slots before its result is usable
+	mem   int    // access size in bytes of a memory op
+	use   opUse
+	// kernel computes the value written to Dst: from the Src1 (or merged
+	// Dst) and Src2 values for an ALU op, from the loaded word for a load
+	// (nil: the word as loaded). An ALU op without one has no semantics.
+	kernel func(a, b uint32) uint32
+}
+
+func binOp(name, units string, k func(a, b uint32) uint32) opInfo {
+	return opInfo{name: name, units: units, use: useSrc1 | useSrc2 | useDst, kernel: k}
+}
+
+func sext8(a, _ uint32) uint32  { return uint32(int32(int8(a))) }
+func sext16(a, _ uint32) uint32 { return uint32(int32(int16(a))) }
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// opTable is the one statement of the ISA (see the package doc on who
+// derives what from it, and the one lowering that restates it).
+var opTable = [NumOps]opInfo{
+	INVALID: {name: "<invalid>"},
+	MV:      {name: "mv", units: "LSD", use: useSrc1 | useDst, kernel: func(a, _ uint32) uint32 { return a }},
+	MVK:     {name: "mvk", units: "S", use: useSrc2 | useDst, kernel: func(_, b uint32) uint32 { return sext16(b, 0) }},
+	MVKH:    {name: "mvkh", units: "S", use: useMerge | useSrc2 | useDst, kernel: func(a, b uint32) uint32 { return a&0xFFFF | b<<16 }},
+	ADD:     binOp("add", "LS", func(a, b uint32) uint32 { return a + b }),
+	SUB:     binOp("sub", "LS", func(a, b uint32) uint32 { return a - b }),
+	MPY:     {name: "mpy", units: "M", delay: 1, use: useSrc1 | useSrc2 | useDst, kernel: func(a, b uint32) uint32 { return a * b }},
+	AND:     binOp("and", "LS", func(a, b uint32) uint32 { return a & b }),
+	OR:      binOp("or", "LS", func(a, b uint32) uint32 { return a | b }),
+	XOR:     binOp("xor", "LS", func(a, b uint32) uint32 { return a ^ b }),
+	ANDN:    binOp("andn", "LS", func(a, b uint32) uint32 { return a &^ b }),
+	SHL:     binOp("shl", "S", func(a, b uint32) uint32 { return a << (b & 31) }),
+	SHR:     binOp("shr", "S", func(a, b uint32) uint32 { return a >> (b & 31) }),
+	SAR:     binOp("sar", "S", func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) }),
+	NEG:     {name: "neg", units: "LS", use: useSrc1 | useDst, kernel: func(a, _ uint32) uint32 { return -a }},
+	EXTB:    {name: "extb", units: "S", use: useSrc1 | useDst, kernel: sext8},
+	EXTH:    {name: "exth", units: "S", use: useSrc1 | useDst, kernel: sext16},
+	CMPEQ:   binOp("cmpeq", "LS", func(a, b uint32) uint32 { return b2u(a == b) }),
+	CMPLT:   binOp("cmplt", "LS", func(a, b uint32) uint32 { return b2u(int32(a) < int32(b)) }),
+	CMPLTU:  binOp("cmpltu", "LS", func(a, b uint32) uint32 { return b2u(a < b) }),
+	CMPGT:   binOp("cmpgt", "LS", func(a, b uint32) uint32 { return b2u(int32(a) > int32(b)) }),
+	CMPGTU:  binOp("cmpgtu", "LS", func(a, b uint32) uint32 { return b2u(a > b) }),
+	LDW:     {name: "ldw", units: "D", delay: 4, mem: 4, use: useSrc1 | useDst},
+	LDH:     {name: "ldh", units: "D", delay: 4, mem: 2, use: useSrc1 | useDst, kernel: sext16},
+	LDHU:    {name: "ldhu", units: "D", delay: 4, mem: 2, use: useSrc1 | useDst},
+	LDB:     {name: "ldb", units: "D", delay: 4, mem: 1, use: useSrc1 | useDst, kernel: sext8},
+	LDBU:    {name: "ldbu", units: "D", delay: 4, mem: 1, use: useSrc1 | useDst},
+	STW:     {name: "stw", units: "D", mem: 4, use: useSrc1 | useData},
+	STH:     {name: "sth", units: "D", mem: 2, use: useSrc1 | useData},
+	STB:     {name: "stb", units: "D", mem: 1, use: useSrc1 | useData},
+	BPKT:    {name: "b", units: "S"},
+	BREG:    {name: "b", units: "S", use: useSrc1},
+	NOP:     {name: "nop"},
+	HALT:    {name: "halt"},
+}
+
+// info returns op's row; an op outside the table reads as INVALID.
+func (op Op) info() *opInfo {
+	if op >= NumOps {
+		op = INVALID
+	}
+	return &opTable[op]
 }
 
 // String returns the mnemonic.
@@ -171,87 +235,34 @@ func (op Op) String() string {
 	if op >= NumOps {
 		return "<bad>"
 	}
-	return opNames[op]
+	return opTable[op].name
 }
 
 // IsLoad reports whether op reads memory.
-func (op Op) IsLoad() bool { return op >= LDW && op <= LDBU }
+func (op Op) IsLoad() bool { return op.IsMem() && !op.IsStore() }
 
 // IsStore reports whether op writes memory.
-func (op Op) IsStore() bool { return op >= STW && op <= STB }
+func (op Op) IsStore() bool { return op.info().use&useData != 0 }
 
 // IsMem reports whether op accesses memory.
-func (op Op) IsMem() bool { return op.IsLoad() || op.IsStore() }
+func (op Op) IsMem() bool { return op.info().mem != 0 }
 
 // IsBranch reports whether op transfers control.
 func (op Op) IsBranch() bool { return op == BPKT || op == BREG }
 
 // MemSize returns the access size in bytes of a memory op.
-func (op Op) MemSize() int {
-	switch op {
-	case LDW, STW:
-		return 4
-	case LDH, LDHU, STH:
-		return 2
-	case LDB, LDBU, STB:
-		return 1
-	}
-	return 0
-}
+func (op Op) MemSize() int { return op.info().mem }
 
 // Latency returns the result latency in cycles (1 = usable next cycle).
 // Branches have no result; their 5 delay slots are modeled separately.
-func (op Op) Latency() int {
-	switch {
-	case op == MPY:
-		return 2
-	case op.IsLoad():
-		return 5
-	}
-	return 1
-}
+func (op Op) Latency() int { return 1 + op.info().delay }
 
 // BranchDelay is the number of delay-slot cycles of a branch: the target
 // packet executes BranchDelay+1 cycles after the branch issues.
 const BranchDelay = 5
 
 // UnitKinds returns the unit kinds that can execute op ("LS" = .L or .S).
-func (op Op) UnitKinds() string {
-	switch op {
-	case ADD, SUB, AND, OR, XOR, ANDN, NEG, CMPEQ, CMPLT, CMPLTU, CMPGT, CMPGTU:
-		return "LS"
-	case MV:
-		return "LSD"
-	case MVK, MVKH, SHL, SHR, SAR, EXTB, EXTH:
-		return "S"
-	case MPY:
-		return "M"
-	case LDW, LDH, LDHU, LDB, LDBU, STW, STH, STB:
-		return "D"
-	case BPKT, BREG:
-		return "S"
-	}
-	return ""
-}
-
-// ReadsSrc1 reports whether op reads the Src1 operand.
-func (op Op) ReadsSrc1() bool {
-	switch op {
-	case MVK, MVKH, NOP, HALT, BPKT, INVALID:
-		return false
-	}
-	return true
-}
-
-// ReadsSrc2 reports whether op reads the Src2 operand as a value source
-// (memory offsets are immediates and never use the cross path).
-func (op Op) ReadsSrc2() bool {
-	switch op {
-	case MV, NEG, EXTB, EXTH, MVK, MVKH, NOP, HALT, BPKT, BREG, INVALID:
-		return false
-	}
-	return !op.IsMem()
-}
+func (op Op) UnitKinds() string { return op.info().units }
 
 // Operand is a register or immediate source operand.
 type Operand struct {
@@ -321,17 +332,87 @@ type Inst struct {
 }
 
 // HasDst reports whether the instruction writes Dst.
-func (i Inst) HasDst() bool {
-	switch i.Op {
-	case STW, STH, STB, BPKT, BREG, NOP, HALT, INVALID:
-		return false
+func (i Inst) HasDst() bool { return i.Op.info().use&useDst != 0 }
+
+// args returns the operands of the op's kernel: Src1 — or Dst, for a
+// merging op — and Src2, each Imm(0) where the op reads nothing.
+func (i *Inst) args() (a, b Operand) {
+	u := i.Op.info().use
+	a, b = Imm(0), Imm(0)
+	if u&useSrc1 != 0 {
+		a = i.Src1
 	}
-	return true
+	if u&useMerge != 0 {
+		a = R(i.Dst)
+	}
+	if u&useSrc2 != 0 {
+		b = i.Src2
+	}
+	return a, b
+}
+
+// Reads appends the registers the instruction reads at issue to dst, in
+// the order the interpreter reads them: the predicate, the kernel's
+// register operands, a store's data register.
+func (i *Inst) Reads(dst []Reg) []Reg {
+	if i.Pred.Valid {
+		dst = append(dst, i.Pred.Reg)
+	}
+	a, b := i.args()
+	if !a.IsImm {
+		dst = append(dst, a.Reg)
+	}
+	if !b.IsImm {
+		dst = append(dst, b.Reg)
+	}
+	if i.Op.info().use&useData != 0 {
+		dst = append(dst, i.Data)
+	}
+	return dst
+}
+
+// ResSet is a set of the resources the instructions of one packet share:
+// the eight units (bit Unit), the cross path into each side and the two
+// data paths.
+type ResSet uint16
+
+const (
+	resCross ResSet = 1 << 9  // << Side: the cross path into that side
+	resT     ResSet = 1 << 11 // << Side: data path T1 or T2
+)
+
+// Resources returns the issue resources the instruction takes on unit u:
+// the unit; for a memory op the data path on the side of the register
+// it loads or stores; otherwise the cross path into u's side if a source
+// register sits on the other side. ok is false for what no packet can
+// hold, two cross-path operands.
+func (i *Inst) Resources(u Unit) (res ResSet, ok bool) {
+	res = 1 << u
+	op := i.Op.info()
+	if op.mem != 0 {
+		data := i.Dst
+		if op.use&useData != 0 {
+			data = i.Data
+		}
+		return res | resT<<data.Side(), true
+	}
+	use, side, cross := op.use, u.Side(), 0
+	if use&useSrc1 != 0 && !i.Src1.IsImm && i.Src1.Reg.Side() != side {
+		cross++
+	}
+	if use&useSrc2 != 0 && !i.Src2.IsImm && i.Src2.Reg.Side() != side {
+		cross++
+	}
+	if cross > 0 {
+		res |= resCross << side
+	}
+	return res, cross < 2
 }
 
 // String renders the instruction in a TI-flavoured listing syntax.
 func (i Inst) String() string {
 	p := i.Pred.String()
+	u := i.Op.info().use
 	switch {
 	case i.Op == NOP:
 		if i.NopCycles > 1 {
@@ -348,9 +429,9 @@ func (i Inst) String() string {
 		return fmt.Sprintf("%s%s %s *%+d[%s], %s", p, i.Op, i.Unit, i.Src2.Imm, i.Src1.Reg, i.Dst)
 	case i.Op.IsStore():
 		return fmt.Sprintf("%s%s %s %s, *%+d[%s]", p, i.Op, i.Unit, i.Data, i.Src2.Imm, i.Src1.Reg)
-	case i.Op == MVK || i.Op == MVKH:
-		return fmt.Sprintf("%s%s %s %d, %s", p, i.Op, i.Unit, i.Src2.Imm, i.Dst)
-	case i.Op == MV || i.Op == NEG || i.Op == EXTB || i.Op == EXTH:
+	case u&(useSrc1|useDst) == useDst: // mvk, mvkh
+		return fmt.Sprintf("%s%s %s %s, %s", p, i.Op, i.Unit, i.Src2, i.Dst)
+	case u&(useSrc2|useDst) == useDst:
 		return fmt.Sprintf("%s%s %s %s, %s", p, i.Op, i.Unit, i.Src1, i.Dst)
 	default:
 		return fmt.Sprintf("%s%s %s %s, %s, %s", p, i.Op, i.Unit, i.Src1, i.Src2, i.Dst)

@@ -1,6 +1,9 @@
 package c6x
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // MemPort is the memory system seen by the core. Implementations may stall
 // the core by returning contCycle > cycle (e.g. the synchronization
@@ -10,8 +13,8 @@ type MemPort interface {
 	Store(addr uint32, val uint32, size int, cycle int64) (contCycle int64, err error)
 }
 
-// SimError is a simulation-time error (machine fault or, in strict mode, a
-// schedule-contract violation, which indicates a translator bug).
+// SimError is a simulation-time error: a machine fault, or a violation
+// of the schedule contract, which indicates a translator bug.
 type SimError struct {
 	Packet int
 	Cycle  int64
@@ -71,7 +74,7 @@ type DeoptCause uint8
 
 // The deopt causes. DeoptContract collects the shapes the scheduler
 // never emits (overlapping branches, writeback collisions, running off
-// the program), where the interpreter reproduces the strict error.
+// the program), where the interpreter reproduces the contract error.
 const (
 	DeoptInflightRead DeoptCause = iota // read of a register with a write in flight
 	DeoptSlotPressure                   // more in-flight values than fused slots
@@ -151,11 +154,6 @@ type Sim struct {
 	prog *Program
 	mem  MemPort
 	pc   int
-	// Strict enables schedule-contract checking: reads of registers with
-	// in-flight writes, overlapping branches, unit/cross-path conflicts
-	// and writeback collisions become errors instead of silent hardware
-	// behavior. The translator's output must run cleanly in strict mode.
-	Strict bool
 
 	cycle   int64
 	busy    int64 // stall-free cycle count (latency clock)
@@ -175,6 +173,9 @@ type Sim struct {
 	// dead between steps and need no checkpointing.
 	wbBuf  []writeback
 	dueBuf []writeback
+	// issued marks the packets that passed issueViolation: the rules do
+	// not depend on machine state, so Step checks a packet once.
+	issued []bool
 
 	// Fused-engine state (see fuse.go, fuserun.go). fused is used by
 	// RunFused/StepFused; fstall, fslotVal, fslotOn, fcond0, fnext and
@@ -200,7 +201,7 @@ type Sim struct {
 
 // NewSim builds a simulator for prog with the given memory system.
 func NewSim(prog *Program, mem MemPort) *Sim {
-	return &Sim{prog: prog, mem: mem, pc: prog.Entry, Strict: true, MaxCycles: 2_000_000_000}
+	return &Sim{prog: prog, mem: mem, pc: prog.Entry, MaxCycles: 2_000_000_000, issued: make([]bool, len(prog.Packets))}
 }
 
 // Reg returns the value of r.
@@ -260,31 +261,42 @@ func (s *Sim) errf(pkt int, format string, args ...any) error {
 	return &SimError{Packet: pkt, Cycle: s.cycle, Msg: fmt.Sprintf(format, args...)}
 }
 
-// readReg reads a register value, enforcing the no-interlock contract in
-// strict mode: a register with a write still in flight from an earlier
-// cycle must not be read (delay-slot underflow = translator bug). Writes
-// issued by the same packet are still queued, so reads see old values.
-func (s *Sim) readReg(pkt int, r Reg) (uint32, error) {
-	if s.Strict {
+// checkReads enforces the no-interlock contract on in's reads at issue:
+// its predicate register, or with operands set the rest. A register with
+// a write still in flight from an earlier cycle must not be read
+// (delay-slot underflow = translator bug). Writes issued by the same
+// packet are still queued, so reads see old values.
+func (s *Sim) checkReads(pkt int, in *Inst, operands bool) error {
+	if len(s.pending) == 0 {
+		return nil
+	}
+	var buf [4]Reg
+	regs := in.Reads(buf[:0])
+	if in.Pred.Valid && operands {
+		regs = regs[1:] // the predicate was checked before it was evaluated
+	} else if in.Pred.Valid {
+		regs = regs[:1]
+	}
+	for _, r := range regs {
 		for i := range s.pending {
 			if s.pending[i].reg == r {
-				return 0, s.errf(pkt, "read of %s with write in flight (%d cycles remaining)", r, s.pending[i].commitAt-s.busy)
+				return s.errf(pkt, "read of %s with write in flight (%d cycles remaining)", r, s.pending[i].commitAt-s.busy)
 			}
 		}
 	}
-	return s.Regs[r], nil
+	return nil
 }
 
-func (s *Sim) operand(pkt int, o Operand) (uint32, error) {
+func (s *Sim) value(o Operand) uint32 {
 	if o.IsImm {
-		return uint32(o.Imm), nil
+		return uint32(o.Imm)
 	}
-	return s.readReg(pkt, o.Reg)
+	return s.Regs[o.Reg]
 }
 
 // Step interprets one packet (possibly multi-cycle for NOP n). It is the
 // reference semantics: fused code is tested against it and hands back to
-// it wherever it cannot continue.
+// it wherever it cannot continue. A schedule-contract violation is an error.
 func (s *Sim) Step() error {
 	if s.halted {
 		return nil
@@ -298,79 +310,68 @@ func (s *Sim) Step() error {
 	s.stats.Packets++
 	s.es.GenericPackets++
 
-	if s.Strict {
+	if !s.issued[pktIdx] {
 		if msg := issueViolation(pk); msg != "" {
 			return s.errf(pktIdx, "%s", msg)
 		}
+		s.issued[pktIdx] = true
 	}
 
 	wbs := s.wbBuf[:0]
 	var stall int64
 	branchSeen := false
-	for _, in := range pk.Insts {
+	for k := range pk.Insts {
+		in := &pk.Insts[k]
 		if in.Pred.Valid {
-			pv, err := s.readReg(pktIdx, in.Pred.Reg)
-			if err != nil {
+			if err := s.checkReads(pktIdx, in, false); err != nil {
 				return err
 			}
-			if (pv != 0) == in.Pred.Neg {
+			if (s.Regs[in.Pred.Reg] != 0) == in.Pred.Neg {
 				continue // predicated off
 			}
 		}
 		if in.Op != NOP {
 			s.stats.Instructions++
 		}
+		if in.Op.IsBranch() && (s.brValid || branchSeen) {
+			return s.errf(pktIdx, "branch issued while another branch is in flight")
+		}
+		if err := s.checkReads(pktIdx, in, true); err != nil {
+			return err
+		}
+		op := in.Op.info()
+		a, b := in.args()
+		va := s.value(a)
+		addr := va + uint32(in.Src2.Imm)
 		switch {
-		case in.Op == NOP:
-			// handled by packet cycle accounting
 		case in.Op == HALT:
 			s.halted = true
-		case in.Op == BPKT, in.Op == BREG:
-			if (s.brValid || branchSeen) && s.Strict {
-				return s.errf(pktIdx, "branch issued while another branch is in flight")
-			}
+		case in.Op.IsBranch():
 			tgt := in.Target
 			if in.Op == BREG {
-				v, err := s.operand(pktIdx, in.Src1)
-				if err != nil {
-					return err
-				}
-				tgt = int(int32(v))
+				tgt = int(int32(va))
 			}
 			s.brValid, s.brTgt, s.brCnt, branchSeen = true, tgt, BranchDelay+1, true
-		case in.Op.IsLoad():
-			base, err := s.operand(pktIdx, in.Src1)
-			if err != nil {
-				return err
-			}
-			addr := base + uint32(in.Src2.Imm)
-			v, cont, err := s.mem.Load(addr, in.Op.MemSize(), s.cycle)
-			if err != nil {
-				return s.errf(pktIdx, "load @%#x: %v", addr, err)
-			}
-			stall += cont - s.cycle
-			wbs = append(wbs, writeback{reg: in.Dst, val: loadExtend(in.Op, v), commitAt: s.busy + int64(in.Op.Latency())})
-		case in.Op.IsStore():
-			base, err := s.operand(pktIdx, in.Src1)
-			if err != nil {
-				return err
-			}
-			data, err := s.readReg(pktIdx, in.Data)
-			if err != nil {
-				return err
-			}
-			addr := base + uint32(in.Src2.Imm)
-			cont, err := s.mem.Store(addr, data, in.Op.MemSize(), s.cycle)
+		case op.use&useData != 0:
+			cont, err := s.mem.Store(addr, s.Regs[in.Data], op.mem, s.cycle)
 			if err != nil {
 				return s.errf(pktIdx, "store @%#x: %v", addr, err)
 			}
 			stall += cont - s.cycle
-		default:
-			v, err := s.alu(pktIdx, in)
+		case op.mem != 0:
+			v, cont, err := s.mem.Load(addr, op.mem, s.cycle)
 			if err != nil {
-				return err
+				return s.errf(pktIdx, "load @%#x: %v", addr, err)
 			}
-			wbs = append(wbs, writeback{reg: in.Dst, val: v, commitAt: s.busy + int64(in.Op.Latency())})
+			stall += cont - s.cycle
+			if op.kernel != nil {
+				v = op.kernel(v, 0)
+			}
+			wbs = append(wbs, writeback{reg: in.Dst, val: v, commitAt: s.busy + 1 + int64(op.delay)})
+		case op.kernel != nil:
+			wbs = append(wbs, writeback{reg: in.Dst, val: op.kernel(va, s.value(b)), commitAt: s.busy + 1 + int64(op.delay)})
+		case op.use&useDst != 0:
+			return s.errf(pktIdx, "unimplemented op %v", in.Op)
 		}
 		if s.halted {
 			break
@@ -411,17 +412,15 @@ func (s *Sim) Step() error {
 		}
 	}
 	for i := range due {
-		if s.Strict {
-			// Two writes to one register collide only if they land in the
-			// same cycle (the hardware contract): compare with the latest
-			// earlier write to the register.
-			for j := i - 1; j >= 0; j-- {
-				if due[j].reg == due[i].reg {
-					if due[j].commitAt == due[i].commitAt {
-						return s.errf(pktIdx, "writeback collision on %s", due[i].reg)
-					}
-					break
+		// Two writes to one register collide only if they land in the
+		// same cycle (the hardware contract): compare with the latest
+		// earlier write to the register.
+		for j := i - 1; j >= 0; j-- {
+			if due[j].reg == due[i].reg {
+				if due[j].commitAt == due[i].commitAt {
+					return s.errf(pktIdx, "writeback collision on %s", due[i].reg)
 				}
+				break
 			}
 		}
 		s.Regs[due[i].reg] = due[i].val
@@ -437,81 +436,13 @@ func (s *Sim) Step() error {
 	return nil
 }
 
-func (s *Sim) alu(pkt int, in Inst) (uint32, error) {
-	// Read only the operands the op actually uses: the unused operand
-	// field's zero value names A0, and a spurious read would trip the
-	// strict in-flight check.
-	var a, b uint32
-	var err error
-	if in.Op.ReadsSrc1() {
-		a, err = s.operand(pkt, in.Src1)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if in.Op.ReadsSrc2() {
-		b, err = s.operand(pkt, in.Src2)
-		if err != nil {
-			return 0, err
-		}
-	}
-	switch in.Op {
-	case MV:
-		return a, nil
-	case MVK:
-		return uint32(int32(int16(in.Src2.Imm))), nil
-	case MVKH:
-		old, err := s.readReg(pkt, in.Dst)
-		if err != nil {
-			return 0, err
-		}
-		return old&0xFFFF | uint32(in.Src2.Imm)<<16, nil
-	case ADD:
-		return a + b, nil
-	case SUB:
-		return a - b, nil
-	case MPY:
-		return a * b, nil
-	case AND:
-		return a & b, nil
-	case OR:
-		return a | b, nil
-	case XOR:
-		return a ^ b, nil
-	case ANDN:
-		return a &^ b, nil
-	case SHL:
-		return a << (b & 31), nil
-	case SHR:
-		return a >> (b & 31), nil
-	case SAR:
-		return uint32(int32(a) >> (b & 31)), nil
-	case NEG:
-		return -a, nil
-	case EXTB:
-		return uint32(int32(int8(a))), nil
-	case EXTH:
-		return uint32(int32(int16(a))), nil
-	case CMPEQ:
-		return b2u(a == b), nil
-	case CMPLT:
-		return b2u(int32(a) < int32(b)), nil
-	case CMPLTU:
-		return b2u(a < b), nil
-	case CMPGT:
-		return b2u(int32(a) > int32(b)), nil
-	case CMPGTU:
-		return b2u(a > b), nil
-	}
-	return 0, s.errf(pkt, "unimplemented op %v", in.Op)
-}
-
 // issueViolation reports the packet's VLIW issue-rule violation, or ""
-// for a well-formed packet: one instruction per unit, ops on legal unit
-// kinds, one cross-path read per side, distinct data-path (T) sides for
-// paired memory ops, and memory base registers on the unit's side. Step
-// checks it in strict mode; the rules do not depend on machine state, so
-// Fuse checks every packet once, for the whole program.
+// for a well-formed packet: register and unit fields in range for what
+// the op uses, one instruction per unit, ops on legal unit kinds, one
+// cross-path read per side, distinct data-path (T) sides for paired
+// memory ops, and memory base registers on the unit's side. The rules
+// do not depend on machine state: Step checks the packet it executes,
+// Fuse every packet of the program, once.
 func issueViolation(pk Packet) string {
 	if len(pk.Insts) == 0 {
 		return "empty packet"
@@ -519,10 +450,22 @@ func issueViolation(pk Packet) string {
 	if len(pk.Insts) > 8 {
 		return fmt.Sprintf("packet with %d instructions", len(pk.Insts))
 	}
-	var unitUsed [9]bool
-	var crossUsed [2]bool
-	var tUsed [2]bool
-	for _, in := range pk.Insts {
+	var used ResSet
+	var regBuf [5]Reg
+	for k := range pk.Insts {
+		in := &pk.Insts[k]
+		if in.Unit > D2 {
+			return fmt.Sprintf("%v on unit field %d", in.Op, in.Unit)
+		}
+		regs := in.Reads(regBuf[:0])
+		if in.HasDst() {
+			regs = append(regs, in.Dst)
+		}
+		for _, r := range regs {
+			if r >= 2*NumRegs {
+				return fmt.Sprintf("%v uses register field %d", in.Op, r)
+			}
+		}
 		if in.Op == NOP || in.Op == HALT {
 			if len(pk.Insts) != 1 {
 				return fmt.Sprintf("%v must be alone in its packet", in.Op)
@@ -532,56 +475,28 @@ func issueViolation(pk Packet) string {
 		if in.Unit == UnitNone {
 			return fmt.Sprintf("%v has no unit", in)
 		}
-		if unitUsed[in.Unit] {
+		if used&(1<<in.Unit) != 0 {
 			return fmt.Sprintf("unit %v used twice", in.Unit)
 		}
-		unitUsed[in.Unit] = true
-		kinds := in.Op.UnitKinds()
-		ok := false
-		for i := 0; i < len(kinds); i++ {
-			if kinds[i] == in.Unit.Kind() {
-				ok = true
-			}
-		}
-		if !ok {
+		if strings.IndexByte(in.Op.UnitKinds(), in.Unit.Kind()) < 0 {
 			return fmt.Sprintf("%v cannot execute on %v", in.Op, in.Unit)
 		}
-		side := in.Unit.Side()
-		if in.Op.IsMem() {
-			if !in.Src1.IsImm && in.Src1.Reg.Side() != side {
-				return fmt.Sprintf("memory base %s not on unit side of %v", in.Src1.Reg, in.Unit)
-			}
-			dataReg := in.Dst
-			if in.Op.IsStore() {
-				dataReg = in.Data
-			}
-			t := dataReg.Side()
-			if tUsed[t] {
-				return fmt.Sprintf("two memory ops on data path T%d", t+1)
-			}
-			tUsed[t] = true
-			continue // memory offset/data do not use the cross path
+		if in.Op.IsMem() && !in.Src1.IsImm && in.Src1.Reg.Side() != in.Unit.Side() {
+			return fmt.Sprintf("memory base %s not on unit side of %v", in.Src1.Reg, in.Unit)
 		}
-		if in.Op == BPKT {
-			continue
+		res, ok := in.Resources(in.Unit)
+		if !ok {
+			return fmt.Sprintf("%v reads two cross-path operands", in)
 		}
-		// Count cross-path source reads (only operands the op reads).
-		cross := 0
-		if in.Op.ReadsSrc1() && !in.Src1.IsImm && in.Src1.Reg != NoReg && in.Src1.Reg.Side() != side {
-			cross++
+		switch c := used & res; {
+		case c&(resT<<SideA) != 0:
+			return "two memory ops on data path T1"
+		case c&(resT<<SideB) != 0:
+			return "two memory ops on data path T2"
+		case c != 0:
+			return fmt.Sprintf("cross path %v used twice", in.Unit.Side())
 		}
-		if in.Op.ReadsSrc2() && !in.Src2.IsImm && in.Src2.Reg != NoReg && in.Src2.Reg.Side() != side {
-			cross++
-		}
-		if cross > 0 {
-			if cross > 1 {
-				return fmt.Sprintf("%v reads two cross-path operands", in)
-			}
-			if crossUsed[side] {
-				return fmt.Sprintf("cross path %v used twice", side)
-			}
-			crossUsed[side] = true
-		}
+		used |= res
 	}
 	return ""
 }
@@ -597,24 +512,6 @@ func (s *Sim) Run() error {
 		}
 	}
 	return nil
-}
-
-// loadExtend sign-extends a loaded value per op (LDH, LDB).
-func loadExtend(op Op, v uint32) uint32 {
-	switch op {
-	case LDH:
-		return uint32(int32(int16(v)))
-	case LDB:
-		return uint32(int32(int8(v)))
-	}
-	return v
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Disassemble renders the whole program as a listing, one packet per

@@ -55,6 +55,22 @@ func runProg(t *testing.T, packets ...Packet) *Sim {
 	return s
 }
 
+// TestOpTableComplete: every op has a name and the unit kinds that
+// execute it (NOP and HALT occupy no unit), and every op that computes a
+// register value has a kernel — a new opcode without semantics fails
+// here, not as a no-kernel deopt at run time.
+func TestOpTableComplete(t *testing.T) {
+	for op := INVALID + 1; op < NumOps; op++ {
+		row := opTable[op]
+		if row.name == "" || row.units == "" && op != NOP && op != HALT {
+			t.Errorf("op %d: name %q, unit kinds %q", op, row.name, row.units)
+		}
+		if row.use&useDst != 0 && row.mem == 0 && row.kernel == nil {
+			t.Errorf("%v writes a register but has no kernel", op)
+		}
+	}
+}
+
 func TestMvkPair(t *testing.T) {
 	s := runProg(t,
 		pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(0x5678)}),
@@ -117,7 +133,7 @@ func TestSamePacketReadsOldValue(t *testing.T) {
 }
 
 func TestMpyDelaySlot(t *testing.T) {
-	// Reading the MPY result too early is a strict-mode error.
+	// Reading the MPY result too early is a contract error.
 	s := NewSim(&Program{Packets: []Packet{
 		pk(Inst{Op: MPY, Unit: M1, Dst: A(1), Src1: R(A(2)), Src2: R(A(3))}),
 		pk(Inst{Op: MV, Unit: L1, Dst: A(4), Src1: R(A(1))}), // 1 delay slot violated
@@ -174,7 +190,7 @@ func TestLoadUseTooEarlyFails(t *testing.T) {
 		pk(Inst{Op: MV, Unit: L1, Dst: A(2), Src1: R(A(1))}),
 	}}, newTestMem())
 	if err := s.Run(); err == nil {
-		t.Error("reading load result after 3 cycles should fail in strict mode")
+		t.Error("reading load result after 3 cycles should fail")
 	}
 }
 

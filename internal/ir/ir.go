@@ -44,31 +44,6 @@ type Block struct {
 	Ins   []Ins
 }
 
-// Reads returns the registers an instruction reads (including predicate,
-// store data and MVKH's destination merge).
-func (in *Ins) Reads() []c6x.Reg {
-	var rs []c6x.Reg
-	if in.Pred.Valid {
-		rs = append(rs, in.Pred.Reg)
-	}
-	if in.Op.ReadsSrc1() && !in.Src1.IsImm {
-		rs = append(rs, in.Src1.Reg)
-	}
-	if in.Op.ReadsSrc2() && !in.Src2.IsImm {
-		rs = append(rs, in.Src2.Reg)
-	}
-	if in.Op.IsMem() && !in.Src1.IsImm {
-		// base register (Src1) already covered by ReadsSrc1
-	}
-	if in.Op.IsStore() {
-		rs = append(rs, in.Data)
-	}
-	if in.Op == c6x.MVKH {
-		rs = append(rs, in.Dst)
-	}
-	return rs
-}
-
 // Writes returns the register the instruction writes, if any.
 func (in *Ins) Writes() (c6x.Reg, bool) {
 	if in.HasDst() {

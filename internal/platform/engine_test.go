@@ -1,8 +1,10 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/c6x"
@@ -152,5 +154,56 @@ func TestEngineFallbackOnBadProgram(t *testing.T) {
 	}
 	if !sys.CPU.Halted() {
 		t.Fatal("program did not halt")
+	}
+}
+
+// TestMalformedFieldsRejected: programs come gob-decoded from the stores
+// with no check beyond decoding, so a unit field past .D2, or a register
+// field past B31 that the op reads or writes (NoReg included), must come
+// back as a SimError — from the interpreter, from Fuse at load, and from
+// the platform on every engine, the compiled ones falling back to the
+// interpreter — and never as a panic.
+func TestMalformedFieldsRejected(t *testing.T) {
+	w, _ := workload.ByName("gcd")
+	f, err := tc32asm.Assemble(w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := core.Translate(f, core.Options{Level: core.Level2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, a3 := c6x.R(c6x.A(2)), c6x.R(c6x.A(3))
+	cases := map[string]c6x.Inst{
+		"unit":       {Op: c6x.ADD, Unit: 9, Dst: c6x.A(1), Src1: a2, Src2: a3},
+		"dst":        {Op: c6x.ADD, Unit: c6x.L1, Dst: 100, Src1: a2, Src2: a3},
+		"src1":       {Op: c6x.ADD, Unit: c6x.L1, Dst: c6x.A(1), Src1: c6x.R(100), Src2: a3},
+		"src2-noreg": {Op: c6x.ADD, Unit: c6x.L1, Dst: c6x.A(1), Src1: a2, Src2: c6x.R(c6x.NoReg)},
+		"pred":       {Op: c6x.ADD, Unit: c6x.L1, Dst: c6x.A(1), Src1: a2, Src2: a3, Pred: c6x.Pred{Valid: true, Reg: 100}},
+		"mvkh-dst":   {Op: c6x.MVKH, Unit: c6x.S1, Dst: c6x.NoReg, Src2: c6x.Imm(1)},
+		"load-dst":   {Op: c6x.LDW, Unit: c6x.D1, Dst: 100, Src1: a2, Src2: c6x.Imm(0)},
+		"store-data": {Op: c6x.STW, Unit: c6x.D1, Data: 100, Src1: a2, Src2: c6x.Imm(0)},
+		"breg-src1":  {Op: c6x.BREG, Unit: c6x.S2, Src1: c6x.R(c6x.NoReg)},
+		"nop-pred":   {Op: c6x.NOP, Pred: c6x.Pred{Valid: true, Reg: c6x.NoReg}},
+	}
+	for name, bad := range cases {
+		t.Run(name, func(t *testing.T) {
+			prog, cp := *good, *good.C6x
+			cp.Packets = slices.Clone(cp.Packets)
+			cp.Packets[cp.Entry] = c6x.Packet{Insts: []c6x.Inst{bad}}
+			prog.C6x = &cp
+			var se *c6x.SimError
+			if err := c6x.NewSim(&cp, nil).Run(); !errors.As(err, &se) {
+				t.Errorf("Sim.Run: %v, want a SimError", err)
+			}
+			if _, err := c6x.Fuse(&cp, c6x.FuseConfig{}); !errors.As(err, &se) {
+				t.Errorf("Fuse: %v, want a SimError", err)
+			}
+			for _, e := range []Engine{EngineCompiled, EngineCompiledNoFuse, EngineInterp} {
+				if err := NewWithEngine(&prog, e).Run(); !errors.As(err, &se) {
+					t.Errorf("%v: %v, want a SimError", e, err)
+				}
+			}
+		})
 	}
 }

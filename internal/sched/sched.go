@@ -8,8 +8,7 @@
 // dependence graph, with the C6x resource model: one instruction per unit
 // per cycle, one cross-path read per side, one memory op per data path,
 // memory base registers on the unit's side, and no interlocks — every
-// latency is enforced by construction and re-checked by the simulator's
-// strict mode.
+// latency is enforced by construction and re-checked by the simulator.
 package sched
 
 import (
@@ -44,74 +43,32 @@ type node struct {
 	placed   bool
 }
 
-// resources tracks per-cycle issue resources.
-type resources struct {
-	units map[int]uint16 // cycle -> bitmask of used units
-	cross map[int][2]bool
-	tpath map[int][2]bool
-}
-
-func newResources() *resources {
-	return &resources{units: map[int]uint16{}, cross: map[int][2]bool{}, tpath: map[int][2]bool{}}
-}
+// resources tracks the issue resources taken per cycle.
+type resources map[int]c6x.ResSet
 
 // fit tries to place ins at cycle, returning the unit to use.
-func (r *resources) fit(in *ir.Ins, cycle int) (c6x.Unit, bool) {
-	used := r.units[cycle]
+func (r resources) fit(in *ir.Ins, cycle int) (c6x.Unit, bool) {
 	kinds := in.Op.UnitKinds()
 	if kinds == "" { // NOP/HALT handled elsewhere
 		return c6x.UnitNone, true
 	}
 	side := unitSide(in)
-	// Cross-path requirement.
-	cross := 0
-	if in.Op.ReadsSrc1() && !in.Src1.IsImm && !in.Op.IsMem() && in.Src1.Reg.Side() != side {
-		cross++
-	}
-	if in.Op.ReadsSrc2() && !in.Src2.IsImm && in.Src2.Reg.Side() != side {
-		cross++
-	}
-	if cross > 1 {
-		return c6x.UnitNone, false // illegal instruction shape (translator bug)
-	}
-	if cross == 1 && r.cross[cycle][side] {
-		return c6x.UnitNone, false
-	}
-	if in.Op.IsMem() {
-		t := dataSide(in)
-		if r.tpath[cycle][t] {
-			return c6x.UnitNone, false
-		}
-	}
 	for i := 0; i < len(kinds); i++ {
 		u := c6x.UnitFor(kinds[i], side)
-		if used&(1<<u) == 0 {
+		need, ok := in.Resources(u)
+		if !ok {
+			return c6x.UnitNone, false // illegal instruction shape (translator bug)
+		}
+		if r[cycle]&need == 0 {
 			return u, true
 		}
 	}
 	return c6x.UnitNone, false
 }
 
-func (r *resources) take(in *ir.Ins, cycle int, u c6x.Unit) {
-	r.units[cycle] |= 1 << u
-	side := u.Side()
-	cross := 0
-	if in.Op.ReadsSrc1() && !in.Src1.IsImm && !in.Op.IsMem() && in.Src1.Reg.Side() != side {
-		cross++
-	}
-	if in.Op.ReadsSrc2() && !in.Src2.IsImm && in.Src2.Reg.Side() != side {
-		cross++
-	}
-	if cross > 0 {
-		c := r.cross[cycle]
-		c[side] = true
-		r.cross[cycle] = c
-	}
-	if in.Op.IsMem() {
-		t := r.tpath[cycle]
-		t[dataSide(in)] = true
-		r.tpath[cycle] = t
-	}
+func (r resources) take(in *ir.Ins, cycle int, u c6x.Unit) {
+	need, _ := in.Resources(u)
+	r[cycle] |= need
 }
 
 // unitSide returns the side the instruction must execute on: the memory
@@ -129,14 +86,6 @@ func unitSide(in *ir.Ins) c6x.Side {
 		return in.Dst.Side()
 	}
 	return c6x.SideA
-}
-
-// dataSide returns the data-path (T) side of a memory op.
-func dataSide(in *ir.Ins) c6x.Side {
-	if in.Op.IsStore() {
-		return in.Data.Side()
-	}
-	return in.Dst.Side()
 }
 
 func latOf(in *ir.Ins) int { return in.Op.Latency() }
@@ -176,8 +125,12 @@ func Schedule(b *ir.Block) (*Result, error) {
 	}
 
 	// Dependence edges.
+	reads := make([][]c6x.Reg, n)
+	for i := range b.Ins {
+		reads[i] = b.Ins[i].Reads(nil)
+	}
 	for j := 0; j < n; j++ {
-		jr := b.Ins[j].Reads()
+		jr := reads[j]
 		jw, jHas := b.Ins[j].Writes()
 		jMem := b.Ins[j].Op.IsMem()
 		jStoreish := b.Ins[j].Op.IsStore() || b.Ins[j].Volatile
@@ -208,7 +161,7 @@ func Schedule(b *ir.Block) (*Result, error) {
 				dep(latOf(&b.Ins[i]) - latOf(&b.Ins[j]) + 1)
 			}
 			if jHas { // WAR
-				for _, r := range b.Ins[i].Reads() {
+				for _, r := range reads[i] {
 					if r == jw {
 						dep(0)
 					}
@@ -244,7 +197,7 @@ func Schedule(b *ir.Block) (*Result, error) {
 		}
 	}
 
-	res := newResources()
+	res := resources{}
 	// Main list scheduling over all nodes except branch, halt and the
 	// PinLast sync-wait (placed afterwards, as late as possible).
 	deferred := func(i int) bool {

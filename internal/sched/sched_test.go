@@ -218,7 +218,7 @@ func TestHaltLastAndAlone(t *testing.T) {
 }
 
 func TestScheduleRunsOnSimulator(t *testing.T) {
-	// End-to-end: schedule a block and execute it under strict mode.
+	// End-to-end: schedule a block and execute it on the contract-checking interpreter.
 	var insns []ir.Ins
 	insns = append(insns,
 		ins(c6x.Inst{Op: c6x.MVK, Dst: c6x.A(1), Src2: c6x.Imm(6)}),
@@ -233,7 +233,7 @@ func TestScheduleRunsOnSimulator(t *testing.T) {
 	}
 	s := c6x.NewSim(&c6x.Program{Packets: r.Packets}, nullMem{})
 	if err := s.Run(); err != nil {
-		t.Fatalf("strict simulation of scheduled block failed: %v", err)
+		t.Fatalf("simulation of scheduled block failed: %v", err)
 	}
 	if got := s.Reg(c6x.A(4)); got != 43 {
 		t.Errorf("A4 = %d, want 43", got)
