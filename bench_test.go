@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/elf32"
 	"repro/internal/iss"
-	"repro/internal/jit"
 	"repro/internal/platform"
 	"repro/internal/rtlsim"
 	"repro/internal/simfarm"
@@ -268,9 +267,8 @@ func BenchmarkEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkISSBaselines measures host-side simulation speed of the three
-// ISS implementation styles of the paper's Section 2 (interpretation,
-// dynamic/block compilation) plus the RT-level proxy.
+// BenchmarkISSBaselines measures host-side simulation speed of the
+// interpreted reference ISS and the RT-level proxy.
 func BenchmarkISSBaselines(b *testing.B) {
 	name := "sieve"
 	f := cachedELF(b, name)
@@ -278,18 +276,6 @@ func BenchmarkISSBaselines(b *testing.B) {
 	b.Run("interpreted", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s, err := iss.New(f, iss.Config{CycleAccurate: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(insns*float64(b.N)/b.Elapsed().Seconds()/1e6, "hostMIPS")
-	})
-	b.Run("block-compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := jit.New(f, true)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -25,8 +25,6 @@ import (
 	"repro"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/iss"
-	"repro/internal/jit"
 	"repro/internal/platform"
 	"repro/internal/tc32asm"
 	"repro/internal/workload"
@@ -135,42 +133,6 @@ func runAblations() {
 		}
 		im, cm := run(platform.EngineInterp), run(platform.EngineCompiled)
 		fmt.Printf("%-10s %18.1f %18.1f %11.2fx\n", w.Name, im, cm, cm/im)
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation B — ISS implementation styles (Section 2 taxonomy), host speed")
-	fmt.Printf("%-10s %18s %18s %12s\n", "program", "interpreted (MIPS)", "block-compiled", "speedup")
-	for _, name := range []string{"sieve", "fibonacci"} {
-		w, _ := workload.ByName(name)
-		f, err := tc32asm.Assemble(w.Source)
-		check(err)
-		interp := func() (int64, time.Duration) {
-			s, err := iss.New(f, iss.Config{CycleAccurate: true})
-			check(err)
-			t0 := time.Now()
-			check(s.Run())
-			return s.Arch.Retired, time.Since(t0)
-		}
-		jitRun := func() (int64, time.Duration) {
-			s, err := jit.New(f, true)
-			check(err)
-			t0 := time.Now()
-			check(s.Run())
-			return s.Arch.Retired, time.Since(t0)
-		}
-		// Warm up and take the best of three to de-noise.
-		best := func(fn func() (int64, time.Duration)) float64 {
-			var bestMips float64
-			for i := 0; i < 3; i++ {
-				n, d := fn()
-				if m := float64(n) / d.Seconds() / 1e6; m > bestMips {
-					bestMips = m
-				}
-			}
-			return bestMips
-		}
-		im, jm := best(interp), best(jitRun)
-		fmt.Printf("%-10s %18.1f %18.1f %11.2fx\n", w.Name, im, jm, jm/im)
 	}
 	fmt.Println()
 

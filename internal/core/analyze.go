@@ -267,25 +267,12 @@ func transfer(st *absState, in tc32.Inst) {
 	case tc32.LDA:
 		st.a[in.Rd] = absVal{}
 	default:
-		if in.Op.IsLoad() {
-			st.d[in.Rd] = absVal{}
-		} else if dst, has := writesData(in); has {
+		// Any other register the op writes holds an unknown value.
+		switch dst := in.Dst(); {
+		case dst < 16:
 			st.d[dst] = absVal{}
+		case dst != tc32.NoReg:
+			st.a[dst-16] = absVal{}
 		}
 	}
-}
-
-// writesData reports whether in writes a data register not covered by the
-// explicit cases in transfer.
-func writesData(in tc32.Inst) (uint8, bool) {
-	switch in.Op {
-	case tc32.RSUBI, tc32.ANDI, tc32.XORI, tc32.EQI, tc32.LTI,
-		tc32.SHLI, tc32.SHRI, tc32.SARI, tc32.SUB, tc32.MUL, tc32.DIV,
-		tc32.DIVU, tc32.REM, tc32.REMU, tc32.AND, tc32.OR, tc32.XOR,
-		tc32.ANDN, tc32.SHL, tc32.SHR, tc32.SAR, tc32.EQ, tc32.NE,
-		tc32.LT, tc32.LTU, tc32.GE, tc32.GEU, tc32.MIN, tc32.MAX,
-		tc32.ABS, tc32.SEXTB, tc32.SEXTH, tc32.SUB16:
-		return in.Rd, true
-	}
-	return 0, false
 }

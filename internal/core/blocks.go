@@ -182,7 +182,7 @@ func (t *translator) calcCycles() {
 	for _, blk := range t.blocks {
 		pipe := march.NewPipe(t.desc)
 		for _, in := range blk.insts {
-			issue := pipe.Issue(in)
+			issue := pipe.Issue(&in)
 			switch {
 			case in.Op.IsCondBranch():
 				blk.condBranch = true

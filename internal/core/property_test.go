@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/elf32"
 	"repro/internal/iss"
-	"repro/internal/jit"
 	"repro/internal/platform"
 	"repro/internal/rtlsim"
 	"repro/internal/tc32"
@@ -112,8 +111,8 @@ func genProgram(r *rand.Rand) *elf32.File {
 
 // TestRandomProgramsAgreeAcrossAllEngines is the cross-simulator
 // differential property: for random programs, the interpreter, the
-// block-compiled simulator, the RT-level proxy and the translation at
-// levels 0 and 3 must produce identical outputs and final register files,
+// RT-level proxy and the translation at levels 0 and 3 must produce
+// identical outputs and final register files (both files),
 // and the level-3 generated cycle count must track the reference.
 func TestRandomProgramsAgreeAcrossAllEngines(t *testing.T) {
 	f := func(seed int64) bool {
@@ -131,25 +130,6 @@ func TestRandomProgramsAgreeAcrossAllEngines(t *testing.T) {
 		}
 		want := ref.Output()
 
-		// Block-compiled.
-		j, err := jit.New(prog, true)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if err := j.Run(); err != nil {
-			t.Logf("jit: %v", err)
-			return false
-		}
-		if !equalU32(j.Output(), want) || j.Arch.D != ref.Arch.D {
-			t.Logf("seed %d: jit diverged", seed)
-			return false
-		}
-		if j.Stats().Cycles != ref.Stats().Cycles {
-			t.Logf("seed %d: jit cycles %d != %d", seed, j.Stats().Cycles, ref.Stats().Cycles)
-			return false
-		}
-
 		// RT-level proxy.
 		rtl, err := rtlsim.New(prog)
 		if err != nil {
@@ -160,7 +140,7 @@ func TestRandomProgramsAgreeAcrossAllEngines(t *testing.T) {
 			t.Logf("rtl: %v", err)
 			return false
 		}
-		if !equalU32(rtl.Output(), want) || rtl.D != ref.Arch.D {
+		if !equalU32(rtl.Output(), want) || rtl.R != ref.Arch.R {
 			t.Logf("seed %d: rtl diverged", seed)
 			return false
 		}
@@ -197,11 +177,11 @@ func TestRandomProgramsAgreeAcrossAllEngines(t *testing.T) {
 				return false
 			}
 			for i := 0; i < 16; i++ {
-				if sys.CPU.Reg(c6x.A(i)) != ref.Arch.D[i] {
-					t.Logf("seed %d L%d: d%d = %#x want %#x", seed, int(level), i, sys.CPU.Reg(c6x.A(i)), ref.Arch.D[i])
+				if sys.CPU.Reg(c6x.A(i)) != ref.Arch.R[tc32.D(uint8(i))] {
+					t.Logf("seed %d L%d: d%d = %#x want %#x", seed, int(level), i, sys.CPU.Reg(c6x.A(i)), ref.Arch.R[tc32.D(uint8(i))])
 					return false
 				}
-				if sys.CPU.Reg(c6x.B(i)) != ref.Arch.A[i] {
+				if sys.CPU.Reg(c6x.B(i)) != ref.Arch.R[tc32.A(uint8(i))] {
 					t.Logf("seed %d L%d: a%d mismatch", seed, int(level), i)
 					return false
 				}

@@ -48,8 +48,7 @@ type ISSTarget struct {
 // Regs implements Target.
 func (t *ISSTarget) Regs() ([NumRegs]uint32, error) {
 	var r [NumRegs]uint32
-	copy(r[0:16], t.Sim.Arch.D[:])
-	copy(r[16:32], t.Sim.Arch.A[:])
+	copy(r[:], t.Sim.Arch.R[:])
 	r[32] = t.Sim.Arch.PC
 	return r, nil
 }
@@ -57,10 +56,8 @@ func (t *ISSTarget) Regs() ([NumRegs]uint32, error) {
 // SetReg implements Target.
 func (t *ISSTarget) SetReg(n int, v uint32) error {
 	switch {
-	case n < 16:
-		t.Sim.Arch.D[n] = v
 	case n < 32:
-		t.Sim.Arch.A[n-16] = v
+		t.Sim.Arch.R[n] = v
 	case n == 32:
 		t.Sim.Arch.PC = v
 	default:

@@ -6,14 +6,14 @@ import (
 	"repro/internal/tc32"
 )
 
-// Arch is the architectural state of a TC32 core: the two register files,
-// the program counter and the halt flag, plus the attached memory. It is
-// shared by the interpreted simulator, the block-compiled ("JIT")
-// simulator and the debug stub, so that all of them execute exactly the
-// same instruction semantics.
+// Arch is the architectural state of a TC32 core: the register file, the
+// program counter and the halt flag, plus the attached memory. It is
+// shared by the interpreted simulator and the debug stub, so that both
+// execute exactly the same instruction semantics.
 type Arch struct {
-	D  [16]uint32 // data registers
-	A  [16]uint32 // address registers
+	// R holds both register files, indexed by tc32.Reg: d0..d15, then
+	// a0..a15.
+	R  [tc32.NumRegs]uint32
 	PC uint32
 
 	Halted  bool
@@ -35,235 +35,66 @@ type Arch struct {
 // Exec executes one instruction, updating registers, memory and PC, and
 // reports whether a conditional branch was taken. cycle is the current
 // core cycle, passed through to memory-mapped devices.
-func (a *Arch) Exec(i tc32.Inst, cycle int64) (taken bool, err error) {
-	d := &a.D
-	ar := &a.A
+//
+// ALU, address, memory and conditional-branch ops execute from their row
+// of the TC32 op table; only jumps, halt and the interrupt ops are
+// spelled out here.
+func (a *Arch) Exec(i *tc32.Inst, cycle int64) (taken bool, err error) {
+	r := &a.R
+	op := i.Op
 	nextPC := i.Addr + uint32(i.Size)
-	switch i.Op {
-	case tc32.MOVI:
-		d[i.Rd] = uint32(i.Imm)
-	case tc32.MOVHI:
-		d[i.Rd] = uint32(i.Imm) << 16
-	case tc32.ADDI:
-		d[i.Rd] = d[i.Rs1] + uint32(i.Imm)
-	case tc32.RSUBI:
-		d[i.Rd] = uint32(i.Imm) - d[i.Rs1]
-	case tc32.ANDI:
-		d[i.Rd] = d[i.Rs1] & uint32(i.Imm)
-	case tc32.ORI:
-		d[i.Rd] = d[i.Rs1] | uint32(i.Imm)
-	case tc32.XORI:
-		d[i.Rd] = d[i.Rs1] ^ uint32(i.Imm)
-	case tc32.EQI:
-		d[i.Rd] = b2u(d[i.Rs1] == uint32(i.Imm))
-	case tc32.LTI:
-		d[i.Rd] = b2u(int32(d[i.Rs1]) < i.Imm)
-	case tc32.SHLI:
-		d[i.Rd] = d[i.Rs1] << (uint32(i.Imm) & 31)
-	case tc32.SHRI:
-		d[i.Rd] = d[i.Rs1] >> (uint32(i.Imm) & 31)
-	case tc32.SARI:
-		d[i.Rd] = uint32(int32(d[i.Rs1]) >> (uint32(i.Imm) & 31))
-	case tc32.MOV:
-		d[i.Rd] = d[i.Rs1]
-	case tc32.ADD:
-		d[i.Rd] = d[i.Rs1] + d[i.Rs2]
-	case tc32.SUB:
-		d[i.Rd] = d[i.Rs1] - d[i.Rs2]
-	case tc32.MUL:
-		d[i.Rd] = d[i.Rs1] * d[i.Rs2]
-	case tc32.DIV:
-		d[i.Rd] = uint32(tc32.DivQuot(int32(d[i.Rs1]), int32(d[i.Rs2])))
-	case tc32.DIVU:
-		d[i.Rd] = tc32.DivQuotU(d[i.Rs1], d[i.Rs2])
-	case tc32.REM:
-		d[i.Rd] = uint32(tc32.DivRem(int32(d[i.Rs1]), int32(d[i.Rs2])))
-	case tc32.REMU:
-		d[i.Rd] = tc32.DivRemU(d[i.Rs1], d[i.Rs2])
-	case tc32.AND:
-		d[i.Rd] = d[i.Rs1] & d[i.Rs2]
-	case tc32.OR:
-		d[i.Rd] = d[i.Rs1] | d[i.Rs2]
-	case tc32.XOR:
-		d[i.Rd] = d[i.Rs1] ^ d[i.Rs2]
-	case tc32.ANDN:
-		d[i.Rd] = d[i.Rs1] &^ d[i.Rs2]
-	case tc32.SHL:
-		d[i.Rd] = d[i.Rs1] << (d[i.Rs2] & 31)
-	case tc32.SHR:
-		d[i.Rd] = d[i.Rs1] >> (d[i.Rs2] & 31)
-	case tc32.SAR:
-		d[i.Rd] = uint32(int32(d[i.Rs1]) >> (d[i.Rs2] & 31))
-	case tc32.EQ:
-		d[i.Rd] = b2u(d[i.Rs1] == d[i.Rs2])
-	case tc32.NE:
-		d[i.Rd] = b2u(d[i.Rs1] != d[i.Rs2])
-	case tc32.LT:
-		d[i.Rd] = b2u(int32(d[i.Rs1]) < int32(d[i.Rs2]))
-	case tc32.LTU:
-		d[i.Rd] = b2u(d[i.Rs1] < d[i.Rs2])
-	case tc32.GE:
-		d[i.Rd] = b2u(int32(d[i.Rs1]) >= int32(d[i.Rs2]))
-	case tc32.GEU:
-		d[i.Rd] = b2u(d[i.Rs1] >= d[i.Rs2])
-	case tc32.MIN:
-		d[i.Rd] = uint32(min32(int32(d[i.Rs1]), int32(d[i.Rs2])))
-	case tc32.MAX:
-		d[i.Rd] = uint32(max32(int32(d[i.Rs1]), int32(d[i.Rs2])))
-	case tc32.ABS:
-		v := int32(d[i.Rs1])
-		if v < 0 {
-			v = -v
+	x, y := i.Operands(r)
+	if k := op.Kernel(); k != nil {
+		r[i.Dst()] = k(x, y)
+	} else if c := op.Cond(); c != nil {
+		if taken = c(x, y); taken {
+			nextPC = i.Target()
 		}
-		d[i.Rd] = uint32(v)
-	case tc32.SEXTB:
-		d[i.Rd] = uint32(int32(int8(d[i.Rs1])))
-	case tc32.SEXTH:
-		d[i.Rd] = uint32(int32(int16(d[i.Rs1])))
-
-	case tc32.MOVHA:
-		ar[i.Rd] = uint32(i.Imm) << 16
-	case tc32.LEA:
-		ar[i.Rd] = ar[i.Rs1] + uint32(i.Imm)
-	case tc32.MOVD2A:
-		ar[i.Rd] = d[i.Rs1]
-	case tc32.MOVA2D:
-		d[i.Rd] = ar[i.Rs1]
-	case tc32.ADDA:
-		ar[i.Rd] = ar[i.Rs1] + ar[i.Rs2]
-	case tc32.ADDIA:
-		ar[i.Rd] = ar[i.Rs1] + uint32(i.Imm)
-
-	case tc32.LDW, tc32.LDH, tc32.LDHU, tc32.LDB, tc32.LDBU, tc32.LDA:
-		ea := ar[i.Rs1] + uint32(i.Imm)
-		size := 4
-		switch i.Op {
-		case tc32.LDH, tc32.LDHU:
-			size = 2
-		case tc32.LDB, tc32.LDBU:
-			size = 1
-		}
-		v, err := a.Mem.Read(i.Addr, ea, size, cycle)
+	} else if op.IsLoad() {
+		v, err := a.Mem.Read(i.Addr, x+y, op.MemSize(), cycle)
 		if err != nil {
 			return false, err
 		}
-		switch i.Op {
-		case tc32.LDH:
-			v = uint32(int32(int16(v)))
-		case tc32.LDB:
-			v = uint32(int32(int8(v)))
-		}
-		if i.Op == tc32.LDA {
-			ar[i.Rd] = v
-		} else {
-			d[i.Rd] = v
-		}
-	case tc32.STW, tc32.STH, tc32.STB, tc32.STA:
-		ea := ar[i.Rs1] + uint32(i.Imm)
-		size := 4
-		val := d[i.Rd]
-		switch i.Op {
-		case tc32.STH:
-			size = 2
-		case tc32.STB:
-			size = 1
-		case tc32.STA:
-			val = ar[i.Rd]
-		}
-		if err := a.Mem.Write(i.Addr, ea, val, size, cycle); err != nil {
+		r[i.Data()] = op.Extend(v)
+	} else if op.IsStore() {
+		if err := a.Mem.Write(i.Addr, x+y, r[i.Data()], op.MemSize(), cycle); err != nil {
 			return false, err
 		}
-
-	case tc32.J, tc32.J16:
-		nextPC = i.Target()
-	case tc32.JL:
-		ar[tc32.RA] = i.Addr + 4
-		nextPC = i.Target()
-	case tc32.JI:
-		nextPC = ar[i.Rs1]
-	case tc32.RET, tc32.RET16:
-		nextPC = ar[tc32.RA]
-	case tc32.JEQ:
-		taken = d[i.Rs1] == d[i.Rs2]
-	case tc32.JNE:
-		taken = d[i.Rs1] != d[i.Rs2]
-	case tc32.JLT:
-		taken = int32(d[i.Rs1]) < int32(d[i.Rs2])
-	case tc32.JGE:
-		taken = int32(d[i.Rs1]) >= int32(d[i.Rs2])
-	case tc32.JLTU:
-		taken = d[i.Rs1] < d[i.Rs2]
-	case tc32.JGEU:
-		taken = d[i.Rs1] >= d[i.Rs2]
-	case tc32.JZ:
-		taken = d[i.Rs1] == 0
-	case tc32.JNZ:
-		taken = d[i.Rs1] != 0
-	case tc32.JZ16:
-		taken = d[tc32.ImplicitCond] == 0
-	case tc32.JNZ16:
-		taken = d[tc32.ImplicitCond] != 0
-
-	case tc32.MOV16:
-		d[i.Rd] = d[i.Rs1]
-	case tc32.ADD16:
-		d[i.Rd] += d[i.Rs1]
-	case tc32.SUB16:
-		d[i.Rd] -= d[i.Rs1]
-	case tc32.MOVI16:
-		d[i.Rd] = uint32(i.Imm)
-	case tc32.ADDI16:
-		d[i.Rd] += uint32(i.Imm)
-
-	case tc32.NOP, tc32.NOP16:
-	case tc32.HALT:
-		a.Halted = true
-	case tc32.EI:
-		a.IE = true
-	case tc32.DI:
-		a.IE = false
-	case tc32.RETI:
-		if !a.InHandler {
-			return false, fmt.Errorf("iss: reti outside interrupt handler at %#x", i.Addr)
+	} else {
+		switch op {
+		case tc32.J, tc32.J16:
+			nextPC = i.Target()
+		case tc32.JL:
+			r[tc32.A(tc32.RA)] = i.Addr + 4
+			nextPC = i.Target()
+		case tc32.JI, tc32.RET, tc32.RET16: // the target register is operand x
+			nextPC = x
+		case tc32.NOP, tc32.NOP16:
+		case tc32.HALT:
+			a.Halted = true
+		case tc32.EI:
+			a.IE = true
+		case tc32.DI:
+			a.IE = false
+		case tc32.RETI:
+			if !a.InHandler {
+				return false, fmt.Errorf("iss: reti outside interrupt handler at %#x", i.Addr)
+			}
+			nextPC = a.ShadowPC
+			a.IE = true
+			a.InHandler = false
+		case tc32.WFI:
+			// Waits for the interrupt line regardless of IE. With IE set
+			// the wake is an interrupt delivery; with IE clear the core
+			// just resumes after the wfi (ARM-style), which is what makes
+			// the masked check-then-sleep idiom race-free: a line that
+			// rises between the check and the wfi still wakes it.
+			a.Waiting = true
+		default:
+			return false, fmt.Errorf("iss: unimplemented op %v at %#x", op, i.Addr)
 		}
-		nextPC = a.ShadowPC
-		a.IE = true
-		a.InHandler = false
-	case tc32.WFI:
-		// Waits for the interrupt line regardless of IE. With IE set the
-		// wake is an interrupt delivery; with IE clear the core just
-		// resumes after the wfi (ARM-style), which is what makes the
-		// masked check-then-sleep idiom race-free: a line that rises
-		// between the check and the wfi still wakes it.
-		a.Waiting = true
-	default:
-		return false, fmt.Errorf("iss: unimplemented op %v at %#x", i.Op, i.Addr)
-	}
-	if taken {
-		nextPC = i.Target()
 	}
 	a.PC = nextPC
 	a.Retired++
 	return taken, nil
-}
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }

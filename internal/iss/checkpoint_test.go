@@ -62,8 +62,8 @@ func stepN(t *testing.T, s *Sim, n int) {
 // compareSims demands observable equality of two sims.
 func compareSims(t *testing.T, label string, a, b *Sim) {
 	t.Helper()
-	if a.Arch.D != b.Arch.D || a.Arch.A != b.Arch.A {
-		t.Errorf("%s: register files differ:\nD %v vs %v\nA %v vs %v", label, a.Arch.D, b.Arch.D, a.Arch.A, b.Arch.A)
+	if a.Arch.R != b.Arch.R {
+		t.Errorf("%s: register files differ:\n%v vs %v", label, a.Arch.R, b.Arch.R)
 	}
 	if a.Arch.PC != b.Arch.PC || a.Arch.Halted != b.Arch.Halted || a.Arch.Retired != b.Arch.Retired {
 		t.Errorf("%s: PC/halt/retired differ: %v/%v/%v vs %v/%v/%v",

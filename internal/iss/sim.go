@@ -142,14 +142,14 @@ func New(f *elf32.File, cfg Config) (*Sim, error) {
 func (s *Sim) AttachBus(b Bus) { s.Arch.Mem.AttachBus(b) }
 
 // fetch returns the decoded instruction at pc.
-func (s *Sim) fetch(pc uint32) (tc32.Inst, error) {
+func (s *Sim) fetch(pc uint32) (*tc32.Inst, error) {
 	idx := (pc - s.codeBase) / 2
 	if pc < s.codeBase || int(idx) >= len(s.code) {
-		return tc32.Inst{}, fmt.Errorf("iss: pc %#x outside code", pc)
+		return nil, fmt.Errorf("iss: pc %#x outside code", pc)
 	}
-	inst := s.code[idx]
+	inst := &s.code[idx]
 	if inst.Op == tc32.BAD || inst.Addr != pc {
-		return tc32.Inst{}, fmt.Errorf("iss: pc %#x is not an instruction boundary", pc)
+		return nil, fmt.Errorf("iss: pc %#x is not an instruction boundary", pc)
 	}
 	return inst, nil
 }
@@ -232,11 +232,11 @@ func (s *Sim) Step() error {
 	issue := s.pipe.Issue(inst)
 	// Operand-dependent multiplier timing (Booth model, optional).
 	if s.cfg.CycleAccurate && s.desc.BoothMul && inst.Op == tc32.MUL {
-		s.pipe.Extend(inst, march.BoothExtra(s.Arch.D[inst.Rs2]))
+		s.pipe.Extend(inst, march.BoothExtra(s.Arch.R[tc32.D(inst.Rs2)]))
 	}
 	// I/O accesses incur bus wait states on the source bus.
 	if s.cfg.CycleAccurate && inst.Op.IsMem() {
-		ea := s.Arch.A[inst.Rs1] + uint32(inst.Imm)
+		ea := s.Arch.R[tc32.A(inst.Rs1)] + uint32(inst.Imm)
 		if IsIO(ea) {
 			s.pipe.Stall(int64(s.desc.IOWaitCycles))
 		}
@@ -251,7 +251,7 @@ func (s *Sim) Step() error {
 		if taken {
 			s.stats.TakenCond++
 		}
-		pred := s.desc.PredictTaken(inst)
+		pred := s.desc.PredictTaken(*inst)
 		if pred != taken {
 			s.stats.Mispredicts++
 		}
@@ -264,7 +264,7 @@ func (s *Sim) Step() error {
 		s.pipe.Control(issue, 1)
 	}
 	if s.Trace != nil {
-		s.Trace(inst, s.pipe.Cycles())
+		s.Trace(*inst, s.pipe.Cycles())
 	}
 	return nil
 }

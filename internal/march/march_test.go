@@ -49,8 +49,8 @@ func TestBranchCostModel(t *testing.T) {
 	}
 }
 
-func mkInst(op tc32.Op, rd, rs1, rs2 uint8) tc32.Inst {
-	return tc32.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}
+func mkInst(op tc32.Op, rd, rs1, rs2 uint8) *tc32.Inst {
+	return &tc32.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}
 }
 
 func TestPipeSingleIssue(t *testing.T) {
@@ -99,13 +99,13 @@ func TestPipeLSThenIPDoesNotPair(t *testing.T) {
 
 func TestPipeLoadUse(t *testing.T) {
 	p := NewPipe(Default())
-	p.Issue(tc32.Inst{Op: tc32.LDW, Rd: 1, Rs1: 0}) // load d1
-	p.Issue(mkInst(tc32.ADD, 2, 1, 1))              // uses d1: 1 bubble
+	p.Issue(&tc32.Inst{Op: tc32.LDW, Rd: 1, Rs1: 0}) // load d1
+	p.Issue(mkInst(tc32.ADD, 2, 1, 1))               // uses d1: 1 bubble
 	if got := p.Cycles(); got != 3 {
 		t.Errorf("load-use = %d cycles, want 3 (issue 0, stall, issue 2)", got)
 	}
 	p.Reset()
-	p.Issue(tc32.Inst{Op: tc32.LDW, Rd: 1, Rs1: 0})
+	p.Issue(&tc32.Inst{Op: tc32.LDW, Rd: 1, Rs1: 0})
 	p.Issue(mkInst(tc32.ADD, 2, 3, 3)) // independent: no stall
 	if got := p.Cycles(); got != 2 {
 		t.Errorf("load + independent = %d cycles, want 2", got)
@@ -135,7 +135,7 @@ func TestPipeDivBlocks(t *testing.T) {
 
 func TestPipeControlAndStall(t *testing.T) {
 	p := NewPipe(Default())
-	is := p.Issue(tc32.Inst{Op: tc32.JEQ, Rs1: 0, Rs2: 1, Imm: -4})
+	is := p.Issue(&tc32.Inst{Op: tc32.JEQ, Rs1: 0, Rs2: 1, Imm: -4})
 	p.Control(is, 2) // predicted-taken cost
 	if got := p.Cycles(); got != 2 {
 		t.Errorf("taken branch = %d cycles, want 2", got)
@@ -153,7 +153,7 @@ func TestPipeControlAndStall(t *testing.T) {
 func TestPipeBranchNeverPairs(t *testing.T) {
 	p := NewPipe(Default())
 	p.Issue(mkInst(tc32.ADD, 1, 0, 0)) // IP, opens pair slot
-	is := p.Issue(tc32.Inst{Op: tc32.JZ, Rs1: 3})
+	is := p.Issue(&tc32.Inst{Op: tc32.JZ, Rs1: 3})
 	if is != 1 {
 		t.Errorf("branch issued at %d, want 1 (no pairing)", is)
 	}
@@ -173,7 +173,7 @@ func TestPipeDeterminism(t *testing.T) {
 		run := func() int64 {
 			p := NewPipe(Default())
 			for _, in := range insts {
-				p.Issue(in)
+				p.Issue(&in)
 			}
 			return p.Cycles()
 		}
@@ -310,31 +310,5 @@ func TestCacheReset(t *testing.T) {
 	}
 	if c.Probe(0) {
 		t.Error("reset should invalidate lines")
-	}
-}
-
-func TestInstRegsSpotChecks(t *testing.T) {
-	// st.w d3, 8(a2): sources a2 and d3, no destination.
-	srcs, ns, _, hasDst := InstRegs(tc32.Inst{Op: tc32.STW, Rd: 3, Rs1: 2, Imm: 8})
-	if ns != 2 || hasDst {
-		t.Fatalf("STW regs: ns=%d hasDst=%v", ns, hasDst)
-	}
-	if srcs[0] != AddrReg(2) || srcs[1] != DataReg(3) {
-		t.Errorf("STW srcs = %v", srcs)
-	}
-	// jl: writes a11.
-	_, ns, dst, hasDst := InstRegs(tc32.Inst{Op: tc32.JL})
-	if ns != 0 || !hasDst || dst != AddrReg(tc32.RA) {
-		t.Errorf("JL regs wrong: ns=%d dst=%v", ns, dst)
-	}
-	// add16 d1, d2 reads d1 and d2, writes d1.
-	srcs, ns, dst, hasDst = InstRegs(tc32.Inst{Op: tc32.ADD16, Rd: 1, Rs1: 2})
-	if ns != 2 || !hasDst || dst != DataReg(1) || srcs[0] != DataReg(1) || srcs[1] != DataReg(2) {
-		t.Errorf("ADD16 regs wrong: srcs=%v ns=%d dst=%v", srcs, ns, dst)
-	}
-	// jz16 reads implicit d15.
-	srcs, ns, _, hasDst = InstRegs(tc32.Inst{Op: tc32.JZ16})
-	if ns != 1 || hasDst || srcs[0] != DataReg(15) {
-		t.Errorf("JZ16 regs wrong")
 	}
 }

@@ -2,104 +2,6 @@ package march
 
 import "repro/internal/tc32"
 
-// RegID identifies a register in the unified timing namespace: 0..15 are
-// data registers, 16..31 address registers.
-type RegID uint8
-
-// DataReg and AddrReg build RegIDs for the two files.
-func DataReg(n uint8) RegID { return RegID(n) }
-
-// AddrReg returns the RegID of address register n.
-func AddrReg(n uint8) RegID { return RegID(16 + n) }
-
-// InstRegs returns the source registers (up to two), their count, and the
-// destination register (if any) of a TC32 instruction, in the unified
-// timing namespace. Memory addresses are not registers; the base register
-// of a load/store is a source.
-func InstRegs(i tc32.Inst) (srcs [2]RegID, ns int, dst RegID, hasDst bool) {
-	add := func(r RegID) {
-		srcs[ns] = r
-		ns++
-	}
-	switch i.Op {
-	case tc32.MOVI, tc32.MOVHI:
-		return srcs, 0, DataReg(i.Rd), true
-	case tc32.ADDI, tc32.RSUBI, tc32.ANDI, tc32.ORI, tc32.XORI,
-		tc32.EQI, tc32.LTI, tc32.SHLI, tc32.SHRI, tc32.SARI,
-		tc32.MOV, tc32.ABS, tc32.SEXTB, tc32.SEXTH:
-		add(DataReg(i.Rs1))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.ADD, tc32.SUB, tc32.MUL, tc32.DIV, tc32.DIVU, tc32.REM,
-		tc32.REMU, tc32.AND, tc32.OR, tc32.XOR, tc32.ANDN, tc32.SHL,
-		tc32.SHR, tc32.SAR, tc32.EQ, tc32.NE, tc32.LT, tc32.LTU,
-		tc32.GE, tc32.GEU, tc32.MIN, tc32.MAX:
-		add(DataReg(i.Rs1))
-		add(DataReg(i.Rs2))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.MOVHA:
-		return srcs, 0, AddrReg(i.Rd), true
-	case tc32.LEA, tc32.ADDIA:
-		add(AddrReg(i.Rs1))
-		return srcs, ns, AddrReg(i.Rd), true
-	case tc32.MOVD2A:
-		add(DataReg(i.Rs1))
-		return srcs, ns, AddrReg(i.Rd), true
-	case tc32.MOVA2D:
-		add(AddrReg(i.Rs1))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.ADDA:
-		add(AddrReg(i.Rs1))
-		add(AddrReg(i.Rs2))
-		return srcs, ns, AddrReg(i.Rd), true
-	case tc32.LDW, tc32.LDH, tc32.LDHU, tc32.LDB, tc32.LDBU:
-		add(AddrReg(i.Rs1))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.LDA:
-		add(AddrReg(i.Rs1))
-		return srcs, ns, AddrReg(i.Rd), true
-	case tc32.STW, tc32.STH, tc32.STB:
-		add(AddrReg(i.Rs1))
-		add(DataReg(i.Rd))
-		return srcs, ns, 0, false
-	case tc32.STA:
-		add(AddrReg(i.Rs1))
-		add(AddrReg(i.Rd))
-		return srcs, ns, 0, false
-	case tc32.JL:
-		return srcs, 0, AddrReg(tc32.RA), true
-	case tc32.JI:
-		add(AddrReg(i.Rs1))
-		return srcs, ns, 0, false
-	case tc32.RET, tc32.RET16:
-		add(AddrReg(tc32.RA))
-		return srcs, ns, 0, false
-	case tc32.JEQ, tc32.JNE, tc32.JLT, tc32.JGE, tc32.JLTU, tc32.JGEU:
-		add(DataReg(i.Rs1))
-		add(DataReg(i.Rs2))
-		return srcs, ns, 0, false
-	case tc32.JZ, tc32.JNZ:
-		add(DataReg(i.Rs1))
-		return srcs, ns, 0, false
-	case tc32.MOV16:
-		add(DataReg(i.Rs1))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.ADD16, tc32.SUB16:
-		add(DataReg(i.Rd))
-		add(DataReg(i.Rs1))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.MOVI16:
-		return srcs, 0, DataReg(i.Rd), true
-	case tc32.ADDI16:
-		add(DataReg(i.Rd))
-		return srcs, ns, DataReg(i.Rd), true
-	case tc32.JZ16, tc32.JNZ16:
-		add(DataReg(tc32.ImplicitCond))
-		return srcs, ns, 0, false
-	}
-	// J, J16, NOP, NOP16, HALT: no registers.
-	return srcs, 0, 0, false
-}
-
 // Pipe replays the TC32 dual-issue in-order pipeline timing over an
 // instruction stream. It tracks register availability and IP/LS pairing;
 // control-flow bubbles and fetch stalls are injected by the caller, which
@@ -108,8 +10,8 @@ func InstRegs(i tc32.Inst) (srcs [2]RegID, ns int, dst RegID, hasDst bool) {
 // entry state, predicted outcomes, no I-cache).
 type Pipe struct {
 	desc    *Desc
-	next    int64 // earliest issue cycle of the next instruction
-	readyAt [32]int64
+	next    int64               // earliest issue cycle of the next instruction
+	readyAt [tc32.NumRegs]int64 // by tc32.Reg
 	// Pairing state: an IP instruction that issued at pairCycle and has
 	// not yet been paired with an LS instruction.
 	pairOpen  bool
@@ -141,9 +43,9 @@ func (p *Pipe) Cycles() int64 { return p.next }
 
 // Issue issues one instruction and returns its issue cycle. Branch ops
 // must be followed by a Control call to account for their bubbles.
-func (p *Pipe) Issue(i tc32.Inst) int64 {
+func (p *Pipe) Issue(i *tc32.Inst) int64 {
 	t := p.desc.TimingOf(i.Op)
-	srcs, ns, dst, hasDst := InstRegs(i)
+	srcs, ns, dst := i.Regs()
 	opReady := int64(0)
 	for k := 0; k < ns; k++ {
 		if r := p.readyAt[srcs[k]]; r > opReady {
@@ -165,7 +67,7 @@ func (p *Pipe) Issue(i tc32.Inst) int64 {
 		p.pairOpen = t.Class == IP && !i.Op.IsBranch() && t.Block == 0
 		p.pairCycle = issue
 	}
-	if hasDst {
+	if dst != tc32.NoReg {
 		p.readyAt[dst] = issue + int64(t.Lat)
 	}
 	return issue
@@ -195,11 +97,11 @@ func (p *Pipe) Stall(n int64) {
 // (data-dependent execution units such as a Booth multiplier): consumers
 // of the destination stall accordingly, while independent work still
 // overlaps.
-func (p *Pipe) Extend(i tc32.Inst, extra int64) {
+func (p *Pipe) Extend(i *tc32.Inst, extra int64) {
 	if extra <= 0 {
 		return
 	}
-	if _, _, dst, has := InstRegs(i); has {
+	if dst := i.Dst(); dst != tc32.NoReg {
 		p.readyAt[dst] += extra
 	}
 }

@@ -120,8 +120,8 @@ func runISSIRQ(t *testing.T, f *elf32.File, at []int64) (irqRunState, error) {
 		Cycles:    st.Cycles,
 		IRQsTaken: st.IRQsTaken,
 		ShadowPC:  sim.Arch.ShadowPC,
-		D:         sim.Arch.D,
-		A:         sim.Arch.A,
+		D:         [16]uint32(sim.Arch.R[:16]),
+		A:         [16]uint32(sim.Arch.R[16:]),
 	}, err
 }
 

@@ -34,9 +34,9 @@ const (
 
 // CPU is the multicycle RT-level core.
 type CPU struct {
-	// Architectural state.
-	D  [16]uint32
-	A  [16]uint32
+	// Architectural state: both register files, indexed by tc32.Reg
+	// (d0..d15, then a0..a15).
+	R  [tc32.NumRegs]uint32
 	PC uint32
 
 	// Datapath latches.
@@ -46,13 +46,12 @@ type CPU struct {
 	opA    uint32 // first operand latch
 	opB    uint32 // second operand latch
 	aluOut uint32
-	mdr    uint32
+	mdr    uint32 // memory data register: the loaded word or the store data
 	ea     uint32
 	exLeft int // remaining execute cycles (multiplier/divider busy)
 
 	nextPC uint32
-	wbReg  uint8
-	wbFile byte // 'd', 'a', 0
+	wbReg  tc32.Reg // tc32.NoReg: no writeback
 	memOp  bool
 	doHalt bool
 
@@ -109,8 +108,8 @@ func (c *CPU) evalCombinational() {
 		c.comb.inst = inst
 	}
 	// Register-file read ports (addressed by the current IR fields).
-	c.comb.rfA = c.D[c.ir.Rs1&15]
-	c.comb.rfB = c.D[c.ir.Rs2&15]
+	c.comb.rfA = c.R[c.ir.Rs1&15]
+	c.comb.rfB = c.R[c.ir.Rs2&15]
 	// Execution units.
 	c.execute()
 }
@@ -153,7 +152,9 @@ func (c *CPU) Clock() error {
 		c.ir = ir
 		c.ph = phDecode
 	case phDecode:
-		c.decode()
+		if err := c.decode(); err != nil {
+			return err
+		}
 		c.ph = phExecute
 	case phExecute:
 		if c.exLeft > 1 {
@@ -170,17 +171,10 @@ func (c *CPU) Clock() error {
 			c.ph = phWriteback
 		}
 	case phMemory:
-		in := c.ir
-		size := 4
-		switch in.Op {
-		case tc32.LDH, tc32.LDHU, tc32.STH:
-			size = 2
-		case tc32.LDB, tc32.LDBU, tc32.STB:
-			size = 1
-		}
+		in := &c.ir
+		size := in.Op.MemSize()
 		if in.Op.IsStore() {
-			val := c.opB
-			if err := c.Mem.Write(in.Addr, c.ea, val, size, c.Cycle); err != nil {
+			if err := c.Mem.Write(in.Addr, c.ea, c.mdr, size, c.Cycle); err != nil {
 				return err
 			}
 		} else {
@@ -188,28 +182,16 @@ func (c *CPU) Clock() error {
 			if err != nil {
 				return err
 			}
-			switch in.Op {
-			case tc32.LDH:
-				v = uint32(int32(int16(v)))
-			case tc32.LDB:
-				v = uint32(int32(int8(v)))
-			}
-			c.mdr = v
+			c.mdr = in.Op.Extend(v)
 		}
 		c.ph = phWriteback
 	case phWriteback:
-		if c.wbFile == 'd' {
+		if c.wbReg != tc32.NoReg {
 			v := c.aluOut
 			if c.ir.Op.IsLoad() {
 				v = c.mdr
 			}
-			c.D[c.wbReg] = v
-		} else if c.wbFile == 'a' {
-			v := c.aluOut
-			if c.ir.Op.IsLoad() {
-				v = c.mdr
-			}
-			c.A[c.wbReg] = v
+			c.R[c.wbReg] = v
 		}
 		c.PC = c.nextPC
 		c.Retired++
@@ -221,12 +203,19 @@ func (c *CPU) Clock() error {
 	return nil
 }
 
-// decode latches operands and the writeback plan.
-func (c *CPU) decode() {
-	in := c.ir
+// decode latches operands and the writeback plan, both read off the op's
+// row of the TC32 op table: the operand latches take the kernel's
+// operands (a memory op's base and offset), the memory data register a
+// store's data, and the writeback register the op's destination. The
+// core has no interrupt controller, so reti and wfi are errors, and ei
+// and di change nothing.
+func (c *CPU) decode() error {
+	in := &c.ir
+	if in.Op == tc32.RETI || in.Op == tc32.WFI {
+		return fmt.Errorf("rtlsim: %v at %#x: the RT-level core has no interrupt source", in.Op, in.Addr)
+	}
 	c.memOp = in.Op.IsMem()
 	c.doHalt = in.Op == tc32.HALT
-	c.wbFile = 0
 	c.exLeft = 1
 	switch in.Op {
 	case tc32.MUL:
@@ -234,186 +223,35 @@ func (c *CPU) decode() {
 	case tc32.DIV, tc32.DIVU, tc32.REM, tc32.REMU:
 		c.exLeft = 18
 	}
-	// Operand latches.
-	switch in.Op.Format() {
-	case tc32.FmtRI:
-		c.opA = c.D[in.Rs1]
-		if in.Op == tc32.MOVHA || in.Op == tc32.ADDIA {
-			c.opA = c.A[in.Rs1]
-		}
-		c.opB = uint32(in.Imm)
-	case tc32.FmtRR:
-		switch in.Op {
-		case tc32.MOVA2D, tc32.ADDA:
-			c.opA = c.A[in.Rs1]
-			c.opB = c.A[in.Rs2]
-		default:
-			c.opA = c.D[in.Rs1]
-			c.opB = c.D[in.Rs2]
-		}
-	case tc32.FmtLS:
-		c.opA = c.A[in.Rs1]
-		switch in.Op {
-		case tc32.LEA:
-			c.opB = uint32(in.Imm)
-		case tc32.STA:
-			c.opB = c.A[in.Rd] // store data
-		default:
-			c.opB = c.D[in.Rd] // store data (loads ignore)
-		}
-	case tc32.FmtBR:
-		c.opA = c.D[in.Rs1]
-		c.opB = c.D[in.Rs2]
-	case tc32.FmtJR:
-		c.opA = c.A[in.Rs1]
-	case tc32.FmtSRR:
-		c.opA = c.D[in.Rd]
-		c.opB = c.D[in.Rs1]
-	case tc32.FmtSRC:
-		c.opA = c.D[in.Rd]
-		c.opB = uint32(in.Imm)
-	case tc32.FmtSB:
-		c.opA = c.D[tc32.ImplicitCond]
+	c.opA, c.opB = in.Operands(&c.R)
+	if in.Op.IsStore() {
+		c.mdr = c.R[in.Data()]
 	}
-	// Writeback plan.
-	switch {
-	case in.Op.IsLoad():
-		c.wbReg = in.Rd
-		c.wbFile = 'd'
-		if in.Op == tc32.LDA {
-			c.wbFile = 'a'
-		}
-	case in.Op == tc32.MOVHA, in.Op == tc32.LEA, in.Op == tc32.MOVD2A,
-		in.Op == tc32.ADDA, in.Op == tc32.ADDIA:
-		c.wbReg = in.Rd
-		c.wbFile = 'a'
-	case in.Op == tc32.JL:
-		c.wbReg = tc32.RA
-		c.wbFile = 'a'
-	case in.Op.IsStore(), in.Op.IsBranch(), in.Op == tc32.NOP, in.Op == tc32.NOP16:
-	default:
-		c.wbReg = in.Rd
-		c.wbFile = 'd'
-	}
+	c.wbReg = in.Dst()
+	return nil
 }
 
 // execute drives the ALU, address-generator and branch-unit outputs of
 // the combinational network from the operand latches.
 func (c *CPU) execute() {
-	in := c.ir
+	in := &c.ir
 	a, b := c.opA, c.opB
 	c.comb.nextPC = in.Addr + uint32(in.Size)
-	taken := false
-	switch in.Op {
-	case tc32.MOVI, tc32.MOVI16:
-		c.comb.alu = b
-	case tc32.MOVHI, tc32.MOVHA:
-		c.comb.alu = b << 16
-	case tc32.ADDI, tc32.ADDIA, tc32.LEA:
-		c.comb.alu = a + b
-	case tc32.ADDI16:
-		c.comb.alu = a + b
-	case tc32.RSUBI:
-		c.comb.alu = b - a
-	case tc32.ANDI, tc32.AND:
-		c.comb.alu = a & b
-	case tc32.ORI, tc32.OR:
-		c.comb.alu = a | b
-	case tc32.XORI, tc32.XOR:
-		c.comb.alu = a ^ b
-	case tc32.EQI, tc32.EQ:
-		c.comb.alu = b2u(a == b)
-	case tc32.LTI, tc32.LT:
-		c.comb.alu = b2u(int32(a) < int32(b))
-	case tc32.SHLI, tc32.SHL:
-		c.comb.alu = a << (b & 31)
-	case tc32.SHRI, tc32.SHR:
-		c.comb.alu = a >> (b & 31)
-	case tc32.SARI, tc32.SAR:
-		c.comb.alu = uint32(int32(a) >> (b & 31))
-	case tc32.MOV, tc32.MOVD2A, tc32.MOVA2D:
-		c.comb.alu = a
-	case tc32.MOV16:
-		c.comb.alu = b // SRR format: rs1 is latched into opB
-	case tc32.ADD, tc32.ADDA, tc32.ADD16:
-		c.comb.alu = a + b
-	case tc32.SUB, tc32.SUB16:
-		c.comb.alu = a - b
-	case tc32.MUL:
-		c.comb.alu = a * b
-	case tc32.DIV:
-		c.comb.alu = uint32(tc32.DivQuot(int32(a), int32(b)))
-	case tc32.DIVU:
-		c.comb.alu = tc32.DivQuotU(a, b)
-	case tc32.REM:
-		c.comb.alu = uint32(tc32.DivRem(int32(a), int32(b)))
-	case tc32.REMU:
-		c.comb.alu = tc32.DivRemU(a, b)
-	case tc32.ANDN:
-		c.comb.alu = a &^ b
-	case tc32.NE:
-		c.comb.alu = b2u(a != b)
-	case tc32.LTU:
-		c.comb.alu = b2u(a < b)
-	case tc32.GE:
-		c.comb.alu = b2u(int32(a) >= int32(b))
-	case tc32.GEU:
-		c.comb.alu = b2u(a >= b)
-	case tc32.MIN:
-		if int32(a) < int32(b) {
-			c.comb.alu = a
-		} else {
-			c.comb.alu = b
+	c.comb.taken = false
+	switch op := in.Op; {
+	case op.Kernel() != nil:
+		c.comb.alu = op.Kernel()(a, b)
+	case op.IsMem():
+		c.comb.ea = a + b
+	case op.IsCondBranch():
+		c.comb.taken = op.Cond()(a, b)
+		if c.comb.taken {
+			c.comb.nextPC = in.Target()
 		}
-	case tc32.MAX:
-		if int32(a) > int32(b) {
-			c.comb.alu = a
-		} else {
-			c.comb.alu = b
-		}
-	case tc32.ABS:
-		if int32(a) < 0 {
-			c.comb.alu = -a
-		} else {
-			c.comb.alu = a
-		}
-	case tc32.SEXTB:
-		c.comb.alu = uint32(int32(int8(a)))
-	case tc32.SEXTH:
-		c.comb.alu = uint32(int32(int16(a)))
-
-	case tc32.LDW, tc32.LDH, tc32.LDHU, tc32.LDB, tc32.LDBU, tc32.LDA,
-		tc32.STW, tc32.STH, tc32.STB, tc32.STA:
-		c.comb.ea = a + uint32(in.Imm)
-
-	case tc32.J, tc32.J16:
-		c.comb.nextPC = in.Target()
-	case tc32.JL:
-		c.comb.alu = in.Addr + 4
-		c.comb.nextPC = in.Target()
-	case tc32.JI:
+	case op.IsIndirect(): // ji, ret: the target register is operand a
 		c.comb.nextPC = a
-	case tc32.RET, tc32.RET16:
-		c.comb.nextPC = c.A[tc32.RA]
-	case tc32.JEQ:
-		taken = a == b
-	case tc32.JNE:
-		taken = a != b
-	case tc32.JLT:
-		taken = int32(a) < int32(b)
-	case tc32.JGE:
-		taken = int32(a) >= int32(b)
-	case tc32.JLTU:
-		taken = a < b
-	case tc32.JGEU:
-		taken = a >= b
-	case tc32.JZ, tc32.JZ16:
-		taken = a == 0
-	case tc32.JNZ, tc32.JNZ16:
-		taken = a != 0
-	}
-	c.comb.taken = taken
-	if taken {
+	case op == tc32.J, op == tc32.J16, op == tc32.JL:
+		c.comb.alu = c.comb.nextPC // jl's return address
 		c.comb.nextPC = in.Target()
 	}
 }
@@ -436,10 +274,3 @@ func (c *CPU) Run(maxCycles int64) error {
 
 // Output returns the debug-port writes.
 func (c *CPU) Output() []uint32 { return c.Mem.Output }
-
-func b2u(b bool) uint32 {
-	if b {
-		return 1
-	}
-	return 0
-}

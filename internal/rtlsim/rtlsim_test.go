@@ -1,9 +1,11 @@
 package rtlsim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/iss"
+	"repro/internal/tc32"
 	"repro/internal/tc32asm"
 	"repro/internal/workload"
 )
@@ -79,12 +81,46 @@ _start:	movh.a	sp, 0x1010
 	if err := cpu.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
-		if cpu.D[i] != ref.Arch.D[i] {
-			t.Errorf("d%d = %#x, want %#x", i, cpu.D[i], ref.Arch.D[i])
+	for r := range cpu.R {
+		if cpu.R[r] != ref.Arch.R[r] {
+			t.Errorf("%v = %#x, want %#x", tc32.Reg(r), cpu.R[r], ref.Arch.R[r])
 		}
-		if cpu.A[i] != ref.Arch.A[i] {
-			t.Errorf("a%d = %#x, want %#x", i, cpu.A[i], ref.Arch.A[i])
+	}
+}
+
+// TestInterruptOpsWithoutSource: ei and di write no register (writing
+// back their stale ALU output would clobber d0), and reti and wfi are
+// errors on a core with no interrupt source, as on the reference ISS.
+func TestInterruptOpsWithoutSource(t *testing.T) {
+	for _, op := range []string{"ei", "di"} {
+		f, err := tc32asm.Assemble("_start: movi d0, 7\n movi d1, 40\n add d2, d1, d1\n " + op + "\n halt\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := iss.New(f, iss.Config{})
+		if err := ref.Run(); err != nil {
+			t.Fatal(err)
+		}
+		cpu, _ := New(f)
+		if err := cpu.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if cpu.R != ref.Arch.R {
+			t.Errorf("%s: registers %v, want %v", op, cpu.R[:3], ref.Arch.R[:3])
+		}
+	}
+	for _, op := range []string{"reti", "wfi"} {
+		f, err := tc32asm.Assemble("_start: movi d0, 7\n " + op + "\n halt\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _ := iss.New(f, iss.Config{})
+		if err := ref.Run(); err == nil {
+			t.Fatalf("%s: the ISS ran it without an interrupt source", op)
+		}
+		cpu, _ := New(f)
+		if err := cpu.Run(0); err == nil || !strings.Contains(err.Error(), op) {
+			t.Errorf("%s: rtlsim error %v, want one naming %s", op, err, op)
 		}
 	}
 }
@@ -124,7 +160,7 @@ func TestDividerBusy(t *testing.T) {
 	if cpu.Cycle != 5+5+22+5 {
 		t.Errorf("cycles = %d, want 37", cpu.Cycle)
 	}
-	if cpu.D[2] != 14 {
-		t.Errorf("d2 = %d, want 14", cpu.D[2])
+	if cpu.R[tc32.D(2)] != 14 {
+		t.Errorf("d2 = %d, want 14", cpu.R[tc32.D(2)])
 	}
 }

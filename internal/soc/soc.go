@@ -462,7 +462,7 @@ func (s *System) Output(i int) []uint32 { return s.cores[i].output() }
 func (s *System) CoreRegs(i int) (d, a [16]uint32) {
 	c := s.cores[i]
 	if c.iss != nil {
-		return c.iss.Arch.D, c.iss.Arch.A
+		return [16]uint32(c.iss.Arch.R[:16]), [16]uint32(c.iss.Arch.R[16:])
 	}
 	for r := 0; r < 16; r++ {
 		d[r] = c.plat.CPU.Regs[c6x.A(r)]

@@ -2,6 +2,7 @@ package tc32
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Inst is one decoded TC32 instruction.
@@ -54,31 +55,31 @@ const (
 // Encode encodes the instruction into buf, returning the number of bytes
 // written (2 or 4). It validates field ranges.
 func Encode(i Inst, buf []byte) (int, error) {
-	info := opInfo[i.Op]
+	info := i.Op.info()
 	if i.Op == BAD || i.Op >= NumOps {
 		return 0, fmt.Errorf("tc32: cannot encode op %d", i.Op)
 	}
 	checkReg := func(r uint8, what string) error {
 		if r > 15 {
-			return fmt.Errorf("tc32: %s: %s register %d out of range", info.Name, what, r)
+			return fmt.Errorf("tc32: %s: %s register %d out of range", info.name, what, r)
 		}
 		return nil
 	}
 	disp := func(bits int) (uint32, error) {
 		if i.Imm%2 != 0 {
-			return 0, fmt.Errorf("tc32: %s: odd branch displacement %d", info.Name, i.Imm)
+			return 0, fmt.Errorf("tc32: %s: odd branch displacement %d", info.name, i.Imm)
 		}
 		hw := i.Imm / 2
 		limit := int32(1) << (bits - 1)
 		if hw < -limit || hw >= limit {
-			return 0, fmt.Errorf("tc32: %s: displacement %d out of range", info.Name, i.Imm)
+			return 0, fmt.Errorf("tc32: %s: displacement %d out of range", info.name, i.Imm)
 		}
 		return uint32(hw) & (1<<bits - 1), nil
 	}
 	var word uint32
 	size := 4
-	word = uint32(info.Enc)
-	switch info.Format {
+	word = uint32(info.enc)
+	switch info.format {
 	case FmtNone:
 		// op only
 	case FmtRI:
@@ -89,7 +90,7 @@ func Encode(i Inst, buf []byte) (int, error) {
 			return 0, err
 		}
 		if i.Imm < immMin16 || i.Imm > immMaxU {
-			return 0, fmt.Errorf("tc32: %s: immediate %d out of range", info.Name, i.Imm)
+			return 0, fmt.Errorf("tc32: %s: immediate %d out of range", info.name, i.Imm)
 		}
 		word |= uint32(i.Rd)<<8 | uint32(i.Rs1)<<12 | uint32(uint16(i.Imm))<<16
 	case FmtRR:
@@ -111,7 +112,7 @@ func Encode(i Inst, buf []byte) (int, error) {
 			return 0, err
 		}
 		if i.Imm < immMin16 || i.Imm > immMax16 {
-			return 0, fmt.Errorf("tc32: %s: offset %d out of range", info.Name, i.Imm)
+			return 0, fmt.Errorf("tc32: %s: offset %d out of range", info.name, i.Imm)
 		}
 		word |= uint32(i.Rd)<<8 | uint32(i.Rs1)<<12 | uint32(uint16(i.Imm))<<16
 	case FmtBR:
@@ -152,7 +153,7 @@ func Encode(i Inst, buf []byte) (int, error) {
 			return 0, err
 		}
 		if i.Imm < -8 || i.Imm > 7 {
-			return 0, fmt.Errorf("tc32: %s: const4 %d out of range", info.Name, i.Imm)
+			return 0, fmt.Errorf("tc32: %s: const4 %d out of range", info.name, i.Imm)
 		}
 		word |= uint32(i.Rd)<<8 | (uint32(i.Imm)&0xF)<<12
 	case FmtSB:
@@ -192,7 +193,7 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 	if op == BAD {
 		return Inst{}, fmt.Errorf("tc32: illegal opcode %#02x at %#x", buf[0], addr)
 	}
-	info := opInfo[op]
+	info := op.info()
 	i := Inst{Op: op, Addr: addr, Size: 2}
 	if !op.Is16Bit() {
 		if len(buf) < 4 {
@@ -205,18 +206,15 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 	if i.Size == 4 {
 		word |= uint32(buf[2])<<16 | uint32(buf[3])<<24
 	}
-	switch info.Format {
+	switch info.format {
 	case FmtNone, FmtS0:
 		// nothing
 	case FmtRI:
 		i.Rd = uint8(word >> 8 & 0xF)
 		i.Rs1 = uint8(word >> 12 & 0xF)
-		imm := word >> 16
-		switch op {
-		case ANDI, ORI, XORI, MOVHI, MOVHA:
-			i.Imm = int32(imm) // zero-extended / high-half value
-		default:
-			i.Imm = sext(imm, 16)
+		i.Imm = int32(word >> 16) // zero-extended / high-half value
+		if info.ext == extSign {
+			i.Imm = sext(word>>16, 16)
 		}
 	case FmtRR:
 		i.Rd = uint8(word >> 8 & 0xF)
@@ -246,57 +244,63 @@ func Decode(buf []byte, addr uint32) (Inst, error) {
 	return i, nil
 }
 
-// String renders the instruction in assembler syntax.
+// String renders the instruction in assembler syntax: the mnemonic, the
+// register fields the op's row names, in field order, then the operand
+// its format carries (a memory op's base register is inside its address
+// operand).
 func (i Inst) String() string {
-	name := i.Op.String()
-	switch i.Op.Format() {
-	case FmtNone, FmtS0:
-		return name
-	case FmtRI:
-		switch i.Op {
-		case MOVI, MOVHI:
-			return fmt.Sprintf("%s d%d, %d", name, i.Rd, i.Imm)
-		case MOVHA:
-			return fmt.Sprintf("%s a%d, %d", name, i.Rd, i.Imm)
-		case ADDIA:
-			return fmt.Sprintf("%s a%d, a%d, %d", name, i.Rd, i.Rs1, i.Imm)
-		default:
-			return fmt.Sprintf("%s d%d, d%d, %d", name, i.Rd, i.Rs1, i.Imm)
+	r := i.Op.info()
+	args := make([]string, 0, 3)
+	fields := [...]struct {
+		file RegFile
+		n    uint8
+	}{{r.rd, i.Rd}, {r.rs1, i.Rs1}, {r.rs2, i.Rs2}}
+	for k, f := range fields {
+		if f.file != NoFile && !(k == 1 && r.format == FmtLS) {
+			args = append(args, f.file.Reg(f.n).String())
 		}
-	case FmtRR:
-		switch i.Op {
-		case MOV, ABS, SEXTB, SEXTH:
-			return fmt.Sprintf("%s d%d, d%d", name, i.Rd, i.Rs1)
-		case MOVD2A:
-			return fmt.Sprintf("%s a%d, d%d", name, i.Rd, i.Rs1)
-		case MOVA2D:
-			return fmt.Sprintf("%s d%d, a%d", name, i.Rd, i.Rs1)
-		case ADDA:
-			return fmt.Sprintf("%s a%d, a%d, a%d", name, i.Rd, i.Rs1, i.Rs2)
-		default:
-			return fmt.Sprintf("%s d%d, d%d, d%d", name, i.Rd, i.Rs1, i.Rs2)
-		}
-	case FmtLS:
-		reg := fmt.Sprintf("d%d", i.Rd)
-		if i.Op == LDA || i.Op == STA || i.Op == LEA {
-			reg = fmt.Sprintf("a%d", i.Rd)
-		}
-		return fmt.Sprintf("%s %s, %d(a%d)", name, reg, i.Imm, i.Rs1)
-	case FmtBR:
-		if i.Op == JZ || i.Op == JNZ {
-			return fmt.Sprintf("%s d%d, %#x", name, i.Rs1, i.Target())
-		}
-		return fmt.Sprintf("%s d%d, d%d, %#x", name, i.Rs1, i.Rs2, i.Target())
-	case FmtJ, FmtSB:
-		return fmt.Sprintf("%s %#x", name, i.Target())
-	case FmtJR:
-		return fmt.Sprintf("%s a%d", name, i.Rs1)
-	case FmtSRR:
-		return fmt.Sprintf("%s d%d, d%d", name, i.Rd, i.Rs1)
-	case FmtSRC:
-		return fmt.Sprintf("%s d%d, %d", name, i.Rd, i.Imm)
 	}
-	return name
+	switch {
+	case r.format == FmtLS:
+		args = append(args, fmt.Sprintf("%d(a%d)", i.Imm, i.Rs1))
+	case r.format.PCRelative():
+		args = append(args, fmt.Sprintf("%#x", i.Target()))
+	case r.format.hasOperandImm():
+		args = append(args, fmt.Sprint(i.Imm))
+	}
+	if len(args) == 0 {
+		return i.Op.String()
+	}
+	return i.Op.String() + " " + strings.Join(args, ", ")
+}
+
+// Regs returns the registers the instruction reads (src[:n], at most
+// two) and the one it writes (NoReg if none), in the unified namespace:
+// Rd when the op merges it, Rs1, Rs2, the implicit a11 or d15, a store's
+// data register.
+func (i *Inst) Regs() (src [2]Reg, n int, dst Reg) {
+	r := i.Op.info()
+	f := i.fields()
+	return [2]Reg{r.srcs[0].reg(f), r.srcs[1].reg(f)}, r.nsrc, r.dst.reg(f)
+}
+
+// Dst returns the register the instruction writes (NoReg if none).
+func (i *Inst) Dst() Reg { return i.Op.info().dst.reg(i.fields()) }
+
+// Data returns the register a memory op loads into or stores from.
+func (i *Inst) Data() Reg { return i.Op.info().rd.Reg(i.Rd) }
+
+// Operands returns the operands a and b of the op's kernel or branch
+// condition, read from the register file regs: the first two of Rd when
+// the op merges it, Rs1, Rs2, the implicit a11 or d15, and the operand
+// immediate (imm << 16 for a high-half op), with 0 for a missing one.
+// For a memory op they are the base address and the offset.
+func (i *Inst) Operands(regs *[NumRegs]uint32) (a, b uint32) {
+	r := i.Op.info()
+	f := i.fields()
+	imm := uint32(i.Imm) << r.immShift
+	x, y := &r.args[0], &r.args[1]
+	return regs[x.ref.reg(f)]&x.reg | imm&x.imm, regs[y.ref.reg(f)]&y.reg | imm&y.imm
 }
 
 // DecodeAll decodes the instruction stream in text starting at base,

@@ -33,7 +33,7 @@ func TestOpByName(t *testing.T) {
 
 func TestEncodingWidthBit(t *testing.T) {
 	for op := Op(1); op < NumOps; op++ {
-		enc := opInfo[op].Enc
+		enc := opTable[op].enc
 		if op.Is16Bit() != (enc&1 == 1) {
 			t.Errorf("%v: width bit mismatch (enc=%#x, is16=%v)", op, enc, op.Is16Bit())
 		}
@@ -52,11 +52,9 @@ func randomInst(r *rand.Rand) Inst {
 		case FmtRI:
 			i.Rd = uint8(r.Intn(16))
 			i.Rs1 = uint8(r.Intn(16))
-			switch op {
-			case ANDI, ORI, XORI, MOVHI, MOVHA:
-				i.Imm = int32(r.Intn(1 << 16))
-			default:
-				i.Imm = int32(r.Intn(1<<16)) - 1<<15
+			i.Imm = int32(r.Intn(1 << 16))
+			if opTable[op].ext == extSign {
+				i.Imm -= 1 << 15
 			}
 		case FmtRR:
 			i.Rd = uint8(r.Intn(16))
@@ -280,6 +278,110 @@ func TestStringSmoke(t *testing.T) {
 		s := i.String()
 		if s == "" {
 			t.Fatalf("empty disassembly for %+v", i)
+		}
+	}
+}
+
+// TestOpTableComplete checks every row of the op table for a shape its
+// consumers can derive from: each op has semantics (a kernel, a branch
+// condition, a memory access, or it is one of the control and interrupt
+// ops each consumer spells out), and names only the fields its format
+// encodes, with at most two operands and two source registers.
+func TestOpTableComplete(t *testing.T) {
+	explicit := map[Op]bool{J: true, JL: true, JI: true, RET: true, J16: true, RET16: true,
+		HALT: true, NOP: true, NOP16: true, EI: true, DI: true, RETI: true, WFI: true}
+	hasRd := map[Format]bool{FmtRI: true, FmtRR: true, FmtLS: true, FmtSRR: true, FmtSRC: true}
+	hasRs1 := map[Format]bool{FmtRI: true, FmtRR: true, FmtLS: true, FmtBR: true, FmtJR: true, FmtSRR: true}
+	hasRs2 := map[Format]bool{FmtRR: true, FmtBR: true}
+	for op := Op(1); op < NumOps; op++ {
+		r := opTable[op]
+		kinds := 0
+		for _, k := range []bool{r.kernel != nil, r.cond != nil, r.mem != 0, explicit[op]} {
+			if k {
+				kinds++
+			}
+		}
+		if kinds != 1 {
+			t.Errorf("%v: needs exactly one of kernel, condition, memory access or explicit control (has %d)", op, kinds)
+		}
+		if (r.kernel != nil || r.mem != 0 && r.use&useStore == 0) != (r.use&useDst != 0) {
+			t.Errorf("%v: writes Rd iff it has a kernel or loads", op)
+		}
+		if r.mem != 0 && (r.format != FmtLS || r.rs1 != AFile || r.rd == NoFile) {
+			t.Errorf("%v: memory op must be LS-format with an address base and a data register", op)
+		}
+		if r.use&useSigned != 0 && (r.mem == 0 || r.use&useStore != 0) {
+			t.Errorf("%v: only a load can sign-extend", op)
+		}
+		if r.rd != NoFile && !hasRd[r.format] || r.rs1 != NoFile && !hasRs1[r.format] || r.rs2 != NoFile && !hasRs2[r.format] {
+			t.Errorf("%v: names a register field format %d does not encode", op, r.format)
+		}
+		if r.use&useMerge != 0 && r.rd == NoFile {
+			t.Errorf("%v: merges an Rd it does not name", op)
+		}
+		if r.ext != extSign && r.format != FmtRI {
+			t.Errorf("%v: immediate extension on a non-RI format", op)
+		}
+		operands := 0
+		for _, k := range []bool{r.use&useMerge != 0, r.rs1 != NoFile, r.rs2 != NoFile,
+			r.use&useRA != 0, r.use&useCond15 != 0, r.format.hasOperandImm()} {
+			if k {
+				operands++
+			}
+		}
+		if operands > 2 {
+			t.Errorf("%v: %d kernel operands, want at most 2", op, operands)
+		}
+		in := Inst{Op: op}
+		if _, n, _ := in.Regs(); n > 2 {
+			t.Errorf("%v: %d source registers, want at most 2", op, n)
+		}
+	}
+}
+
+func TestInstRegsSpotChecks(t *testing.T) {
+	cases := []struct {
+		in   Inst
+		srcs []Reg
+		dst  Reg
+	}{
+		{Inst{Op: STW, Rd: 3, Rs1: 2, Imm: 8}, []Reg{A(2), D(3)}, NoReg},
+		{Inst{Op: STA, Rd: 3, Rs1: 4}, []Reg{A(4), A(3)}, NoReg},
+		{Inst{Op: LDW, Rd: 3, Rs1: 2}, []Reg{A(2)}, D(3)},
+		{Inst{Op: LDA, Rd: 3, Rs1: 4}, []Reg{A(4)}, A(3)},
+		{Inst{Op: LEA, Rd: 1, Rs1: 2, Imm: 4}, []Reg{A(2)}, A(1)},
+		{Inst{Op: MOVHA, Rd: 5, Imm: 1}, nil, A(5)},
+		{Inst{Op: MOVD2A, Rd: 1, Rs1: 2}, []Reg{D(2)}, A(1)},
+		{Inst{Op: MOVA2D, Rd: 1, Rs1: 2}, []Reg{A(2)}, D(1)},
+		{Inst{Op: ADDA, Rd: 1, Rs1: 2, Rs2: 3}, []Reg{A(2), A(3)}, A(1)},
+		{Inst{Op: MOVI, Rd: 5, Rs1: 9}, nil, D(5)},
+		{Inst{Op: ADDI, Rd: 5, Rs1: 9}, []Reg{D(9)}, D(5)},
+		{Inst{Op: ADD, Rd: 1, Rs1: 2, Rs2: 3}, []Reg{D(2), D(3)}, D(1)},
+		{Inst{Op: ABS, Rd: 1, Rs1: 2, Rs2: 3}, []Reg{D(2)}, D(1)},
+		{Inst{Op: ADD16, Rd: 1, Rs1: 2}, []Reg{D(1), D(2)}, D(1)},
+		{Inst{Op: MOV16, Rd: 1, Rs1: 2}, []Reg{D(2)}, D(1)},
+		{Inst{Op: ADDI16, Rd: 1, Imm: -1}, []Reg{D(1)}, D(1)},
+		{Inst{Op: JEQ, Rs1: 1, Rs2: 2}, []Reg{D(1), D(2)}, NoReg},
+		{Inst{Op: JZ, Rs1: 1, Rs2: 2}, []Reg{D(1)}, NoReg},
+		{Inst{Op: JZ16}, []Reg{D(ImplicitCond)}, NoReg},
+		{Inst{Op: JL}, nil, A(RA)},
+		{Inst{Op: JI, Rs1: 4}, []Reg{A(4)}, NoReg},
+		{Inst{Op: RET16}, []Reg{A(RA)}, NoReg},
+		{Inst{Op: EI}, nil, NoReg},
+		{Inst{Op: HALT}, nil, NoReg},
+		{Inst{Op: BAD, Rd: 3, Rs1: 4, Rs2: 5}, nil, NoReg},
+		{Inst{Op: NumOps, Rd: 3, Rs1: 4, Rs2: 5}, nil, NoReg},
+	}
+	for _, c := range cases {
+		src, n, dst := c.in.Regs()
+		if n != len(c.srcs) || dst != c.dst {
+			t.Errorf("%v: regs %v -> %v, want %v -> %v", c.in, src[:n], dst, c.srcs, c.dst)
+			continue
+		}
+		for k := range c.srcs {
+			if src[k] != c.srcs[k] {
+				t.Errorf("%v: source %d is %v, want %v", c.in, k, src[k], c.srcs[k])
+			}
 		}
 	}
 }

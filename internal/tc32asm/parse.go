@@ -224,258 +224,59 @@ func (a *assembler) instruction(line string) error {
 		return a.errf("unknown instruction %q", mn)
 	}
 
-	need := func(n int) error {
-		if len(args) != n {
-			return a.errf("%s needs %d operand(s), got %d", mn, n, len(args))
-		}
-		return nil
-	}
-
+	// The operands are the register fields the op's row names, in field
+	// order (a memory op's base is inside its address operand), then the
+	// immediate, address or branch target its format carries.
 	inst := tc32.Inst{Op: op}
-	switch op.Format() {
-	case tc32.FmtNone, tc32.FmtS0:
-		if err := need(0); err != nil {
-			return err
+	format := op.Format()
+	rd, rs1, rs2 := op.RegFiles()
+	if format == tc32.FmtLS {
+		rs1 = tc32.NoFile
+	}
+	regs := [...]struct {
+		file tc32.RegFile
+		dst  *uint8
+	}{{rd, &inst.Rd}, {rs1, &inst.Rs1}, {rs2, &inst.Rs2}}
+	n := 0
+	for _, r := range regs {
+		if r.file != tc32.NoFile {
+			n++
 		}
-		a.addInst(inst, nil, false)
-	case tc32.FmtRI:
-		switch op {
-		case tc32.MOVI, tc32.MOVHI:
-			if err := need(2); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'd')
-			if err != nil {
-				return err
-			}
-			e, err := a.parseExpr(args[1])
-			if err != nil {
-				return err
-			}
-			inst.Rd = rd
-			a.addInst(inst, &e, false)
-		case tc32.MOVHA:
-			if err := need(2); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'a')
-			if err != nil {
-				return err
-			}
-			e, err := a.parseExpr(args[1])
-			if err != nil {
-				return err
-			}
-			inst.Rd = rd
-			a.addInst(inst, &e, false)
-		case tc32.ADDIA:
-			if err := need(3); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'a')
-			if err != nil {
-				return err
-			}
-			rs, err := a.reg(args[1], 'a')
-			if err != nil {
-				return err
-			}
-			e, err := a.parseExpr(args[2])
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1 = rd, rs
-			a.addInst(inst, &e, false)
-		default:
-			if err := need(3); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'd')
-			if err != nil {
-				return err
-			}
-			rs, err := a.reg(args[1], 'd')
-			if err != nil {
-				return err
-			}
-			e, err := a.parseExpr(args[2])
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1 = rd, rs
-			a.addInst(inst, &e, false)
+	}
+	if format.HasImm() {
+		n++
+	}
+	if len(args) != n {
+		return a.errf("%s needs %d operand(s), got %d", mn, n, len(args))
+	}
+	k := 0
+	for _, r := range regs {
+		if r.file == tc32.NoFile {
+			continue
 		}
-	case tc32.FmtRR:
-		switch op {
-		case tc32.MOV, tc32.ABS, tc32.SEXTB, tc32.SEXTH:
-			if err := need(2); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'd')
-			if err != nil {
-				return err
-			}
-			rs, err := a.reg(args[1], 'd')
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1 = rd, rs
-		case tc32.MOVD2A:
-			if err := need(2); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'a')
-			if err != nil {
-				return err
-			}
-			rs, err := a.reg(args[1], 'd')
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1 = rd, rs
-		case tc32.MOVA2D:
-			if err := need(2); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'd')
-			if err != nil {
-				return err
-			}
-			rs, err := a.reg(args[1], 'a')
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1 = rd, rs
-		case tc32.ADDA:
-			if err := need(3); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'a')
-			if err != nil {
-				return err
-			}
-			r1, err := a.reg(args[1], 'a')
-			if err != nil {
-				return err
-			}
-			r2, err := a.reg(args[2], 'a')
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1, inst.Rs2 = rd, r1, r2
-		default:
-			if err := need(3); err != nil {
-				return err
-			}
-			rd, err := a.reg(args[0], 'd')
-			if err != nil {
-				return err
-			}
-			r1, err := a.reg(args[1], 'd')
-			if err != nil {
-				return err
-			}
-			r2, err := a.reg(args[2], 'd')
-			if err != nil {
-				return err
-			}
-			inst.Rd, inst.Rs1, inst.Rs2 = rd, r1, r2
-		}
-		a.addInst(inst, nil, false)
-	case tc32.FmtLS:
-		if err := need(2); err != nil {
-			return err
-		}
-		file := byte('d')
-		if op == tc32.LDA || op == tc32.STA || op == tc32.LEA {
-			file = 'a'
-		}
-		rd, err := a.reg(args[0], file)
+		num, err := a.reg(args[k], r.file.Letter())
 		if err != nil {
 			return err
 		}
-		base, off, err := a.memOperand(args[1])
+		*r.dst = num
+		k++
+	}
+	switch {
+	case format == tc32.FmtLS:
+		base, off, err := a.memOperand(args[k])
 		if err != nil {
 			return err
 		}
-		inst.Rd, inst.Rs1 = rd, base
+		inst.Rs1 = base
 		a.addInst(inst, &off, false)
-	case tc32.FmtBR:
-		wantArgs := 3
-		if op == tc32.JZ || op == tc32.JNZ {
-			wantArgs = 2
-		}
-		if err := need(wantArgs); err != nil {
-			return err
-		}
-		r1, err := a.reg(args[0], 'd')
+	case format.HasImm():
+		e, err := a.parseExpr(args[k])
 		if err != nil {
 			return err
 		}
-		inst.Rs1 = r1
-		targetArg := args[1]
-		if wantArgs == 3 {
-			r2, err := a.reg(args[1], 'd')
-			if err != nil {
-				return err
-			}
-			inst.Rs2 = r2
-			targetArg = args[2]
-		}
-		e, err := a.parseExpr(targetArg)
-		if err != nil {
-			return err
-		}
-		a.addInst(inst, &e, true)
-	case tc32.FmtJ, tc32.FmtSB:
-		if err := need(1); err != nil {
-			return err
-		}
-		e, err := a.parseExpr(args[0])
-		if err != nil {
-			return err
-		}
-		a.addInst(inst, &e, true)
-	case tc32.FmtJR:
-		if err := need(1); err != nil {
-			return err
-		}
-		r1, err := a.reg(args[0], 'a')
-		if err != nil {
-			return err
-		}
-		inst.Rs1 = r1
-		a.addInst(inst, nil, false)
-	case tc32.FmtSRR:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(args[0], 'd')
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(args[1], 'd')
-		if err != nil {
-			return err
-		}
-		inst.Rd, inst.Rs1 = rd, rs
-		a.addInst(inst, nil, false)
-	case tc32.FmtSRC:
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := a.reg(args[0], 'd')
-		if err != nil {
-			return err
-		}
-		e, err := a.parseExpr(args[1])
-		if err != nil {
-			return err
-		}
-		inst.Rd = rd
-		a.addInst(inst, &e, false)
+		a.addInst(inst, &e, format.PCRelative())
 	default:
-		return a.errf("unsupported format for %s", mn)
+		a.addInst(inst, nil, false)
 	}
 	return nil
 }
