@@ -16,14 +16,15 @@
 // Durability and distribution: with a journal (by default
 // <cache-dir>/journal.cabt when -cache-dir is set; -journal overrides,
 // "none" disables) every batch is recorded durably and replayed on
-// restart, so finished results survive a crash. cabt-worker processes
-// may register over HTTP and drain submitted batches through a leased
-// work queue (-lease-ttl, -task-retries); with no workers registered
-// the server executes in-process, bit-identically. Per-tenant
-// submission rates can be capped with -rate-limit/-rate-burst (429 +
-// Retry-After beyond them). On SIGTERM the server drains: submissions
-// get 503, queued work is failed or finished, in-flight batches
-// complete and are journaled, then the process exits.
+// restart, so finished results survive a crash. It is one append-only
+// file, compacted on each start; a directory there refuses to start.
+// cabt-worker processes may register over HTTP and drain submitted
+// batches through a leased work queue (-lease-ttl, -task-retries); with
+// no workers registered the server executes in-process, bit-identically.
+// Per-tenant submission rates can be capped with -rate-limit/-rate-burst
+// (429 + Retry-After beyond them). On SIGTERM the server drains:
+// submissions get 503, queued work is failed or finished, in-flight
+// batches complete and are journaled, then the process exits.
 //
 // Usage:
 //
@@ -69,7 +70,6 @@ func main() {
 	gcMaxAge := flag.Duration("gc-max-age", 0, "evict store objects not used within this window on each sweep (0 = budget-only GC)")
 	adminToken := flag.String("admin-token", "", "enable /v1/admin endpoints for requests presenting this X-Cabt-Admin-Token (empty = disabled)")
 	journal := flag.String("journal", "", "durable batch journal path (default <cache-dir>/journal.cabt; \"none\" disables)")
-	journalRotate := flag.Int64("journal-rotate-bytes", 0, "journal segment size before rotation (0 = 4 MiB default)")
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "distributed task lease TTL: an unheartbeated task is re-run elsewhere after this")
 	taskRetries := flag.Int("task-retries", 3, "distributed per-task delivery budget before the task is failed")
 	rateLimit := flag.Float64("rate-limit", 0, "per-tenant job submissions per second, 429 beyond (0 = unlimited)")
@@ -99,7 +99,6 @@ func main() {
 		RetainTTL: *retainTTL, RetainMax: *retainMax,
 		LeaseTTL: *leaseTTL, TaskRetries: *taskRetries,
 		RateLimit: *rateLimit, RateBurst: *rateBurst,
-		JournalRotateBytes: *journalRotate,
 	}
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir, store.Options{MaxBytes: *cacheBudget})

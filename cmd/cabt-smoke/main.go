@@ -172,11 +172,11 @@ func metricValue(client *http.Client, base, name string) int {
 	return 0
 }
 
-// waitReady polls /v1/stats until the server answers.
+// waitReady polls /readyz until the server is ready for traffic.
 func waitReady(client *http.Client, base string, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for {
-		resp, err := client.Get(base + "/v1/stats")
+		resp, err := client.Get(base + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {

@@ -1,8 +1,7 @@
 // Package faultinject is the repository's seeded, deterministic
 // fault-injection layer: named fault points threaded through the
-// distributed farm (journal appends, segment rotation, compaction,
-// store writes, the worker protocol and the remote store protocol)
-// that can be armed with per-point probability, nth-evaluation and
+// distributed farm (journal appends and compaction, store writes, the
+// worker protocol and the remote store protocol) that can be armed with per-point probability, nth-evaluation and
 // fire-count triggers from a single seeded profile.
 //
 // The contract has three parts:

@@ -37,14 +37,11 @@ package faultinject
 //
 //	journal.append.crash.torn    die after writing a partial frame
 //	journal.append.crash.synced  die after a durable append
-//	journal.rotate.crash.seal    die after sealing a segment, before
-//	                             creating its successor
-//	journal.rotate.crash.open    die after creating the new segment,
-//	                             before the index records the rotation
-//	journal.compact.crash.segment die after writing the compacted
-//	                             segment, before the index commit
-//	journal.compact.crash.commit die after the index commit, before the
-//	                             old epoch's files are removed
+//	journal.compact.crash.segment die after the compacted <path>.tmp is
+//	                             synced, before it is renamed over the
+//	                             journal
+//	journal.compact.crash.commit die after the rename, before the
+//	                             journal reopens the new file
 //	worker.complete.crash        die after executing a task, before
 //	                             reporting it (lease expiry re-runs it)
 //	server.complete.crash        die while handling a completion
@@ -67,8 +64,6 @@ const (
 
 	PointJournalAppendCrashTorn    = "journal.append.crash.torn"
 	PointJournalAppendCrashSynced  = "journal.append.crash.synced"
-	PointJournalRotateCrashSeal    = "journal.rotate.crash.seal"
-	PointJournalRotateCrashOpen    = "journal.rotate.crash.open"
 	PointJournalCompactCrashSeg    = "journal.compact.crash.segment"
 	PointJournalCompactCrashCommit = "journal.compact.crash.commit"
 	PointWorkerCompleteCrash       = "worker.complete.crash"
@@ -95,8 +90,6 @@ var catalog = map[string]bool{
 
 	PointJournalAppendCrashTorn:    true,
 	PointJournalAppendCrashSynced:  true,
-	PointJournalRotateCrashSeal:    true,
-	PointJournalRotateCrashOpen:    true,
 	PointJournalCompactCrashSeg:    true,
 	PointJournalCompactCrashCommit: true,
 	PointWorkerCompleteCrash:       true,

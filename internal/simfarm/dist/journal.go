@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -55,14 +55,14 @@ type Record struct {
 	SoCStats   *simfarm.SoCBatchStats `json:"soc_stats,omitempty"`
 }
 
-// journalMagic opens every segment; the u32 version after it is
-// negotiated explicitly, like the store's object format.
+// journalMagic opens the file; the u32 version after it is negotiated
+// explicitly, like the store's object format.
 var journalMagic = [8]byte{'C', 'A', 'B', 'T', 'J', 'R', 'N', '\n'}
 
 const journalVersion = 1
 
-// segmentHeaderSize is the magic-plus-version prefix of every segment.
-const segmentHeaderSize = len(journalMagic) + 4
+// headerSize is the magic-plus-version prefix of the file.
+const headerSize = len(journalMagic) + 4
 
 // frameHeaderSize is the per-record frame: payload length (u32 LE) then
 // CRC-32 (IEEE) of the payload.
@@ -73,333 +73,94 @@ const frameHeaderSize = 8
 // record and keeps a garbage length field from allocating the world).
 const maxRecordBytes = 256 << 20
 
-// DefaultJournalRotateBytes is the segment size at which Append rotates
-// to a fresh segment. Small enough that recovery after damage loses at
-// most one segment's tail, large enough that a segment holds thousands
-// of typical batch records.
-const DefaultJournalRotateBytes = 4 << 20
-
-// indexName is the recovery index inside the journal directory: the
-// epoch commit pointer plus the sealed-segment manifest.
-const indexName = "index.json"
-
-// journalIndex is the on-disk recovery index. Epoch is load-bearing:
-// compaction commits by atomically writing an index with the bumped
-// epoch, and recovery discards every segment from another epoch. The
-// sealed list is advisory — recovery re-scans segments with CRCs either
-// way — but lets damage to a sealed segment be reported precisely.
-type journalIndex struct {
-	Version int             `json:"version"`
-	Epoch   int             `json:"epoch"`
-	Sealed  []sealedSegment `json:"sealed,omitempty"`
-}
-
-// sealedSegment describes a rotated-out (immutable) segment.
-type sealedSegment struct {
-	Seq     int   `json:"seq"`
-	Bytes   int64 `json:"bytes"`
-	Records int   `json:"records"`
-}
-
-// segmentName renders the canonical segment filename for (epoch, seq).
-func segmentName(epoch, seq int) string {
-	return fmt.Sprintf("seg-%06d-%06d.cabtj", epoch, seq)
-}
-
-// parseSegmentName inverts segmentName; ok is false for foreign files.
-func parseSegmentName(name string) (epoch, seq int, ok bool) {
-	if n, err := fmt.Sscanf(name, "seg-%06d-%06d.cabtj", &epoch, &seq); err != nil || n != 2 {
-		return 0, 0, false
-	}
-	if segmentName(epoch, seq) != name || epoch < 1 || seq < 1 {
-		return 0, 0, false
-	}
-	return epoch, seq, true
-}
-
-// Journal is the durable batch journal: a directory of append-only
-// segments of checksum-framed JSON records, plus a recovery index.
-// Append syncs the active segment, so a record returned to a client as
-// durable survives power loss, and rotates to a new segment once the
-// active one passes the rotation threshold. Compaction writes the
-// surviving records as a new epoch and commits it with one atomic index
-// write, so a crash at any instant leaves either the old epoch or the
-// new one — never a mixture.
+// Journal is the durable batch journal: one append-only file of
+// checksum-framed JSON records. Append syncs the file, so a record
+// returned to a client as durable survives power loss. Compaction writes
+// the surviving records to <path>.tmp and renames it over the journal,
+// so a crash at any instant leaves either the old file or the new one.
 //
-// Opening replays every segment of the committed epoch in order,
-// repairing damage by the rule the single-file journal established:
-// nothing after the first damaged byte is trustworthy, so the damaged
-// segment is truncated to its last intact record and all later segments
-// are discarded. A journal created by an older build (one plain file)
-// is migrated in place into a one-segment directory. A Journal is safe
-// for concurrent use.
+// Opening replays the file and repairs damage by one rule: nothing after
+// the first damaged byte is trustworthy, so the file is truncated to its
+// last intact record (or restarted empty when the header itself is
+// unreadable). There is no rotation: damage at byte X loses everything
+// after X however the bytes are split into files, and compaction on open
+// is what bounds the file's size. A Journal is safe for concurrent use.
 type Journal struct {
-	mu  sync.Mutex
-	dir string
+	mu   sync.Mutex
+	path string
+	f    *os.File
+	size int64 // bytes of intact records: the append offset
 
-	epoch int
-	seq   int // active segment
-	f     *os.File
-	size  int64 // bytes in the active segment
-	nrec  int   // records in the active segment
-
-	sealed      []sealedSegment
-	records     []Record
-	repaired    int64
-	rotateBytes int64
+	records  []Record
+	repaired int64
 }
 
-// JournalOptions tunes OpenJournalWith.
-type JournalOptions struct {
-	// RotateBytes is the active-segment size that triggers rotation
-	// (<= 0 means DefaultJournalRotateBytes).
-	RotateBytes int64
-}
-
-// OpenJournal opens (creating if needed) the journal at path and
-// replays it with default options. Every failure mode of the directory
-// body recovers: a missing directory is created, a legacy single-file
-// journal is migrated, an unreadable segment header or foreign content
-// restarts that segment empty, and a damaged tail is truncated at the
-// last intact record with later segments discarded.
+// OpenJournal opens (creating if needed) the journal file at path and
+// replays it. A leftover <path>.tmp of an interrupted compaction is
+// removed, an unreadable header restarts the journal empty, and a
+// damaged tail is truncated at the last intact record. Only an OS error
+// (a directory at path, a missing parent, no permission) fails the open.
 func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalWith(path, JournalOptions{})
-}
-
-// OpenJournalWith is OpenJournal with explicit options.
-func OpenJournalWith(path string, opts JournalOptions) (*Journal, error) {
-	rb := opts.RotateBytes
-	if rb <= 0 {
-		rb = DefaultJournalRotateBytes
-	}
-	if err := migrateLegacyJournal(path); err != nil {
-		return nil, fmt.Errorf("journal: migrate: %w", err)
-	}
-	if err := os.MkdirAll(path, 0o755); err != nil {
+	if err := os.Remove(path + ".tmp"); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{dir: path, rotateBytes: rb}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	j := &Journal{path: path, f: f}
 	if err := j.recover(); err != nil {
-		if j.f != nil {
-			j.f.Close()
-			j.f = nil
-		}
+		f.Close()
 		return nil, err
 	}
 	return j, nil
 }
 
-// migrateLegacyJournal converts a pre-segmentation single-file journal
-// at path into a directory whose first segment is that file, byte for
-// byte (the file format and the segment format are identical). The
-// two-rename dance is crash-safe: the file moves into a staging
-// directory, then the staging directory renames over the now-vacant
-// path. A crash between the renames leaves the staging directory, which
-// the next open finishes renaming.
-func migrateLegacyJournal(path string) error {
-	staging := path + ".migrate"
-	fi, err := os.Stat(path)
-	switch {
-	case err == nil && fi.Mode().IsRegular():
-		if err := os.RemoveAll(staging); err != nil {
-			return err
-		}
-		if err := os.MkdirAll(staging, 0o755); err != nil {
-			return err
-		}
-		if err := os.Rename(path, filepath.Join(staging, segmentName(1, 1))); err != nil {
-			return err
-		}
-		return os.Rename(staging, path)
-	case os.IsNotExist(err):
-		if sfi, serr := os.Stat(staging); serr == nil && sfi.IsDir() {
-			if _, ferr := os.Stat(filepath.Join(staging, segmentName(1, 1))); ferr == nil {
-				return os.Rename(staging, path)
-			}
-			return os.RemoveAll(staging) // crashed before the file moved in
-		}
-		return nil
-	case err != nil:
-		return err
-	}
-	return nil
-}
-
-type segmentRef struct {
-	epoch, seq int
-	path       string
-	size       int64
-}
-
-// recover chooses the committed epoch, replays its segments in order,
-// repairs damage, and leaves the last surviving segment open for
-// appends.
+// recover replays the open file, repairs it in place, and leaves the
+// file offset at the end of the last intact record.
 func (j *Journal) recover() error {
-	idx, idxOK := readJournalIndex(j.dir)
-
-	entries, err := os.ReadDir(j.dir)
+	data, err := os.ReadFile(j.path)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return fmt.Errorf("journal: read: %w", err)
 	}
-	var segs []segmentRef
-	for _, e := range entries {
-		epoch, seq, ok := parseSegmentName(e.Name())
-		if !ok {
-			continue
+	recs, good, headerOK := scanJournal(data)
+	j.repaired = int64(len(data)) - good // all of it when the header is unreadable
+	if !headerOK || j.repaired > 0 {
+		// Nothing after the first damaged byte is trustworthy; an empty
+		// file or an unreadable header restarts the journal empty.
+		if !headerOK {
+			good = int64(headerSize)
+			_, err = j.f.WriteAt(journalHeader(), 0)
 		}
-		info, err := e.Info()
+		if err == nil {
+			err = j.f.Truncate(good)
+		}
+		if err == nil {
+			err = j.f.Sync()
+		}
 		if err != nil {
-			continue
-		}
-		segs = append(segs, segmentRef{epoch, seq, filepath.Join(j.dir, e.Name()), info.Size()})
-	}
-
-	// The committed epoch: the index's when it is readable, else the
-	// highest present (an index lost to corruption must not resurrect a
-	// compacted-away epoch whose files were already deleted).
-	epoch := 1
-	if idxOK {
-		epoch = idx.Epoch
-	} else {
-		for _, s := range segs {
-			if s.epoch > epoch {
-				epoch = s.epoch
-			}
+			return fmt.Errorf("journal: repair: %w", err)
 		}
 	}
-
-	// Segments from other epochs are leftovers of a crashed compaction:
-	// either the not-yet-deleted old epoch (commit happened) or the
-	// never-committed new one. Both roll back by deletion.
-	var mine []segmentRef
-	for _, s := range segs {
-		if s.epoch != epoch {
-			os.Remove(s.path)
-			continue
-		}
-		mine = append(mine, s)
-	}
-	sort.Slice(mine, func(a, b int) bool { return mine[a].seq < mine[b].seq })
-
-	// Sealed sizes recorded in the index let damage inside a sealed
-	// segment be attributed even when the CRC scan below would find it
-	// anyway; build the lookup before replaying.
-	sealedBytes := map[int]int64{}
-	if idxOK {
-		for _, s := range idx.Sealed {
-			sealedBytes[s.Seq] = s.Bytes
-		}
-	}
-
-	damaged := false
-	var kept []segmentRef
-	var keptRecords []int
-	for i, s := range mine {
-		if damaged || (i > 0 && s.seq != mine[i-1].seq+1) {
-			// Past the first damage (or a sequence gap) nothing is
-			// trustworthy: the segment is discarded whole.
-			j.repaired += s.size
-			os.Remove(s.path)
-			damaged = true
-			continue
-		}
-		data, err := os.ReadFile(s.path)
-		if err != nil {
-			return fmt.Errorf("journal: read %s: %w", s.path, err)
-		}
-		recs, good, headerOK := scanSegment(data)
-		if !headerOK && len(data) > 0 {
-			if len(kept) == 0 {
-				// The epoch's first segment has an unreadable header:
-				// nothing framed can be trusted, restart the journal
-				// empty (mirrors the single-file behavior).
-				j.repaired += int64(len(data))
-				if err := rewriteEmptySegment(s.path); err != nil {
-					return err
-				}
-				s.size = int64(segmentHeaderSize)
-				kept = append(kept, s)
-				keptRecords = append(keptRecords, 0)
-				damaged = true
-				continue
-			}
-			j.repaired += s.size
-			os.Remove(s.path)
-			damaged = true
-			continue
-		}
-		if len(data) == 0 {
-			// A segment created but not yet headered (crash inside
-			// rotation): make it a valid empty segment.
-			if err := rewriteEmptySegment(s.path); err != nil {
-				return err
-			}
-			good = int64(segmentHeaderSize)
-			s.size = good
-		}
-		j.records = append(j.records, recs...)
-		if good < int64(len(data)) {
-			if want, ok := sealedBytes[s.seq]; ok && good < want {
-				// A sealed segment shrank below its recorded size: real
-				// damage, not a torn in-flight append.
-				damaged = true
-			}
-			j.repaired += int64(len(data)) - good
-			if err := os.Truncate(s.path, good); err != nil {
-				return fmt.Errorf("journal: truncate damaged tail: %w", err)
-			}
-			s.size = good
-			damaged = true
-		}
-		kept = append(kept, s)
-		keptRecords = append(keptRecords, len(recs))
-	}
-
-	if len(kept) == 0 {
-		path := filepath.Join(j.dir, segmentName(epoch, 1))
-		if err := rewriteEmptySegment(path); err != nil {
-			return err
-		}
-		kept = append(kept, segmentRef{epoch, 1, path, int64(segmentHeaderSize)})
-		keptRecords = append(keptRecords, 0)
-	}
-
-	active := kept[len(kept)-1]
-	f, err := os.OpenFile(active.path, os.O_RDWR, 0o644)
-	if err != nil {
+	if _, err := j.f.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
-	if _, err := f.Seek(active.size, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: %w", err)
-	}
-	j.f = f
-	j.epoch = epoch
-	j.seq = active.seq
-	j.size = active.size
-	j.nrec = keptRecords[len(kept)-1]
-	j.sealed = j.sealed[:0]
-	for i, s := range kept[:len(kept)-1] {
-		j.sealed = append(j.sealed, sealedSegment{Seq: s.seq, Bytes: s.size, Records: keptRecords[i]})
-	}
-	if err := j.writeIndexLocked(); err != nil {
-		return err
-	}
-	return syncDir(j.dir)
+	j.size = good
+	j.records = recs
+	return syncDir(filepath.Dir(j.path))
 }
 
-// scanSegment frames records out of a segment image. It returns the
+// scanJournal frames records out of a journal image. It returns the
 // decoded records, the offset just past the last intact record, and
-// whether the header was valid (an empty image reports headerOK=false
-// with good 0; callers decide whether that is fresh or damaged).
-func scanSegment(data []byte) (recs []Record, good int64, headerOK bool) {
-	if len(data) < segmentHeaderSize ||
+// whether the header was valid (an image too short for one reports
+// headerOK=false with good 0).
+func scanJournal(data []byte) (recs []Record, good int64, headerOK bool) {
+	if len(data) < headerSize ||
 		string(data[:len(journalMagic)]) != string(journalMagic[:]) ||
-		binary.LittleEndian.Uint32(data[len(journalMagic):segmentHeaderSize]) != journalVersion {
+		binary.LittleEndian.Uint32(data[len(journalMagic):headerSize]) != journalVersion {
 		return nil, 0, false
 	}
-	off := segmentHeaderSize
-	goodOff := off
+	off := headerSize
 	for off < len(data) {
 		rest := data[off:]
 		if len(rest) < frameHeaderSize {
@@ -419,78 +180,29 @@ func scanSegment(data []byte) (recs []Record, good int64, headerOK bool) {
 			break // framed but undecodable: same treatment
 		}
 		off += frameHeaderSize + int(plen)
-		goodOff = off
 		recs = append(recs, rec)
 	}
-	return recs, int64(goodOff), true
+	return recs, int64(off), true
 }
 
-// rewriteEmptySegment (re)creates path as a valid empty segment.
-func rewriteEmptySegment(path string) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	err = writeSegmentHeader(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func writeSegmentHeader(f *os.File) error {
-	var hdr [segmentHeaderSize]byte
-	copy(hdr[:], journalMagic[:])
+// journalHeader is the magic-plus-version prefix of a journal file.
+func journalHeader() []byte {
+	hdr := make([]byte, headerSize)
+	copy(hdr, journalMagic[:])
 	binary.LittleEndian.PutUint32(hdr[len(journalMagic):], journalVersion)
-	if _, err := f.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: header: %w", err)
-	}
-	return nil
+	return hdr
 }
 
-func readJournalIndex(dir string) (journalIndex, bool) {
-	data, err := os.ReadFile(filepath.Join(dir, indexName))
+// encodeFrame renders rec as one record frame: length, CRC-32, JSON.
+func encodeFrame(rec Record) ([]byte, error) {
+	payload, err := json.Marshal(rec)
 	if err != nil {
-		return journalIndex{}, false
+		return nil, fmt.Errorf("journal: encode: %w", err)
 	}
-	var idx journalIndex
-	if json.Unmarshal(data, &idx) != nil || idx.Version != 1 || idx.Epoch < 1 {
-		return journalIndex{}, false
-	}
-	return idx, true
-}
-
-// writeIndexLocked atomically replaces the recovery index with the
-// current epoch and sealed manifest. The rename is the commit point
-// compaction relies on.
-func (j *Journal) writeIndexLocked() error {
-	idx := journalIndex{Version: 1, Epoch: j.epoch, Sealed: j.sealed}
-	data, err := json.MarshalIndent(idx, "", "  ")
-	if err != nil {
-		return fmt.Errorf("journal: index: %w", err)
-	}
-	tmp, err := os.CreateTemp(j.dir, ".tmp-index-*")
-	if err != nil {
-		return fmt.Errorf("journal: index: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), filepath.Join(j.dir, indexName))
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: index: %w", werr)
-	}
-	return nil
+	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
+	return append(frame, payload...), nil
 }
 
 // syncDir makes directory-entry changes (creates, renames, removes)
@@ -507,9 +219,9 @@ func syncDir(dir string) error {
 	return err
 }
 
-// Records returns the records replayed when the journal was opened
-// (records appended since open are not included — the opener already
-// knows them).
+// Records returns the records replayed when the journal was opened, or
+// written by the last Compact (records appended since are not included —
+// the caller already knows them).
 func (j *Journal) Records() []Record {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -524,43 +236,17 @@ func (j *Journal) Repaired() int64 {
 	return j.repaired
 }
 
-// Path returns the journal's directory path.
-func (j *Journal) Path() string { return j.dir }
-
-// Segments reports how many segments the journal currently spans
-// (sealed plus the active one).
-func (j *Journal) Segments() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.sealed) + 1
-}
-
-// Epoch reports the committed compaction epoch.
-func (j *Journal) Epoch() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.epoch
-}
-
 var errInjectedSync = errors.New("fsync failed")
 
-// Append durably appends one record to the active segment: frame
-// (length + CRC-32), payload, then fsync, so the record survives a
-// crash the moment Append returns. A failed write heals in place — the
-// segment is truncated back to its last good byte, so one failed append
-// never poisons the next. When the active segment passes the rotation
-// threshold it is sealed and a fresh segment takes over (best-effort:
-// a failed rotation leaves the current segment active and retries on
-// the next append).
+// Append durably appends one record: frame (length + CRC-32), payload,
+// then fsync, so the record survives a crash the moment Append returns.
+// A failed write heals in place — the file is truncated back to its last
+// good byte, so one failed append never poisons the next.
 func (j *Journal) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
+	frame, err := encodeFrame(rec)
 	if err != nil {
-		return fmt.Errorf("journal: encode: %w", err)
+		return err
 	}
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -602,159 +288,90 @@ func (j *Journal) Append(rec Record) error {
 	}
 	faultinject.Crash(faultinject.PointJournalAppendCrashSynced)
 	j.size += int64(len(frame))
-	j.nrec++
-	if j.size >= j.rotateBytes {
-		// Best-effort: the record above is already durable either way,
-		// and an over-threshold segment rotates on the next append.
-		j.rotateLocked()
-	}
 	return nil
 }
 
-// healTailLocked truncates the active segment back to its last good
-// byte after a failed or torn append, so the in-process journal stays
-// consistent without a reopen.
+// healTailLocked truncates the file back to its last good byte after a
+// failed or torn append, so the in-process journal stays consistent
+// without a reopen.
 func (j *Journal) healTailLocked() {
-	if j.f == nil {
-		return
-	}
 	j.f.Truncate(j.size)
-	j.f.Seek(j.size, 0)
-}
-
-// rotateLocked seals the active segment and opens its successor.
-// Ordering is crash-safe at every step: seal (sync) the old segment,
-// create the new one, then record the rotation in the index — recovery
-// re-derives any state a crash kept the index from recording.
-func (j *Journal) rotateLocked() error {
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: rotate: seal: %w", err)
-	}
-	faultinject.Crash(faultinject.PointJournalRotateCrashSeal)
-	nextSeq := j.seq + 1
-	path := filepath.Join(j.dir, segmentName(j.epoch, nextSeq))
-	nf, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	err = writeSegmentHeader(nf)
-	if err == nil {
-		err = nf.Sync()
-	}
-	if err == nil {
-		err = syncDir(j.dir)
-	}
-	if err != nil {
-		nf.Close()
-		os.Remove(path)
-		return fmt.Errorf("journal: rotate: %w", err)
-	}
-	faultinject.Crash(faultinject.PointJournalRotateCrashOpen)
-	j.sealed = append(j.sealed, sealedSegment{Seq: j.seq, Bytes: j.size, Records: j.nrec})
-	j.f.Close()
-	j.f = nf
-	j.seq = nextSeq
-	j.size = int64(segmentHeaderSize)
-	j.nrec = 0
-	// The index entry is advisory (recovery rescans); losing it to a
-	// crash or write failure costs nothing.
-	j.writeIndexLocked()
-	return nil
+	j.f.Seek(j.size, io.SeekStart)
 }
 
 // Compact atomically rewrites the journal to contain exactly recs (in
 // order). The server calls it after replay with the records that
 // survived retention, so pruned batches stop being resurrected and the
-// journal does not grow across restarts without bound. The rewrite is
-// an epoch bump: the survivors are written as the next epoch's first
-// segment, the index commit flips the epoch atomically, and only then
-// are the old epoch's segments deleted — a crash at any instant leaves
-// one complete epoch.
+// journal does not grow across restarts without bound. The survivors
+// are written and synced to <path>.tmp, which one rename then puts in
+// the journal's place: before the rename the old file is the journal
+// (and the next open removes the temp file), after it the new one is.
 func (j *Journal) Compact(recs []Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return errors.New("journal: closed")
 	}
-	newEpoch := j.epoch + 1
-	newPath := filepath.Join(j.dir, segmentName(newEpoch, 1))
-
-	tmp, err := os.CreateTemp(j.dir, ".tmp-seg-*")
+	tmp := j.path + ".tmp"
+	size, err := writeJournalFile(tmp, recs)
+	if err == nil {
+		faultinject.Crash(faultinject.PointJournalCompactCrashSeg)
+		err = os.Rename(tmp, j.path)
+	}
 	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("journal: compact: %w", err)
 	}
-	werr := func() error {
-		if err := writeSegmentHeader(tmp); err != nil {
-			return err
-		}
-		for _, rec := range recs {
-			payload, err := json.Marshal(rec)
-			if err != nil {
-				return err
-			}
-			frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
-			binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-			if _, err := tmp.Write(append(frame, payload...)); err != nil {
-				return err
-			}
-		}
-		return tmp.Sync()
-	}()
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), newPath)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: compact: %w", werr)
-	}
-	faultinject.Crash(faultinject.PointJournalCompactCrashSeg)
-
-	// The commit point: recovery trusts the index's epoch, so after this
-	// rename the new epoch is the journal.
-	oldEpoch, oldSealed := j.epoch, j.sealed
-	j.epoch = newEpoch
-	j.sealed = nil
-	if err := j.writeIndexLocked(); err != nil {
-		j.epoch, j.sealed = oldEpoch, oldSealed
-		os.Remove(newPath)
-		return err
-	}
+	dirErr := syncDir(filepath.Dir(j.path))
 	faultinject.Crash(faultinject.PointJournalCompactCrashCommit)
 
-	// Open the new active segment before deleting anything, so a failure
-	// here cannot leave the journal without a live handle.
-	f, err := os.OpenFile(newPath, os.O_RDWR, 0o644)
+	// The old handle now points at the replaced file: appends must move
+	// to the new one, or the journal is closed.
+	j.f.Close()
+	j.f = nil
+	f, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
+	if err == nil {
+		_, err = f.Seek(size, io.SeekStart)
+		if err != nil {
+			f.Close()
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("journal: compact: reopen: %w", err)
 	}
-	end, err := f.Seek(0, 2)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("journal: compact: %w", err)
-	}
-	j.f.Close()
 	j.f = f
-	j.seq = 1
-	j.size = end
-	j.nrec = len(recs)
+	j.size = size
 	j.records = append([]Record(nil), recs...)
-
-	// Old-epoch segments are now garbage; recovery deletes any a crash
-	// leaves behind.
-	entries, err := os.ReadDir(j.dir)
-	if err == nil {
-		for _, e := range entries {
-			if epoch, _, ok := parseSegmentName(e.Name()); ok && epoch != newEpoch {
-				os.Remove(filepath.Join(j.dir, e.Name()))
-			}
-		}
+	if dirErr != nil {
+		return fmt.Errorf("journal: compact: %w", dirErr)
 	}
-	syncDir(j.dir)
 	return nil
+}
+
+// writeJournalFile creates path as a synced journal holding exactly recs
+// and returns its size.
+func writeJournalFile(path string, recs []Record) (int64, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	buf := journalHeader()
+	for _, rec := range recs {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			f.Close()
+			return 0, err
+		}
+		buf = append(buf, frame...)
+	}
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return int64(len(buf)), err
 }
 
 // Close releases the file handle. Records are already durable (Append

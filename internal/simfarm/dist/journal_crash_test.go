@@ -6,16 +6,15 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"repro/internal/faultinject"
 )
 
 // The crash-point suite kills a real subprocess at every injected crash
-// point in the journal's append, rotation and compaction paths, then
-// replays the survivor in this process. The contract under test is the
-// journal's whole durability story:
+// point in the journal's append and compaction paths, then replays the
+// survivor in this process. The contract under test is the journal's
+// whole durability story:
 //
 //   - an append acknowledged before the crash is always replayed
 //     (unless a committed compaction pruned it by design),
@@ -29,56 +28,39 @@ import (
 
 const (
 	envCrashScenario = "CABT_JOURNAL_CRASH_SCENARIO"
-	envCrashDir      = "CABT_JOURNAL_CRASH_DIR"
+	envCrashPath     = "CABT_JOURNAL_CRASH_PATH"
 	envCrashFaults   = "CABT_JOURNAL_CRASH_FAULTS"
 )
-
-// ackPath tracks how many appends the child saw return successfully —
-// the records whose durability the parent asserts.
-func ackPath(dir string) string { return filepath.Join(filepath.Dir(dir), "acked") }
 
 func TestJournalCrashScenarioChild(t *testing.T) {
 	scenario := os.Getenv(envCrashScenario)
 	if scenario == "" {
 		t.Skip("subprocess scenario runner; driven by TestJournalCrashPoints")
 	}
-	dir := os.Getenv(envCrashDir)
 	plan, err := faultinject.Parse(os.Getenv(envCrashFaults))
 	if err != nil {
 		t.Fatalf("child: parse faults: %v", err)
 	}
 	faultinject.Activate(plan)
 
-	j, err := OpenJournalWith(dir, JournalOptions{RotateBytes: 150})
+	j, err := OpenJournal(os.Getenv(envCrashPath))
 	if err != nil {
 		t.Fatalf("child: open: %v", err)
 	}
-	ack := func(n int) {
-		if err := os.WriteFile(ackPath(dir), []byte(strconv.Itoa(n)), 0o644); err != nil {
-			t.Fatalf("child: ack: %v", err)
+	appends := map[string]int{"appends": 6, "compact": 4}[scenario]
+	if appends == 0 {
+		t.Fatalf("child: unknown scenario %q", scenario)
+	}
+	for i := range appends {
+		if err := j.Append(rec(fmt.Sprintf("a-%d", i), RecordSubmitted)); err != nil {
+			t.Fatalf("child: append %d: %v", i, err)
 		}
 	}
-	switch scenario {
-	case "appends":
-		for i := range 6 {
-			if err := j.Append(rec(fmt.Sprintf("a-%d", i), RecordSubmitted)); err != nil {
-				t.Fatalf("child: append %d: %v", i, err)
-			}
-			ack(i + 1)
-		}
-	case "compact":
-		for i := range 4 {
-			if err := j.Append(rec(fmt.Sprintf("a-%d", i), RecordSubmitted)); err != nil {
-				t.Fatalf("child: append %d: %v", i, err)
-			}
-			ack(i + 1)
-		}
+	if scenario == "compact" {
 		keep := []Record{rec("c-0", RecordSubmitted), rec("c-1", RecordSubmitted)}
 		if err := j.Compact(keep); err != nil {
 			t.Fatalf("child: compact: %v", err)
 		}
-	default:
-		t.Fatalf("child: unknown scenario %q", scenario)
 	}
 	// Reaching here means the armed crash point never fired; the parent
 	// treats a clean exit as a test failure.
@@ -95,12 +77,14 @@ func TestJournalCrashPoints(t *testing.T) {
 	cases := []struct {
 		point    string
 		scenario string
-		// check validates the replayed record IDs; acked is the child's
-		// last acknowledged append count.
-		check func(t *testing.T, j *Journal, ids []string, acked int)
+		// tmpLeft is whether the crash must leave <path>.tmp behind for
+		// the recovery open to remove.
+		tmpLeft bool
+		// check validates the replayed record IDs.
+		check func(t *testing.T, j *Journal, ids []string)
 	}{
-		{faultinject.PointJournalAppendCrashTorn + ":nth=4", "appends",
-			func(t *testing.T, j *Journal, ids []string, acked int) {
+		{faultinject.PointJournalAppendCrashTorn + ":nth=4", "appends", false,
+			func(t *testing.T, j *Journal, ids []string) {
 				// Died mid-frame on the 4th append: exactly the 3 acked
 				// records survive and the torn tail is reported repaired.
 				if want := appendIDs(3); !reflect.DeepEqual(ids, want) {
@@ -110,54 +94,39 @@ func TestJournalCrashPoints(t *testing.T) {
 					t.Error("torn tail left no repair trace")
 				}
 			}},
-		{faultinject.PointJournalAppendCrashSynced + ":nth=4", "appends",
-			func(t *testing.T, j *Journal, ids []string, acked int) {
+		{faultinject.PointJournalAppendCrashSynced + ":nth=4", "appends", false,
+			func(t *testing.T, j *Journal, ids []string) {
 				// Died after the 4th append's fsync: the unacknowledged
 				// record is durable anyway.
 				if want := appendIDs(4); !reflect.DeepEqual(ids, want) {
 					t.Fatalf("replayed %v, want %v", ids, want)
 				}
 			}},
-		{faultinject.PointJournalRotateCrashSeal + ":nth=1", "appends",
-			func(t *testing.T, j *Journal, ids []string, acked int) {
-				checkPrefix(t, ids, appendIDs(6), acked)
-			}},
-		{faultinject.PointJournalRotateCrashOpen + ":nth=1", "appends",
-			func(t *testing.T, j *Journal, ids []string, acked int) {
-				checkPrefix(t, ids, appendIDs(6), acked)
-			}},
-		{faultinject.PointJournalCompactCrashSeg + ":nth=1", "compact",
-			func(t *testing.T, j *Journal, ids []string, acked int) {
-				// New epoch written but not committed: rollback to the
+		{faultinject.PointJournalCompactCrashSeg + ":nth=1", "compact", true,
+			func(t *testing.T, j *Journal, ids []string) {
+				// Compacted file synced but never renamed: rollback to the
 				// full pre-compaction journal.
 				if want := appendIDs(4); !reflect.DeepEqual(ids, want) {
 					t.Fatalf("replayed %v, want pre-compaction %v", ids, want)
 				}
-				if j.Epoch() != 1 {
-					t.Fatalf("epoch %d, want rollback to 1", j.Epoch())
-				}
 			}},
-		{faultinject.PointJournalCompactCrashCommit + ":nth=1", "compact",
-			func(t *testing.T, j *Journal, ids []string, acked int) {
-				// Index committed: the compacted epoch is the journal,
-				// even though Compact never returned to the caller.
+		{faultinject.PointJournalCompactCrashCommit + ":nth=1", "compact", false,
+			func(t *testing.T, j *Journal, ids []string) {
+				// Renamed: the compacted file is the journal, even though
+				// Compact never returned to the caller.
 				if want := []string{"c-0", "c-1"}; !reflect.DeepEqual(ids, want) {
 					t.Fatalf("replayed %v, want compacted %v", ids, want)
-				}
-				if j.Epoch() != 2 {
-					t.Fatalf("epoch %d, want committed 2", j.Epoch())
 				}
 			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.point, func(t *testing.T) {
-			base := t.TempDir()
-			dir := filepath.Join(base, "journal")
+			path := filepath.Join(t.TempDir(), "journal")
 
 			cmd := exec.Command(os.Args[0], "-test.run", "TestJournalCrashScenarioChild$")
 			cmd.Env = append(os.Environ(),
 				envCrashScenario+"="+tc.scenario,
-				envCrashDir+"="+dir,
+				envCrashPath+"="+path,
 				envCrashFaults+"=seed=1;"+tc.point,
 			)
 			out, err := cmd.CombinedOutput()
@@ -165,19 +134,20 @@ func TestJournalCrashPoints(t *testing.T) {
 			if !ok || ee.ExitCode() != faultinject.CrashExitCode {
 				t.Fatalf("child exit = %v, want crash exit %d\n%s", err, faultinject.CrashExitCode, out)
 			}
-
-			acked := 0
-			if data, err := os.ReadFile(ackPath(dir)); err == nil {
-				acked, _ = strconv.Atoi(string(data))
+			if _, err := os.Stat(path + ".tmp"); (err == nil) != tc.tmpLeft {
+				t.Fatalf("temp file after the crash: %v, want present=%v", err, tc.tmpLeft)
 			}
 
-			j, err := OpenJournal(dir)
+			j, err := OpenJournal(path)
 			if err != nil {
 				t.Fatalf("recovery open: %v", err)
 			}
 			defer j.Close()
+			if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+				t.Fatal("temp file survived the recovery open")
+			}
 			first := j.Records()
-			tc.check(t, j, recordIDs(first), acked)
+			tc.check(t, j, recordIDs(first))
 
 			// The recovered journal must accept appends...
 			if err := j.Append(rec("post-crash", RecordSubmitted)); err != nil {
@@ -187,7 +157,7 @@ func TestJournalCrashPoints(t *testing.T) {
 
 			// ...and a second open must converge: no residual damage,
 			// identical records plus the new append.
-			j2, err := OpenJournal(dir)
+			j2, err := OpenJournal(path)
 			if err != nil {
 				t.Fatalf("second open: %v", err)
 			}
@@ -209,17 +179,4 @@ func recordIDs(recs []Record) []string {
 		ids[i] = r.ID
 	}
 	return ids
-}
-
-// checkPrefix asserts ids is a prefix of want that covers at least the
-// acked appends — the invariant for crashes inside rotation, where the
-// in-flight (unacknowledged) append may or may not have become durable.
-func checkPrefix(t *testing.T, ids, want []string, acked int) {
-	t.Helper()
-	if len(ids) > len(want) || len(ids) < acked {
-		t.Fatalf("replayed %d records (%v); acked %d of %v", len(ids), ids, acked, want)
-	}
-	if !reflect.DeepEqual(ids, want[:len(ids)]) {
-		t.Fatalf("replayed %v is not a prefix of %v", ids, want)
-	}
 }

@@ -2,22 +2,22 @@ package dist
 
 import (
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/simfarm"
 )
 
-func journalPath(t *testing.T) string {
+func journalPath(t testing.TB) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "journal.cabt")
 }
 
-func openJournal(t *testing.T, path string) *Journal {
+func openJournal(t testing.TB, path string) *Journal {
 	t.Helper()
 	j, err := OpenJournal(path)
 	if err != nil {
@@ -25,12 +25,6 @@ func openJournal(t *testing.T, path string) *Journal {
 	}
 	t.Cleanup(func() { j.Close() })
 	return j
-}
-
-// seg1 returns the path of the first segment of epoch 1 — where all
-// records land until the journal rotates or compacts.
-func seg1(path string) string {
-	return filepath.Join(path, segmentName(1, 1))
 }
 
 func rec(id string, typ RecordType) Record {
@@ -52,14 +46,14 @@ func rec(id string, typ RecordType) Record {
 	return r
 }
 
-func appendRec(t *testing.T, j *Journal, r Record) {
+func appendRec(t testing.TB, j *Journal, r Record) {
 	t.Helper()
 	if err := j.Append(r); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 }
 
-func wantRecords(t *testing.T, j *Journal, want []Record) {
+func wantRecords(t testing.TB, j *Journal, want []Record) {
 	t.Helper()
 	got := j.Records()
 	if len(got) != len(want) {
@@ -99,50 +93,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	wantRecords(t, j2, recs)
 }
 
-// A journal written by the pre-segmentation format (one plain file at
-// the journal path) must migrate in place and replay identically.
-func TestJournalLegacyMigration(t *testing.T) {
-	path := journalPath(t)
-	intact := []Record{rec("job-1", RecordSubmitted), rec("job-1", RecordFinished)}
-
-	// Build a legacy image: a segment is byte-identical to the old
-	// single-file format, so seed via the segmented journal and then
-	// flatten the directory back into one file at the path.
-	j := openJournal(t, path)
-	for _, r := range intact {
-		appendRec(t, j, r)
-	}
-	j.Close()
-	data, err := os.ReadFile(seg1(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.RemoveAll(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2 := openJournal(t, path)
-	wantRecords(t, j2, intact)
-	if j2.Repaired() != 0 {
-		t.Fatalf("migration reported %d repaired bytes", j2.Repaired())
-	}
-	fi, err := os.Stat(path)
-	if err != nil || !fi.IsDir() {
-		t.Fatalf("journal path not migrated to a directory: %v %v", fi, err)
-	}
-	// And the migration is idempotent across another cycle.
-	extra := rec("job-2", RecordSubmitted)
-	appendRec(t, j2, extra)
-	j2.Close()
-	wantRecords(t, openJournal(t, path), append(append([]Record(nil), intact...), extra))
-}
-
-// seedJournal writes two intact records and returns the active
-// segment's bytes so corruption tests can damage the tail precisely.
-func seedJournal(t *testing.T, path string) (data []byte, intact []Record) {
+// seedJournal writes two intact records and returns the file's bytes so
+// corruption tests can damage the tail precisely.
+func seedJournal(t testing.TB, path string) (data []byte, intact []Record) {
 	t.Helper()
 	j := openJournal(t, path)
 	intact = []Record{rec("job-1", RecordSubmitted), rec("job-1", RecordFinished)}
@@ -152,17 +105,16 @@ func seedJournal(t *testing.T, path string) (data []byte, intact []Record) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	data, err := os.ReadFile(seg1(path))
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read segment: %v", err)
+		t.Fatalf("read journal: %v", err)
 	}
 	return data, intact
 }
 
 // frameEnd returns the offset just past record n (0-based) in data.
-func frameEnd(t *testing.T, data []byte, n int) int {
-	t.Helper()
-	off := segmentHeaderSize
+func frameEnd(data []byte, n int) int {
+	off := headerSize
 	for i := 0; i <= n; i++ {
 		plen := binary.LittleEndian.Uint32(data[off : off+4])
 		off += frameHeaderSize + int(plen)
@@ -170,63 +122,65 @@ func frameEnd(t *testing.T, data []byte, n int) int {
 	return off
 }
 
+// journalDamages are the damage shapes every open must survive, applied
+// to the intact two-record image seedJournal writes.
+var journalDamages = []struct {
+	name   string
+	damage func(data []byte) []byte
+	// keep is how many of the two seeded records must survive.
+	keep int
+	// repaired is whether the open must report discarded bytes (false
+	// for damage shapes that are themselves valid states, like an empty
+	// file).
+	repaired bool
+}{
+	{"truncated-mid-payload", func(data []byte) []byte {
+		return data[:frameEnd(data, 1)-3]
+	}, 1, true},
+	{"truncated-mid-frame-header", func(data []byte) []byte {
+		return data[:frameEnd(data, 0)+5]
+	}, 1, true},
+	{"empty-file", func(data []byte) []byte {
+		return nil
+	}, 0, false},
+	{"header-only", func(data []byte) []byte {
+		return data[:headerSize]
+	}, 0, false},
+	{"bad-magic", func(data []byte) []byte {
+		data[0] ^= 0xff
+		return data
+	}, 0, true},
+	{"wrong-version", func(data []byte) []byte {
+		binary.LittleEndian.PutUint32(data[8:], journalVersion+7)
+		return data
+	}, 0, true},
+	{"flipped-payload-bit", func(data []byte) []byte {
+		// Flip one bit inside the second record's payload: the CRC must
+		// reject it and keep only the first record.
+		data[frameEnd(data, 0)+frameHeaderSize+4] ^= 0x01
+		return data
+	}, 1, true},
+	{"garbage-tail", func(data []byte) []byte {
+		return append(data, []byte("not a frame at all")...)
+	}, 2, true},
+	{"garbage-length-field", func(data []byte) []byte {
+		// A frame header whose length claims more than the file holds.
+		var frame [frameHeaderSize]byte
+		binary.LittleEndian.PutUint32(frame[:4], 1<<30)
+		return append(data, frame[:]...)
+	}, 2, true},
+}
+
 // TestJournalCrashRecovery mirrors the translation store's corruption
 // suite: every damage shape must recover to the longest intact prefix,
 // never an error, and the journal must accept appends afterwards.
 func TestJournalCrashRecovery(t *testing.T) {
-	cases := []struct {
-		name string
-		// damage rewrites the intact two-record segment image.
-		damage func(t *testing.T, data []byte) []byte
-		// keep is how many of the two seeded records must survive.
-		keep int
-		// repaired is whether the open must report discarded bytes
-		// (false for damage shapes that are themselves valid states,
-		// like an empty file).
-		repaired bool
-	}{
-		{"truncated-mid-payload", func(t *testing.T, data []byte) []byte {
-			return data[:frameEnd(t, data, 1)-3]
-		}, 1, true},
-		{"truncated-mid-frame-header", func(t *testing.T, data []byte) []byte {
-			return data[:frameEnd(t, data, 0)+5]
-		}, 1, true},
-		{"empty-file", func(t *testing.T, data []byte) []byte {
-			return nil
-		}, 0, false},
-		{"header-only", func(t *testing.T, data []byte) []byte {
-			return data[:segmentHeaderSize]
-		}, 0, false},
-		{"bad-magic", func(t *testing.T, data []byte) []byte {
-			data[0] ^= 0xff
-			return data
-		}, 0, true},
-		{"wrong-version", func(t *testing.T, data []byte) []byte {
-			binary.LittleEndian.PutUint32(data[8:], journalVersion+7)
-			return data
-		}, 0, true},
-		{"flipped-payload-bit", func(t *testing.T, data []byte) []byte {
-			// Flip one bit inside the second record's payload: the CRC
-			// must reject it and keep only the first record.
-			data[frameEnd(t, data, 0)+frameHeaderSize+4] ^= 0x01
-			return data
-		}, 1, true},
-		{"garbage-tail", func(t *testing.T, data []byte) []byte {
-			return append(data, []byte("not a frame at all")...)
-		}, 2, true},
-		{"garbage-length-field", func(t *testing.T, data []byte) []byte {
-			// A frame header whose length claims more than the file holds.
-			var frame [frameHeaderSize]byte
-			binary.LittleEndian.PutUint32(frame[:4], 1<<30)
-			return append(data, frame[:]...)
-		}, 2, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range journalDamages {
 		t.Run(tc.name, func(t *testing.T) {
 			path := journalPath(t)
 			data, intact := seedJournal(t, path)
-			if err := os.WriteFile(seg1(path), tc.damage(t, append([]byte(nil), data...)), 0o644); err != nil {
-				t.Fatalf("write damaged segment: %v", err)
+			if err := os.WriteFile(path, tc.damage(append([]byte(nil), data...)), 0o644); err != nil {
+				t.Fatalf("write damaged journal: %v", err)
 			}
 
 			j := openJournal(t, path)
@@ -251,6 +205,35 @@ func TestJournalCrashRecovery(t *testing.T) {
 	}
 }
 
+// FuzzJournalOpen writes arbitrary bytes as the journal file. The open
+// must never fail or panic, and its repair must converge: one append,
+// a close and a reopen find no damage and exactly the first replay plus
+// the appended record.
+func FuzzJournalOpen(f *testing.F) {
+	data, _ := seedJournal(f, journalPath(f))
+	for _, d := range journalDamages {
+		f.Add(d.damage(append([]byte(nil), data...)))
+	}
+	f.Fuzz(func(t *testing.T, image []byte) {
+		path := journalPath(t)
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := openJournal(t, path)
+		first := j.Records()
+		extra := rec("job-fuzz", RecordSubmitted)
+		appendRec(t, j, extra)
+		if err := j.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		j2 := openJournal(t, path)
+		if j2.Repaired() != 0 {
+			t.Fatalf("reopen repaired %d bytes", j2.Repaired())
+		}
+		wantRecords(t, j2, append(first, extra))
+	})
+}
+
 func TestJournalDuplicateRecordsSurviveReplay(t *testing.T) {
 	// The journal itself is append-only and preserves duplicates; replay
 	// idempotence (folding by batch ID) is the server's job. Verify the
@@ -266,90 +249,6 @@ func TestJournalDuplicateRecordsSurviveReplay(t *testing.T) {
 	wantRecords(t, openJournal(t, path), []Record{r, r, r})
 }
 
-// With a tiny rotation threshold every append seals a segment; replay
-// must stitch all segments back together in order, and the sealed ones
-// must appear in the recovery index.
-func TestJournalRotation(t *testing.T) {
-	path := journalPath(t)
-	j, err := OpenJournalWith(path, JournalOptions{RotateBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	for i := range 8 {
-		r := rec(fmt.Sprintf("job-%d", i), RecordSubmitted)
-		recs = append(recs, r)
-		appendRec(t, j, r)
-	}
-	if got := j.Segments(); got < 3 {
-		t.Fatalf("RotateBytes=64 after 8 appends: %d segments, want several", got)
-	}
-	segs := j.Segments()
-	j.Close()
-
-	idx, ok := readJournalIndex(path)
-	if !ok {
-		t.Fatal("no readable recovery index")
-	}
-	if len(idx.Sealed) != segs-1 {
-		t.Fatalf("index lists %d sealed segments, journal had %d", len(idx.Sealed), segs-1)
-	}
-
-	j2 := openJournal(t, path)
-	wantRecords(t, j2, recs)
-	if j2.Repaired() != 0 {
-		t.Fatalf("intact rotated journal reports %d repaired bytes", j2.Repaired())
-	}
-}
-
-// Damage in the middle of a segment chain: the damaged segment keeps
-// its intact prefix and everything after it — later segments included —
-// is discarded, because a lost tail breaks the order guarantee.
-func TestJournalRotationDamageDropsLaterSegments(t *testing.T) {
-	path := journalPath(t)
-	j, err := OpenJournalWith(path, JournalOptions{RotateBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var recs []Record
-	for i := range 6 {
-		r := rec(fmt.Sprintf("job-%d", i), RecordSubmitted)
-		recs = append(recs, r)
-		appendRec(t, j, r)
-	}
-	if j.Segments() < 3 {
-		t.Fatalf("want at least 3 segments, got %d", j.Segments())
-	}
-	j.Close()
-
-	// Corrupt the second segment's first record payload.
-	p2 := filepath.Join(path, segmentName(1, 2))
-	data, err := os.ReadFile(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[segmentHeaderSize+frameHeaderSize+2] ^= 0x01
-	if err := os.WriteFile(p2, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2 := openJournal(t, path)
-	if j2.Repaired() == 0 {
-		t.Fatal("mid-chain damage not reported")
-	}
-	got := j2.Records()
-	// RotateBytes=64 rotates after every record: segment 1 holds record 0.
-	if len(got) == 0 || len(got) >= len(recs) {
-		t.Fatalf("kept %d of %d records; want a proper non-empty prefix", len(got), len(recs))
-	}
-	wantRecords(t, j2, recs[:len(got)])
-	// Appends continue after the repair and survive a reopen.
-	extra := rec("job-X", RecordSubmitted)
-	appendRec(t, j2, extra)
-	j2.Close()
-	wantRecords(t, openJournal(t, path), append(append([]Record(nil), recs[:len(got)]...), extra))
-}
-
 func TestJournalCompact(t *testing.T) {
 	path := journalPath(t)
 	j := openJournal(t, path)
@@ -361,9 +260,6 @@ func TestJournalCompact(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 	wantRecords(t, j, keep)
-	if j.Epoch() != 2 {
-		t.Fatalf("epoch %d after first compaction, want 2", j.Epoch())
-	}
 
 	// The compacted journal must keep accepting appends on the same
 	// handle, and a reopen must see compacted + appended records.
@@ -372,69 +268,75 @@ func TestJournalCompact(t *testing.T) {
 	j.Close()
 	wantRecords(t, openJournal(t, path), append(append([]Record(nil), keep...), extra))
 
-	// Only the new epoch's segment and the index remain — no temp files,
-	// no old-epoch segments.
-	entries, err := os.ReadDir(path)
+	// Only the journal file remains — no temp file.
+	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != segmentName(2, 1) && e.Name() != indexName {
+		if e.Name() != filepath.Base(path) {
 			t.Errorf("leftover file %q after compaction", e.Name())
 		}
 	}
 }
 
-// A compaction that wrote the new epoch's segment but crashed before
-// the index commit must roll back: the old epoch is still the journal.
-func TestJournalCompactCrashBeforeCommitRollsBack(t *testing.T) {
+// compactCrash runs Compact(keep) on a journal holding old with the
+// named crash point armed, the crash turned into a recovered panic, and
+// returns the journal path as the crash left it.
+func compactCrash(t *testing.T, point string, old, keep []Record) string {
+	t.Helper()
 	path := journalPath(t)
-	recs := []Record{rec("job-1", RecordSubmitted), rec("job-2", RecordSubmitted)}
 	j := openJournal(t, path)
-	for _, r := range recs {
+	for _, r := range old {
 		appendRec(t, j, r)
 	}
+	oldCrash := faultinject.CrashFn
+	faultinject.CrashFn = func(fired string) { panic(fired) }
+	faultinject.Activate(faultinject.NewPlan(1, []faultinject.Point{{Name: point, Nth: 1}}))
+	defer func() {
+		faultinject.Deactivate()
+		faultinject.CrashFn = oldCrash
+	}()
+	func() {
+		defer func() {
+			if r := recover(); r != point {
+				t.Fatalf("Compact did not crash at %s (recovered %v)", point, r)
+			}
+		}()
+		j.Compact(keep)
+	}()
 	j.Close()
+	return path
+}
 
-	// Simulate the crash by planting an uncommitted epoch-2 segment.
-	if err := rewriteEmptySegment(filepath.Join(path, segmentName(2, 1))); err != nil {
-		t.Fatal(err)
+// A compaction that crashed before its commit — the rename — rolls back:
+// the old file is still the journal, and the open removes the synced
+// temp file.
+func TestJournalCompactCrashBeforeCommitRollsBack(t *testing.T) {
+	old := []Record{rec("job-1", RecordSubmitted), rec("job-2", RecordSubmitted)}
+	path := compactCrash(t, faultinject.PointJournalCompactCrashSeg, old, []Record{rec("job-2", RecordSubmitted)})
+	if _, err := os.Stat(path + ".tmp"); err != nil {
+		t.Fatalf("crash before the rename left no temp file: %v", err)
 	}
-	j2 := openJournal(t, path)
-	wantRecords(t, j2, recs)
-	if j2.Epoch() != 1 {
-		t.Fatalf("epoch %d, want rollback to 1", j2.Epoch())
+	j := openJournal(t, path)
+	wantRecords(t, j, old)
+	if j.Repaired() != 0 {
+		t.Errorf("rollback reported %d repaired bytes", j.Repaired())
 	}
-	if _, err := os.Stat(filepath.Join(path, segmentName(2, 1))); !os.IsNotExist(err) {
-		t.Error("uncommitted epoch-2 segment survived recovery")
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Error("temp file survived recovery")
 	}
 }
 
-// The mirror image: index committed to epoch 2, but the crash happened
-// before the old epoch's files were deleted. Recovery must finish the
-// deletion and serve epoch 2.
-func TestJournalCompactCrashAfterCommitFinishesDeletion(t *testing.T) {
-	path := journalPath(t)
-	j := openJournal(t, path)
-	appendRec(t, j, rec("job-old", RecordSubmitted))
+// The mirror image: the rename happened but the process died before the
+// journal reopened the new file. The compacted records are the journal.
+func TestJournalCompactCrashAfterCommitKeepsCompaction(t *testing.T) {
 	keep := []Record{rec("job-new", RecordFinished)}
-	if err := j.Compact(keep); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-
-	// Resurrect a stale epoch-1 segment, as if deletion never ran.
-	stale := filepath.Join(path, segmentName(1, 1))
-	if err := rewriteEmptySegment(stale); err != nil {
-		t.Fatal(err)
-	}
-	j2 := openJournal(t, path)
-	wantRecords(t, j2, keep)
-	if j2.Epoch() != 2 {
-		t.Fatalf("epoch %d, want 2", j2.Epoch())
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale epoch-1 segment survived recovery")
+	path := compactCrash(t, faultinject.PointJournalCompactCrashCommit, []Record{rec("job-old", RecordSubmitted)}, keep)
+	j := openJournal(t, path)
+	wantRecords(t, j, keep)
+	if j.Repaired() != 0 {
+		t.Errorf("committed compaction reported %d repaired bytes", j.Repaired())
 	}
 }
 

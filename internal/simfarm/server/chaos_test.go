@@ -66,10 +66,9 @@ func TestChaosSoak(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	s := mustNew(t, server.Config{
 		Workers: 2, Store: st,
-		Journal:            filepath.Join(t.TempDir(), "journal.cabt"),
-		JournalRotateBytes: 4096, // rotate for real during the soak
-		LeaseTTL:           2 * time.Second,
-		TaskRetries:        8,
+		Journal:     filepath.Join(t.TempDir(), "journal.cabt"),
+		LeaseTTL:    2 * time.Second,
+		TaskRetries: 8,
 	})
 	// Exactly cabt-serve's wiring: faults only on the worker control
 	// plane and store protocol, so the tenant API stays byte-comparable.

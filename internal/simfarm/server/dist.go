@@ -123,10 +123,7 @@ func (s *Server) replayJournal() {
 			rec.err = "interrupted by server restart"
 			rec.finished = now
 			close(rec.done)
-			s.journalAppend(dist.Record{
-				Type: dist.RecordFailed, ID: rec.id, Tenant: rec.tenant,
-				Kind: rec.kind, Jobs: rec.jobs, Time: now, Error: rec.err,
-			})
+			s.journalAppend(rec.journalRecord(dist.RecordFailed, now))
 		}
 	}
 
@@ -143,27 +140,11 @@ func (s *Server) replayJournal() {
 	var recs []dist.Record
 	for _, id := range ids {
 		rec := s.jobs[id]
-		recs = append(recs, dist.Record{
-			Type: dist.RecordSubmitted, ID: rec.id, Tenant: rec.tenant,
-			Kind: rec.kind, Jobs: rec.jobs, Time: rec.created,
-		})
-		jr := dist.Record{ID: rec.id, Tenant: rec.tenant, Kind: rec.kind, Jobs: rec.jobs, Time: rec.finished}
+		outcome := dist.RecordFinished
 		if rec.err != "" {
-			jr.Type = dist.RecordFailed
-			jr.Error = rec.err
-		} else {
-			jr.Type = dist.RecordFinished
-			if rec.kind == "soc" {
-				jr.SoCResults = rec.socResults
-				stats := rec.socStats
-				jr.SoCStats = &stats
-			} else {
-				jr.Results = rec.results
-				stats := rec.stats
-				jr.Stats = &stats
-			}
+			outcome = dist.RecordFailed
 		}
-		recs = append(recs, jr)
+		recs = append(recs, rec.journalRecord(dist.RecordSubmitted, rec.created), rec.journalRecord(outcome, rec.finished))
 	}
 	s.mu.Unlock()
 	if err := s.journal.Compact(recs); err != nil {
@@ -235,7 +216,7 @@ func (s *Server) runSim(rec *jobRecord, tenant string, jobs []simfarm.Job) ([]si
 	if !s.distributed() {
 		return s.farm(tenant).Run(jobs)
 	}
-	s.journalAppend(dist.Record{Type: dist.RecordStarted, ID: rec.id, Tenant: tenant, Kind: rec.kind, Jobs: rec.jobs, Time: s.now()})
+	s.journalAppend(rec.journalRecord(dist.RecordStarted, s.now()))
 	start := time.Now()
 	workers := s.queue.LiveWorkers()
 	tasks := make([]dist.Task, len(jobs))
@@ -274,7 +255,7 @@ func (s *Server) runSoC(rec *jobRecord, tenant string, jobs []simfarm.SoCJob) ([
 	if !s.distributed() {
 		return s.farm(tenant).RunSoC(jobs)
 	}
-	s.journalAppend(dist.Record{Type: dist.RecordStarted, ID: rec.id, Tenant: tenant, Kind: rec.kind, Jobs: rec.jobs, Time: s.now()})
+	s.journalAppend(rec.journalRecord(dist.RecordStarted, s.now()))
 	start := time.Now()
 	workers := s.queue.LiveWorkers()
 	tasks := make([]dist.Task, len(jobs))
@@ -401,11 +382,7 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.dispatch.Refusals()) })
 
 	if s.journal != nil {
-		gauge("cabt_journal_segments", "journal segments on disk (including active)",
-			func() float64 { return float64(s.journal.Segments()) })
-		gauge("cabt_journal_epoch", "journal compaction epoch",
-			func() float64 { return float64(s.journal.Epoch()) })
-		gauge("cabt_journal_repaired_records", "records dropped by tail repair at last open",
+		gauge("cabt_journal_repaired_bytes", "damaged journal bytes discarded by the repair at open",
 			func() float64 { return float64(s.journal.Repaired()) })
 	}
 

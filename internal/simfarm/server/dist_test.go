@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -348,6 +349,31 @@ func TestRestartFailsInterruptedBatch(t *testing.T) {
 		t.Fatalf("replayed ID reused: %s", sweep.ID)
 	}
 	_ = ts
+}
+
+// TestNewRefusesDirectoryJournal: a directory at the journal path (as an
+// older build that kept segments left it) is not migrated; New fails
+// with the OS error and leaves the directory alone.
+func TestNewRefusesDirectoryJournal(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "journal.cabt")
+	kept := filepath.Join(journal, "segment")
+	if err := os.MkdirAll(journal, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(kept, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(server.Config{Journal: journal})
+	if err == nil {
+		s.Close()
+		t.Fatal("New accepted a directory as its journal")
+	}
+	if !errors.Is(err, syscall.EISDIR) {
+		t.Errorf("New error = %v, want the OS's EISDIR", err)
+	}
+	if data, err := os.ReadFile(kept); err != nil || string(data) != "old" {
+		t.Errorf("directory contents changed: %q, %v", data, err)
+	}
 }
 
 // TestGracefulDrain wires a fake signal exactly like cabt-serve's main

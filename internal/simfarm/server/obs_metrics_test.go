@@ -2,8 +2,11 @@ package server_test
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -280,6 +283,56 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition lost the legacy line %q", strings.TrimSpace(want))
 		}
+	}
+}
+
+// TestJournalRepairedBytesMetric: cabt_journal_repaired_bytes is the
+// number of damaged bytes the journal's open discarded, rendered as an
+// integer — the garbage tail's length on a damaged journal, 0 on an
+// intact one.
+func TestJournalRepairedBytesMetric(t *testing.T) {
+	garbage := []byte("not a journal frame")
+	for _, tc := range []struct {
+		name string
+		tail []byte
+	}{{"intact", nil}, {"garbage-tail", garbage}} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "journal.cabt")
+			j, err := dist.OpenJournal(journal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(dist.Record{Type: dist.RecordSubmitted, ID: "job-1", Kind: "sweep", Jobs: 1}); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			f, err := os.OpenFile(journal, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.Write(tc.tail)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			_, ts, _ := distServer(t, server.Config{Journal: journal})
+			if typ := promScrape(t, ts.URL).types["cabt_journal_repaired_bytes"]; typ != "gauge" {
+				t.Errorf("cabt_journal_repaired_bytes type %q, want gauge", typ)
+			}
+			resp, err := http.Get(ts.URL + "/v1/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := fmt.Sprintf("\ncabt_journal_repaired_bytes %d\n", len(tc.tail))
+			if !strings.Contains(string(body), want) {
+				t.Errorf("metrics lack %q", strings.TrimSpace(want))
+			}
+		})
 	}
 }
 

@@ -52,9 +52,6 @@ type Config struct {
 	// startup, so finished results survive a server restart. "" disables
 	// durability (records are in-memory only, as before).
 	Journal string
-	// JournalRotateBytes caps the active journal segment before rotation
-	// (0 = the dist default, 4 MiB).
-	JournalRotateBytes int64
 
 	// LeaseTTL is the distributed task lease duration: a worker that
 	// stops heartbeating loses its task after this long and the task is
@@ -141,8 +138,9 @@ type jobRecord struct {
 }
 
 // New builds a server. The only error source is the journal: an
-// unusable journal file (unreadable directory, I/O error) refuses to
-// start rather than silently running without durability.
+// unusable journal path (a directory, an unwritable parent, an I/O
+// error) refuses to start rather than silently running without
+// durability.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
@@ -173,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 		s.storeSrv.Register(s.mux)
 	}
 	if cfg.Journal != "" {
-		j, err := dist.OpenJournalWith(cfg.Journal, dist.JournalOptions{RotateBytes: cfg.JournalRotateBytes})
+		j, err := dist.OpenJournal(cfg.Journal)
 		if err != nil {
 			return nil, err
 		}
@@ -199,16 +197,9 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) registerPprof() {
 	gate := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if s.cfg.AdminToken == "" {
-				httpError(w, http.StatusForbidden, "profiling disabled (start the server with an admin token)")
-				return
+			if s.adminTokenOK(w, r, "profiling") {
+				h(w, r)
 			}
-			got := r.Header.Get(AdminTokenHeader)
-			if subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.AdminToken)) != 1 {
-				httpError(w, http.StatusForbidden, "bad admin token")
-				return
-			}
-			h(w, r)
 		}
 	}
 	s.mux.HandleFunc("/debug/pprof/", gate(pprof.Index))
@@ -293,6 +284,17 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 const TenantHeader = "X-Cabt-Tenant"
 
 var tenantRE = regexp.MustCompile(`^[A-Za-z0-9._-]{0,64}$`)
+
+// tenantOf returns the request's tenant, writing the 400 response itself
+// when the header is malformed.
+func tenantOf(w http.ResponseWriter, r *http.Request) (string, bool) {
+	tenant := r.Header.Get(TenantHeader)
+	if !tenantRE.MatchString(tenant) {
+		httpError(w, http.StatusBadRequest, "bad tenant %q: want [A-Za-z0-9._-]{0,64}", tenant)
+		return "", false
+	}
+	return tenant, true
+}
 
 // farm returns (creating on first use) the tenant's farm.
 func (s *Server) farm(tenant string) *simfarm.Farm {
@@ -408,12 +410,8 @@ type ErrorResponse struct {
 // --- handlers ---
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	tenant := r.Header.Get(TenantHeader)
-	if !tenantRE.MatchString(tenant) {
-		httpError(w, http.StatusBadRequest, "bad tenant %q: want [A-Za-z0-9._-]{0,64}", tenant)
-		return
-	}
-	if !s.admitSubmission(w, tenant) {
+	tenant, ok := tenantOf(w, r)
+	if !ok || !s.admitSubmission(w, tenant) {
 		return
 	}
 	var req SubmitRequest
@@ -448,10 +446,7 @@ func (s *Server) register(tenant, kind string, jobs int) *jobRecord {
 	rec.id = fmt.Sprintf("job-%d", s.nextID)
 	s.jobs[rec.id] = rec
 	s.mu.Unlock()
-	s.journalAppend(dist.Record{
-		Type: dist.RecordSubmitted, ID: rec.id, Tenant: tenant,
-		Kind: kind, Jobs: jobs, Time: rec.created,
-	})
+	s.journalAppend(rec.journalRecord(dist.RecordSubmitted, rec.created))
 	return rec
 }
 
@@ -460,31 +455,34 @@ func (s *Server) register(tenant, kind string, jobs int) *jobRecord {
 // populated before the call.
 func (s *Server) finish(rec *jobRecord) {
 	rec.finished = s.now()
-	jr := dist.Record{
-		Type: dist.RecordFinished, ID: rec.id, Tenant: rec.tenant,
-		Kind: rec.kind, Jobs: rec.jobs, Time: rec.finished,
-	}
-	if rec.kind == "soc" {
-		jr.SoCResults = rec.socResults
-		stats := rec.socStats
-		jr.SoCStats = &stats
-	} else {
-		jr.Results = rec.results
-		stats := rec.stats
-		jr.Stats = &stats
-	}
-	s.journalAppend(jr)
+	s.journalAppend(rec.journalRecord(dist.RecordFinished, rec.finished))
 	close(rec.done)
+}
+
+// journalRecord renders rec as a journal record of type typ at time t:
+// the batch identity, plus the error for Failed or the result set of
+// the batch's kind for Finished.
+func (rec *jobRecord) journalRecord(typ dist.RecordType, t time.Time) dist.Record {
+	jr := dist.Record{Type: typ, ID: rec.id, Tenant: rec.tenant, Kind: rec.kind, Jobs: rec.jobs, Time: t}
+	switch typ {
+	case dist.RecordFailed:
+		jr.Error = rec.err
+	case dist.RecordFinished:
+		if rec.kind == "soc" {
+			stats := rec.socStats
+			jr.SoCResults, jr.SoCStats = rec.socResults, &stats
+		} else {
+			stats := rec.stats
+			jr.Results, jr.Stats = rec.results, &stats
+		}
+	}
+	return jr
 }
 
 // handleSoCSubmit accepts a multi-core SoC sweep.
 func (s *Server) handleSoCSubmit(w http.ResponseWriter, r *http.Request) {
-	tenant := r.Header.Get(TenantHeader)
-	if !tenantRE.MatchString(tenant) {
-		httpError(w, http.StatusBadRequest, "bad tenant %q: want [A-Za-z0-9._-]{0,64}", tenant)
-		return
-	}
-	if !s.admitSubmission(w, tenant) {
+	tenant, ok := tenantOf(w, r)
+	if !ok || !s.admitSubmission(w, tenant) {
 		return
 	}
 	var req SoCSubmitRequest
@@ -592,9 +590,8 @@ func resolve(req SubmitRequest) ([]simfarm.Job, error) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	tenant := r.Header.Get(TenantHeader)
-	if !tenantRE.MatchString(tenant) {
-		httpError(w, http.StatusBadRequest, "bad tenant %q: want [A-Za-z0-9._-]{0,64}", tenant)
+	tenant, ok := tenantOf(w, r)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -623,15 +620,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 		resp.Status = "done"
-		if rec.kind == "soc" {
-			resp.SoCResults = rec.socResults
-			stats := rec.socStats
-			resp.SoCStats = &stats
-		} else {
-			resp.Results = rec.results
-			stats := rec.stats
-			resp.Stats = &stats
-		}
+		// The payload a replayed Finished record restores, field for field.
+		jr := rec.journalRecord(dist.RecordFinished, rec.finished)
+		resp.Results, resp.Stats, resp.SoCResults, resp.SoCStats = jr.Results, jr.Stats, jr.SoCResults, jr.SoCStats
 	default:
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -641,9 +632,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // counters) plus the requesting tenant's own farm view only — tenant
 // names and per-tenant traffic are never disclosed across tenants.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	tenant := r.Header.Get(TenantHeader)
-	if !tenantRE.MatchString(tenant) {
-		httpError(w, http.StatusBadRequest, "bad tenant %q: want [A-Za-z0-9._-]{0,64}", tenant)
+	tenant, ok := tenantOf(w, r)
+	if !ok {
 		return
 	}
 	s.mu.Lock()
@@ -689,17 +679,26 @@ const AdminTokenHeader = "X-Cabt-Admin-Token"
 // token (403), useless without a store (404), and tenant-blind — only
 // the token grants access, because the store is shared across tenants.
 func (s *Server) adminOK(w http.ResponseWriter, r *http.Request) bool {
+	if !s.adminTokenOK(w, r, "administration") {
+		return false
+	}
+	if s.cfg.Store == nil {
+		httpError(w, http.StatusNotFound, "no persistent store configured")
+		return false
+	}
+	return true
+}
+
+// adminTokenOK checks the request's admin token, writing the 403 itself
+// when it fails; feature names what a server without a token disables.
+func (s *Server) adminTokenOK(w http.ResponseWriter, r *http.Request, feature string) bool {
 	if s.cfg.AdminToken == "" {
-		httpError(w, http.StatusForbidden, "administration disabled (start the server with an admin token)")
+		httpError(w, http.StatusForbidden, "%s disabled (start the server with an admin token)", feature)
 		return false
 	}
 	got := r.Header.Get(AdminTokenHeader)
 	if subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.AdminToken)) != 1 {
 		httpError(w, http.StatusForbidden, "bad admin token")
-		return false
-	}
-	if s.cfg.Store == nil {
-		httpError(w, http.StatusNotFound, "no persistent store configured")
 		return false
 	}
 	return true
