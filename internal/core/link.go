@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/c6x"
-	"repro/internal/ir"
 	"repro/internal/sched"
 )
 
@@ -12,18 +11,18 @@ import (
 // symbolic branch targets and return-address immediates to packet indices.
 func (t *translator) link() (*Program, error) {
 	prog := t.prog
+	var s sched.Scheduler
 	var packets []c6x.Packet
 	tbStart := make([]int, len(t.tblocks))
 	for ti, tb := range t.tblocks {
-		res, err := sched.Schedule(&ir.Block{Label: tb.label, Ins: tb.ins})
-		if err != nil {
-			return nil, fmt.Errorf("core: scheduling %s: %w", tb.label, err)
-		}
 		tbStart[ti] = len(packets)
 		if tb.region >= 0 {
 			prog.Blocks[tb.region].PacketStart = len(packets)
 		}
-		packets = append(packets, res.Packets...)
+		var err error
+		if packets, err = s.Schedule(packets, &sched.Block{Label: tb.label, Ins: tb.ins}); err != nil {
+			return nil, fmt.Errorf("core: scheduling %s: %w", tb.label, err)
+		}
 	}
 	packetOfLabel := make([]int, len(t.labelTarget))
 	for lbl, ti := range t.labelTarget {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/c6x"
-	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/sched"
 	"repro/internal/tc32"
 )
 
@@ -15,7 +15,7 @@ import (
 // cache-probe calls, which branch and return mid-region).
 type tblock struct {
 	label   string
-	ins     []ir.Ins
+	ins     []sched.Ins
 	defines []int // label ids resolved to this tblock's first packet
 	region  int   // prog.Blocks index if this is the first tblock of a region
 }
@@ -47,9 +47,9 @@ type lowerer struct {
 	region int
 }
 
-func (l *lowerer) emit(in ir.Ins) { l.cur.ins = append(l.cur.ins, in) }
+func (l *lowerer) emit(in sched.Ins) { l.cur.ins = append(l.cur.ins, in) }
 
-func (l *lowerer) emitI(inst c6x.Inst) { l.emit(ir.New(inst)) }
+func (l *lowerer) emitI(inst c6x.Inst) { l.emit(sched.New(inst)) }
 
 // split ends the current tblock and begins a new one defining the given
 // labels (used after calls: the new tblock is the return continuation).
@@ -120,8 +120,8 @@ func (l *lowerer) opndU(v int32, side c6x.Side) c6x.Operand {
 func (l *lowerer) call(routine int) {
 	ret := l.t.newLabel()
 	l.emitI(c6x.Inst{Op: c6x.MVK, Dst: regLink, Src2: c6x.Imm(int32(ret)), SymImm: true})
-	br := ir.New(c6x.Inst{Op: c6x.BPKT, Target: routine})
-	br.Pin = ir.PinBranch
+	br := sched.New(c6x.Inst{Op: c6x.BPKT, Target: routine})
+	br.Pin = sched.PinBranch
 	l.emit(br)
 	l.split(ret)
 }
@@ -151,8 +151,8 @@ func (t *translator) lowerAll() error {
 		cacheBase := uint32(CacheTableBase)
 		l.matConst(int32(cacheBase), regCacheTab)
 	}
-	ebr := ir.New(c6x.Inst{Op: c6x.BPKT, Target: t.blockLabel[t.blkAt[t.entry]]})
-	ebr.Pin = ir.PinBranch
+	ebr := sched.New(c6x.Inst{Op: c6x.BPKT, Target: t.blockLabel[t.blkAt[t.entry]]})
+	ebr.Pin = sched.PinBranch
 	l.emit(ebr)
 
 	for i := range t.blocks {
@@ -186,8 +186,8 @@ func (t *translator) lowerBlock(bi int) error {
 		info.StaticCycles = blk.staticCycles
 		tmp := l.tempA()
 		l.matConst(int32(blk.staticCycles), tmp)
-		start := ir.New(c6x.Inst{Op: c6x.STW, Data: tmp, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
-		start.Pin = ir.PinFirst
+		start := sched.New(c6x.Inst{Op: c6x.STW, Data: tmp, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
+		start.Pin = sched.PinFirst
 		l.emit(start)
 	}
 
@@ -227,7 +227,7 @@ func (t *translator) lowerBlock(bi int) error {
 
 	// Terminator setup: condition computation and, at level 2+, the
 	// branch-prediction correction add (Section 3.4.1).
-	var term *ir.Ins
+	var term *sched.Ins
 	if bodyEnd < len(blk.insts) {
 		ti, err := l.lowerTerminator(last, bi, level)
 		if err != nil {
@@ -248,14 +248,14 @@ func (t *translator) lowerBlock(bi int) error {
 			} else {
 				// Literal Figure 3 shape: drain the base generation,
 				// start a separate correction generation, drain it.
-				w1 := ir.New(c6x.Inst{Op: c6x.LDW, Dst: regWaitDummy, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
+				w1 := sched.New(c6x.Inst{Op: c6x.LDW, Dst: regWaitDummy, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
 				l.emit(w1)
 				l.emitI(c6x.Inst{Op: c6x.STW, Data: regCorr, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
 			}
 			l.emitI(c6x.Inst{Op: c6x.MVK, Dst: regCorr, Src2: c6x.Imm(0)})
 		}
-		wait := ir.New(c6x.Inst{Op: c6x.LDW, Dst: regWaitDummy, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
-		wait.Pin = ir.PinLast
+		wait := sched.New(c6x.Inst{Op: c6x.LDW, Dst: regWaitDummy, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(0), Volatile: true})
+		wait.Pin = sched.PinLast
 		l.emit(wait)
 	}
 	if term != nil {
@@ -269,11 +269,11 @@ func (t *translator) lowerBlock(bi int) error {
 // lowerTerminator lowers the region's final branch/halt. It may emit
 // condition and correction instructions; the returned instruction is the
 // branch itself, emitted after the correction block.
-func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*ir.Ins, error) {
+func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*sched.Ins, error) {
 	t := l.t
-	mkBranch := func(label int, pred c6x.Pred) *ir.Ins {
-		b := ir.New(c6x.Inst{Op: c6x.BPKT, Target: label, Pred: pred})
-		b.Pin = ir.PinBranch
+	mkBranch := func(label int, pred c6x.Pred) *sched.Ins {
+		b := sched.New(c6x.Inst{Op: c6x.BPKT, Target: label, Pred: pred})
+		b.Pin = sched.PinBranch
 		return &b
 	}
 	targetLabel := func(addr uint32) (int, error) {
@@ -285,7 +285,7 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*ir.Ins, e
 	}
 	switch in.Op {
 	case tc32.HALT:
-		h := ir.New(c6x.Inst{Op: c6x.HALT})
+		h := sched.New(c6x.Inst{Op: c6x.HALT})
 		return &h, nil
 	case tc32.J, tc32.J16:
 		lbl, err := targetLabel(in.Target())
@@ -316,8 +316,8 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*ir.Ins, e
 		// translator could not resolve.
 		return nil, fmt.Errorf("core: unresolvable indirect jump at %#x", in.Addr)
 	case tc32.RET, tc32.RET16:
-		b := ir.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(aR(tc32.RA))})
-		b.Pin = ir.PinBranch
+		b := sched.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(aR(tc32.RA))})
+		b.Pin = sched.PinBranch
 		return &b, nil
 	case tc32.RETI:
 		// Tell the platform to restore the interrupt state (IE and the
@@ -327,8 +327,8 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*ir.Ins, e
 		// value is ignored — regSyncBase is just a register that always
 		// holds a defined value.
 		l.emitI(c6x.Inst{Op: c6x.STW, Data: regSyncBase, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(IRQRet - SyncBase), Volatile: true})
-		b := ir.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(RegIRQShadow)})
-		b.Pin = ir.PinBranch
+		b := sched.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(RegIRQShadow)})
+		b.Pin = sched.PinBranch
 		return &b, nil
 	case tc32.WFI:
 		// The wait-for-interrupt trap must reach the platform only after
@@ -338,8 +338,8 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*ir.Ins, e
 		// after the wait load it depends on. Execution falls through to
 		// the successor region — the interrupt return target — where the
 		// platform idles until delivery.
-		st := ir.New(c6x.Inst{Op: c6x.STW, Data: regSyncBase, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(IRQWait - SyncBase), Volatile: true})
-		st.Pin = ir.PinLast
+		st := sched.New(c6x.Inst{Op: c6x.STW, Data: regSyncBase, Src1: c6x.R(regSyncBase), Src2: c6x.Imm(IRQWait - SyncBase), Volatile: true})
+		st.Pin = sched.PinLast
 		return &st, nil
 	}
 	if !in.Op.IsCondBranch() {
@@ -458,8 +458,8 @@ func (l *lowerer) emitProbeInline(tagWord, setOff int32) {
 	s0, s2, s3 := regScratch[0], regScratch[2], regScratch[3]
 
 	branch := func(target int, p c6x.Pred) {
-		b := ir.New(c6x.Inst{Op: c6x.BPKT, Target: target, Pred: p})
-		b.Pin = ir.PinBranch
+		b := sched.New(c6x.Inst{Op: c6x.BPKT, Target: target, Pred: p})
+		b.Pin = sched.PinBranch
 		l.emit(b)
 	}
 	l.matConst(tagWord, regArg0)

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/c6x"
-	"repro/internal/ir"
+	"repro/internal/sched"
 )
 
 // This file generates the runtime routines appended to the translated
@@ -65,17 +65,17 @@ func (b *rb) block(label string, defines ...int) {
 	b.cur = b.t.newTBlock(label, defines...)
 }
 
-func (b *rb) emit(inst c6x.Inst) { b.cur.ins = append(b.cur.ins, ir.New(inst)) }
+func (b *rb) emit(inst c6x.Inst) { b.cur.ins = append(b.cur.ins, sched.New(inst)) }
 
 func (b *rb) branch(target int, pred c6x.Pred) {
-	in := ir.New(c6x.Inst{Op: c6x.BPKT, Target: target, Pred: pred})
-	in.Pin = ir.PinBranch
+	in := sched.New(c6x.Inst{Op: c6x.BPKT, Target: target, Pred: pred})
+	in.Pin = sched.PinBranch
 	b.cur.ins = append(b.cur.ins, in)
 }
 
 func (b *rb) ret() {
-	in := ir.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(regLink)})
-	in.Pin = ir.PinBranch
+	in := sched.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(regLink)})
+	in.Pin = sched.PinBranch
 	b.cur.ins = append(b.cur.ins, in)
 }
 
