@@ -49,7 +49,7 @@ func main() {
 	var u *socbus.UART
 	if *uart {
 		u = socbus.NewUART(16)
-		sys.Bus = socbus.NewBus(u, socbus.NewTimer())
+		sys.AttachBus(socbus.NewBus(u, socbus.NewTimer()))
 	}
 	if err := sys.Run(); err != nil {
 		fatal(err)

@@ -16,8 +16,9 @@ import (
 
 func main() {
 	out := flag.String("o", "a.elf", "output ELF file")
-	textBase := flag.Uint("text", 0x0, "text base address")
-	dataBase := flag.Uint("data", 0x10000000, "data base address")
+	def := tc32asm.DefaultOptions()
+	textBase := flag.Uint("text", uint(def.TextBase), "text base address")
+	dataBase := flag.Uint("data", uint(def.DataBase), "data base address")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: tcasm [-o out.elf] prog.s")

@@ -63,7 +63,7 @@ func run(name, src string) {
 	}
 	sys := platform.New(prog)
 	uart := socbus.NewUART(200) // 200 bus cycles per byte
-	sys.Bus = socbus.NewBus(uart, socbus.NewTimer())
+	sys.AttachBus(socbus.NewBus(uart, socbus.NewTimer()))
 	if err := sys.Run(); err != nil {
 		log.Fatal(err)
 	}

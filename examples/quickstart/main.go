@@ -48,7 +48,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := repro.RunTranslated(elf, prog)
+		res, err := repro.RunTranslated(prog)
 		if err != nil {
 			log.Fatal(err)
 		}

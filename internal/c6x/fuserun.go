@@ -211,36 +211,36 @@ func (s *Sim) RunFused() error {
 	return nil
 }
 
-// fuseOnce memoizes one build.
-type fuseOnce struct {
-	once sync.Once
-	fp   *FusedProgram
-	err  error
+// fuseMemo is a program's memoized builds, one per segment length.
+type fuseMemo struct {
+	mu     sync.Mutex
+	builds []fusedBuild
 }
 
-// fuseKey names a memoized build: a program and its segment length.
-type fuseKey struct {
-	prog    *Program
+// fusedBuild is one memoized build.
+type fusedBuild struct {
 	segPkts int
+	fp      *FusedProgram
+	err     error
 }
-
-// fuseCache memoizes Fuse per *Program identity and segment length.
-// Entries pin their program, which is what makes pointer keys safe (an
-// address can never be reused while its entry exists); programs are
-// themselves retained by the translation caches that hand them out, so
-// this adds no new lifetime class.
-var fuseCache sync.Map // fuseKey -> *fuseOnce
 
 // FuseCached returns the memoized build of prog at cfg's segment length.
 // The caller must derive the rest of cfg deterministically from prog and
 // that length (the platform does): the first such caller's cfg wins.
 func FuseCached(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
-	key := fuseKey{prog, cfg.MaxSegPackets}
-	if key.segPkts <= 0 {
-		key.segPkts = fuseDefaultMaxSegPackets
+	n := cfg.MaxSegPackets
+	if n <= 0 {
+		n = fuseDefaultMaxSegPackets
 	}
-	v, _ := fuseCache.LoadOrStore(key, &fuseOnce{})
-	e := v.(*fuseOnce)
-	e.once.Do(func() { e.fp, e.err = Fuse(prog, cfg) })
-	return e.fp, e.err
+	m := &prog.builds
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, b := range m.builds {
+		if b.segPkts == n {
+			return b.fp, b.err
+		}
+	}
+	fp, err := Fuse(prog, cfg)
+	m.builds = append(m.builds, fusedBuild{segPkts: n, fp: fp, err: err})
+	return fp, err
 }

@@ -457,4 +457,8 @@ func (pk Packet) Cycles() int {
 type Program struct {
 	Packets []Packet
 	Entry   int
+
+	// builds memoizes FuseCached. It lives on the program, so a build is
+	// freed with the program it was built from.
+	builds fuseMemo
 }

@@ -33,7 +33,7 @@ type absVal struct {
 
 func classifyAddr(v uint32) absRegion {
 	switch {
-	case v >= 0x1000_0000 && v < 0x1000_0000+iss.RAMSize+4:
+	case v >= iss.RAMBase && v < iss.RAMBase+iss.RAMSize+4:
 		return regionData
 	case iss.IsIO(v):
 		return regionIO

@@ -39,9 +39,6 @@ func translateRun(t *testing.T, f *elf32.File, level core.Level) (*core.Program,
 		t.Fatalf("translate L%d: %v", int(level), err)
 	}
 	sys := platform.New(prog)
-	if text := f.Section(".text"); text != nil {
-		sys.SetText(text.Addr, text.Data)
-	}
 	if err := sys.Run(); err != nil {
 		t.Fatalf("platform run L%d: %v\n%s", int(level), err, prog.Listing())
 	}

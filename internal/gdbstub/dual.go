@@ -47,9 +47,6 @@ func NewDualTarget(f *elf32.File, level core.Level) (*DualTarget, error) {
 	}
 	off := core.Merge(bb, ins)
 	sys := platform.New(bb)
-	if text := f.Section(".text"); text != nil {
-		sys.SetText(text.Addr, text.Data)
-	}
 	d := &DualTarget{
 		sys: sys, bb: bb, ins: ins, off: off,
 		srcPC:   f.Entry,
@@ -107,28 +104,12 @@ func (d *DualTarget) SetReg(n int, v uint32) error {
 	return nil
 }
 
-// ReadMem implements Target (source data addresses map identically on the
-// platform).
-func (d *DualTarget) ReadMem(addr uint32, buf []byte) error {
-	for i := range buf {
-		v, _, err := d.sys.Load(addr+uint32(i), 1, d.sys.CPU.Cycle())
-		if err != nil {
-			return err
-		}
-		buf[i] = byte(v)
-	}
-	return nil
-}
+// ReadMem implements Target: source addresses map identically on the
+// platform, whose memory is the source system's.
+func (d *DualTarget) ReadMem(addr uint32, buf []byte) error { return peek(&d.sys.Memory, addr, buf) }
 
 // WriteMem implements Target.
-func (d *DualTarget) WriteMem(addr uint32, data []byte) error {
-	for i, b := range data {
-		if _, err := d.sys.Store(addr+uint32(i), uint32(b), 1, d.sys.CPU.Cycle()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (d *DualTarget) WriteMem(addr uint32, data []byte) error { return poke(&d.sys.Memory, addr, data) }
 
 // PC implements Target.
 func (d *DualTarget) PC() uint32 { return d.srcPC }

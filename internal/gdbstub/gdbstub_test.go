@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/elf32"
 	"repro/internal/iss"
+	"repro/internal/socbus"
 	"repro/internal/tc32asm"
 )
 
@@ -379,5 +380,74 @@ func TestDualTargetFusedSystemSingleSteps(t *testing.T) {
 	out := d.System().Output
 	if len(out) != 1 || out[0] != 65 { // 5 iterations × 13
 		t.Errorf("output = %v, want [65]", out)
+	}
+}
+
+// TestDebuggerMemoryAccessIsInvisible: reading and writing memory from
+// the debugger does not perturb the debuggee on either target. The
+// clock, the debug-port output and the state of a device whose reads
+// mutate (a mailbox slot pops when read) are the same before and after;
+// accesses outside RAM and text are refused rather than performed, and
+// RAM still reads and writes.
+func TestDebuggerMemoryAccessIsInvisible(t *testing.T) {
+	f := buildELF(t)
+	sim, err := iss.New(f, iss.Config{CycleAccurate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := NewDualTarget(f, core.Level2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type subject struct {
+		name   string
+		tgt    Target
+		clock  func() int64
+		output func() []uint32
+		attach func(iss.Bus)
+	}
+	for _, s := range []subject{
+		{"iss", &ISSTarget{Sim: sim}, sim.Cycles, sim.Output, sim.AttachBus},
+		{"dual", d, func() int64 { return d.System().Stats().GeneratedCycles }, func() []uint32 { return d.System().Output }, d.System().AttachBus},
+	} {
+		mbox := socbus.NewMailbox(2)
+		mbox.Write(0, 42, 0) // slot 0 full: a read would pop it
+		s.attach(socbus.NewBus(mbox))
+		for i := 0; i < 5; i++ {
+			if err := s.tgt.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clock, output := s.clock(), fmt.Sprint(s.output())
+		buf := make([]byte, 4)
+		for _, addr := range []uint32{socbus.MailboxBase, iss.IOBase + 0x100, iss.DebugPortAddr} {
+			if err := s.tgt.ReadMem(addr, buf); err == nil {
+				t.Errorf("%s: read of %#x outside RAM and text succeeded", s.name, addr)
+			}
+		}
+		for _, addr := range []uint32{socbus.MailboxBase + socbus.SlotStride, iss.DebugPortAddr, core.SyncStart} {
+			if err := s.tgt.WriteMem(addr, []byte{7}); err == nil {
+				t.Errorf("%s: write of %#x outside RAM succeeded", s.name, addr)
+			}
+		}
+		text := f.Section(".text")
+		if err := s.tgt.ReadMem(text.Addr, buf); err != nil || fmt.Sprint(buf) != fmt.Sprint(text.Data[:4]) {
+			t.Errorf("%s: text read %v, %v; want %v", s.name, buf, err, text.Data[:4])
+		}
+		if err := s.tgt.WriteMem(iss.RAMBase+8, []byte{1, 2, 3, 4}); err != nil {
+			t.Errorf("%s: RAM write: %v", s.name, err)
+		}
+		if err := s.tgt.ReadMem(iss.RAMBase+8, buf); err != nil || fmt.Sprint(buf) != "[1 2 3 4]" {
+			t.Errorf("%s: RAM read back %v, %v", s.name, buf, err)
+		}
+		if got := s.clock(); got != clock {
+			t.Errorf("%s: debugger access moved the clock %d -> %d", s.name, clock, got)
+		}
+		if got := fmt.Sprint(s.output()); got != output {
+			t.Errorf("%s: debugger access changed the output %s -> %s", s.name, output, got)
+		}
+		if !mbox.Full(0) || mbox.Full(1) || mbox.Pops != 0 || mbox.Posts != 1 {
+			t.Errorf("%s: debugger access reached the mailbox: pops %d posts %d", s.name, mbox.Pops, mbox.Posts)
+		}
 	}
 }

@@ -67,22 +67,30 @@ func (t *ISSTarget) SetReg(n int, v uint32) error {
 }
 
 // ReadMem implements Target.
-func (t *ISSTarget) ReadMem(addr uint32, buf []byte) error {
+func (t *ISSTarget) ReadMem(addr uint32, buf []byte) error { return peek(t.Sim.Arch.Mem, addr, buf) }
+
+// WriteMem implements Target.
+func (t *ISSTarget) WriteMem(addr uint32, data []byte) error { return poke(t.Sim.Arch.Mem, addr, data) }
+
+// peek and poke are the debugger's memory access on both targets: RAM
+// and text only, through the memory's side-effect-free port, so looking
+// at the machine neither moves its clock nor touches a device. Any other
+// address is an error.
+func peek(m *iss.Memory, addr uint32, buf []byte) error {
 	for i := range buf {
-		v, err := t.Sim.Arch.Mem.Read(0, addr+uint32(i), 1, 0)
-		if err != nil {
-			return err
+		v, ok := m.Peek(addr+uint32(i), 1)
+		if !ok {
+			return fmt.Errorf("gdbstub: cannot read %#x: not RAM or text", addr+uint32(i))
 		}
 		buf[i] = byte(v)
 	}
 	return nil
 }
 
-// WriteMem implements Target.
-func (t *ISSTarget) WriteMem(addr uint32, data []byte) error {
+func poke(m *iss.Memory, addr uint32, data []byte) error {
 	for i, b := range data {
-		if err := t.Sim.Arch.Mem.Write(0, addr+uint32(i), uint32(b), 1, 0); err != nil {
-			return err
+		if !m.Poke(addr+uint32(i), uint32(b), 1) {
+			return fmt.Errorf("gdbstub: cannot write %#x: not RAM", addr+uint32(i))
 		}
 	}
 	return nil

@@ -1,9 +1,10 @@
-package iss
+package iss_test
 
 import (
 	"reflect"
 	"testing"
 
+	"repro/internal/iss"
 	"repro/internal/tc32asm"
 )
 
@@ -37,20 +38,20 @@ loop:	st.w	d0, 0(a2)
 buf:	.space	128
 `
 
-func newCkSim(t *testing.T) *Sim {
+func newCkSim(t *testing.T) *iss.Sim {
 	t.Helper()
 	f, err := tc32asm.Assemble(ckProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(f, Config{CycleAccurate: true})
+	s, err := iss.New(f, iss.Config{CycleAccurate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func stepN(t *testing.T, s *Sim, n int) {
+func stepN(t *testing.T, s *iss.Sim, n int) {
 	t.Helper()
 	for i := 0; i < n && !s.Arch.Halted; i++ {
 		if err := s.Step(); err != nil {
@@ -60,7 +61,7 @@ func stepN(t *testing.T, s *Sim, n int) {
 }
 
 // compareSims demands observable equality of two sims.
-func compareSims(t *testing.T, label string, a, b *Sim) {
+func compareSims(t *testing.T, label string, a, b *iss.Sim) {
 	t.Helper()
 	if a.Arch.R != b.Arch.R {
 		t.Errorf("%s: register files differ:\n%v vs %v", label, a.Arch.R, b.Arch.R)
@@ -144,7 +145,7 @@ func TestRollbackRestoresMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := New(f, Config{CycleAccurate: true})
+	a, err := iss.New(f, iss.Config{CycleAccurate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

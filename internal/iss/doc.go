@@ -19,6 +19,14 @@
 // paper's dynamic effects. Without it, the ISS is the purely functional
 // interpreter baseline of the host-speed comparison.
 //
+// # Memory
+//
+// [Memory] is the address space of the TC32 system — RAM, the text image
+// and the I/O window with the debug port — and the only description of
+// it: the RT-level proxy (internal/rtlsim) and the translated platform
+// (internal/platform) decode through the same type, so a program sees
+// one address space on every simulator.
+//
 // # Role in the farm
 //
 // The simulation farm memoizes reference runs per (ELF hash, full

@@ -1,20 +1,21 @@
-package iss
+package iss_test
 
 import (
 	"strings"
 	"testing"
 
+	"repro/internal/iss"
 	"repro/internal/march"
 	"repro/internal/tc32asm"
 )
 
-func run(t *testing.T, src string, cycleAccurate bool) *Sim {
+func run(t *testing.T, src string, cycleAccurate bool) *iss.Sim {
 	t.Helper()
 	f, err := tc32asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(f, Config{CycleAccurate: cycleAccurate})
+	s, err := iss.New(f, iss.Config{CycleAccurate: cycleAccurate})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ _start:		movh.a	a2, 0x4000
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(f, Config{})
+	s, err := iss.New(f, iss.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ _start:		movh.a	a2, 0
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := New(f, Config{})
+	s, _ := iss.New(f, iss.Config{})
 	if err := s.Run(); err == nil {
 		t.Error("writing .text should fault")
 	}
@@ -217,7 +218,7 @@ func TestInstructionLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(f, Config{MaxInstructions: 100})
+	s, err := iss.New(f, iss.Config{MaxInstructions: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestCustomDesc(t *testing.T) {
 	d := march.Default()
 	d.ICache.MissPenalty = 0
 	f, _ := tc32asm.Assemble("_start: nop\n halt\n")
-	s, err := New(f, Config{Desc: d, CycleAccurate: true})
+	s, err := iss.New(f, iss.Config{Desc: d, CycleAccurate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

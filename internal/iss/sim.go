@@ -80,16 +80,10 @@ func New(f *elf32.File, cfg Config) (*Sim, error) {
 	if text == nil {
 		return nil, fmt.Errorf("iss: no .text section")
 	}
-	data := f.Section(".data")
-	ramBase := uint32(0x1000_0000)
-	if data != nil {
-		ramBase = data.Addr
-	}
-	mem := NewMemory(text.Addr, text.Data, ramBase, RAMSize)
-	if data != nil {
-		if err := mem.LoadImage(data.Addr, data.Data); err != nil {
-			return nil, err
-		}
+	var dataAddr uint32
+	var data []byte
+	if d := f.Section(".data"); d != nil {
+		dataAddr, data = d.Addr, d.Data
 	}
 	s := &Sim{
 		desc:     cfg.Desc,
@@ -98,7 +92,7 @@ func New(f *elf32.File, cfg Config) (*Sim, error) {
 		cfg:      cfg,
 		codeBase: text.Addr,
 	}
-	s.Arch.Mem = mem
+	s.Arch.Mem = NewMemory(text.Addr, text.Data, dataAddr, data)
 	s.Arch.PC = f.Entry
 	// Pre-decode the text section. Half-word slots that are the middle of
 	// a 32-bit instruction keep a BAD marker.

@@ -5,12 +5,12 @@ package platform
 // at a quantum boundary, lets it run speculatively, and either commits
 // or rolls back. The CPU state is saved through c6x.Sim's own hook; the
 // platform-side small state (sync device, interrupt flags, attribution
-// counters) is saved by value; platform RAM and the cache-table RAM
-// revert through a write undo journal, and debug output by truncation.
+// counters) is saved by value; the source memory (RAM, debug output)
+// reverts through its own undo journal, and the cache table through the
+// platform's.
 
 type checkpoint struct {
 	sync         SyncDev
-	outLen       int
 	srcInsts     int64
 	lastRegion   int
 	lastStartPkt int
@@ -25,10 +25,8 @@ type checkpoint struct {
 	valid        bool
 }
 
-// memUndo is one journaled store: the old bytes at off in platform RAM
-// (ctab false) or the cache-table RAM (ctab true).
-type memUndo struct {
-	ctab bool
+// ctabUndo is one journaled cache-table store: the old bytes at off.
+type ctabUndo struct {
 	size int32
 	off  uint32
 	old  uint32
@@ -41,7 +39,6 @@ func (sys *System) Checkpoint() {
 	sys.CPU.Checkpoint()
 	ck := &sys.ck
 	ck.sync = *sys.Sync
-	ck.outLen = len(sys.Output)
 	ck.srcInsts = sys.srcInsts
 	ck.lastRegion = sys.lastRegion
 	ck.lastStartPkt = sys.lastStartPkt
@@ -54,8 +51,8 @@ func (sys *System) Checkpoint() {
 	ck.l0Idle = sys.l0Idle
 	ck.delivLen = len(sys.deliveries)
 	ck.valid = true
-	sys.journaling = true
-	sys.undo = sys.undo[:0]
+	sys.Memory.BeginJournal()
+	sys.ctabUndo = sys.ctabUndo[:0]
 }
 
 // CommitCheckpoint discards the outstanding checkpoint (the speculative
@@ -65,8 +62,8 @@ func (sys *System) CommitCheckpoint() {
 		return
 	}
 	sys.CPU.CommitCheckpoint()
-	sys.journaling = false
-	sys.undo = sys.undo[:0]
+	sys.Memory.DropJournal()
+	sys.ctabUndo = sys.ctabUndo[:0]
 	sys.ck.valid = false
 }
 
@@ -78,19 +75,14 @@ func (sys *System) Rollback() {
 		return
 	}
 	sys.CPU.Rollback()
-	for i := len(sys.undo) - 1; i >= 0; i-- {
-		u := &sys.undo[i]
-		b := sys.ram
-		if u.ctab {
-			b = sys.ctab
-		}
-		wr(b, u.off, u.old, int(u.size))
+	sys.Memory.RevertJournal()
+	for i := len(sys.ctabUndo) - 1; i >= 0; i-- {
+		u := &sys.ctabUndo[i]
+		wr(sys.ctab, u.off, u.old, int(u.size))
 	}
-	sys.journaling = false
-	sys.undo = sys.undo[:0]
+	sys.ctabUndo = sys.ctabUndo[:0]
 	ck := &sys.ck
 	*sys.Sync = ck.sync
-	sys.Output = sys.Output[:ck.outLen]
 	sys.srcInsts = ck.srcInsts
 	sys.lastRegion = ck.lastRegion
 	sys.lastStartPkt = ck.lastStartPkt
@@ -105,7 +97,11 @@ func (sys *System) Rollback() {
 	ck.valid = false
 }
 
-// journal records the bytes a store is about to overwrite.
-func (sys *System) journal(ctab bool, b []byte, off uint32, size int) {
-	sys.undo = append(sys.undo, memUndo{ctab: ctab, size: int32(size), off: off, old: rd(b, off, size)})
+// setTab stores size bytes at off in the cache table, journaled while a
+// checkpoint is outstanding.
+func (sys *System) setTab(off, val uint32, size int) {
+	if sys.ck.valid {
+		sys.ctabUndo = append(sys.ctabUndo, ctabUndo{size: int32(size), off: off, old: rd(sys.ctab, off, size)})
+	}
+	wr(sys.ctab, off, val, size)
 }

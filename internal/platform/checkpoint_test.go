@@ -47,11 +47,7 @@ func buildCk(t *testing.T, engine Engine) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := NewWithEngine(prog, engine)
-	if text := f.Section(".text"); text != nil {
-		sys.SetText(text.Addr, text.Data)
-	}
-	return sys
+	return NewWithEngine(prog, engine)
 }
 
 // comparePlat demands observable equality of two systems.
@@ -130,13 +126,13 @@ func TestPlatformRollbackRestoresRAM(t *testing.T) {
 	if err := a.RunUntil(64); err != nil {
 		t.Fatal(err)
 	}
-	snap := append([]byte(nil), a.ram...)
+	snap := append([]byte(nil), ramOf(a)...)
 	a.Checkpoint()
 	if err := a.RunUntil(512); err != nil {
 		t.Fatal(err)
 	}
 	a.Rollback()
-	if !reflect.DeepEqual(snap, a.ram) {
+	if !reflect.DeepEqual(snap, ramOf(a)) {
 		t.Error("platform RAM not restored byte-exactly after rollback")
 	}
 }

@@ -188,15 +188,14 @@ func TestMalformedFieldsRejected(t *testing.T) {
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
-			prog, cp := *good, *good.C6x
-			cp.Packets = slices.Clone(cp.Packets)
+			prog, cp := *good, &c6x.Program{Packets: slices.Clone(good.C6x.Packets), Entry: good.C6x.Entry}
 			cp.Packets[cp.Entry] = c6x.Packet{Insts: []c6x.Inst{bad}}
-			prog.C6x = &cp
+			prog.C6x = cp
 			var se *c6x.SimError
-			if err := c6x.NewSim(&cp, nil).Run(); !errors.As(err, &se) {
+			if err := c6x.NewSim(cp, nil).Run(); !errors.As(err, &se) {
 				t.Errorf("Sim.Run: %v, want a SimError", err)
 			}
-			if _, err := c6x.Fuse(&cp, c6x.FuseConfig{}); !errors.As(err, &se) {
+			if _, err := c6x.Fuse(cp, c6x.FuseConfig{}); !errors.As(err, &se) {
 				t.Errorf("Fuse: %v, want a SimError", err)
 			}
 			for _, e := range []Engine{EngineCompiled, EngineCompiledNoFuse, EngineInterp} {

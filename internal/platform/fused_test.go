@@ -3,7 +3,9 @@ package platform
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/c6x"
 	"repro/internal/core"
@@ -246,13 +248,13 @@ func TestFusedRAMGrowthRollback(t *testing.T) {
 	if err := a.RunUntil(64); err != nil {
 		t.Fatal(err)
 	}
-	snap := append([]byte(nil), a.ram...)
+	snap := append([]byte(nil), ramOf(a)...)
 	a.Checkpoint()
 	if err := a.RunUntil(512); err != nil {
 		t.Fatal(err)
 	}
 	a.Rollback()
-	got := a.ram
+	got := ramOf(a)
 	if len(got) < len(snap) {
 		t.Fatalf("backing array shrank: %d < %d", len(got), len(snap))
 	}
@@ -263,5 +265,31 @@ func TestFusedRAMGrowthRollback(t *testing.T) {
 		if got[i] != 0 {
 			t.Fatalf("grown RAM byte %d = %#x after rollback, want 0", i, got[i])
 		}
+	}
+}
+
+// TestFusedBuildFreedWithProgram: the fused build is memoized on the
+// program it was built from, so a translation that is run once and
+// dropped is collected, build and all — nothing process-wide pins it.
+func TestFusedBuildFreedWithProgram(t *testing.T) {
+	w, _ := workload.ByName("gcd")
+	prog, err := core.Translate(mustAssemble(t, w.Source), core.Options{Level: core.Level2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := New(prog)
+	if !sys.CPU.Fused() {
+		t.Fatal("gcd at Level 2 declined fusion")
+	}
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	p := weak.Make(prog.C6x)
+	prog, sys = nil, nil
+	for i := 0; i < 5 && p.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if p.Value() != nil {
+		t.Fatal("a dropped program and its fused build are still reachable after 5 collections")
 	}
 }

@@ -118,21 +118,21 @@ type WaitReporter interface {
 
 // System is the assembled platform: core, sync device, memories and bus.
 type System struct {
+	// Memory is the source system's address space, the same one the
+	// reference simulator runs on: RAM, the text image (for constant
+	// loads), and the I/O window with the debug port (whose Output is
+	// the functional result) and the emulated SoC bus (AttachBus). The
+	// platform adds only what the emulation fabric holds, around it.
+	// Held by value, so Load/Store reach RAM without a pointer hop.
+	iss.Memory
+
 	Prog *core.Program
 	CPU  *c6x.Sim
 	Sync *SyncDev
 
-	// Bus is the emulated SoC bus (nil = only the debug port).
-	Bus iss.Bus
+	// waits is the attached bus when it is arbitrated (see WaitReporter).
+	waits WaitReporter
 
-	// Output collects debug-port writes, exactly like the reference
-	// simulator, for functional differential testing.
-	Output []uint32
-
-	text  []byte // source code image (read-only data in .text)
-	tBase uint32
-	ram   []byte
-	rBase uint32
 	ctab  []byte // cache-table RAM in the emulation fabric
 	cBase uint32
 
@@ -190,10 +190,10 @@ type System struct {
 	delivLog   bool
 	deliveries []CyclePoint
 
-	// Speculative-execution checkpoint (see checkpoint.go).
-	ck         checkpoint
-	journaling bool
-	undo       []memUndo
+	// Speculative-execution checkpoint and the cache table's undo
+	// journal (see checkpoint.go).
+	ck       checkpoint
+	ctabUndo []ctabUndo
 }
 
 // New builds a platform around a translated program, executing on the
@@ -209,9 +209,9 @@ func New(prog *core.Program) *System { return NewWithEngine(prog, EngineCompiled
 // reached.
 func NewWithEngine(prog *core.Program, engine Engine) *System {
 	sys := &System{
+		Memory:     *iss.NewMemory(prog.TextAddr, prog.TextImage, prog.DataAddr, prog.DataImage),
 		Prog:       prog,
 		Sync:       &SyncDev{Ratio: DefaultRatio},
-		rBase:      0x1000_0000,
 		cBase:      core.CacheTableBase,
 		lastRegion: -1,
 	}
@@ -230,22 +230,11 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 			sys.regionOfPkt[b.PacketStart] = int32(ri)
 		}
 	}
-	if prog.DataAddr != 0 {
-		sys.rBase = prog.DataAddr
-	}
-	if len(prog.DataImage) > 0 {
-		off := int(prog.DataAddr - sys.rBase)
-		sys.growRAM(off + len(prog.DataImage))
-		copy(sys.ram[off:], prog.DataImage)
-	}
 	if prog.CacheTableWords > 0 {
 		sys.ctab = make([]byte, prog.CacheTableWords*4)
 		for i, v := range prog.CacheTableInit {
 			wr(sys.ctab, uint32(i*4), v, 4)
 		}
-	}
-	if len(prog.TextImage) > 0 {
-		sys.SetText(prog.TextAddr, prog.TextImage)
 	}
 	sys.CPU = c6x.NewSim(prog.C6x, sys)
 	sys.engine = EngineInterp
@@ -258,7 +247,8 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 	// with its meaning (probe.go).
 	cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs()}
 	if engine == EngineCompiled {
-		cfg.Intrinsics = probeIntrinsics(prog, sys.rBase)
+		rBase, _ := sys.RAM()
+		cfg.Intrinsics = probeIntrinsics(prog, rBase)
 	} else {
 		cfg.MaxSegPackets = 1
 	}
@@ -272,14 +262,14 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 // when compilation was declined or fell back).
 func (sys *System) Engine() Engine { return sys.engine }
 
-// SetText maps the source program's code image (for constant loads).
-func (sys *System) SetText(base uint32, data []byte) {
-	sys.tBase = base
-	sys.text = append([]byte(nil), data...)
+// AttachBus connects the emulated SoC bus to the I/O window.
+func (sys *System) AttachBus(b iss.Bus) {
+	sys.Memory.AttachBus(b)
+	sys.waits, _ = b.(WaitReporter)
 }
 
-// rd and wr are the little-endian memory port: size bytes at b[off:],
-// bounds-checked by the caller. Words and halfwords move in one access.
+// rd and wr are the cache table's little-endian port: size bytes (1, 2
+// or 4) at b[off:], bounds-checked by the caller.
 func rd(b []byte, off uint32, size int) uint32 {
 	switch size {
 	case 4:
@@ -287,11 +277,7 @@ func rd(b []byte, off uint32, size int) uint32 {
 	case 2:
 		return uint32(binary.LittleEndian.Uint16(b[off:]))
 	}
-	var v uint32
-	for i := 0; i < size; i++ {
-		v |= uint32(b[off+uint32(i)]) << (8 * i)
-	}
-	return v
+	return uint32(b[off])
 }
 
 func wr(b []byte, off uint32, val uint32, size int) {
@@ -301,50 +287,8 @@ func wr(b []byte, off uint32, val uint32, size int) {
 	case 2:
 		binary.LittleEndian.PutUint16(b[off:], uint16(val))
 	default:
-		for i := 0; i < size; i++ {
-			b[off+uint32(i)] = byte(val >> (8 * i))
-		}
+		b[off] = byte(val)
 	}
-}
-
-// Platform RAM is demand-grown: the full iss.RAMSize window is always
-// mapped (and reads as zero), but the backing array only extends to the
-// highest byte ever stored. Typical workloads touch a few KB of data,
-// so per-system construction stops allocating and zeroing 1 MB — which
-// dominated short benchmark runs as allocator/GC time.
-
-// growRAM extends the backing array to at least need bytes (amortized
-// doubling), capped at the mapped window size.
-func (sys *System) growRAM(need int) {
-	n := 2 * len(sys.ram)
-	if n < 4096 {
-		n = 4096
-	}
-	if n < need {
-		n = need
-	}
-	if n > iss.RAMSize {
-		n = iss.RAMSize
-	}
-	nb := make([]byte, n)
-	copy(nb, sys.ram)
-	sys.ram = nb
-}
-
-// ramRead reads size bytes at off from the RAM window; bytes beyond the
-// backing array are zero.
-func (sys *System) ramRead(off uint32, size int) uint32 {
-	b := sys.ram
-	if int(off)+size <= len(b) {
-		return rd(b, off, size)
-	}
-	var v uint32
-	for i := 0; i < size; i++ {
-		if j := int(off) + i; j < len(b) {
-			v |= uint32(b[j]) << (8 * i)
-		}
-	}
-	return v
 }
 
 // emulatedNow returns the core's position on the emulated clock.
@@ -373,13 +317,18 @@ func (sys *System) busNow(cycle int64) int64 {
 	return sys.Sync.Total - 1 + int64(int32(sys.CPU.Regs[core.RegCorrCycles]))
 }
 
-// Load implements c6x.MemPort.
+// Load implements c6x.MemPort. The source address space (RAM, text, the
+// I/O window's decode) is the memory's; the platform adds the fabric's
+// registers and cache table, and the timing of a bus access. RAM already
+// stored to is checked first and inline: with the sync device's
+// registers, it is what the hot path reaches (platform.load_ns). The
+// fabric's addresses are not part of the source address space; an image
+// linked over them is shadowed by them wherever it was not stored to.
 func (sys *System) Load(addr uint32, size int, cycle int64) (uint32, int64, error) {
+	if v, ok := sys.PeekStored(addr, size); ok {
+		return v, cycle, nil
+	}
 	switch {
-	case addr >= sys.rBase && addr-sys.rBase+uint32(size) <= uint32(iss.RAMSize):
-		return sys.ramRead(addr-sys.rBase, size), cycle, nil
-	case sys.ctab != nil && addr >= sys.cBase && addr-sys.cBase+uint32(size) <= uint32(len(sys.ctab)):
-		return rd(sys.ctab, addr-sys.cBase, size), cycle, nil
 	case addr == core.SyncStart:
 		// Blocking read: wait for end of cycle generation (Figure 2).
 		return 0, sys.Sync.Drain(cycle), nil
@@ -387,44 +336,28 @@ func (sys *System) Load(addr uint32, size int, cycle int64) (uint32, int64, erro
 		return uint32(sys.Sync.Total), cycle, nil
 	case addr == core.SyncTotal+4:
 		return uint32(sys.Sync.Total >> 32), cycle, nil
-	case iss.IsIO(addr):
+	case sys.ctab != nil && addr >= sys.cBase && addr-sys.cBase+uint32(size) <= uint32(len(sys.ctab)):
+		return rd(sys.ctab, addr-sys.cBase, size), cycle, nil
+	}
+	if v, ok := sys.Peek(addr, size); ok {
+		return v, cycle, nil
+	}
+	if iss.IsIO(addr) {
 		// Bus interface: wait for the emulated clock, perform the
 		// transaction, generate the wait states.
 		t := sys.Sync.Drain(cycle)
-		now := sys.busNow(cycle)
-		var v uint32
-		if addr == iss.DebugPortAddr || addr == iss.DebugPortAddr+4 {
-			v = uint32(len(sys.Output))
-		} else if sys.Bus != nil {
-			v = sys.Bus.BusRead32(addr, now)
-		}
-		t = sys.ioWait(t, sys.busWait())
-		return v, t, nil
-	case addr >= sys.tBase && addr-sys.tBase+uint32(size) <= uint32(len(sys.text)):
-		return rd(sys.text, addr-sys.tBase, size), cycle, nil
+		v := sys.ReadIO(addr, sys.busNow(cycle))
+		return v, sys.ioWait(t, sys.busWait()), nil
 	}
 	return 0, cycle, fmt.Errorf("platform: unmapped load @%#x", addr)
 }
 
-// Store implements c6x.MemPort.
+// Store implements c6x.MemPort, decoding in Load's order.
 func (sys *System) Store(addr uint32, val uint32, size int, cycle int64) (int64, error) {
+	if sys.PokeStored(addr, val, size) {
+		return cycle, nil
+	}
 	switch {
-	case addr >= sys.rBase && addr-sys.rBase+uint32(size) <= uint32(iss.RAMSize):
-		off := addr - sys.rBase
-		if int(off)+size > len(sys.ram) {
-			sys.growRAM(int(off) + size)
-		}
-		if sys.journaling {
-			sys.journal(false, sys.ram, off, size)
-		}
-		wr(sys.ram, off, val, size)
-		return cycle, nil
-	case sys.ctab != nil && addr >= sys.cBase && addr-sys.cBase+uint32(size) <= uint32(len(sys.ctab)):
-		if sys.journaling {
-			sys.journal(true, sys.ctab, addr-sys.cBase, size)
-		}
-		wr(sys.ctab, addr-sys.cBase, val, size)
-		return cycle, nil
 	case addr == core.SyncStart:
 		sys.attributeRegion()
 		sys.Sync.Start(val, cycle)
@@ -455,16 +388,17 @@ func (sys *System) Store(addr uint32, val uint32, size int, cycle int64) (int64,
 		}
 		sys.irqWaiting = true
 		return cycle, nil
-	case iss.IsIO(addr):
+	case sys.ctab != nil && addr >= sys.cBase && addr-sys.cBase+uint32(size) <= uint32(len(sys.ctab)):
+		sys.setTab(addr-sys.cBase, val, size)
+		return cycle, nil
+	}
+	if sys.Poke(addr, val, size) {
+		return cycle, nil
+	}
+	if iss.IsIO(addr) {
 		t := sys.Sync.Drain(cycle)
-		now := sys.busNow(cycle)
-		if addr == iss.DebugPortAddr {
-			sys.Output = append(sys.Output, val)
-		} else if sys.Bus != nil {
-			sys.Bus.BusWrite32(addr, val, now)
-		}
-		t = sys.ioWait(t, sys.busWait())
-		return t, nil
+		sys.WriteIO(addr, val, sys.busNow(cycle))
+		return sys.ioWait(t, sys.busWait()), nil
 	}
 	return cycle, fmt.Errorf("platform: unmapped store @%#x", addr)
 }
@@ -472,8 +406,8 @@ func (sys *System) Store(addr uint32, val uint32, size int, cycle int64) (int64,
 // busWait drains the arbitration wait-states of the transaction just
 // performed, when the bus is arbitrated (a multi-core SoC).
 func (sys *System) busWait() int64 {
-	if wr, ok := sys.Bus.(WaitReporter); ok {
-		return wr.TakeWait()
+	if sys.waits != nil {
+		return sys.waits.TakeWait()
 	}
 	return 0
 }
@@ -853,12 +787,3 @@ func (sys *System) IRQEnabled() bool { return sys.irqIE }
 // InIRQHandler reports whether the core is between interrupt entry and
 // reti.
 func (sys *System) InIRQHandler() bool { return sys.irqInHandler }
-
-// ReadWord inspects platform RAM (tests and debugger).
-func (sys *System) ReadWord(addr uint32) uint32 {
-	v, _, err := sys.Load(addr, 4, sys.CPU.Cycle())
-	if err != nil {
-		return 0
-	}
-	return v
-}

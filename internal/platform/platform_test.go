@@ -21,11 +21,13 @@ func build(t *testing.T, src string, level core.Level) (*elf32.File, *System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(prog)
-	if text := f.Section(".text"); text != nil {
-		sys.SetText(text.Addr, text.Data)
-	}
-	return f, sys
+	return f, New(prog)
+}
+
+// ramOf is sys's RAM backing array.
+func ramOf(sys *System) []byte {
+	_, b := sys.RAM()
+	return b
 }
 
 func TestSyncDevSemantics(t *testing.T) {
@@ -72,7 +74,7 @@ putc:	ld.w	d2, 4(a2)	; STATUS
 func TestDriverHandshakeOnPlatform(t *testing.T) {
 	f, sys := build(t, driverProgram, core.Level2)
 	uart := socbus.NewUART(40)
-	sys.Bus = socbus.NewBus(uart)
+	sys.AttachBus(socbus.NewBus(uart))
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +124,7 @@ _start:	movh.a	sp, 0x1010
 `
 	f, sys := build(t, src, core.Level3)
 	uart := socbus.NewUART(1000)
-	sys.Bus = socbus.NewBus(uart)
+	sys.AttachBus(socbus.NewBus(uart))
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ spin:	addi	d3, d3, -1
 	halt
 `
 	f, sys := build(t, src, core.Level3)
-	sys.Bus = socbus.NewBus(socbus.NewTimer())
+	sys.AttachBus(socbus.NewBus(socbus.NewTimer()))
 	if err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +242,20 @@ _start:	movi	d0, 1
 // byte-at-a-time reference at both edges of every memory window — RAM
 // (whose backing array ends before the window does: the tail reads
 // zero, also when an access straddles the array's end), the cache table
-// and the text image — and one byte past a window is unmapped.
+// and the text image — and one byte past a window is unmapped. The
+// source windows (RAM and text) also run through the reference
+// simulator's memory, iss.Memory.Read/Write, as a second subject: it must
+// read the same values and fault at the same places.
 func TestMemoryPortEdges(t *testing.T) {
-	_, sys := build(t, irqCountProg, core.Level3)
-	if len(sys.ctab) == 0 || len(sys.text) == 0 {
+	f, sys := build(t, irqCountProg, core.Level3)
+	ref, err := iss.New(f, iss.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := ref.Arch.Mem
+	rBase, _ := sys.RAM()
+	tBase, text := sys.Prog.TextAddr, sys.Prog.TextImage
+	if len(sys.ctab) == 0 || len(text) == 0 {
 		t.Fatal("Level3 program without cache table or text image")
 	}
 	loop := func(b []byte, off uint32, size int) uint32 {
@@ -255,11 +267,30 @@ func TestMemoryPortEdges(t *testing.T) {
 		}
 		return v
 	}
-	check := func(label string, base uint32, backing *[]byte, window int, writable bool) {
+	// store reports whether a store succeeds on the platform and, for a
+	// source window, that the ISS agrees.
+	store := func(label string, source bool, addr, val uint32, size int) bool {
+		t.Helper()
+		_, perr := sys.Store(addr, val, size, 0)
+		if ierr := mem.Write(0, addr, val, size, 0); source && (ierr == nil) != (perr == nil) {
+			t.Errorf("%s: store%d @%#x: platform %v, ISS %v", label, size, addr, perr, ierr)
+		}
+		return perr == nil
+	}
+	load := func(label string, source bool, addr uint32, size int) (uint32, error) {
+		t.Helper()
+		v, _, perr := sys.Load(addr, size, 0)
+		iv, ierr := mem.Read(0, addr, size, 0)
+		if source && ((ierr == nil) != (perr == nil) || iv != v) {
+			t.Errorf("%s: load%d @%#x: platform %#x, %v; ISS %#x, %v", label, size, addr, v, perr, iv, ierr)
+		}
+		return v, perr
+	}
+	check := func(label string, base uint32, backing func() []byte, window int, writable, source bool) {
 		t.Helper()
 		for _, size := range []int{1, 2, 4} {
 			offs := []int{0, 1, window - size}
-			if n := len(*backing); n < window {
+			if n := len(backing()); n < window {
 				offs = append(offs, n-size, n-size+1, n-1, n) // around the backing array's end
 			}
 			for k, off := range offs {
@@ -268,30 +299,42 @@ func TestMemoryPortEdges(t *testing.T) {
 				}
 				addr, val := base+uint32(off), 0xA1B2C3D4+uint32(k)
 				if writable {
-					if _, err := sys.Store(addr, val, size, 0); err != nil {
-						t.Fatalf("%s: store%d @+%d: %v", label, size, off, err)
+					if !store(label, source, addr, val, size) {
+						t.Fatalf("%s: store%d @+%d failed", label, size, off)
 					}
-					if got, want := loop(*backing, uint32(off), size), val&(1<<(8*size)-1); got != want {
+					if got, want := loop(backing(), uint32(off), size), val&(1<<(8*size)-1); got != want {
 						t.Errorf("%s: store%d @+%d left %#x, want %#x", label, size, off, got, want)
 					}
 				}
-				got, _, err := sys.Load(addr, size, 0)
+				got, err := load(label, source, addr, size)
 				if err != nil {
 					t.Fatalf("%s: load%d @+%d: %v", label, size, off, err)
 				}
-				if want := loop(*backing, uint32(off), size); got != want {
+				if want := loop(backing(), uint32(off), size); got != want {
 					t.Errorf("%s: load%d @+%d = %#x, want %#x", label, size, off, got, want)
 				}
 			}
-			if _, _, err := sys.Load(base+uint32(window-size+1), size, 0); err == nil {
+			past := base + uint32(window-size+1)
+			if _, err := load(label, source, past, size); err == nil {
 				t.Errorf("%s: load%d one byte past the window succeeded", label, size)
+			}
+			if source && store(label, source, past, 0, size) {
+				t.Errorf("%s: store%d one byte past the window succeeded", label, size)
 			}
 		}
 	}
+	ram := func() []byte { return ramOf(sys) }
 	// Reads first, against the tail that was never stored to; then the
 	// stores, the last of which grow the backing array to the full window.
-	check("ram-read", sys.rBase, &sys.ram, iss.RAMSize, false)
-	check("text", sys.tBase, &sys.text, len(sys.text), false)
-	check("ctab", sys.cBase, &sys.ctab, len(sys.ctab), true)
-	check("ram", sys.rBase, &sys.ram, iss.RAMSize, true)
+	check("ram-read", rBase, ram, iss.RAMSize, false, true)
+	check("text", tBase, func() []byte { return text }, len(text), false, true)
+	for _, size := range []int{1, 2, 4} {
+		for _, addr := range []uint32{tBase, tBase + uint32(len(text)-size)} {
+			if store("text", true, addr, 0, size) {
+				t.Errorf("text: store%d @%#x to the read-only image succeeded", size, addr)
+			}
+		}
+	}
+	check("ctab", sys.cBase, func() []byte { return sys.ctab }, len(sys.ctab), true, false)
+	check("ram", rBase, ram, iss.RAMSize, true, true)
 }

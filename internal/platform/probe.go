@@ -26,9 +26,9 @@ func probeIntrinsics(prog *core.Program, rBase uint32) []c6x.Intrinsic {
 	}
 	in := c6x.Intrinsic{Entry: r.Entry, End: r.End}
 	g := prog.Desc.ICache
-	// Load/Store look an address up in the RAM window first; the effect
-	// goes straight to the table, which is the same only when the two
-	// cannot overlap.
+	// The effect goes straight to the table. It is declared only where
+	// the RAM window cannot overlap the table, so that a table address
+	// never also names program data.
 	tabEnd := uint64(core.CacheTableBase) + uint64(prog.CacheTableWords)*4
 	disjoint := uint64(rBase)+iss.RAMSize <= core.CacheTableBase || uint64(rBase) >= tabEnd
 	if g.Ways <= 2 && disjoint {
@@ -62,15 +62,6 @@ func probeSet(mem c6x.MemPort, r *[2 * c6x.NumRegs]uint32, n uint32) (sys *Syste
 	return sys, addr, off, addr >= sys.cBase && uint64(off)+uint64(4*n) <= uint64(len(sys.ctab))
 }
 
-// setTab stores one cache-table word, journaled under a checkpoint
-// exactly like Store.
-func (sys *System) setTab(off, val uint32) {
-	if sys.journaling {
-		sys.journal(true, sys.ctab, off, 4)
-	}
-	binary.LittleEndian.PutUint32(sys.ctab[off:], val)
-}
-
 // probe1Way is the direct-mapped probe, table layout [way0, unused] per
 // set. Paths: 0 hit, 1 miss.
 func probe1Way(mem c6x.MemPort, r *[2 * c6x.NumRegs]uint32, pen uint32) int {
@@ -87,7 +78,7 @@ func probe1Way(mem c6x.MemPort, r *[2 * c6x.NumRegs]uint32, pen uint32) int {
 		return 0
 	}
 	r[pr.Cmp] = 0
-	sys.setTab(off, tag)
+	sys.setTab(off, tag, 4)
 	r[pr.Corr] += pen
 	return 1
 }
@@ -108,24 +99,24 @@ func probe2Way(mem c6x.MemPort, r *[2 * c6x.NumRegs]uint32, pen uint32) int {
 	switch tag {
 	case binary.LittleEndian.Uint32(set):
 		r[pr.Word], r[pr.Cmp] = 1, 1
-		sys.setTab(off+8, 1)
+		sys.setTab(off+8, 1, 4)
 		return 0
 	case r[pr.Word1]:
 		r[pr.Word], r[pr.Cmp], r[pr.Cmp1] = 0, 0, 1
-		sys.setTab(off+8, 0)
+		sys.setTab(off+8, 0, 4)
 		return 1
 	}
 	r[pr.Cmp1] = 0
 	r[pr.Corr] += pen
 	if binary.LittleEndian.Uint32(set[8:]) == 0 {
 		r[pr.Word], r[pr.Cmp] = 1, 1
-		sys.setTab(off, tag)
-		sys.setTab(off+8, 1)
+		sys.setTab(off, tag, 4)
+		sys.setTab(off+8, 1, 4)
 		return 2
 	}
 	r[pr.Word], r[pr.Cmp] = 0, 0
-	sys.setTab(off+4, tag)
-	sys.setTab(off+8, 0)
+	sys.setTab(off+4, tag, 4)
+	sys.setTab(off+8, 0, 4)
 	return 3
 }
 
@@ -151,7 +142,13 @@ var probeTrials = [2][][3]uint32{
 // routine's arguments.
 func probeTrial(prog *core.Program, rBase uint32, ways int, set [3]uint32) (c6x.MemPort, [2 * c6x.NumRegs]uint32, func() []byte) {
 	stride := uint32(ways+1) * 4
-	sys := &System{Prog: prog, Sync: &SyncDev{Ratio: DefaultRatio}, rBase: rBase, cBase: core.CacheTableBase, ctab: make([]byte, 2*stride)}
+	sys := &System{
+		Memory: *iss.NewMemory(prog.TextAddr, prog.TextImage, rBase, nil),
+		Prog:   prog,
+		Sync:   &SyncDev{Ratio: DefaultRatio},
+		cBase:  core.CacheTableBase,
+		ctab:   make([]byte, 2*stride),
+	}
 	for i := range sys.ctab {
 		sys.ctab[i] = 0xEE
 	}

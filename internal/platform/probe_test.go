@@ -145,11 +145,7 @@ func TestProbeOpQuantaRollback(t *testing.T) {
 						if err := a.RunUntil(limit + 2*quantum); err != nil {
 							t.Fatal(err)
 						}
-						for _, u := range a.undo {
-							if u.ctab {
-								journaled++
-							}
-						}
+						journaled += len(a.ctabUndo)
 						specRegs, specNow, specTab := a.CPU.Regs, a.Now(), append([]byte(nil), a.ctab...)
 						a.Rollback()
 						if !bytes.Equal(a.ctab, before) {

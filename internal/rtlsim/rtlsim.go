@@ -83,17 +83,12 @@ func New(f *elf32.File) (*CPU, error) {
 	if text == nil {
 		return nil, fmt.Errorf("rtlsim: no .text")
 	}
-	ramBase := uint32(0x1000_0000)
+	var dataAddr uint32
+	var data []byte
 	if d := f.Section(".data"); d != nil {
-		ramBase = d.Addr
+		dataAddr, data = d.Addr, d.Data
 	}
-	mem := iss.NewMemory(text.Addr, text.Data, ramBase, iss.RAMSize)
-	if d := f.Section(".data"); d != nil {
-		if err := mem.LoadImage(d.Addr, d.Data); err != nil {
-			return nil, err
-		}
-	}
-	return &CPU{Mem: mem, PC: f.Entry}, nil
+	return &CPU{Mem: iss.NewMemory(text.Addr, text.Data, dataAddr, data), PC: f.Entry}, nil
 }
 
 // evalCombinational evaluates the full combinational network from the

@@ -276,7 +276,7 @@ func New(cfg Config) (*System, error) {
 				prog = p
 			}
 			sys := platform.NewWithEngine(prog, cfg.Engine)
-			sys.Bus = cs.port
+			sys.AttachBus(cs.port)
 			core := i
 			sys.IRQLine = func() bool { return cs.irqSrc.Line(core) }
 			cs.kind = KindTranslated

@@ -30,18 +30,20 @@ import (
 	"strings"
 
 	"repro/internal/elf32"
+	"repro/internal/iss"
 	"repro/internal/tc32"
 )
 
 // Options configure section placement.
 type Options struct {
-	TextBase uint32 // default 0x00000000
-	DataBase uint32 // default 0x10000000
+	TextBase uint32 // default 0
+	DataBase uint32 // default iss.RAMBase
 }
 
-// DefaultOptions returns the standard TC32 memory layout.
+// DefaultOptions returns the standard TC32 memory layout: text at 0 and
+// .data at the base of the source system's RAM window.
 func DefaultOptions() Options {
-	return Options{TextBase: 0x0000_0000, DataBase: 0x1000_0000}
+	return Options{TextBase: 0, DataBase: iss.RAMBase}
 }
 
 // Error is an assembly error annotated with the source line.

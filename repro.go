@@ -119,11 +119,8 @@ type PlatResult struct {
 }
 
 // RunTranslated runs a translated program on the platform simulation.
-func RunTranslated(f *elf32.File, prog *core.Program) (*PlatResult, error) {
+func RunTranslated(prog *core.Program) (*PlatResult, error) {
 	sys := platform.New(prog)
-	if text := f.Section(".text"); text != nil {
-		sys.SetText(text.Addr, text.Data)
-	}
 	if err := sys.Run(); err != nil {
 		return nil, err
 	}
@@ -180,7 +177,7 @@ func Measure(w workload.Workload, levels ...Level) (*Measurement, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s L%d: %w", w.Name, int(level), err)
 		}
-		res, err := RunTranslated(f, prog)
+		res, err := RunTranslated(prog)
 		if err != nil {
 			return nil, fmt.Errorf("%s L%d: %w", w.Name, int(level), err)
 		}
