@@ -70,9 +70,8 @@ func main() {
 	// so -table1/-table2 (which run on repro's shared farm) reuse the
 	// sweep's translations and vice versa. With it, back the sweep by the
 	// persistent store so translations survive the process.
-	diskCache, closeStore, err := cliutil.OpenTranslationCache(*cacheDir, *cacheBudget)
+	diskCache, err := cliutil.OpenTranslationCache(*cacheDir, *cacheBudget)
 	check(err)
-	defer closeStore()
 	cache := repro.Farm().Cache()
 	if diskCache != nil {
 		cache = diskCache

@@ -105,7 +105,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		defer st.Close()
 		cfg.Store = st
 		slog.Info("translation store open", "dir", st.Dir(), "objects", st.Stats().Objects)
 		if *gcInterval > 0 {

@@ -97,9 +97,8 @@ func main() {
 	// persistent content-addressed store, so SoC sweeps share every
 	// translation with previous runs (and with cabt-farm / cabt-serve
 	// processes pointed at the same directory).
-	cache, closeStore, err := cliutil.OpenTranslationCache(*cacheDir, *cacheBudget)
+	cache, err := cliutil.OpenTranslationCache(*cacheDir, *cacheBudget)
 	check(err)
-	defer closeStore()
 	farm := simfarm.New(simfarm.Config{Workers: *workers, Cache: cache, Engine: cliutil.Engine(*interp, *nofuse)})
 	slog.Info("sweep start", "jobs", len(jobs), "workloads", len(names),
 		"cores", fmt.Sprint(coreCounts), "quanta", fmt.Sprint(quanta),

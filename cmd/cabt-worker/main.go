@@ -87,7 +87,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		defer st.Close()
 		cfg.Disk = st
 		slog.Info("local store open", "dir", st.Dir(), "objects", st.Stats().Objects)
 	}

@@ -12,18 +12,17 @@ import (
 
 // OpenTranslationCache opens the content-addressed store at dir (with
 // an optional LRU byte budget) and returns a translation cache backed
-// by it, plus the store's close (index flush) function. An empty dir
-// returns (nil, no-op, nil): the caller's farm falls back to its
-// private in-memory cache.
-func OpenTranslationCache(dir string, budget int64) (*simfarm.TranslationCache, func() error, error) {
+// by it. An empty dir returns (nil, nil): the caller's farm falls back
+// to its private in-memory cache.
+func OpenTranslationCache(dir string, budget int64) (*simfarm.TranslationCache, error) {
 	if dir == "" {
-		return nil, func() error { return nil }, nil
+		return nil, nil
 	}
 	st, err := store.Open(dir, store.Options{MaxBytes: budget})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return simfarm.NewPersistentTranslationCache(st), st.Close, nil
+	return simfarm.NewPersistentTranslationCache(st), nil
 }
 
 // Engine maps the front-ends' -interp and -nofuse flags to the platform

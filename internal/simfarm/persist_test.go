@@ -58,9 +58,6 @@ func TestFarmDiskStoreEquivalence(t *testing.T) {
 	if coldStats.CacheMisses == 0 {
 		t.Fatal("cold run reported no translations")
 	}
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	// "Second process": fresh store handle, fresh farm, same directory.
 	st2, err := store.Open(dir, store.Options{})
@@ -126,7 +123,6 @@ func TestFarmSurvivesStoreCorruption(t *testing.T) {
 	cold := simfarm.New(simfarm.Config{Workers: 4, Cache: simfarm.NewPersistentTranslationCache(st)})
 	coldResults, _ := cold.Run(jobs)
 	assertNoFailures(t, coldResults)
-	st.Close()
 
 	// Truncate every object on disk.
 	damaged := 0

@@ -63,7 +63,6 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	s := mustNew(t, server.Config{
 		Workers: 2, Store: st,
 		Journal:     filepath.Join(t.TempDir(), "journal.cabt"),

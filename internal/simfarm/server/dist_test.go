@@ -102,7 +102,6 @@ func TestDistributedBatchMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	_, ts, mk := distServer(t, server.Config{Workers: 2, Store: st, LeaseTTL: 5 * time.Second})
 	c := mk("acme")
 

@@ -221,7 +221,6 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	_, ts, mk := distServer(t, server.Config{Workers: 2, Store: st})
 
 	mk("").submitAndWait(server.SubmitRequest{Workloads: []string{"gcd"}, Levels: []int{0, 1}})
@@ -345,7 +344,6 @@ func TestDistObservabilityExactCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { st.Close() })
 	_, ts, mk := distServer(t, server.Config{Store: st, LeaseTTL: 2 * time.Second})
 	c := mk("")
 	before := promScrape(t, ts.URL)

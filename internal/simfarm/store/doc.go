@@ -7,9 +7,18 @@
 //
 // # Layout
 //
-//	<dir>/index.json            versioned index (sizes, LRU timestamps)
 //	<dir>/objects/<aa>/<key>    one object per 64-hex-digit content address,
-//	                            sharded by the first byte
+//	                            sharded by the first byte; its mtime is
+//	                            the object's last use
+//
+// The objects directory is the store's only record of what it holds.
+// Open and every GC scan it, taking each file's size and mtime; the
+// in-memory index they build serves the byte budget, eviction and
+// Stats, and is never written anywhere. Every load and write sets the
+// object's mtime, so LRU order survives a restart, a crash included,
+// and is shared by every process on the directory. A scan removes temp
+// files older than ten minutes, left by interrupted writes, and spares
+// younger ones, which may be another process's write in flight.
 //
 // Each object file is a fixed header — magic, format version, the
 // object's own key, payload length, payload SHA-256 — followed by a
@@ -24,10 +33,9 @@
 // checksum, and decodes defensively; a file that fails any check is
 // deleted and reported as an ordinary miss, so corruption (truncation,
 // bit rot, a foreign or renamed file, an old format version) costs one
-// re-translation, never a crash. The index is an optimization, not a
-// source of truth — when it is missing, unreadable, or the wrong
-// version, Open rebuilds it by scanning the objects directory with file
-// mtimes as the LRU order.
+// re-translation, never a crash. There is no second record to fall out
+// of step with the objects: an index.json left by an older build is
+// ignored.
 //
 // # Eviction and namespaces
 //

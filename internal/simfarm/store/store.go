@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,9 +43,10 @@ import (
 // cache-probe intrinsic — silently at half speed — so it is rebuilt.
 const FormatVersion = 4
 
-// indexVersion versions index.json independently of the object format;
-// an unreadable or wrong-version index is rebuilt by scanning objects/.
-const indexVersion = 1
+// tempGrace is how old a .tmp-* file under objects/ must be before a
+// rescan removes it as the leftover of an interrupted write. A younger
+// one may be a sibling process's write between its sync and its rename.
+const tempGrace = 10 * time.Minute
 
 // magic opens every object file. Eight bytes, never versioned: version
 // negotiation happens in the explicit version field that follows it.
@@ -85,6 +85,8 @@ type state struct {
 	dir      string
 	maxBytes int64
 
+	// index is the in-memory view of objects/, rebuilt from it by every
+	// Open and GC; it serves the byte budget, eviction and Stats.
 	mu    sync.Mutex
 	index map[[sha256.Size]byte]*entry
 	bytes int64
@@ -99,7 +101,7 @@ type state struct {
 // entry is one object's index record.
 type entry struct {
 	Size     int64 // file size in bytes (header + payload)
-	LastUsed int64 // unix nanoseconds of the last load or store
+	LastUsed int64 // unix nanoseconds of the last load or store; the file's mtime
 }
 
 // Stats is a point-in-time snapshot of a store's contents and traffic.
@@ -115,10 +117,10 @@ type Stats struct {
 	Corrupt   int64  `json:"corrupt"`
 }
 
-// Open opens (creating if needed) the store rooted at dir. The index is
-// loaded from dir/index.json when present and valid; a missing, corrupt
-// or wrong-version index is rebuilt by scanning dir/objects, using file
-// modification times as the LRU order, so no index failure mode is fatal.
+// Open opens (creating if needed) the store rooted at dir and learns
+// what it holds by scanning dir/objects, with file modification times as
+// the LRU order. Nothing else is read: the objects directory is the
+// store's only record of its contents.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("store: empty directory")
@@ -127,10 +129,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	st := &state{dir: dir, maxBytes: opts.MaxBytes}
-	if !st.loadIndex() {
-		if err := st.rescan(); err != nil {
-			return nil, err
-		}
+	if err := st.rescan(); err != nil {
+		return nil, err
 	}
 	return &Store{st: st}, nil
 }
@@ -200,7 +200,7 @@ func (st *state) loadObject(dk [sha256.Size]byte) ([]byte, *core.Program, bool, 
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		// Heal any stale index entry (the object may have been evicted
-		// or removed out from under a rebuilt index).
+		// or removed by another process since the last scan).
 		st.mu.Lock()
 		if e, ok := st.index[dk]; ok {
 			st.bytes -= e.Size
@@ -212,15 +212,13 @@ func (st *state) loadObject(dk [sha256.Size]byte) ([]byte, *core.Program, bool, 
 	if err != nil {
 		return nil, nil, false, fmt.Errorf("store: load %x: %w", dk[:8], err)
 	}
-	prog, err := decodeObject(dk, data)
+	prog, err := DecodeObject(dk, data)
 	if err != nil {
 		st.quarantine(dk, path, err)
 		return nil, nil, false, nil
 	}
 	st.hits.Add(1)
-	st.refresh(dk, path, int64(len(data)))
-	now := time.Now()
-	os.Chtimes(path, now, now) // keep mtime usable as LRU if the index is lost
+	st.touch(dk, path, int64(len(data)))
 	return data, prog, true, nil
 }
 
@@ -243,7 +241,7 @@ func (s *Store) Store(key [sha256.Size]byte, prog *core.Program) error {
 // payload — before anything touches the disk, so a remote peer can never
 // plant an object that Load would later quarantine.
 func (s *Store) StoreRaw(dk [sha256.Size]byte, data []byte) error {
-	if _, err := decodeObject(dk, data); err != nil {
+	if _, err := DecodeObject(dk, data); err != nil {
 		return fmt.Errorf("store: raw object %x does not verify: %w", dk[:8], err)
 	}
 	return s.st.writeObject(dk, data)
@@ -282,32 +280,20 @@ func (st *state) writeObject(dk [sha256.Size]byte, data []byte) error {
 		return fmt.Errorf("store: store %x: %w", dk[:8], werr)
 	}
 	st.puts.Add(1)
-	st.touch(dk, int64(len(data)))
+	st.touch(dk, path, int64(len(data)))
 	st.enforceBudget(dk)
-	st.writeIndex()
 	return nil
 }
 
-// touch records (or refreshes) an index entry.
-func (st *state) touch(dk [sha256.Size]byte, size int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.index[dk]
-	if !ok {
-		e = &entry{}
-		st.index[dk] = e
-	}
-	st.bytes += size - e.Size
-	e.Size = size
-	e.LastUsed = time.Now().UnixNano()
-}
-
-// refresh is touch for the Load path: a load that raced an eviction must
-// not resurrect the victim's index entry, so an absent entry is only
-// re-added if the object file still exists (eviction removes the file
-// under the same lock that removes the entry, so the stat under the lock
-// observes a consistent pair).
-func (st *state) refresh(dk [sha256.Size]byte, path string, size int64) {
+// touch marks the object at dk used now, in the index and in the file's
+// mtime, which is the LRU clock every later Open and GC read back. A
+// load or write that raced an eviction must not resurrect the victim's
+// entry, so an absent entry is only added if the object file still
+// exists (eviction removes the file under the same lock that removes
+// the entry, so the stat under the lock observes a consistent pair).
+func (st *state) touch(dk [sha256.Size]byte, path string, size int64) {
+	now := time.Now()
+	os.Chtimes(path, now, now) // best effort: a failure costs recency after a restart
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok := st.index[dk]
@@ -320,7 +306,7 @@ func (st *state) refresh(dk [sha256.Size]byte, path string, size int64) {
 	}
 	st.bytes += size - e.Size
 	e.Size = size
-	e.LastUsed = time.Now().UnixNano()
+	e.LastUsed = now.UnixNano()
 }
 
 // quarantine removes an object that failed verification.
@@ -353,7 +339,7 @@ func (st *state) enforceBudget(keep [sha256.Size]byte) {
 // the store fits its byte budget. keep (when non-nil) is never evicted.
 // Index entry and object file are removed under one lock hold, so a
 // concurrent Load can never observe the entry gone but the file present
-// (or re-index a file that is about to disappear — see refresh).
+// (or re-index a file that is about to disappear — see touch).
 func (st *state) evictLocked(keep *[sha256.Size]byte, cutoff int64) (evicted int, freed int64) {
 	type victim struct {
 		key [sha256.Size]byte
@@ -398,9 +384,9 @@ type GCResult struct {
 // directory — picking up objects written by other processes sharing
 // it, which writes alone never see — then objects not used within
 // maxAge are evicted (maxAge 0 disables the age rule), then
-// least-recently-used objects until the byte budget is met, and the
-// index is flushed. File mtimes are the cross-process LRU clock (Load
-// refreshes them on every hit), so the rescan keeps recency intact.
+// least-recently-used objects until the byte budget is met. File mtimes
+// are the cross-process LRU clock (every load and write sets them), so
+// the rescan keeps recency intact.
 // cmd/cabt-serve runs GC from a background ticker and exposes it at
 // POST /v1/admin/gc.
 func (s *Store) GC(maxAge time.Duration) GCResult {
@@ -416,7 +402,6 @@ func (s *Store) GC(maxAge time.Duration) GCResult {
 	evicted, freed := st.evictLocked(nil, cutoff)
 	objects, bytes := len(st.index), st.bytes
 	st.mu.Unlock()
-	st.writeIndex()
 	return GCResult{Evicted: evicted, FreedBytes: freed, Objects: objects, Bytes: bytes}
 }
 
@@ -460,11 +445,10 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close flushes the index. The store remains usable (Close is a flush
-// point, not a teardown): object files are always complete on disk, and
-// the index is reconstructible, so Close losing a race only costs a
-// rescan on the next Open.
-func (s *Store) Close() error { return s.st.writeIndex() }
+// Close does nothing and returns nil: every object is complete on disk
+// once Store returns, and the objects directory is the whole record of
+// the store, so there is nothing to flush or release.
+func (s *Store) Close() error { return nil }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.st.dir }
@@ -497,13 +481,6 @@ func EncodeObject(dk [sha256.Size]byte, prog *core.Program) ([]byte, error) {
 // return path that is not a fully verified program is an error; callers
 // treat any error as corruption.
 func DecodeObject(dk [sha256.Size]byte, data []byte) (*core.Program, error) {
-	return decodeObject(dk, data)
-}
-
-// decodeObject verifies an object file end to end and decodes its
-// program. Every return path that is not a fully verified program is an
-// error; callers treat any error as corruption.
-func decodeObject(dk [sha256.Size]byte, data []byte) (*core.Program, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("truncated header: %d bytes", len(data))
 	}
@@ -532,89 +509,14 @@ func decodeObject(dk [sha256.Size]byte, data []byte) (*core.Program, error) {
 	return prog, nil
 }
 
-// --- index ---
-
-// indexFile is the JSON document at dir/index.json.
-type indexFile struct {
-	Version int          `json:"version"`
-	Entries []indexEntry `json:"entries"`
-}
-
-type indexEntry struct {
-	Key      string `json:"key"`
-	Size     int64  `json:"size"`
-	LastUsed int64  `json:"last_used"`
-}
-
-func (st *state) indexPath() string { return filepath.Join(st.dir, "index.json") }
-
-// loadIndex reads index.json; false means the caller must rescan.
-func (st *state) loadIndex() bool {
-	data, err := os.ReadFile(st.indexPath())
-	if err != nil {
-		return false
-	}
-	var f indexFile
-	if json.Unmarshal(data, &f) != nil || f.Version != indexVersion {
-		return false
-	}
-	index := make(map[[sha256.Size]byte]*entry, len(f.Entries))
-	var total int64
-	for _, ie := range f.Entries {
-		raw, err := hex.DecodeString(ie.Key)
-		if err != nil || len(raw) != sha256.Size || ie.Size < 0 {
-			return false
-		}
-		var k [sha256.Size]byte
-		copy(k[:], raw)
-		index[k] = &entry{Size: ie.Size, LastUsed: ie.LastUsed}
-		total += ie.Size
-	}
-	st.mu.Lock()
-	st.index, st.bytes = index, total
-	st.mu.Unlock()
-	return true
-}
-
-// writeIndex atomically persists the index.
-func (st *state) writeIndex() error {
-	st.mu.Lock()
-	f := indexFile{Version: indexVersion, Entries: make([]indexEntry, 0, len(st.index))}
-	for k, e := range st.index {
-		f.Entries = append(f.Entries, indexEntry{Key: hex.EncodeToString(k[:]), Size: e.Size, LastUsed: e.LastUsed})
-	}
-	st.mu.Unlock()
-	sort.Slice(f.Entries, func(i, j int) bool { return f.Entries[i].Key < f.Entries[j].Key })
-	data, err := json.MarshalIndent(f, "", " ")
-	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	tmp, err := os.CreateTemp(st.dir, ".tmp-index-*")
-	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), st.indexPath())
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: index: %w", werr)
-	}
-	return nil
-}
+// --- directory scan ---
 
 // rescan rebuilds the index from the objects directory: every well-named
 // object file becomes an entry (content verification stays lazy, in
-// Load), stray temp files from interrupted writes are removed, and file
-// mtimes stand in for the lost LRU order.
+// Load) with its mtime as its LRU time, and temp files older than
+// tempGrace, left by interrupted writes, are removed.
 func (st *state) rescan() error {
+	tempCutoff := time.Now().Add(-tempGrace)
 	index := map[[sha256.Size]byte]*entry{}
 	var total int64
 	root := filepath.Join(st.dir, "objects")
@@ -622,18 +524,20 @@ func (st *state) rescan() error {
 		if err != nil || d.IsDir() {
 			return err
 		}
+		info, err := d.Info()
+		if err != nil {
+			return nil
+		}
 		name := d.Name()
 		if strings.HasPrefix(name, ".tmp-") {
-			os.Remove(path)
+			if info.ModTime().Before(tempCutoff) {
+				os.Remove(path)
+			}
 			return nil
 		}
 		raw, err := hex.DecodeString(name)
 		if err != nil || len(raw) != sha256.Size {
 			return nil // not an object; leave foreign files alone
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
 		}
 		var k [sha256.Size]byte
 		copy(k[:], raw)

@@ -3,11 +3,14 @@ package store_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/platform"
@@ -29,7 +32,7 @@ var testProgram = sync.OnceValues(func() (*core.Program, error) {
 	return core.Translate(f, core.Options{Level: core.Level1})
 })
 
-func prog(t *testing.T) *core.Program {
+func prog(t testing.TB) *core.Program {
 	t.Helper()
 	p, err := testProgram()
 	if err != nil {
@@ -52,7 +55,7 @@ func cycles(t *testing.T, p *core.Program) (int64, int64) {
 	return st.C6xCycles, st.GeneratedCycles
 }
 
-func open(t *testing.T, dir string, opts store.Options) *store.Store {
+func open(t testing.TB, dir string, opts store.Options) *store.Store {
 	t.Helper()
 	s, err := store.Open(dir, opts)
 	if err != nil {
@@ -260,7 +263,7 @@ func TestKeyMismatchDetected(t *testing.T) {
 	}
 
 	other := key("somewhere-else")
-	otherPath := filepath.Join(dir, "objects", hexShard(other), hexName(other))
+	otherPath := keyPath(dir, other)
 	if err := os.MkdirAll(filepath.Dir(otherPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -275,76 +278,135 @@ func TestKeyMismatchDetected(t *testing.T) {
 	}
 }
 
-func hexShard(k [sha256.Size]byte) string { return hexName(k)[:2] }
-func hexName(k [sha256.Size]byte) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 0, 64)
-	for _, b := range k {
-		out = append(out, digits[b>>4], digits[b&0xF])
-	}
-	return string(out)
+// keyPath is the object file of root-namespace key k under dir.
+func keyPath(dir string, k [sha256.Size]byte) string {
+	hx := hex.EncodeToString(k[:])
+	return filepath.Join(dir, "objects", hx[:2], hx)
 }
 
-// TestIndexRecovery: the index is advisory — missing, garbage, or
-// wrong-version index files all recover by rescanning objects/.
+// setMtime sets the LRU time of k's object file, as a load at t would.
+func setMtime(t *testing.T, dir string, k [sha256.Size]byte, at time.Time) {
+	t.Helper()
+	if err := os.Chtimes(keyPath(dir, k), at, at); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIndexRecovery: an index.json left by an older build is ignored
+// in every shape — absent, garbage, wrong version, truncated, or lying
+// (listing an absent key and omitting a present one). Open learns the
+// store's contents from objects/ alone, and nothing rewrites the file.
 func TestIndexRecovery(t *testing.T) {
 	p := prog(t)
+	a, b, ghost := key("a"), key("b"), key("ghost")
+	lying := fmt.Sprintf(`{"version":1,"entries":[{"key":"%x","size":1,"last_used":1},{"key":"%x","size":1,"last_used":2}]}`, a, ghost)
 	for _, tc := range []struct {
-		name   string
-		mangle func(indexPath string)
+		name  string
+		index string // "" leaves no index.json
 	}{
-		{"missing", func(ip string) { os.Remove(ip) }},
-		{"garbage", func(ip string) { os.WriteFile(ip, []byte("{not json"), 0o644) }},
-		{"wrong-version", func(ip string) { os.WriteFile(ip, []byte(`{"version":99,"entries":[]}`), 0o644) }},
-		{"truncated", func(ip string) {
-			data, _ := os.ReadFile(ip)
-			os.WriteFile(ip, data[:len(data)/2], 0o644)
-		}},
+		{"missing", ""},
+		{"garbage", "{not json"},
+		{"wrong-version", `{"version":99,"entries":[]}`},
+		{"truncated", lying[:len(lying)/2]},
+		{"lying", lying},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := open(t, dir, store.Options{})
-			mustStore(t, s, key("a"), p)
-			mustStore(t, s, key("b"), p)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
+			mustStore(t, s, a, p)
+			mustStore(t, s, b, p)
+			want := s.Stats().Bytes
+			ip := filepath.Join(dir, "index.json")
+			if tc.index != "" {
+				if err := os.WriteFile(ip, []byte(tc.index), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			tc.mangle(filepath.Join(dir, "index.json"))
 
 			s2 := open(t, dir, store.Options{})
-			if st := s2.Stats(); st.Objects != 2 {
-				t.Fatalf("recovered Objects = %d, want 2 (stats %+v)", st.Objects, st)
+			if st := s2.Stats(); st.Objects != 2 || st.Bytes != want {
+				t.Fatalf("reopened store: %d objects, %d bytes, want 2, %d (stats %+v)", st.Objects, st.Bytes, want, st)
 			}
-			for _, k := range [][sha256.Size]byte{key("a"), key("b")} {
+			for _, k := range [][sha256.Size]byte{a, b} {
 				if _, ok, err := s2.Load(k); err != nil || !ok {
-					t.Fatalf("recovered Load = (ok=%v, err=%v)", ok, err)
+					t.Fatalf("reopened Load = (ok=%v, err=%v)", ok, err)
 				}
+			}
+			if _, ok, _ := s2.Load(ghost); ok {
+				t.Fatal("a key only the index lists resolved")
+			}
+			mustStore(t, s2, key("c"), p)
+			s2.GC(0)
+			data, err := os.ReadFile(ip)
+			if tc.index == "" && !os.IsNotExist(err) || tc.index != "" && string(data) != tc.index {
+				t.Fatalf("index.json touched: %q, %v", data, err)
 			}
 		})
 	}
 }
 
-// TestRescanRemovesTempFiles: leftovers of interrupted writes are swept
-// during index recovery and never mistaken for objects.
+// TestRescanRemovesTempFiles: every Open sweeps the leftovers of
+// interrupted writes and never mistakes them for objects, but spares a
+// fresh temp file, which may be a sibling process's write in flight.
 func TestRescanRemovesTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, store.Options{})
 	mustStore(t, s, key("a"), prog(t))
-	stray := filepath.Join(dir, "objects", "ab", ".tmp-interrupted")
-	if err := os.MkdirAll(filepath.Dir(stray), 0o755); err != nil {
+	stale := filepath.Join(dir, "objects", "ab", ".tmp-interrupted")
+	fresh := filepath.Join(dir, "objects", "ab", ".tmp-in-flight")
+	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(stray, []byte("partial object write"), 0o644); err != nil {
+	for _, path := range []string{stale, fresh} {
+		if err := os.WriteFile(path, []byte("partial object write"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(stale, hourAgo, hourAgo); err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, "index.json"))
 
 	s2 := open(t, dir, store.Options{})
 	if st := s2.Stats(); st.Objects != 1 {
 		t.Fatalf("Objects = %d, want 1", st.Objects)
 	}
-	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Fatalf("stray temp file survived rescan: %v", err)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temp file survived rescan: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("in-flight temp file removed by rescan: %v", err)
+	}
+}
+
+// TestLoadRecencySurvivesRestart: a load's recency outlives the process
+// even when it ends without Close (a crash or kill -9): the reopened
+// store evicts the object loaded longest ago, not the one stored first.
+func TestLoadRecencySurvivesRestart(t *testing.T) {
+	p := prog(t)
+	probe := open(t, t.TempDir(), store.Options{})
+	mustStore(t, probe, key("probe"), p)
+	budget := store.Options{MaxBytes: 2 * probe.Stats().Bytes}
+
+	dir := t.TempDir()
+	s := open(t, dir, budget)
+	mustStore(t, s, key("a"), p)
+	mustStore(t, s, key("b"), p)
+	setMtime(t, dir, key("a"), time.Now().Add(-2*time.Hour))
+	setMtime(t, dir, key("b"), time.Now().Add(-time.Hour))
+	if _, ok, err := s.Load(key("a")); err != nil || !ok {
+		t.Fatalf("Load(a) = (ok=%v, err=%v)", ok, err)
+	}
+
+	s2 := open(t, dir, budget)
+	mustStore(t, s2, key("c"), p)
+	if _, err := os.Stat(keyPath(dir, key("b"))); !os.IsNotExist(err) {
+		t.Fatalf("least recently used b survived: %v", err)
+	}
+	for _, k := range []string{"a", "c"} {
+		if _, ok, err := s2.Load(key(k)); err != nil || !ok {
+			t.Fatalf("object %q evicted (ok=%v, err=%v)", k, ok, err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -21,7 +22,9 @@ type Workload struct {
 	Name        string
 	Description string
 	Source      string // TC32 assembly
-	Expected    []uint32
+	// Expected is the debug-port output vector. Every copy of a
+	// built-in workload shares it: read-only.
+	Expected []uint32
 	// PaperInstructions is the executed-instruction count the paper
 	// reports for this program in Table 2 (0 if not reported).
 	PaperInstructions int64
@@ -79,24 +82,28 @@ func (l *lcg) sample(amp int32) int32 {
 // mul32 is the TC32 mul semantic: low 32 bits of the product.
 func mul32(a, b int32) int32 { return int32(uint32(a) * uint32(b)) }
 
-// All returns every workload, in the paper's presentation order.
-func All() []Workload {
-	return []Workload{
-		GCD(),
-		DPCM(),
-		FIR(),
-		Ellip(),
-		Sieve(),
-		Subband(),
-		Fibonacci(),
-	}
+// builtins is every workload in the paper's presentation order, built
+// once: each constructor renders its assembly source and runs its Go
+// reference, which a per-lookup rebuild would repeat on every job spec.
+var builtins = []Workload{
+	GCD(),
+	DPCM(),
+	FIR(),
+	Ellip(),
+	Sieve(),
+	Subband(),
+	Fibonacci(),
 }
+
+// All returns every workload, in the paper's presentation order. The
+// slice is the caller's own; each workload's Expected is shared and
+// read-only.
+func All() []Workload { return slices.Clone(builtins) }
 
 // Six returns the six programs of Figures 5/6 and Table 1 (no fibonacci).
 func Six() []Workload {
-	all := All()
 	out := make([]Workload, 0, 6)
-	for _, w := range all {
+	for _, w := range builtins {
 		if w.Name != "fibonacci" {
 			out = append(out, w)
 		}
@@ -104,9 +111,10 @@ func Six() []Workload {
 	return out
 }
 
-// ByName returns the named workload.
+// ByName returns the named workload. Its Expected is shared and
+// read-only.
 func ByName(name string) (Workload, bool) {
-	for _, w := range All() {
+	for _, w := range builtins {
 		if w.Name == name {
 			return w, true
 		}
@@ -133,7 +141,7 @@ func SameOutput(got, want []uint32) error {
 // Names returns all workload names, sorted.
 func Names() []string {
 	var names []string
-	for _, w := range All() {
+	for _, w := range builtins {
 		names = append(names, w.Name)
 	}
 	sort.Strings(names)

@@ -130,3 +130,17 @@ func TestWorkloadsHaveDistinctBlockProfiles(t *testing.T) {
 		t.Errorf("large-block workloads (%.1f) not clearly larger than small-block (%.1f)", large, small)
 	}
 }
+
+// TestLookupBuildsNothing: the built-in workloads are built once, so a
+// lookup (one per submitted job spec in the HTTP service) allocates
+// nothing, and All hands out a slice the caller may reorder freely.
+func TestLookupBuildsNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByName("subband") }); n != 0 {
+		t.Fatalf("ByName allocates %v times per call, want 0", n)
+	}
+	a := All()
+	a[0], a[1] = a[1], a[0]
+	if All()[0].Name != "gcd" {
+		t.Fatal("reordering All's result changed the table")
+	}
+}
