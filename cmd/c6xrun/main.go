@@ -69,6 +69,7 @@ func main() {
 			es.EntriesClean, es.EntriesMatched, es.HookStops, es.Deopts())
 		fmt.Printf("deopts by cause:  %s\n", es.DeoptSummary())
 		fmt.Printf("intrinsic sites:  %s (%d calls on the op)\n", es.IntrinsicSummary(), es.IntrinsicRuns)
+		fmt.Printf("bound sync sites: %d (%d fallbacks to the memory port)\n", es.BoundSites, es.DeviceFallbacks)
 		fmt.Printf("generic packets:  %d of %d (%.1f%%)\n", es.GenericPackets, es.Packets, 100*es.GenericShare())
 	}
 	for i, w := range sys.Output {

@@ -1,7 +1,7 @@
 // Command cabt-bench regenerates every table and figure of the paper's
 // evaluation section, plus the ablation studies of this reproduction.
 // Results are printed next to the published values where the paper gives
-// numbers; see EXPERIMENTS.md for the recorded comparison.
+// numbers.
 //
 // -perf-json writes the machine-readable perf trajectory (per-benchmark
 // ns/op, allocs/op, simulated-cycles/wall-second, and the Table-1

@@ -202,13 +202,15 @@ func printEngine(w *os.File, r simfarm.SoCResult) {
 		for o, n := range c.Engine.IntrinsicSites {
 			sum.IntrinsicSites[o] += n
 		}
+		sum.BoundSites += c.Engine.BoundSites
+		sum.DeviceFallbacks += c.Engine.DeviceFallbacks
 		shares = append(shares, fmt.Sprintf("%.1f", 100*c.Engine.GenericShare()))
 	}
 	if len(shares) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d (%s) · intrinsic sites %s, %d calls · generic packets %s %%\n",
-		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts(), sum.DeoptSummary(), sum.IntrinsicSummary(), sum.IntrinsicRuns, strings.Join(shares, "/"))
+	fmt.Fprintf(w, "  engine: fused entries %d clean + %d matched · hook stops %d · deopts %d (%s) · intrinsic sites %s, %d calls · bound sync sites %d, %d fallbacks · generic packets %s %%\n",
+		sum.EntriesClean, sum.EntriesMatched, sum.HookStops, sum.Deopts(), sum.DeoptSummary(), sum.IntrinsicSummary(), sum.IntrinsicRuns, sum.BoundSites, sum.DeviceFallbacks, strings.Join(shares, "/"))
 }
 
 func parseNames(s string) ([]string, error) {

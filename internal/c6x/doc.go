@@ -26,7 +26,8 @@
 // segment's cycle and statistics accounting into constants — ending at
 // region starts, control-flow forks and FuseConfig.MaxSegPackets (1 is
 // the unfused build, Compile); declared runtime routines become one
-// validated op (intrinsic.go). Attach a build with UseFused and run it
+// validated op (intrinsic.go), and Volatile memory ops the caller binds
+// call its handler instead of the MemPort (FuseConfig.Bind). Attach a build with UseFused and run it
 // with RunFused/StepFused (fuserun.go): fused code hands back to Step
 // wherever its contract ends and re-enters wherever the dynamic state
 // matches a segment, so both interleave within one run, bit-identical to

@@ -36,7 +36,9 @@ import "sort"
 // (packet, cycle, text) and leaves the interpreter's Stats: the error
 // path adds the faulting packet's share of the folded counts (memFault;
 // TestFusedMemoryFaultExact, and platform's TestProbeFaultExact for a
-// fault inside an intrinsic routine). Two things do differ after such an
+// fault inside an intrinsic routine). A bound op's packet is not
+// synchronized, so its fault path first applies what the packet owed
+// (deviceAccess; TestFusedBoundAccess). Two things do differ after such an
 // error, which is terminal: the pc, which fused code does not maintain,
 // and a register written directly by an instruction issued earlier in
 // the faulting packet, which the interpreter never commits.
@@ -82,7 +84,24 @@ type FuseConfig struct {
 	// caller knows (see Intrinsic); like the fields above they are
 	// derived from the program, not chosen.
 	Intrinsics []Intrinsic
+	// Bind, if set, may supply a direct handler for the Volatile load or
+	// store in of packet pkt (see DeviceAccess), or return nil to keep
+	// the MemPort access. Fuse asks once per op whose packet holds no
+	// other memory op. Like Intrinsics it is derived from the program:
+	// the caller knows what a device register means, the fuser does not.
+	Bind func(pkt int, in Inst) DeviceAccess
 }
+
+// DeviceAccess performs one bound Volatile access (FuseConfig.Bind) in
+// place of the MemPort call. addr is the computed address, val the
+// store data (0 for a load) and now the cycle the interpreter passes to
+// the MemPort. It returns the loaded value and the cycle the core
+// continues at, or ok=false, before touching anything, to decline: the
+// op then makes the ordinary MemPort call with those same arguments
+// (EngineStats.DeviceFallbacks). A bound op's packet pays no accounting
+// sync: now is the Sim's clock plus the stalls and cycles folded since
+// the last one.
+type DeviceAccess func(mem MemPort, addr, val uint32, now int64) (v uint32, cont int64, ok bool)
 
 // fop is one compiled fused operation.
 type fop func(s *Sim) error
@@ -195,6 +214,7 @@ type FusedProgram struct {
 	entries   int
 	longest   int
 	sites     [NumIntrinsicOutcomes]int64
+	bound     int64 // memory ops bound to a FuseConfig.Bind handler
 }
 
 // Segments returns the number of compiled segments (introspection).
@@ -239,6 +259,8 @@ type fuser struct {
 	rets    map[Reg]*retTable
 	exits   map[string]*indirectExit // (register, exit window) -> shared exit
 	sites   [NumIntrinsicOutcomes]int64
+	bound   []DeviceAccess // per packet: the handler of its one memory op, if bound
+	nbound  int64
 }
 
 // Compile is the unfused build: Fuse with one packet per segment and
@@ -275,6 +297,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		f.maxPkts = fuseDefaultMaxSegPackets
 	}
 	f.findReturnSites()
+	f.bindDevices()
 	// Seeds: the program entry and every region start, in clean state.
 	f.seeds[prog.Entry] = f.state(fstate{pkt: prog.Entry})
 	for pkt, ri := range cfg.RegionOf {
@@ -289,7 +312,7 @@ func Fuse(prog *Program, cfg FuseConfig) (*FusedProgram, error) {
 		f.work = f.work[:len(f.work)-1]
 		f.compileSeg(si)
 	}
-	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf, longest: f.longest, sites: f.sites}
+	fp := &FusedProgram{prog: prog, segs: f.segs, regionOf: cfg.RegionOf, longest: f.longest, sites: f.sites, bound: f.nbound}
 	for _, si := range f.seeds {
 		if !f.segs[si].noEnter {
 			fp.entries++
@@ -344,6 +367,44 @@ func (f *fuser) findReturnSites() {
 			}
 		}
 	}
+}
+
+// bindDevices asks cfg.Bind for a handler for every Volatile memory op
+// that is the only memory op of its packet.
+func (f *fuser) bindDevices() {
+	if f.cfg.Bind == nil {
+		return
+	}
+	for pkt, pk := range f.prog.Packets {
+		var mem *Inst
+		for i := range pk.Insts {
+			if pk.Insts[i].Op.IsMem() {
+				if mem != nil {
+					mem = nil
+					break
+				}
+				mem = &pk.Insts[i]
+			}
+		}
+		if mem == nil || !mem.Volatile {
+			continue
+		}
+		if h := f.cfg.Bind(pkt, *mem); h != nil {
+			if f.bound == nil {
+				f.bound = make([]DeviceAccess, len(f.prog.Packets))
+			}
+			f.bound[pkt] = h
+			f.nbound++
+		}
+	}
+}
+
+// boundAt returns the handler bound to pkt's memory op, or nil.
+func (f *fuser) boundAt(pkt int) DeviceAccess {
+	if f.bound == nil {
+		return nil
+	}
+	return f.bound[pkt]
 }
 
 // state interns a symbolic state, scheduling compilation on first use.
@@ -684,7 +745,7 @@ func (c *fctx) plan(pkt int, pk Packet) (fplan, DeoptCause, bool) {
 // their sorted order, exactly like the interpreter's packet epilogue.
 func (c *fctx) emit(pkt int, pl fplan) {
 	pk := c.f.prog.Packets[pkt]
-	if pl.hasMem {
+	if pl.hasMem && c.f.boundAt(pkt) == nil {
 		c.emitSync()
 	}
 	wi := 0
@@ -1032,13 +1093,20 @@ func (s *Sim) memFault(pkt int, issued int64, what string, addr uint32, err erro
 // emitMem lowers a load or a store: the access, wrapped in its
 // predicate if it has one. The instruction count is folded (pl.uncond)
 // for the unpredicated shape and counted at run time by the wrapper,
-// which also records whether a load bound for a slot ran.
+// which also records whether a load bound for a slot ran. An op bound
+// to a device handler sits alone in a packet that paid no accounting
+// sync (emit): it carries what the packet owes.
 func (c *fctx) emitMem(pkt int, in Inst, w *fwrite, issued int64) {
 	var wr fwrite // a store plans no register write
 	if w != nil {
 		wr = *w
 	}
-	body := memAccess(pkt, in, wr, issued)
+	var body fop
+	if dev := c.f.boundAt(pkt); dev != nil {
+		body = deviceAccess(pkt, in, wr, issued, dev, facct{c.accCyc, c.accPkts, c.accInsts, c.accNop})
+	} else {
+		body = memAccess(pkt, in, wr, issued)
+	}
 	if !in.Pred.Valid {
 		c.seg.ops = append(c.seg.ops, body)
 		return
@@ -1099,6 +1167,89 @@ func memAccess(pkt int, in Inst, w fwrite, issued int64) fop {
 		}
 		return nil
 	}
+}
+
+// boundAccess is a memory op bound to a device handler. Its ops are
+// methods, which read the fields through the receiver: a closure would
+// copy every captured value in its prologue, the fault path's included.
+type boundAccess struct {
+	dev     DeviceAccess
+	base    Reg
+	off     uint32
+	immBase bool
+	immAddr uint32
+	reg     Reg // store data, or load destination
+	direct  bool
+	slot    uint8
+	ext     func(a, b uint32) uint32
+	size    int
+	pkt     int
+	issued  int64
+	owed    facct
+}
+
+// deviceAccess returns the op performing a bound access: the handler,
+// or on its refusal the MemPort call with the same arguments. No sync
+// ran before the packet, so owed is the accounting folded since the last
+// one: its cycles place the access on the interpreter's clock, and a
+// fault applies all of it ahead of memFault, whose premise is a
+// synchronized packet start.
+func deviceAccess(pkt int, in Inst, w fwrite, issued int64, dev DeviceAccess, owed facct) fop {
+	b := &boundAccess{dev: dev, base: in.Src1.Reg, off: uint32(in.Src2.Imm), immBase: in.Src1.IsImm,
+		reg: w.reg, direct: w.direct, slot: w.slot, ext: in.Op.info().kernel, size: in.Op.MemSize(),
+		pkt: pkt, issued: issued, owed: owed}
+	b.immAddr = uint32(in.Src1.Imm) + b.off
+	if in.Op.IsStore() {
+		b.reg = in.Data
+		return b.store
+	}
+	return b.load
+}
+
+func (b *boundAccess) addr(s *Sim) uint32 {
+	if b.immBase {
+		return b.immAddr
+	}
+	return s.Regs[b.base] + b.off
+}
+
+func (b *boundAccess) store(s *Sim) error {
+	addr, val, now := b.addr(s), s.Regs[b.reg], s.cycle+s.fstall+b.owed.cyc
+	_, cont, ok := b.dev(s.mem, addr, val, now)
+	if !ok {
+		s.es.DeviceFallbacks++
+		s.fusedPkt = int32(b.pkt)
+		var err error
+		if cont, err = s.mem.Store(addr, val, b.size, now); err != nil {
+			b.owed.apply(s)
+			return s.memFault(b.pkt, b.issued, "store", addr, err)
+		}
+	}
+	s.fstall += cont - now
+	return nil
+}
+
+func (b *boundAccess) load(s *Sim) error {
+	addr, now := b.addr(s), s.cycle+s.fstall+b.owed.cyc
+	v, cont, ok := b.dev(s.mem, addr, 0, now)
+	if !ok {
+		s.es.DeviceFallbacks++
+		var err error
+		if v, cont, err = s.mem.Load(addr, b.size, now); err != nil {
+			b.owed.apply(s)
+			return s.memFault(b.pkt, b.issued, "load", addr, err)
+		}
+	}
+	s.fstall += cont - now
+	if b.ext != nil {
+		v = b.ext(v, 0)
+	}
+	if b.direct {
+		s.Regs[b.reg] = v
+	} else {
+		s.fslotVal[b.slot] = v
+	}
+	return nil
 }
 
 // emitALU lowers a register-writing ALU op: its table kernel bound to

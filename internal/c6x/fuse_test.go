@@ -1,6 +1,7 @@
 package c6x
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -943,5 +944,111 @@ func TestFusedDirectALUShapes(t *testing.T) {
 	_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0)}, packets...)
 	if es := fs.EngineStats(); es.GenericPackets != 0 || es.Deopts() != 0 {
 		t.Fatalf("left fused code: %+v", es)
+	}
+}
+
+// devMem is a test memory with a device at [devBase, devBase+16) that
+// logs the cycle of every access and, like the sync device's drain,
+// stalls a load there until an absolute cycle: a wrong clock shows.
+type devMem struct {
+	*testMem
+	log []int64
+}
+
+const devBase, devDoneAt = 0x300, 40
+
+func (m *devMem) Load(addr uint32, size int, cycle int64) (uint32, int64, error) {
+	m.log = append(m.log, cycle)
+	v, cont, err := m.testMem.Load(addr, size, cycle)
+	if addr-devBase < 16 {
+		cont = max(cont, devDoneAt)
+	}
+	return v, cont, err
+}
+
+func (m *devMem) Store(addr uint32, val uint32, size int, cycle int64) (int64, error) {
+	m.log = append(m.log, cycle)
+	return m.testMem.Store(addr, val, size, cycle)
+}
+
+// TestFusedBoundAccess: Volatile ops bound to a direct handler
+// (FuseConfig.Bind) run it in place of the MemPort with the
+// interpreter's clock, though their packets pay no accounting sync: the
+// bound ops here follow a stalling unbound load in one segment. A
+// handler that declines (the address is not its device) hands the
+// access to the MemPort, and a fault there leaves the interpreter's
+// error and Stats. The handler is the test memory itself, so only the
+// binding is under test.
+func TestFusedBoundAccess(t *testing.T) {
+	const bad = 0x500
+	vol := func(in Inst) Inst { in.Volatile = true; return in }
+	program := func(base int32) []Packet {
+		return []Packet{
+			pk(Inst{Op: MVK, Unit: S1, Dst: A(5), Src2: Imm(base)}, Inst{Op: MVK, Unit: S2, Dst: B(6), Src2: Imm(devBase)}),
+			pk(Inst{Op: MVK, Unit: S1, Dst: A(1), Src2: Imm(0x2A)}),
+			pk(Inst{Op: LDW, Unit: D2, Dst: B(7), Src1: R(B(6)), Src2: Imm(0)}), // unbound, stalls
+			pk(vol(Inst{Op: STW, Unit: D1, Data: A(1), Src1: R(A(5)), Src2: Imm(8)})),
+			pk(vol(Inst{Op: LDW, Unit: D1, Dst: A(2), Src1: R(A(5)), Src2: Imm(0)})),
+			pk(Inst{Op: NOP, NopCycles: 4}),
+			pk(Inst{Op: ADD, Unit: L1, Dst: A(3), Src1: R(A(2)), Src2: R(A(2))}),
+			pk(Inst{Op: STW, Unit: D2, Data: B(7), Src1: R(B(6)), Src2: Imm(12)}, vol(Inst{Op: STW, Unit: D1, Data: A(3), Src1: R(A(5)), Src2: Imm(4)})), // two memory ops: not bound
+			pk(vol(Inst{Op: LDW, Unit: D1, Dst: A(4), Src1: R(A(5)), Src2: Imm(0)})),
+			pk(Inst{Op: NOP, NopCycles: 4}),
+			pk(Inst{Op: HALT}),
+		}
+	}
+	calls := 0
+	handler := func(mem MemPort, addr, val uint32, now int64) (uint32, int64, bool) {
+		m, ok := mem.(*devMem)
+		if !ok || addr-devBase >= 16 {
+			return 0, 0, false
+		}
+		calls++
+		if val != 0 {
+			cont, _ := m.Store(addr, val, 4, now)
+			return 0, cont, true
+		}
+		v, cont, _ := m.Load(addr, 4, now)
+		return v, cont, true
+	}
+	cfg := FuseConfig{
+		RegionOf: regions(11, 0),
+		Bind: func(pkt int, in Inst) DeviceAccess {
+			if in.Src1.Reg != A(5) {
+				t.Errorf("packet %d: asked to bind %v", pkt, in)
+			}
+			return handler
+		},
+	}
+	for _, c := range []struct {
+		name      string
+		base      int32
+		calls     int
+		fallbacks int64
+	}{
+		{"bound", devBase, 3, 0},
+		{"declined", 0x600, 0, 3},
+		{"load-fault", bad, 0, 2},
+		{"store-fault", bad - 8, 0, 1},
+	} {
+		calls = 0
+		prog := &Program{Packets: program(c.base)}
+		newMem := func() *devMem { m := &devMem{testMem: newTestMem()}; m.faultAddr = bad; return m }
+		im, fm := newMem(), newMem()
+		is, fs := NewSim(prog, im), NewSim(prog, fm)
+		if err := fs.UseFused(mustFuse(t, prog, cfg)); err != nil {
+			t.Fatal(err)
+		}
+		ierr, ferr := is.Run(), fs.RunFused()
+		if fmt.Sprint(ierr) != fmt.Sprint(ferr) || is.Regs != fs.Regs || is.Stats() != fs.Stats() || !reflect.DeepEqual(im.log, fm.log) || !reflect.DeepEqual(im.ram, fm.ram) {
+			t.Errorf("%s: fused differs from the interpreter:\n  interp: %v %+v %v\n  fused:  %v %+v %v", c.name, ierr, is.Stats(), im.log, ferr, fs.Stats(), fm.log)
+		}
+		es := fs.EngineStats()
+		if calls != c.calls || es.BoundSites != 3 || es.DeviceFallbacks != c.fallbacks || es.GenericPackets != 0 {
+			t.Errorf("%s: %d handler calls, engine %+v; want %d calls, 3 sites, %d fallbacks", c.name, calls, es, c.calls, c.fallbacks)
+		}
+		if c.name == "bound" && is.Stats().StallCycles == 0 {
+			t.Errorf("%s: no stall exercised", c.name)
+		}
 	}
 }

@@ -67,6 +67,11 @@ type EngineStats struct {
 	// states by how Fuse lowered them.
 	IntrinsicRuns  int64
 	IntrinsicSites [NumIntrinsicOutcomes]int64
+	// BoundSites is static: the fused program's memory ops bound to a
+	// direct handler (FuseConfig.Bind). DeviceFallbacks counts bound
+	// accesses whose handler declined, so that the op took the MemPort
+	// path.
+	BoundSites, DeviceFallbacks int64
 }
 
 // DeoptCause says why a fused segment ends in a deoptimization exit.
@@ -219,9 +224,10 @@ func (s *Sim) PC() int { return s.pc }
 // MemPkt returns the packet index of the store currently being
 // performed by a MemPort Store callback. Under Step the pc has already
 // advanced past the packet (pc-1); fused code does not maintain the pc
-// per packet, so its store ops record their packet explicitly. Valid
-// only inside Store: fused loads record nothing (that would cost every
-// load a write), so inside a fused Load it names the last store.
+// per packet, so its store ops record their packet explicitly (a bound
+// store only when its handler declines and it calls Store). Valid only
+// inside Store: fused loads record nothing (that would cost every load a
+// write), so inside a fused Load it names the last store.
 func (s *Sim) MemPkt() int {
 	if s.fusedActive {
 		return int(s.fusedPkt)
@@ -253,6 +259,7 @@ func (s *Sim) EngineStats() EngineStats {
 	es.Packets = s.stats.Packets
 	if s.fused != nil {
 		es.IntrinsicSites = s.fused.sites
+		es.BoundSites = s.fused.bound
 	}
 	return es
 }

@@ -97,6 +97,12 @@ var RegIRQShadow = c6x.B(27)
 // region end.
 var RegCorrCycles = regCorr
 
+// RegSyncBase is the reserved C6x register holding SyncBase: every access
+// of the generated code to the sync device and the interrupt registers
+// is based on it. The platform recognizes the sync device's accesses by
+// it (and their offset) to bind them at fuse time.
+var RegSyncBase = regSyncBase
+
 // Reserved C6x registers. TC32 data registers d0..d15 map to A0..A15 and
 // address registers a0..a15 to B0..B15; everything above is owned by the
 // translator.

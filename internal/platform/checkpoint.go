@@ -12,8 +12,6 @@ package platform
 type checkpoint struct {
 	sync         SyncDev
 	srcInsts     int64
-	lastRegion   int
-	lastStartPkt int
 	irqIE        bool
 	irqInHandler bool
 	irqWaiting   bool
@@ -40,8 +38,6 @@ func (sys *System) Checkpoint() {
 	ck := &sys.ck
 	ck.sync = *sys.Sync
 	ck.srcInsts = sys.srcInsts
-	ck.lastRegion = sys.lastRegion
-	ck.lastStartPkt = sys.lastStartPkt
 	ck.irqIE = sys.irqIE
 	ck.irqInHandler = sys.irqInHandler
 	ck.irqWaiting = sys.irqWaiting
@@ -84,8 +80,6 @@ func (sys *System) Rollback() {
 	ck := &sys.ck
 	*sys.Sync = ck.sync
 	sys.srcInsts = ck.srcInsts
-	sys.lastRegion = ck.lastRegion
-	sys.lastStartPkt = ck.lastStartPkt
 	sys.irqIE = ck.irqIE
 	sys.irqInHandler = ck.irqInHandler
 	sys.irqWaiting = ck.irqWaiting

@@ -43,8 +43,8 @@ func (sys *System) Curve() CycleCurve { return sys.dynCurve }
 // curve disables correction.
 func (sys *System) UseCurve(c CycleCurve) { sys.dynRef = c }
 
-// recordPoint appends the current trajectory sample (attributeRegion
-// calls it after crediting a region).
+// recordPoint appends the current trajectory sample (credit calls it
+// after crediting a region).
 func (sys *System) recordPoint() {
 	sys.dynCurve = append(sys.dynCurve, CyclePoint{SrcInsts: sys.srcInsts, Cycles: sys.Sync.Total})
 }

@@ -10,6 +10,13 @@
 // generation has drained; I/O accesses stall until the emulated clock has
 // caught up, time-stamp the bus transaction with the generated cycle
 // count, and generate the bus wait states.
+//
+// The fused engine reaches the sync device without the memory port: the
+// translated code's generation starts, correction flushes and drain
+// reads are bound at fuse time to direct calls on the device, each
+// guarded so that any other address takes the ordinary path (sync.go).
+// Each region's base start credits its source instructions, by a static
+// per-packet table that every engine shares.
 package platform
 
 import (
@@ -136,14 +143,12 @@ type System struct {
 	ctab  []byte // cache-table RAM in the emulation fabric
 	cBase uint32
 
-	// Source-instruction attribution: every base cycle-generation start
-	// identifies its region (via the writing packet), whose SrcInsts are
-	// credited. See attributeRegion.
-	regionPkt    []int
-	regionInsts  []int
-	srcInsts     int64
-	lastRegion   int
-	lastStartPkt int
+	// Source-instruction attribution: the base cycle-generation start of
+	// a region credits its SrcInsts (credit). startOf maps each packet to
+	// the region whose base start it holds, built on first use by the
+	// MemPort path (baseStartAt): fused code binds its starts instead.
+	startOf  []int32
+	srcInsts int64
 
 	// IRQLine, if non-nil, is the external interrupt line input (level
 	// sensitive; typically the SoC's interrupt controller output for
@@ -209,15 +214,10 @@ func New(prog *core.Program) *System { return NewWithEngine(prog, EngineCompiled
 // reached.
 func NewWithEngine(prog *core.Program, engine Engine) *System {
 	sys := &System{
-		Memory:     *iss.NewMemory(prog.TextAddr, prog.TextImage, prog.DataAddr, prog.DataImage),
-		Prog:       prog,
-		Sync:       &SyncDev{Ratio: DefaultRatio},
-		cBase:      core.CacheTableBase,
-		lastRegion: -1,
-	}
-	for _, b := range prog.Blocks {
-		sys.regionPkt = append(sys.regionPkt, b.PacketStart)
-		sys.regionInsts = append(sys.regionInsts, b.SrcInsts)
+		Memory: *iss.NewMemory(prog.TextAddr, prog.TextImage, prog.DataAddr, prog.DataImage),
+		Prog:   prog,
+		Sync:   &SyncDev{Ratio: DefaultRatio},
+		cBase:  core.CacheTableBase,
 	}
 	sys.regionOfPkt = make([]int32, len(prog.C6x.Packets))
 	for i := range sys.regionOfPkt {
@@ -244,11 +244,13 @@ func NewWithEngine(prog *core.Program, engine Engine) *System {
 	// Region starts are the boundary/deopt points, the return sites loaded
 	// into the translator's link registers are where its indirect branches
 	// dispatch to, and the fused build declares the cache-probe routine
-	// with its meaning (probe.go).
+	// with its meaning (probe.go) and binds the sync device's accesses to
+	// direct calls (sync.go).
 	cfg := c6x.FuseConfig{RegionOf: sys.regionOfPkt, ConstRegs: core.FusedConstRegs()}
 	if engine == EngineCompiled {
 		rBase, _ := sys.RAM()
 		cfg.Intrinsics = probeIntrinsics(prog, rBase)
+		cfg.Bind = syncBinder(prog, rBase)
 	} else {
 		cfg.MaxSegPackets = 1
 	}
@@ -359,7 +361,9 @@ func (sys *System) Store(addr uint32, val uint32, size int, cycle int64) (int64,
 	}
 	switch {
 	case addr == core.SyncStart:
-		sys.attributeRegion()
+		if ri := sys.baseStartAt(sys.CPU.MemPkt()); ri >= 0 {
+			sys.credit(ri)
+		}
 		sys.Sync.Start(val, cycle)
 		return cycle, nil
 	case addr == core.SyncAdd:
@@ -425,49 +429,22 @@ func (sys *System) ioWait(t, extra int64) int64 {
 	return sys.Sync.DoneAt
 }
 
-// attributeRegion credits the source instructions of the region that just
-// started a cycle generation. The region is identified by the packet
-// performing the SyncStart write (the c6x PC is one past it during the
-// store). In the paper's two-drain correction shape the correction flush
-// also writes SyncStart from a later packet of the same region — such
-// writes must not re-credit the region, while a loop re-entering the
-// region (base write, at a packet no later than the last credited one)
-// must. Distinguishing on the packet ordering is exact because regions
-// are basic blocks: the base start is pinned first, so within one region
-// execution every further SyncStart write comes from a strictly later
-// packet.
-func (sys *System) attributeRegion() {
-	pkt := sys.CPU.MemPkt()
-	// Fast path: a loop re-entering the region it just left writes
-	// SyncStart from the same base packet — skip the binary search. The
-	// search result is a pure function of pkt, so the cached region is
-	// exactly what it would return.
-	if pkt == sys.lastStartPkt && sys.lastRegion >= 0 {
-		sys.srcInsts += int64(sys.regionInsts[sys.lastRegion])
-		if sys.dynRec {
-			sys.recordPoint()
-		}
-		return
+// baseStartAt returns the region whose base start packet pkt holds, or
+// -1.
+func (sys *System) baseStartAt(pkt int) int32 {
+	if sys.startOf == nil {
+		sys.startOf = baseStarts(sys.Prog)
 	}
-	// Find the last region whose first packet is at or before pkt.
-	lo, hi := 0, len(sys.regionPkt)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sys.regionPkt[mid] <= pkt {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if uint(pkt) >= uint(len(sys.startOf)) {
+		return -1
 	}
-	ri := lo - 1
-	if ri < 0 {
-		return
-	}
-	if ri == sys.lastRegion && pkt > sys.lastStartPkt {
-		return // correction generation within the same region execution
-	}
-	sys.srcInsts += int64(sys.regionInsts[ri])
-	sys.lastRegion, sys.lastStartPkt = ri, pkt
+	return sys.startOf[pkt]
+}
+
+// credit attributes the source instructions of region ri, whose base
+// cycle-generation start just ran.
+func (sys *System) credit(ri int32) {
+	sys.srcInsts += int64(sys.Prog.Blocks[ri].SrcInsts)
 	if sys.dynRec {
 		sys.recordPoint()
 	}

@@ -1,6 +1,9 @@
 package store_test
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,4 +119,54 @@ func TestSweeper(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
+}
+
+// TestGCKeepsConcurrentPuts: a put that lands while a GC rescans the
+// directory stays in the index. 400 puts from four writers race a GC(0)
+// loop (no budget, no age rule: nothing is evicted). A completed put is
+// never missing from Stats — checked after every put, since the next
+// rescan would find a dropped object again — and Stats, read with no
+// further GC, counts every object.
+func TestGCKeepsConcurrentPuts(t *testing.T) {
+	const puts, writers = 400, 4
+	s := open(t, t.TempDir(), store.Options{})
+	p := prog(t)
+	done := make(chan struct{})
+	swept := make(chan struct{})
+	go func() {
+		defer close(swept)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.GC(0)
+			}
+		}
+	}()
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < puts; i += writers {
+				if err := s.Store(key(fmt.Sprint("put-", i)), p); err != nil {
+					t.Error(err)
+					return
+				}
+				n := completed.Add(1)
+				if got := s.Stats().Objects; int64(got) < n {
+					t.Errorf("Stats.Objects = %d with %d puts completed", got, n)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	<-swept
+	if st := s.Stats(); st.Objects != puts {
+		t.Fatalf("Stats.Objects = %d after %d puts raced GC, want %d", st.Objects, puts, puts)
+	}
 }

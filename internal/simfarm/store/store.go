@@ -514,7 +514,8 @@ func DecodeObject(dk [sha256.Size]byte, data []byte) (*core.Program, error) {
 // rescan rebuilds the index from the objects directory: every well-named
 // object file becomes an entry (content verification stays lazy, in
 // Load) with its mtime as its LRU time, and temp files older than
-// tempGrace, left by interrupted writes, are removed.
+// tempGrace, left by interrupted writes, are removed. Live entries the
+// walk missed survive while their file exists.
 func (st *state) rescan() error {
 	tempCutoff := time.Now().Add(-tempGrace)
 	index := map[[sha256.Size]byte]*entry{}
@@ -548,7 +549,19 @@ func (st *state) rescan() error {
 	if err != nil {
 		return fmt.Errorf("store: rescan: %w", err)
 	}
+	// Merge rather than swap: an object put after the walk passed its
+	// directory is in the live index and on disk but not in the walk, and
+	// must stay visible to the budget and Stats.
 	st.mu.Lock()
+	for k, e := range st.index {
+		if _, ok := index[k]; ok {
+			continue
+		}
+		if _, err := os.Stat(st.objectPath(k)); err == nil {
+			index[k] = e
+			total += e.Size
+		}
+	}
 	st.index, st.bytes = index, total
 	st.mu.Unlock()
 	return nil

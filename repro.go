@@ -10,8 +10,7 @@
 //	program ──platform──▶ emulation run (cycle generation + SoC bus)
 //
 // Measure and the Figure*/Table* helpers regenerate every figure and
-// table of the paper's evaluation; see EXPERIMENTS.md for the recorded
-// results.
+// table of the paper's evaluation.
 //
 // Batch traffic runs on the simulation farm (internal/simfarm): a
 // bounded worker pool with a content-addressed translation cache keyed

@@ -130,8 +130,7 @@ type Table2Row struct {
 	PaperInstructions int64
 	// RTLSimSeconds is the measured host wall time of the RT-level proxy
 	// simulation (the paper's "Simulation (Workstation)" row; our host is
-	// decades faster than a 2005 workstation — EXPERIMENTS.md discusses
-	// the scaling).
+	// decades faster than a 2005 workstation, so only ratios compare).
 	RTLSimSeconds float64
 	RTLSimCycles  int64
 	// EmulationSeconds is the modeled full-core FPGA emulation time:
