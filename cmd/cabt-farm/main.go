@@ -150,7 +150,7 @@ func run(farm *simfarm.Farm, jobs []simfarm.Job, progress bool) ([]simfarm.Resul
 			"name", r.Name, "config", r.Config, "level", int(r.Level), "status", status)
 		results[r.Index] = r
 	}
-	return results, farm.Summarize(results, time.Since(start))
+	return results, simfarm.SummarizeResults(results, time.Since(start), farm.Workers())
 }
 
 // scrubWallTimes zeroes every host-dependent field so a -det report is

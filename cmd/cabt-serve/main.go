@@ -63,7 +63,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persistent translation-cache store directory (empty = in-memory only)")
 	cacheBudget := flag.Int64("cache-budget", 0, "store size budget in bytes, LRU-evicted (0 = unbounded)")
-	workers := flag.Int("workers", 0, "per-tenant worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker pool size per batch (0 = GOMAXPROCS)")
 	retainTTL := flag.Duration("retain-ttl", 24*time.Hour, "prune finished job records older than this (0 = keep forever)")
 	retainMax := flag.Int("retain-max", 10000, "keep at most this many finished job records per tenant (0 = unlimited)")
 	gcInterval := flag.Duration("gc-interval", 0, "background store-GC sweep interval (0 = on-demand only, via POST /v1/admin/gc)")

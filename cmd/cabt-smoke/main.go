@@ -108,6 +108,7 @@ func main() {
 			st.Misses += s.Misses
 			st.Puts += s.Puts
 			st.PutsSkipped += s.PutsSkipped
+			st.Degraded += s.Degraded
 		}
 		want := int64(2 * len(cold.Results))
 		if done != want {

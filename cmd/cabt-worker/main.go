@@ -101,7 +101,7 @@ func main() {
 	st := w.StoreStats()
 	slog.Info("worker done", "tasks", w.TasksDone(), "store_loads", st.Loads,
 		"local_hits", st.LocalHits, "remote_hits", st.RemoteHits, "misses", st.Misses,
-		"puts", st.Puts, "puts_skipped", st.PutsSkipped)
+		"puts", st.Puts, "puts_skipped", st.PutsSkipped, "degraded", st.Degraded)
 }
 
 func fail(err error) {

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -74,30 +72,11 @@ func ProgramKey(h ELFHash, opts core.Options) Key {
 	}
 	hs := sha256.New()
 	hs.Write(h[:])
+	put := func(vs ...uint64) { putUint64(hs, vs...) }
 	// The generation stamp is keyed before anything else: a program
 	// translated by an older pipeline must never be replayed by a newer
 	// engine even when every option matches.
-	var gen [8]byte
-	binary.LittleEndian.PutUint64(gen[:], translatorGen)
-	hs.Write(gen[:])
-	put := func(vs ...uint64) {
-		var b [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], v)
-			hs.Write(b[:])
-		}
-	}
-	putBool := func(vs ...bool) {
-		for _, v := range vs {
-			if v {
-				put(1)
-			} else {
-				put(0)
-			}
-		}
-	}
-	put(uint64(opts.Level))
-	putBool(opts.InstructionOriented)
+	put(translatorGen, uint64(opts.Level), b2u(opts.InstructionOriented))
 	// Static cycle calculation reads the pipeline timings and branch
 	// costs at every level except Level0 — but Level0 still schedules
 	// through the same binder, so key them unconditionally; they are
@@ -105,17 +84,17 @@ func ProgramKey(h ELFHash, opts core.Options) Key {
 	put(uint64(d.LoadLat), uint64(d.MulLat), uint64(d.DivBlock))
 	put(uint64(d.Branch.NotTakenOK), uint64(d.Branch.TakenOK),
 		uint64(d.Branch.Mispredict), uint64(d.Branch.Direct), uint64(d.Branch.Indirect))
-	putBool(d.BackwardTaken)
+	put(b2u(d.BackwardTaken))
 	// Like IOWaitCycles, IRQEntryCycles is read from the cached
 	// program's Desc at run time (interrupt entry cost).
 	put(uint64(d.IOWaitCycles), uint64(d.IRQEntryCycles))
 	if opts.Level >= core.Level2 {
-		putBool(opts.SingleDrainCorrection)
+		put(b2u(opts.SingleDrainCorrection))
 	}
 	if opts.Level >= core.Level3 {
 		put(uint64(d.ICache.Sets), uint64(d.ICache.Ways),
 			uint64(d.ICache.LineBytes), uint64(d.ICache.MissPenalty))
-		putBool(opts.InlineCacheProbe)
+		put(b2u(opts.InlineCacheProbe))
 		threshold := opts.InlineCacheThreshold
 		if threshold == 0 {
 			threshold = 24 // core.Translate's default
@@ -127,41 +106,37 @@ func ProgramKey(h ELFHash, opts core.Options) Key {
 	return k
 }
 
-// descFingerprint hashes every Desc field the dynamic reference
-// simulator observes (the full description: the live I-cache and the
-// Booth multiplier are visible to it at any level).
-func descFingerprint(hs hash.Hash, d *march.Desc) {
-	put := func(vs ...uint64) {
-		var b [8]byte
-		for _, v := range vs {
-			binary.LittleEndian.PutUint64(b[:], v)
-			hs.Write(b[:])
-		}
-	}
-	put(uint64(d.LoadLat), uint64(d.MulLat), uint64(d.DivBlock))
-	put(uint64(d.Branch.NotTakenOK), uint64(d.Branch.TakenOK),
-		uint64(d.Branch.Mispredict), uint64(d.Branch.Direct), uint64(d.Branch.Indirect))
-	var flags uint64
-	if d.BackwardTaken {
-		flags |= 1
-	}
-	if d.BoothMul {
-		flags |= 2
-	}
-	put(flags, uint64(d.IOWaitCycles), uint64(d.IRQEntryCycles))
-	put(uint64(d.ICache.Sets), uint64(d.ICache.Ways),
-		uint64(d.ICache.LineBytes), uint64(d.ICache.MissPenalty))
-}
-
-// referenceKey addresses a reference-simulator run: ELF contents × full
-// microarchitecture description.
+// referenceKey addresses a reference-simulator run: ELF contents × every
+// Desc field the dynamic reference simulator observes (the full
+// description: the live I-cache and the Booth multiplier are visible to
+// it at any level).
 func referenceKey(h ELFHash, d *march.Desc) Key {
 	hs := sha256.New()
 	hs.Write(h[:])
-	descFingerprint(hs, d)
+	putUint64(hs, uint64(d.LoadLat), uint64(d.MulLat), uint64(d.DivBlock),
+		uint64(d.Branch.NotTakenOK), uint64(d.Branch.TakenOK),
+		uint64(d.Branch.Mispredict), uint64(d.Branch.Direct), uint64(d.Branch.Indirect),
+		b2u(d.BackwardTaken)|b2u(d.BoothMul)<<1, uint64(d.IOWaitCycles), uint64(d.IRQEntryCycles),
+		uint64(d.ICache.Sets), uint64(d.ICache.Ways), uint64(d.ICache.LineBytes), uint64(d.ICache.MissPenalty))
 	var k Key
 	hs.Sum(k[:0])
 	return k
+}
+
+// putUint64 writes each v to hs as 8 little-endian bytes.
+func putUint64(hs hash.Hash, vs ...uint64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], v)
+		hs.Write(b[:])
+	}
+}
+
+func b2u(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // ProgramStore is the persistent second level of a TranslationCache —
@@ -184,34 +159,37 @@ type ProgramStore interface {
 // back. A disk-served program counts as a hit (plus DiskHits), since the
 // translation work was saved — only a real core.Translate run is a miss.
 type TranslationCache struct {
-	mu      sync.Mutex
-	entries map[Key]*cacheEntry
-	disk    ProgramStore // nil = memory only
-
-	hits     atomic.Int64
-	misses   atomic.Int64
-	diskHits atomic.Int64
+	programs memo[Key, translation]
+	disk     ProgramStore // nil = memory only
+	lookups  tally        // hits, misses and diskHits only
 }
 
-type cacheEntry struct {
-	once     sync.Once
+type translation struct {
 	prog     *core.Program
 	err      error
 	fromDisk bool
 }
 
+// outcome is how a translation-cache lookup was served.
+type outcome int
+
+const (
+	memoryHit  outcome = iota
+	diskHit            // the first lookup of the key, served by the disk level
+	translated         // a miss: core.Translate ran
+)
+
 // NewTranslationCache returns an empty, memory-only cache.
-func NewTranslationCache() *TranslationCache {
-	return &TranslationCache{entries: map[Key]*cacheEntry{}}
-}
+func NewTranslationCache() *TranslationCache { return &TranslationCache{} }
 
 // NewPersistentTranslationCache returns a cache backed by the given
 // persistent store as a write-through second level. Store errors are
 // deliberately non-fatal: a failed write-back or read leaves the cache
 // behaving as memory-only for that key (translation correctness never
-// depends on the disk).
+// depends on the disk). It is handed tenant-derived keys (see tenantKey),
+// so it must be a root-namespace view.
 func NewPersistentTranslationCache(disk ProgramStore) *TranslationCache {
-	return &TranslationCache{entries: map[Key]*cacheEntry{}, disk: disk}
+	return &TranslationCache{disk: disk}
 }
 
 // Translate returns the translation of f under opts, running
@@ -228,66 +206,59 @@ func (c *TranslationCache) Translate(f *elf32.File, opts core.Options) (*core.Pr
 // TranslateHashed is Translate for callers that already hold the ELF
 // content hash (the farm memoizes it per assembled workload).
 func (c *TranslationCache) TranslateHashed(h ELFHash, f *elf32.File, opts core.Options) (*core.Program, bool, error) {
-	key := ProgramKey(h, opts)
+	prog, o, err := c.translate("", h, f, opts)
+	return prog, o != translated, err
+}
+
+// translate is TranslateHashed in tenant's key namespace, reporting how
+// the lookup was served.
+func (c *TranslationCache) translate(tenant string, h ELFHash, f *elf32.File, opts core.Options) (*core.Program, outcome, error) {
+	key := tenantKey(tenant, ProgramKey(h, opts))
 	lookupStart := time.Now()
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
-	}
-	c.mu.Unlock()
-	first := false
-	e.once.Do(func() {
-		first = true
+	t, first := c.programs.get(key, func() translation {
 		if c.disk != nil {
 			diskStart := time.Now()
 			prog, ok, err := c.disk.Load([sha256.Size]byte(key))
 			if err == nil && ok {
 				obsCacheDiskHitLat.Observe(time.Since(diskStart).Seconds())
-				e.prog, e.fromDisk = prog, true
-				return
+				return translation{prog: prog, fromDisk: true}
 			}
 			obsCacheDiskMissLat.Observe(time.Since(diskStart).Seconds())
 		}
-		e.prog, e.err = core.Translate(f, opts)
-		if c.disk != nil && e.err == nil {
-			c.disk.Store([sha256.Size]byte(key), e.prog) // best effort; see NewPersistentTranslationCache
+		prog, err := core.Translate(f, opts)
+		if c.disk != nil && err == nil {
+			c.disk.Store([sha256.Size]byte(key), prog) // best effort; see NewPersistentTranslationCache
 		}
+		return translation{prog: prog, err: err}
 	})
-	hit := !first || e.fromDisk
-	if hit {
-		c.hits.Add(1)
-		if first {
-			c.diskHits.Add(1)
-			obsCacheDiskHit.Inc()
-		} else {
-			obsCacheMemHit.Inc()
-			obsCacheMemLat.Observe(time.Since(lookupStart).Seconds())
-		}
-	} else {
-		c.misses.Add(1)
+	o := memoryHit
+	switch {
+	case !first:
+		obsCacheMemHit.Inc()
+		obsCacheMemLat.Observe(time.Since(lookupStart).Seconds())
+	case t.fromDisk:
+		o = diskHit
+		obsCacheDiskHit.Inc()
+	default:
+		o = translated
 		obsCacheMiss.Inc()
 	}
-	return e.prog, hit, e.err
+	c.lookups.count(o)
+	return t.prog, o, t.err
 }
 
 // Hits returns the number of cache hits served so far (memory and disk).
-func (c *TranslationCache) Hits() int64 { return c.hits.Load() }
+func (c *TranslationCache) Hits() int64 { return c.lookups.hits.Load() }
 
 // Misses returns the number of cache misses (actual translations) so far.
-func (c *TranslationCache) Misses() int64 { return c.misses.Load() }
+func (c *TranslationCache) Misses() int64 { return c.lookups.misses.Load() }
 
 // DiskHits returns the number of hits served from the persistent store
 // rather than process memory.
-func (c *TranslationCache) DiskHits() int64 { return c.diskHits.Load() }
+func (c *TranslationCache) DiskHits() int64 { return c.lookups.diskHits.Load() }
 
 // Persistent reports whether the cache has a disk level.
 func (c *TranslationCache) Persistent() bool { return c.disk != nil }
 
 // Len returns the number of distinct programs cached.
-func (c *TranslationCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *TranslationCache) Len() int { return c.programs.len() }

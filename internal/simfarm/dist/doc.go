@@ -24,10 +24,11 @@
 //     translation store over HTTP (GET/PUT /v1/store/{key}) and
 //     RemoteStore is the worker-side client, a simfarm.ProgramStore
 //     whose levels are local memory (the TranslationCache above it), a
-//     local disk store, and the server's store over HTTP. Objects are
-//     immutable and addressed by their namespace-derived content key, so
-//     ETag is simply that key and If-None-Match revalidation short-
-//     circuits redundant transfers with 304.
+//     local disk store, and the server's store over HTTP. It serves
+//     every tenant: the farm hands it tenant-derived keys. Objects are
+//     immutable and addressed by that key, so ETag is simply the key
+//     and If-None-Match revalidation short-circuits redundant transfers
+//     with 304.
 //
 // Everything is deterministic where it matters: a task executed on any
 // worker produces results bit-identical to the single-process farm

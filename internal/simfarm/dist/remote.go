@@ -47,12 +47,11 @@ const remoteOpTimeout = 10 * time.Second
 // store and the server's store over HTTP. Together with the in-memory
 // TranslationCache above it, a worker has three cache levels — memory,
 // local disk, server — each consulted in order and back-filled on a
-// hit from below. Keys are namespace-derived here (the server never
-// sees a logical key), and objects move as their exact on-disk framed
-// bytes, verified end to end on every hop.
+// hit from below. Keys arrive tenant-derived from the cache above (the
+// server never sees a logical key), and objects move as their exact
+// on-disk framed bytes, verified end to end on every hop.
 type RemoteStore struct {
 	base    string // server base URL, no trailing slash
-	ns      string // tenant namespace for key derivation
 	disk    *store.Store
 	client  *http.Client
 	breaker *Breaker
@@ -62,27 +61,22 @@ type RemoteStore struct {
 }
 
 // NewRemoteStore builds a client for the store protocol at baseURL
-// (e.g. "http://127.0.0.1:8080"). ns scopes keys to a tenant ("" is
-// the shared default namespace, matching the server's own farms). disk
-// is an optional local store used as a second cache level; client nil
-// means http.DefaultClient.
-func NewRemoteStore(baseURL, ns string, disk *store.Store, client *http.Client) *RemoteStore {
+// (e.g. "http://127.0.0.1:8080"). Keys arrive tenant-derived, so one
+// client serves every tenant. disk is an optional local store used as
+// a second cache level; client nil means http.DefaultClient.
+func NewRemoteStore(baseURL string, disk *store.Store, client *http.Client) *RemoteStore {
 	client = faultinject.WrapClient(client)
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
 	return &RemoteStore{
-		base: baseURL, ns: ns, disk: disk, client: client,
+		base: baseURL, disk: disk, client: client,
 		// The store is a cache tier, so degrading is always safe: while
 		// the breaker is open every Load is a remote miss (the worker
 		// re-translates locally) and every Store skips the upload.
 		breaker: NewBreaker("remote-store", BreakerConfig{}),
 	}
 }
-
-// Breaker exposes the remote-store circuit breaker (for telemetry and
-// tests).
-func (rs *RemoteStore) Breaker() *Breaker { return rs.breaker }
 
 // degrade counts a breaker short-circuit.
 func (rs *RemoteStore) degrade() {
@@ -122,9 +116,8 @@ func (rs *RemoteStore) url(dk [sha256.Size]byte) string {
 // server. A remote hit is verified (the transfer could corrupt) and
 // back-filled to the local disk level so the next cold farm on this
 // machine never goes over the network for it.
-func (rs *RemoteStore) Load(key [sha256.Size]byte) (*core.Program, bool, error) {
+func (rs *RemoteStore) Load(dk [sha256.Size]byte) (*core.Program, bool, error) {
 	rs.loads.Add(1)
-	dk := store.DeriveKey(rs.ns, key)
 	if rs.disk != nil {
 		if data, ok, err := rs.disk.LoadRaw(dk); err == nil && ok {
 			if prog, err := store.DecodeObject(dk, data); err == nil {
@@ -198,8 +191,7 @@ func (rs *RemoteStore) Load(key [sha256.Size]byte) (*core.Program, bool, error) 
 // disk level, then upload — unless an If-None-Match revalidation says
 // the server already holds the object (it is immutable, so any match
 // is definitive and the upload is skipped).
-func (rs *RemoteStore) Store(key [sha256.Size]byte, prog *core.Program) error {
-	dk := store.DeriveKey(rs.ns, key)
+func (rs *RemoteStore) Store(dk [sha256.Size]byte, prog *core.Program) error {
 	data, err := store.EncodeObject(dk, prog)
 	if err != nil {
 		return err

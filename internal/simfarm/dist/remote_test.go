@@ -78,8 +78,10 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 	p := prog(t)
 	k := logicalKey("remote-round-trip")
 
-	up := NewRemoteStore(base, "acme", nil, nil)
-	if err := up.Store(k, p); err != nil {
+	// The cache above a RemoteStore hands it tenant-derived keys.
+	acme := store.DeriveKey("acme", k)
+	up := NewRemoteStore(base, nil, nil)
+	if err := up.Store(acme, p); err != nil {
 		t.Fatalf("Store: %v", err)
 	}
 	if st := up.Stats(); st.Puts != 1 || st.PutsSkipped != 0 {
@@ -87,8 +89,8 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 	}
 
 	// A different client (different machine in production) loads it.
-	down := NewRemoteStore(base, "acme", nil, nil)
-	got, ok, err := down.Load(k)
+	down := NewRemoteStore(base, nil, nil)
+	got, ok, err := down.Load(acme)
 	if err != nil || !ok {
 		t.Fatalf("Load = (_, %v, %v), want hit", ok, err)
 	}
@@ -103,13 +105,12 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 
 	// Namespaces isolate tenants: the same logical key under another
 	// tenant is a miss.
-	other := NewRemoteStore(base, "globex", nil, nil)
-	if _, ok, err := other.Load(k); err != nil || ok {
+	if _, ok, err := down.Load(store.DeriveKey("globex", k)); err != nil || ok {
 		t.Fatalf("cross-tenant Load = (_, %v, %v), want miss", ok, err)
 	}
 
 	// Storing again revalidates with If-None-Match and skips the upload.
-	if err := up.Store(k, p); err != nil {
+	if err := up.Store(acme, p); err != nil {
 		t.Fatalf("re-Store: %v", err)
 	}
 	if st := up.Stats(); st.Puts != 1 || st.PutsSkipped != 1 {
@@ -130,12 +131,12 @@ func TestRemoteStoreLocalDiskLevel(t *testing.T) {
 	k := logicalKey("disk-level")
 
 	// Seed the server through a diskless client.
-	if err := NewRemoteStore(base, "", nil, nil).Store(k, p); err != nil {
+	if err := NewRemoteStore(base, nil, nil).Store(k, p); err != nil {
 		t.Fatal(err)
 	}
 
 	disk := openStore(t, t.TempDir())
-	rs := NewRemoteStore(base, "", disk, nil)
+	rs := NewRemoteStore(base, disk, nil)
 
 	// First load: remote hit, back-filled to disk.
 	if _, ok, err := rs.Load(k); err != nil || !ok {
@@ -152,7 +153,7 @@ func TestRemoteStoreLocalDiskLevel(t *testing.T) {
 
 	// The disk level alone can satisfy a fresh client offline: point one
 	// at a dead server with the same disk.
-	dead := NewRemoteStore("http://127.0.0.1:0", "", disk, nil)
+	dead := NewRemoteStore("http://127.0.0.1:0", disk, nil)
 	if _, ok, err := dead.Load(k); err != nil || !ok {
 		t.Fatalf("offline Load = (_, %v, %v), want local hit", ok, err)
 	}
@@ -160,7 +161,7 @@ func TestRemoteStoreLocalDiskLevel(t *testing.T) {
 
 func TestRemoteStoreMiss(t *testing.T) {
 	_, ss, base := storeServer(t)
-	rs := NewRemoteStore(base, "", nil, nil)
+	rs := NewRemoteStore(base, nil, nil)
 	if _, ok, err := rs.Load(logicalKey("absent")); err != nil || ok {
 		t.Fatalf("Load = (_, %v, %v), want clean miss", ok, err)
 	}
@@ -179,7 +180,7 @@ func TestRemoteStoreRejectsCorruptTransfer(t *testing.T) {
 		w.Write([]byte("CABTOBJ\nthis is not a framed object"))
 	}))
 	defer srv.Close()
-	rs := NewRemoteStore(srv.URL, "", nil, nil)
+	rs := NewRemoteStore(srv.URL, nil, nil)
 	if _, ok, err := rs.Load(logicalKey("corrupt")); err != nil || ok {
 		t.Fatalf("Load of corrupt transfer = (_, %v, %v), want miss", ok, err)
 	}
@@ -188,7 +189,7 @@ func TestRemoteStoreRejectsCorruptTransfer(t *testing.T) {
 func TestStoreServerRejectsBadPut(t *testing.T) {
 	st, ss, base := storeServer(t)
 	dk := store.DeriveKey("", logicalKey("bad-put"))
-	rs := NewRemoteStore(base, "", nil, nil)
+	rs := NewRemoteStore(base, nil, nil)
 
 	req, _ := http.NewRequest(http.MethodPut, rs.url(dk), http.NoBody)
 	resp, err := http.DefaultClient.Do(req)

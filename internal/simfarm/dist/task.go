@@ -19,7 +19,8 @@ type Task struct {
 	// Index is the task's position in its batch; the collector writes
 	// the result back at this index, preserving job order.
 	Index int `json:"index"`
-	// Tenant scopes the worker's translation-cache namespace.
+	// Tenant scopes the task's memo and store keys (it becomes the job's
+	// unserialized Tenant).
 	Tenant string `json:"tenant,omitempty"`
 	// Kind selects the payload: "sim" (single-core sweep job) or "soc".
 	Kind string `json:"kind"`

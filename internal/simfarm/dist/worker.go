@@ -35,7 +35,7 @@ type WorkerConfig struct {
 	OpTimeout time.Duration
 	// Engine selects the C6x host-execution engine for translated runs.
 	Engine platform.Engine
-	// Ephemeral discards the per-tenant farm (and with it the in-memory
+	// Ephemeral replaces the worker's farm (and with it the in-memory
 	// translation cache) after every task, so each task's translations
 	// come from the store levels. CI uses it to make remote-store
 	// traffic deterministic.
@@ -45,21 +45,22 @@ type WorkerConfig struct {
 }
 
 // Worker is one farm worker process: it registers with the control
-// plane, then leases tasks one at a time, executes them on a local
+// plane, then leases tasks one at a time, executes them on its one
 // single-worker Farm whose translation cache reads and writes the
 // shared store over HTTP, heartbeats while executing, and reports the
 // result. Execution is exactly the in-process farm path — same Farm,
 // same engine, same verification against the reference ISS — so a
-// distributed batch is bit-identical to a local one.
+// distributed batch is bit-identical to a local one. The task's tenant
+// namespaces the farm's keys, as on the server.
 type Worker struct {
-	cfg WorkerConfig
-	id  string
-	ttl time.Duration
+	cfg    WorkerConfig
+	id     string
+	ttl    time.Duration
+	remote *RemoteStore
+	local  *simfarm.Farm // only the Run goroutine touches it
 
-	mu      sync.Mutex
-	farms   map[string]*simfarm.Farm
-	remotes map[string]*RemoteStore
-	done    int64
+	mu   sync.Mutex
+	done int64
 }
 
 // NewWorker builds a worker (it does not contact the server yet). The
@@ -76,11 +77,18 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	return &Worker{
-		cfg:     cfg,
-		farms:   make(map[string]*simfarm.Farm),
-		remotes: make(map[string]*RemoteStore),
-	}
+	w := &Worker{cfg: cfg, remote: NewRemoteStore(cfg.Server, cfg.Disk, cfg.Client)}
+	w.local = w.newFarm()
+	return w
+}
+
+// newFarm builds a single-worker farm over the remote store.
+func (w *Worker) newFarm() *simfarm.Farm {
+	return simfarm.New(simfarm.Config{
+		Workers: 1,
+		Cache:   simfarm.NewPersistentTranslationCache(w.remote),
+		Engine:  w.cfg.Engine,
+	})
 }
 
 // ID returns the server-assigned worker ID ("" before Run registers).
@@ -97,22 +105,8 @@ func (w *Worker) TasksDone() int64 {
 	return w.done
 }
 
-// StoreStats aggregates remote-store traffic across tenants.
-func (w *Worker) StoreStats() RemoteStoreStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var agg RemoteStoreStats
-	for _, rs := range w.remotes {
-		st := rs.Stats()
-		agg.Loads += st.Loads
-		agg.LocalHits += st.LocalHits
-		agg.RemoteHits += st.RemoteHits
-		agg.Misses += st.Misses
-		agg.Puts += st.Puts
-		agg.PutsSkipped += st.PutsSkipped
-	}
-	return agg
-}
+// StoreStats reports the worker's remote-store traffic.
+func (w *Worker) StoreStats() RemoteStoreStats { return w.remote.Stats() }
 
 // Run registers and processes tasks until ctx is cancelled. A task in
 // flight at cancellation is finished and completed first — the graceful
@@ -202,8 +196,8 @@ func (w *Worker) lease() (*Task, error) {
 	return resp.Task, nil
 }
 
-// execute runs one task on the tenant's farm, heartbeating at TTL/3
-// until the run finishes.
+// execute runs one task on the worker's farm under the task's tenant,
+// heartbeating at TTL/3 until the run finishes.
 func (w *Worker) execute(ctx context.Context, task *Task) TaskResult {
 	res := TaskResult{TaskID: task.ID, Index: task.Index, Worker: w.id}
 	w.cfg.Logf("task %s (%s, attempt %d)", task.ID, task.Kind, task.Attempt)
@@ -211,15 +205,16 @@ func (w *Worker) execute(ctx context.Context, task *Task) TaskResult {
 	stop := w.heartbeat(ctx, task.ID)
 	defer stop()
 
-	farm := w.farm(task.Tenant)
 	switch {
 	case task.Kind == KindSim && task.Sim != nil:
-		results, _ := farm.Run([]simfarm.Job{*task.Sim})
+		task.Sim.Tenant = task.Tenant
+		results, _ := w.local.Run([]simfarm.Job{*task.Sim})
 		r := results[0]
 		res.Sim = &r
 		res.CacheState = r.CacheOutcome()
 	case task.Kind == KindSoC && task.SoC != nil:
-		results, _ := farm.RunSoC([]simfarm.SoCJob{*task.SoC})
+		task.SoC.Tenant = task.Tenant
+		results, _ := w.local.RunSoC([]simfarm.SoCJob{*task.SoC})
 		r := results[0]
 		res.SoC = &r
 		res.CacheHits, res.CacheMisses = r.CacheCounts()
@@ -227,9 +222,7 @@ func (w *Worker) execute(ctx context.Context, task *Task) TaskResult {
 		res.Err = fmt.Sprintf("malformed task: kind %q with no matching payload", task.Kind)
 	}
 	if w.cfg.Ephemeral {
-		w.mu.Lock()
-		delete(w.farms, task.Tenant)
-		w.mu.Unlock()
+		w.local = w.newFarm()
 	}
 	return res
 }
@@ -308,29 +301,6 @@ func (e *goneError) Error() string { return e.msg }
 func isGone(err error) bool {
 	_, ok := err.(*goneError)
 	return ok
-}
-
-// farm returns (building if needed) the tenant's single-worker farm,
-// backed by a translation cache whose persistent level is the remote
-// store under the tenant's namespace.
-func (w *Worker) farm(tenant string) *simfarm.Farm {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if f, ok := w.farms[tenant]; ok {
-		return f
-	}
-	rs, ok := w.remotes[tenant]
-	if !ok {
-		rs = NewRemoteStore(w.cfg.Server, tenant, w.cfg.Disk, w.cfg.Client)
-		w.remotes[tenant] = rs
-	}
-	f := simfarm.New(simfarm.Config{
-		Workers: 1,
-		Cache:   simfarm.NewPersistentTranslationCache(rs),
-		Engine:  w.cfg.Engine,
-	})
-	w.farms[tenant] = f
-	return f
 }
 
 // sleep waits one poll interval or until ctx ends.

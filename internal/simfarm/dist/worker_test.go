@@ -201,3 +201,65 @@ func TestWorkerEphemeralUsesRemoteStore(t *testing.T) {
 		t.Errorf("warm ephemeral task did not hit the remote store: %+v", st)
 	}
 }
+
+func TestWorkerKeepsTenantsApart(t *testing.T) {
+	// One farm serves every tenant, so the task's tenant must reach its
+	// keys: tenant B's first run of A's task misses in farm memory, on
+	// the local disk and at the server.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	q, _, base := controlPlane(t, QueueConfig{LeaseTTL: 3 * time.Second})
+	w := startWorker(t, ctx, WorkerConfig{Server: base, Name: "w", Disk: openStore(t, t.TempDir())})
+
+	run := func(tenant string) (*simfarm.Result, RemoteStoreStats) {
+		t.Helper()
+		tasks := simBatch(t)[:1]
+		tasks[0].Tenant = tenant
+		r := recv(t, q.Enqueue(tasks))
+		if r.Err != "" || r.Sim == nil || r.Sim.Error != "" {
+			t.Fatalf("tenant %q task %+v", tenant, r)
+		}
+		return r.Sim, w.StoreStats()
+	}
+	if r, _ := run("a"); r.CacheHit {
+		t.Fatalf("tenant a's cold task was a cache hit")
+	}
+	if r, _ := run("a"); !r.CacheHit {
+		t.Fatalf("tenant a's repeat was not a cache hit")
+	}
+	_, before := run("a")
+	r, after := run("b")
+	if r.CacheHit {
+		t.Errorf("tenant b's first task hit tenant a's farm memory")
+	}
+	if after.LocalHits != before.LocalHits || after.RemoteHits != before.RemoteHits || after.Misses != before.Misses+1 {
+		t.Errorf("tenant b's first task: store stats %+v after %+v, want one miss at every level", after, before)
+	}
+}
+
+func TestWorkerReportsDegradedStore(t *testing.T) {
+	// A store that answers 503 trips the remote-store breaker; the
+	// worker's stats must say so.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	q := NewQueue(QueueConfig{LeaseTTL: 3 * time.Second})
+	mux := http.NewServeMux()
+	(&WorkerAPI{Queue: q}).Register(mux)
+	mux.HandleFunc("/v1/store/", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "store down", http.StatusServiceUnavailable)
+	})
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	w := startWorker(t, ctx, WorkerConfig{Server: srv.URL, Name: "w"})
+
+	tasks := simBatch(t)
+	ch := q.Enqueue(tasks)
+	for range tasks {
+		if r := recv(t, ch); r.Err != "" || r.Sim == nil || r.Sim.Error != "" {
+			t.Fatalf("task with a dead store failed: %+v", r)
+		}
+	}
+	if st := w.StoreStats(); st.Degraded == 0 {
+		t.Errorf("worker store stats %+v, want Degraded > 0", st)
+	}
+}

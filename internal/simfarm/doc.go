@@ -41,8 +41,12 @@
 // full microarchitecture description, since the live reference I-cache
 // observes every Desc field).
 //
+// All three are one memo type, and every key is scoped to [Job.Tenant],
+// so one Farm serves many tenants without sharing an entry between them
+// ([Farm.TenantStats] reports each tenant's share of the counters).
+//
 // The cache is optionally two-level: [NewPersistentTranslationCache]
-// backs the in-memory map with a write-through on-disk store
+// backs the in-memory memo with a write-through on-disk store
 // (internal/simfarm/store), so translations survive the process and are
 // shared across concurrent processes pointed at the same directory —
 // content addresses make that safe by construction. A disk-served
@@ -53,9 +57,9 @@
 // # Serving batches over HTTP
 //
 // internal/simfarm/server exposes Farm.Run as a multi-tenant HTTP job
-// API (cmd/cabt-serve): per-tenant farms share server capacity while
-// their caches write through to per-tenant namespaces of one shared
-// store. See docs/architecture.md for the endpoints and formats.
+// API (cmd/cabt-serve): one farm serves every tenant, and its cache
+// writes through to one shared store under tenant-derived keys. See
+// docs/architecture.md for the endpoints and formats.
 //
 // # Reproducing the paper through the farm
 //

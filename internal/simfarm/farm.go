@@ -35,33 +35,48 @@ type Config struct {
 
 // Farm runs simulation jobs on a bounded worker pool, memoizing
 // assembly, reference runs and translation across jobs and batches.
+// Each job's Tenant scopes every memo key (see tenantKey), so one farm
+// serves many tenants and keeps a tally for each.
 type Farm struct {
 	workers int
 	cache   *TranslationCache
 	engine  platform.Engine
 
-	mu   sync.Mutex
-	elfs map[ELFHash]*elfEntry // keyed on source-text hash (see elf)
-	refs map[Key]*refEntry
+	elfs    memo[Key, assembled] // keyed on source-text hash (see elf)
+	refs    memo[Key, refRun]
+	tenants memo[string, *tally]
 
-	jobsRun atomic.Int64
-	failed  atomic.Int64
-	refRuns atomic.Int64
+	all tally // jobsRun, failed and refRuns only
 }
 
-type elfEntry struct {
-	once sync.Once
+type assembled struct {
 	f    *elf32.File
 	hash ELFHash
 	err  error
 }
 
-type refEntry struct {
-	once   sync.Once
+type refRun struct {
 	stats  iss.Stats
 	output []uint32
 	wall   time.Duration
 	err    error
+}
+
+// tally counts a tenant's share of the farm's work.
+type tally struct {
+	jobsRun, failed, refRuns atomic.Int64
+	hits, misses, diskHits   atomic.Int64
+}
+
+func (t *tally) count(o outcome) {
+	if o == translated {
+		t.misses.Add(1)
+		return
+	}
+	t.hits.Add(1)
+	if o == diskHit {
+		t.diskHits.Add(1)
+	}
 }
 
 // New builds a farm.
@@ -74,42 +89,57 @@ func New(cfg Config) *Farm {
 	if c == nil {
 		c = NewTranslationCache()
 	}
-	return &Farm{
-		workers: w,
-		cache:   c,
-		engine:  cfg.Engine,
-		elfs:    map[ELFHash]*elfEntry{},
-		refs:    map[Key]*refEntry{},
-	}
+	return &Farm{workers: w, cache: c, engine: cfg.Engine}
 }
 
 // Workers returns the configured pool size.
 func (f *Farm) Workers() int { return f.workers }
 
-// Engine returns the farm's C6x host-execution engine.
-func (f *Farm) Engine() platform.Engine { return f.engine }
-
 // Cache returns the farm's translation cache.
 func (f *Farm) Cache() *TranslationCache { return f.cache }
 
-// Stats returns the farm's cumulative counters across all batches.
-func (f *Farm) Stats() FarmStats {
+// stats renders a tally. Each key was first looked up exactly once, as
+// a miss or a disk hit, so those two count the programs cached.
+func (t *tally) stats() FarmStats {
 	return FarmStats{
-		JobsRun:        f.jobsRun.Load(),
-		Failed:         f.failed.Load(),
-		CacheHits:      f.cache.Hits(),
-		CacheMisses:    f.cache.Misses(),
-		CachedPrograms: f.cache.Len(),
-		ReferenceRuns:  f.refRuns.Load(),
-		DiskCacheHits:  f.cache.DiskHits(),
+		JobsRun: t.jobsRun.Load(), Failed: t.failed.Load(), ReferenceRuns: t.refRuns.Load(),
+		CacheHits: t.hits.Load(), CacheMisses: t.misses.Load(), DiskCacheHits: t.diskHits.Load(),
+		CachedPrograms: int(t.misses.Load() + t.diskHits.Load()),
 	}
+}
+
+// Stats returns the farm's cumulative counters across all batches and
+// tenants; the cache figures are the whole translation cache's.
+func (f *Farm) Stats() FarmStats {
+	fs := f.cache.lookups.stats()
+	fs.JobsRun, fs.Failed, fs.ReferenceRuns = f.all.jobsRun.Load(), f.all.failed.Load(), f.all.refRuns.Load()
+	return fs
+}
+
+// TenantStats returns what a farm running only tenant's jobs would
+// report; ok is false for a tenant the farm has run nothing for.
+func (f *Farm) TenantStats(tenant string) (FarmStats, bool) {
+	t, ok := f.tenants.lookup(tenant)
+	if !ok {
+		return FarmStats{}, false
+	}
+	return t.stats(), true
+}
+
+// Tenants returns the number of tenants the farm has run jobs for.
+func (f *Farm) Tenants() int { return f.tenants.len() }
+
+// tally returns tenant's counters.
+func (f *Farm) tally(tenant string) *tally {
+	t, _ := f.tenants.get(tenant, func() *tally { return new(tally) })
+	return t
 }
 
 // submitPool streams run(i) for every i in [0, n) through a bounded
 // worker pool: results arrive on the returned channel in completion
 // order, buffered for the whole batch and closed when it is done, so
 // consumers may read lazily without stalling workers. Shared by Submit
-// and SubmitSoC.
+// and RunSoC.
 func submitPool[R any](workers, n int, run func(i int) R) <-chan R {
 	out := make(chan R, n)
 	idx := make(chan int)
@@ -163,13 +193,7 @@ func (f *Farm) Run(jobs []Job) ([]Result, BatchStats) {
 	for r := range f.Submit(jobs) {
 		results[r.Index] = r
 	}
-	return results, f.Summarize(results, time.Since(start))
-}
-
-// Summarize computes the batch statistics for a set of results a caller
-// collected from Submit itself, with wall the batch's elapsed time.
-func (f *Farm) Summarize(results []Result, wall time.Duration) BatchStats {
-	return SummarizeResults(results, wall, f.workers)
+	return results, SummarizeResults(results, time.Since(start), f.workers)
 }
 
 // SummarizeResults computes batch statistics for results gathered from
@@ -202,65 +226,46 @@ func SummarizeResults(results []Result, wall time.Duration, workers int) BatchSt
 	return bs
 }
 
-// elf assembles a workload, memoized on the hash of its source text.
-func (f *Farm) elf(w workload.Workload) *elfEntry {
-	key := ELFHash(sha256.Sum256([]byte(w.Source)))
-	f.mu.Lock()
-	e, ok := f.elfs[key]
-	if !ok {
-		e = &elfEntry{}
-		f.elfs[key] = e
-	}
-	f.mu.Unlock()
-	e.once.Do(func() {
+// elf assembles a workload for tenant, memoized on the hash of its
+// source text.
+func (f *Farm) elf(tenant string, w workload.Workload) assembled {
+	a, _ := f.elfs.get(tenantKey(tenant, sha256.Sum256([]byte(w.Source))), func() assembled {
 		file, err := tc32asm.Assemble(w.Source)
 		if err != nil {
-			e.err = fmt.Errorf("%s: %w", w.Name, err)
-			return
+			return assembled{err: fmt.Errorf("%s: %w", w.Name, err)}
 		}
-		e.f = file
-		e.hash, e.err = HashELF(file)
+		h, err := HashELF(file)
+		return assembled{f: file, hash: h, err: err}
 	})
-	return e
+	return a
 }
 
-// reference runs the cycle-accurate reference simulator, memoized on
-// (ELF contents, full microarchitecture description). The wall-time of
-// the first (actual) run is recorded and repeated for memoized hits, so
-// every job reports a meaningful ISS-speed baseline.
-func (f *Farm) reference(h ELFHash, file *elf32.File, d *march.Desc) *refEntry {
-	key := referenceKey(h, d)
-	f.mu.Lock()
-	e, ok := f.refs[key]
-	if !ok {
-		e = &refEntry{}
-		f.refs[key] = e
-	}
-	f.mu.Unlock()
-	e.once.Do(func() {
-		f.refRuns.Add(1)
+// reference runs the cycle-accurate reference simulator for tenant,
+// memoized on (ELF contents, full microarchitecture description). The
+// wall-time of the first (actual) run is recorded and repeated for
+// memoized hits, so every job reports a meaningful ISS-speed baseline.
+func (f *Farm) reference(tenant string, a assembled, d *march.Desc) refRun {
+	r, _ := f.refs.get(tenantKey(tenant, referenceKey(a.hash, d)), func() refRun {
+		f.all.refRuns.Add(1)
+		f.tally(tenant).refRuns.Add(1)
 		start := time.Now()
-		s, err := iss.New(file, iss.Config{Desc: d, CycleAccurate: true})
+		s, err := iss.New(a.f, iss.Config{Desc: d, CycleAccurate: true})
 		if err != nil {
-			e.err = err
-			return
+			return refRun{err: err}
 		}
 		if err := s.Run(); err != nil {
-			e.err = err
-			return
+			return refRun{err: err}
 		}
-		e.wall = time.Since(start)
-		e.stats = s.Stats()
-		e.output = s.Output()
+		return refRun{wall: time.Since(start), stats: s.Stats(), output: s.Output()}
 	})
-	return e
+	return r
 }
 
 // ELF returns the memoized assembled image of a workload (shared with
 // job execution; used by benchmark harnesses).
 func (f *Farm) ELF(w workload.Workload) (*elf32.File, error) {
-	e := f.elf(w)
-	return e.f, e.err
+	a := f.elf("", w)
+	return a.f, a.err
 }
 
 // Reference returns the memoized reference-simulator statistics and
@@ -269,11 +274,11 @@ func (f *Farm) Reference(w workload.Workload, desc *march.Desc) (iss.Stats, []ui
 	if desc == nil {
 		desc = march.Default()
 	}
-	e := f.elf(w)
-	if e.err != nil {
-		return iss.Stats{}, nil, e.err
+	a := f.elf("", w)
+	if a.err != nil {
+		return iss.Stats{}, nil, a.err
 	}
-	r := f.reference(e.hash, e.f, desc)
+	r := f.reference("", a, desc)
 	return r.stats, r.output, r.err
 }
 
@@ -281,11 +286,14 @@ func (f *Farm) Reference(w workload.Workload, desc *march.Desc) (iss.Stats, []ui
 // (memoized), translate (content-addressed cache), platform-run, verify
 // and measure.
 func (f *Farm) runJob(idx int, job Job) Result {
-	f.jobsRun.Add(1)
+	t := f.tally(job.Tenant)
+	f.all.jobsRun.Add(1)
+	t.jobsRun.Add(1)
 	obsJobs.Inc()
 	r := Result{Index: idx, Name: job.Workload.Name, Level: job.Options.Level, Config: job.Config}
 	fail := func(err error) Result {
-		f.failed.Add(1)
+		f.all.failed.Add(1)
+		t.failed.Add(1)
 		obsJobsFailed.Inc()
 		r.Err = err
 		r.Error = err.Error()
@@ -294,11 +302,11 @@ func (f *Farm) runJob(idx int, job Job) Result {
 
 	aStart := time.Now()
 	endA := obs.Trace.Span("assemble", "farm", int64(idx))
-	e := f.elf(job.Workload)
+	a := f.elf(job.Tenant, job.Workload)
 	endA()
 	obsStageAssemble.Observe(time.Since(aStart).Seconds())
-	if e.err != nil {
-		return fail(e.err)
+	if a.err != nil {
+		return fail(a.err)
 	}
 	desc := job.Options.Desc
 	if desc == nil {
@@ -306,7 +314,7 @@ func (f *Farm) runJob(idx int, job Job) Result {
 	}
 
 	endRef := obs.Trace.Span("reference", "farm", int64(idx))
-	ref := f.reference(e.hash, e.f, desc)
+	ref := f.reference(job.Tenant, a, desc)
 	endRef()
 	obsStageReference.Observe(ref.wall.Seconds())
 	if ref.err != nil {
@@ -324,15 +332,16 @@ func (f *Farm) runJob(idx int, job Job) Result {
 
 	tStart := time.Now()
 	endT := obs.Trace.Span("translate", "farm", int64(idx))
-	prog, hit, err := f.cache.TranslateHashed(e.hash, e.f, job.Options)
+	prog, o, err := f.cache.translate(job.Tenant, a.hash, a.f, job.Options)
 	endT()
+	t.count(o)
 	if err != nil {
 		return fail(fmt.Errorf("%s L%d: %w", job.Workload.Name, int(job.Options.Level), err))
 	}
 	r.TranslateWallSeconds = time.Since(tStart).Seconds()
 	obsStageTranslate.Observe(r.TranslateWallSeconds)
-	r.CacheHit = hit
-	if hit {
+	r.CacheHit = o != translated
+	if r.CacheHit {
 		r.cacheState = 1
 	} else {
 		r.cacheState = 2

@@ -18,6 +18,9 @@ type Job struct {
 	// Options selects the translation detail level, the source-processor
 	// description (nil = march.Default) and the ablation switches.
 	Options core.Options
+	// Tenant scopes every memo key of the job ("" is the root). It is
+	// not serialized: the server and the worker set it from the request.
+	Tenant string `json:"-"`
 }
 
 // Result is the outcome of one Job. The modeled quantities use exactly

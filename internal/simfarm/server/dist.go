@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
@@ -187,7 +188,7 @@ func (s *Server) startSweeper() (stop func()) {
 // only when at least one worker is live and the dispatch breaker
 // admits it. The decision is taken once per batch at submission; with
 // no workers (or a tripped breaker) the server executes in-process on
-// the tenant's farm, bit-identical to the pre-distribution behavior —
+// its farm, bit-identical to the pre-distribution behavior —
 // distribution is an optimization, so degrading it is always safe.
 func (s *Server) distributed() bool {
 	if s.queue.LiveWorkers() == 0 || s.draining.Load() {
@@ -212,82 +213,76 @@ func (s *Server) dispatchOutcome(failed int) {
 
 // runSim executes a single-core batch, distributed when workers are
 // available, locally otherwise.
-func (s *Server) runSim(rec *jobRecord, tenant string, jobs []simfarm.Job) ([]simfarm.Result, simfarm.BatchStats) {
+func (s *Server) runSim(rec *jobRecord, jobs []simfarm.Job) ([]simfarm.Result, simfarm.BatchStats) {
 	if !s.distributed() {
-		return s.farm(tenant).Run(jobs)
+		return s.local.Run(jobs)
 	}
-	s.journalAppend(rec.journalRecord(dist.RecordStarted, s.now()))
-	start := time.Now()
-	workers := s.queue.LiveWorkers()
-	tasks := make([]dist.Task, len(jobs))
-	for i := range jobs {
-		tasks[i] = dist.Task{Batch: rec.id, Index: i, Tenant: tenant, Kind: dist.KindSim, Sim: &jobs[i]}
-	}
-	results := make([]simfarm.Result, len(jobs))
-	ch := s.queue.Enqueue(tasks)
-	failed := 0
-	for range jobs {
-		tr := <-ch
-		if tr.Err != "" || tr.Sim == nil {
-			failed++
-			j := jobs[tr.Index]
-			msg := tr.Err
-			if msg == "" {
-				msg = "worker returned no result"
+	results, wall, workers := fanOut(s, rec, jobs,
+		func(t *dist.Task, j *simfarm.Job) { t.Kind, t.Sim = dist.KindSim, j },
+		func(tr dist.TaskResult, j *simfarm.Job) (simfarm.Result, bool) {
+			if tr.Err != "" || tr.Sim == nil {
+				return simfarm.Result{Index: tr.Index, Name: j.Workload.Name, Level: j.Options.Level, Config: j.Config, Error: failure(tr)}, false
 			}
-			results[tr.Index] = simfarm.Result{
-				Index: tr.Index, Name: j.Workload.Name, Level: j.Options.Level,
-				Config: j.Config, Error: fmt.Sprintf("distributed execution failed: %s", msg),
-			}
-			continue
-		}
-		r := *tr.Sim
-		r.Index = tr.Index
-		r.SetCacheOutcome(tr.CacheState)
-		results[tr.Index] = r
-	}
-	s.dispatchOutcome(failed)
-	return results, simfarm.SummarizeResults(results, time.Since(start), workers)
+			r := *tr.Sim
+			r.Index = tr.Index
+			r.SetCacheOutcome(tr.CacheState)
+			return r, true
+		})
+	return results, simfarm.SummarizeResults(results, wall, workers)
 }
 
 // runSoC is runSim for multi-core batches.
-func (s *Server) runSoC(rec *jobRecord, tenant string, jobs []simfarm.SoCJob) ([]simfarm.SoCResult, simfarm.SoCBatchStats) {
+func (s *Server) runSoC(rec *jobRecord, jobs []simfarm.SoCJob) ([]simfarm.SoCResult, simfarm.SoCBatchStats) {
 	if !s.distributed() {
-		return s.farm(tenant).RunSoC(jobs)
+		return s.local.RunSoC(jobs)
 	}
+	results, wall, workers := fanOut(s, rec, jobs,
+		func(t *dist.Task, j *simfarm.SoCJob) { t.Kind, t.SoC = dist.KindSoC, j },
+		func(tr dist.TaskResult, j *simfarm.SoCJob) (simfarm.SoCResult, bool) {
+			if tr.Err != "" || tr.SoC == nil {
+				return simfarm.SoCResult{Index: tr.Index, Name: j.Name, Config: j.Config, CoreCount: len(j.Cores),
+					Quantum: j.Quantum, Arbitration: j.Arbitration.String(), Error: failure(tr)}, false
+			}
+			r := *tr.SoC
+			r.Index = tr.Index
+			r.SetCacheCounts(tr.CacheHits, tr.CacheMisses)
+			return r, true
+		})
+	return results, simfarm.SummarizeSoCResults(results, wall, workers)
+}
+
+// fanOut runs a batch's jobs as tasks on the worker queue, tells the
+// breaker whether any failed, and returns the results in job order with
+// the wall time and executor count. payload sets a task's kind and job;
+// result turns a finished task into its job's result, false if failed.
+func fanOut[J, R any](s *Server, rec *jobRecord, jobs []J, payload func(*dist.Task, *J),
+	result func(dist.TaskResult, *J) (R, bool)) ([]R, time.Duration, int) {
 	s.journalAppend(rec.journalRecord(dist.RecordStarted, s.now()))
 	start := time.Now()
 	workers := s.queue.LiveWorkers()
 	tasks := make([]dist.Task, len(jobs))
 	for i := range jobs {
-		tasks[i] = dist.Task{Batch: rec.id, Index: i, Tenant: tenant, Kind: dist.KindSoC, SoC: &jobs[i]}
+		tasks[i] = dist.Task{Batch: rec.id, Index: i, Tenant: rec.tenant}
+		payload(&tasks[i], &jobs[i])
 	}
-	results := make([]simfarm.SoCResult, len(jobs))
+	results := make([]R, len(jobs))
 	ch := s.queue.Enqueue(tasks)
 	failed := 0
 	for range jobs {
 		tr := <-ch
-		if tr.Err != "" || tr.SoC == nil {
+		r, ok := result(tr, &jobs[tr.Index])
+		if !ok {
 			failed++
-			j := jobs[tr.Index]
-			msg := tr.Err
-			if msg == "" {
-				msg = "worker returned no result"
-			}
-			results[tr.Index] = simfarm.SoCResult{
-				Index: tr.Index, Name: j.Name, Config: j.Config, CoreCount: len(j.Cores),
-				Quantum: j.Quantum, Arbitration: j.Arbitration.String(),
-				Error: fmt.Sprintf("distributed execution failed: %s", msg),
-			}
-			continue
 		}
-		r := *tr.SoC
-		r.Index = tr.Index
-		r.SetCacheCounts(tr.CacheHits, tr.CacheMisses)
 		results[tr.Index] = r
 	}
 	s.dispatchOutcome(failed)
-	return results, simfarm.SummarizeSoCResults(results, time.Since(start), workers)
+	return results, time.Since(start), workers
+}
+
+// failure is the Error of a task that failed or brought back no result.
+func failure(tr dist.TaskResult) string {
+	return "distributed execution failed: " + cmp.Or(tr.Err, "worker returned no result")
 }
 
 // --- shutdown ---
@@ -351,8 +346,8 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(int64(time.Since(s.start).Seconds())) })
 	gauge("cabt_draining", "1 while the server refuses new submissions",
 		func() float64 { return float64(b2i(s.draining.Load())) })
-	gauge("cabt_tenants", "tenants with an instantiated farm",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.tenants)) })
+	gauge("cabt_tenants", "tenants seen",
+		func() float64 { return float64(s.local.Tenants()) })
 	counter("cabt_jobs_submitted_total", "batches submitted",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.submitted) })
 	gauge("cabt_jobs_running", "batches currently executing",

@@ -22,13 +22,13 @@
 //
 // # Tenancy
 //
-// The X-Cabt-Tenant header scopes a request. Each tenant gets its own
-// Farm (memoized assemblies, reference runs, in-memory translation
-// cache), and, when the server has a persistent store, the tenant's
-// cache writes through to the tenant's namespace of that store
-// (store.Store.Namespace): capacity is shared, cache entries are not.
-// The empty tenant is the store's root namespace — shared with local
-// cabt-farm -cache-dir runs against the same directory. Job records and
-// stats are scoped the same way: another tenant's job id answers 404,
-// and /v1/stats reports only the caller's own farm counters.
+// The X-Cabt-Tenant header scopes a request. One Farm runs every
+// tenant's batches, keying each memoized assembly, reference run and
+// translation by store.DeriveKey(tenant, content key) — the tenant's
+// store namespace's on-disk key, under which a persistent store is
+// written through: capacity is shared, cache entries are not. The empty
+// tenant is the store's root namespace, shared with local cabt-farm
+// -cache-dir runs against the same directory. Job records and stats are
+// scoped the same way: another tenant's job id answers 404, and
+// /v1/stats reports only the caller's own share of the farm counters.
 package server

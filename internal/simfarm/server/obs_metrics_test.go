@@ -421,9 +421,9 @@ func TestDistObservabilityExactCounters(t *testing.T) {
 
 	// Phase 3 — revalidated upload: storing an object the server already
 	// holds must cost one 304, not a second upload.
-	rs := dist.NewRemoteStore(ts.URL, "obs-test", nil, nil)
+	rs := dist.NewRemoteStore(ts.URL, nil, nil)
 	prog := translateGCD(t)
-	key := sha256.Sum256([]byte("obs-exact-counter-object"))
+	key := store.DeriveKey("obs-test", sha256.Sum256([]byte("obs-exact-counter-object")))
 	if err := rs.Store(key, prog); err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,11 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Workers is the per-tenant farm worker-pool size (0 = GOMAXPROCS).
+	// Workers is the farm's worker-pool size per batch: each locally
+	// executed batch runs on up to this many goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Store is the shared persistent translation-cache store; nil runs
-	// every tenant on a private in-memory cache.
+	// Store is the persistent level of the farm's translation cache,
+	// shared by every tenant; nil keeps the cache in memory only.
 	Store *store.Store
 
 	// AdminToken enables the store-administration endpoints
@@ -69,9 +70,9 @@ type Config struct {
 	RateBurst int
 }
 
-// Server is the HTTP front-end of the simulation farm. Each tenant
-// (X-Cabt-Tenant header) gets its own Farm whose translation cache is
-// backed by the tenant's namespace of the shared store, so tenants share
+// Server is the HTTP front-end of the simulation farm. It runs every
+// tenant's (X-Cabt-Tenant header) local batches on one Farm, whose
+// memo keys and store keys are derived from the tenant, so tenants share
 // server capacity but never cache entries.
 type Server struct {
 	cfg   Config
@@ -96,15 +97,16 @@ type Server struct {
 	// a correct (if slower) fallback, so degrading costs only speed.
 	dispatch *dist.Breaker
 
+	local *simfarm.Farm // runs every batch not dispatched to workers
+
 	draining    atomic.Bool
 	rateLimited atomic.Int64
 	stopSweep   func()
 	closeOnce   sync.Once
 
-	mu      sync.Mutex
-	tenants map[string]*simfarm.Farm
-	jobs    map[string]*jobRecord
-	nextID  int
+	mu     sync.Mutex
+	jobs   map[string]*jobRecord
+	nextID int
 	// submitted counts batches cumulatively — retention prunes records
 	// from jobs but must not shrink the reported submission counter.
 	submitted int
@@ -143,16 +145,20 @@ type jobRecord struct {
 // durability.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		reg:     obs.NewRegistry(),
-		queue:   dist.NewQueue(dist.QueueConfig{LeaseTTL: cfg.LeaseTTL, MaxAttempts: cfg.TaskRetries, Clock: cfg.Clock}),
-		tenants: map[string]*simfarm.Farm{},
-		jobs:    map[string]*jobRecord{},
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		start: time.Now(),
+		reg:   obs.NewRegistry(),
+		queue: dist.NewQueue(dist.QueueConfig{LeaseTTL: cfg.LeaseTTL, MaxAttempts: cfg.TaskRetries, Clock: cfg.Clock}),
+		jobs:  map[string]*jobRecord{},
 
 		dispatch: dist.NewBreaker("dispatch", dist.BreakerConfig{Clock: cfg.Clock}),
 	}
+	var cache *simfarm.TranslationCache
+	if cfg.Store != nil {
+		cache = simfarm.NewPersistentTranslationCache(cfg.Store)
+	}
+	s.local = simfarm.New(simfarm.Config{Workers: cfg.Workers, Cache: cache})
 	if cfg.RateLimit > 0 {
 		s.limiter = dist.NewRateLimiter(cfg.RateLimit, cfg.RateBurst, cfg.Clock)
 	}
@@ -296,22 +302,6 @@ func tenantOf(w http.ResponseWriter, r *http.Request) (string, bool) {
 	return tenant, true
 }
 
-// farm returns (creating on first use) the tenant's farm.
-func (s *Server) farm(tenant string) *simfarm.Farm {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.tenants[tenant]; ok {
-		return f
-	}
-	var cache *simfarm.TranslationCache
-	if s.cfg.Store != nil {
-		cache = simfarm.NewPersistentTranslationCache(s.cfg.Store.Namespace(tenant))
-	}
-	f := simfarm.New(simfarm.Config{Workers: s.cfg.Workers, Cache: cache})
-	s.tenants[tenant] = f
-	return f
-}
-
 // --- wire types ---
 
 // JobSpec is one job of a submission, by name: the workload and march
@@ -384,15 +374,15 @@ type JobResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// TenantStats is one tenant's cumulative farm view.
+// TenantStats is one tenant's cumulative share of the farm's counters.
 type TenantStats struct {
 	Tenant string            `json:"tenant"`
 	Farm   simfarm.FarmStats `json:"farm"`
 }
 
 // StatsResponse is the GET /v1/stats body. Tenants carries at most the
-// requesting tenant's own farm stats; TenantCount is the only
-// cross-tenant figure disclosed.
+// requesting tenant's own farm stats; TenantCount (the tenants the farm
+// has run jobs for) is the only cross-tenant figure disclosed.
 type StatsResponse struct {
 	UptimeSeconds float64       `json:"uptime_seconds"`
 	JobsSubmitted int           `json:"jobs_submitted"`
@@ -419,7 +409,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	jobs, err := resolve(req)
+	jobs, err := resolve(req, tenant)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -427,7 +417,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	rec := s.register(tenant, "sweep", len(jobs))
 	go func() {
-		results, stats := s.runSim(rec, tenant, jobs)
+		results, stats := s.runSim(rec, jobs)
 		rec.results, rec.stats = results, stats
 		s.finish(rec)
 	}()
@@ -496,9 +486,12 @@ func (s *Server) handleSoCSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	for i := range jobs {
+		jobs[i].Tenant = tenant
+	}
 	rec := s.register(tenant, "soc", len(jobs))
 	go func() {
-		results, stats := s.runSoC(rec, tenant, jobs)
+		results, stats := s.runSoC(rec, jobs)
 		rec.socResults, rec.socStats = results, stats
 		s.finish(rec)
 	}()
@@ -547,8 +540,9 @@ func resolveSoC(req SoCSubmitRequest) ([]simfarm.SoCJob, error) {
 	return jobs, nil
 }
 
-// resolve turns a submission into farm jobs, validating every name.
-func resolve(req SubmitRequest) ([]simfarm.Job, error) {
+// resolve turns a tenant's submission into farm jobs, validating every
+// name.
+func resolve(req SubmitRequest, tenant string) ([]simfarm.Job, error) {
 	specs := req.Jobs
 	if len(specs) > 0 && (len(req.Workloads) > 0 || len(req.Levels) > 0) {
 		return nil, fmt.Errorf("give either jobs or workloads×levels, not both")
@@ -584,6 +578,7 @@ func resolve(req SubmitRequest) ([]simfarm.Job, error) {
 			Workload: wl,
 			Config:   cfg.Name,
 			Options:  core.Options{Level: core.Level(sp.Level), Desc: cfg.Desc},
+			Tenant:   tenant,
 		})
 	}
 	return jobs, nil
@@ -641,7 +636,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		JobsSubmitted: s.submitted,
-		TenantCount:   len(s.tenants),
+		TenantCount:   s.local.Tenants(),
 		Tenants:       []TenantStats{},
 	}
 	for _, rec := range s.jobs {
@@ -651,10 +646,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.JobsRunning++
 		}
 	}
-	farm := s.tenants[tenant]
 	s.mu.Unlock()
-	if farm != nil {
-		resp.Tenants = append(resp.Tenants, TenantStats{Tenant: tenant, Farm: farm.Stats()})
+	if fs, ok := s.local.TenantStats(tenant); ok {
+		resp.Tenants = append(resp.Tenants, TenantStats{Tenant: tenant, Farm: fs})
 	}
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()

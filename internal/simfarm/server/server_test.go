@@ -10,8 +10,12 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/simfarm"
 	"repro/internal/simfarm/server"
 	"repro/internal/simfarm/store"
+	"repro/internal/tc32asm"
+	"repro/internal/workload"
 )
 
 // client wraps one tenant's view of a test server.
@@ -216,6 +220,107 @@ func TestTenantIsolation(t *testing.T) {
 	mk("").do("GET", "/v1/stats", nil, http.StatusOK, &anon)
 	if len(anon.Tenants) != 0 {
 		t.Errorf("anonymous caller sees tenant farms: %+v", anon.Tenants)
+	}
+}
+
+// TestTenantStatsMatchStandaloneFarm: one server farm serves every
+// tenant, yet each tenant's /v1/stats counters are exactly what a farm
+// of its own would report for its jobs alone.
+func TestTenantStatsMatchStandaloneFarm(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mk := newServer(t, st)
+	// Levels 0 and 1 share a translation across the two I-cache
+	// configs, so the batch hits its own cache too.
+	var specs []server.JobSpec
+	for _, cfg := range []string{"", "icache-4way"} {
+		for _, w := range []string{"gcd", "sieve"} {
+			for _, l := range []int{0, 1, 3} {
+				specs = append(specs, server.JobSpec{Workload: w, Level: l, Config: cfg})
+			}
+		}
+	}
+	req := server.SubmitRequest{Jobs: specs}
+
+	// The standalone farm runs the resolved batch twice on a store of
+	// its own, so its disk level starts as empty as each tenant's keys.
+	own, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]simfarm.Job, len(specs))
+	configs := map[string]simfarm.MarchConfig{}
+	for _, c := range simfarm.DefaultMarchConfigs() {
+		configs[c.Name] = c
+	}
+	for i, sp := range specs {
+		w, _ := workload.ByName(sp.Workload)
+		jobs[i] = simfarm.Job{Workload: w, Config: sp.Config, Options: core.Options{Level: core.Level(sp.Level), Desc: configs[sp.Config].Desc}}
+	}
+	standalone := simfarm.New(simfarm.Config{Workers: 4, Cache: simfarm.NewPersistentTranslationCache(own)})
+	standalone.Run(jobs)
+	standalone.Run(jobs)
+	want := standalone.Stats()
+	if want.CacheHits == 0 || want.CacheMisses == 0 || want.ReferenceRuns == 0 {
+		t.Fatalf("standalone stats %+v exercise nothing", want)
+	}
+
+	for _, tenant := range []string{"tenant-a", "tenant-b"} {
+		c := mk(tenant)
+		c.submitAndWait(req)
+		c.submitAndWait(req)
+		var stats server.StatsResponse
+		c.do("GET", "/v1/stats", nil, http.StatusOK, &stats)
+		if len(stats.Tenants) != 1 || stats.Tenants[0].Farm != want {
+			t.Errorf("%s farm stats = %+v, want %+v", tenant, stats.Tenants, want)
+		}
+	}
+	if got := st.Stats().Objects; got != 2*want.CachedPrograms {
+		t.Errorf("store objects = %d, want %d (each tenant's programs)", got, 2*want.CachedPrograms)
+	}
+}
+
+// TestNamespacedObjectIsTenantDiskHit: the on-disk layout is the one a
+// tenant's store namespace writes, so an object stored through
+// store.Store.Namespace is a disk hit for that tenant on a fresh server.
+func TestNamespacedObjectIsTenantDiskHit(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := workload.ByName("gcd")
+	f, err := tc32asm.Assemble(w.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Level: core.Level1}
+	prog, err := core.Translate(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := simfarm.HashELF(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Namespace("t").Store(simfarm.ProgramKey(h, opts), prog); err != nil {
+		t.Fatal(err)
+	}
+
+	_, mk := newServer(t, st)
+	c := mk("t")
+	job := c.submitAndWait(server.SubmitRequest{Workloads: []string{"gcd"}, Levels: []int{1}})
+	if job.Stats.CacheHits != 1 || job.Stats.CacheMisses != 0 {
+		t.Fatalf("batch stats %+v, want the one job served from disk", job.Stats)
+	}
+	var stats server.StatsResponse
+	c.do("GET", "/v1/stats", nil, http.StatusOK, &stats)
+	if len(stats.Tenants) != 1 || stats.Tenants[0].Farm.DiskCacheHits != 1 {
+		t.Fatalf("tenant t stats = %+v, want 1 disk hit", stats.Tenants)
+	}
+	if other := mk("u").submitAndWait(server.SubmitRequest{Workloads: []string{"gcd"}, Levels: []int{1}}); other.Stats.CacheMisses != 1 {
+		t.Errorf("tenant u stats %+v, want a miss: the object is t's", other.Stats)
 	}
 }
 

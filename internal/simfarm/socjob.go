@@ -39,6 +39,8 @@ type SoCJob struct {
 	// Parallel runs the SoC on the speculative parallel scheduler
 	// (bit-identical results; see soc.Config.Parallel).
 	Parallel bool
+	// Tenant namespaces the job's memo keys (see Job.Tenant).
+	Tenant string `json:"-"`
 }
 
 // SoCCoreResult is one core's measurement within a SoCResult.
@@ -116,30 +118,16 @@ type SoCReport struct {
 	Stats   SoCBatchStats `json:"stats"`
 }
 
-// SubmitSoC runs the multi-core batch on the worker pool and streams
-// results in completion order (Index set), like Submit.
-func (f *Farm) SubmitSoC(jobs []SoCJob) <-chan SoCResult {
-	return submitPool(f.workers, len(jobs), func(i int) SoCResult {
-		return f.runSoCJob(i, jobs[i])
-	})
-}
-
 // RunSoC executes the multi-core batch and returns results in job order
 // plus the batch summary. Job failures are per-result, never a batch
 // failure.
 func (f *Farm) RunSoC(jobs []SoCJob) ([]SoCResult, SoCBatchStats) {
 	start := time.Now()
 	results := make([]SoCResult, len(jobs))
-	for r := range f.SubmitSoC(jobs) {
+	for r := range submitPool(f.workers, len(jobs), func(i int) SoCResult { return f.runSoCJob(i, jobs[i]) }) {
 		results[r.Index] = r
 	}
-	return results, f.SummarizeSoC(results, time.Since(start))
-}
-
-// SummarizeSoC computes the batch statistics for results collected from
-// SubmitSoC, with wall the batch's elapsed time.
-func (f *Farm) SummarizeSoC(results []SoCResult, wall time.Duration) SoCBatchStats {
-	return SummarizeSoCResults(results, wall, f.workers)
+	return results, SummarizeSoCResults(results, time.Since(start), f.workers)
 }
 
 // SummarizeSoCResults computes SoC batch statistics for results gathered
@@ -169,7 +157,9 @@ func SummarizeSoCResults(results []SoCResult, wall time.Duration, workers int) S
 // translate the translated cores through the content-addressed cache,
 // assemble the SoC, run it, and verify every core's output.
 func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
-	f.jobsRun.Add(1)
+	t := f.tally(job.Tenant)
+	f.all.jobsRun.Add(1)
+	t.jobsRun.Add(1)
 	r := SoCResult{
 		Index:       idx,
 		Name:        job.Name,
@@ -179,7 +169,8 @@ func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
 		Arbitration: job.Arbitration.String(),
 	}
 	fail := func(err error) SoCResult {
-		f.failed.Add(1)
+		f.all.failed.Add(1)
+		t.failed.Add(1)
 		r.Err = err
 		r.Error = err.Error()
 		return r
@@ -197,19 +188,20 @@ func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
 	}
 	hits := make([]bool, len(job.Cores))
 	for i, spec := range job.Cores {
-		e := f.elf(spec.Workload)
-		if e.err != nil {
-			return fail(e.err)
+		a := f.elf(job.Tenant, spec.Workload)
+		if a.err != nil {
+			return fail(a.err)
 		}
-		cc := soc.CoreConfig{Name: spec.Workload.Name, ELF: e.f, UseISS: spec.UseISS, Options: spec.Options}
+		cc := soc.CoreConfig{Name: spec.Workload.Name, ELF: a.f, UseISS: spec.UseISS, Options: spec.Options}
 		if !spec.UseISS {
-			prog, hit, err := f.cache.TranslateHashed(e.hash, e.f, spec.Options)
+			prog, o, err := f.cache.translate(job.Tenant, a.hash, a.f, spec.Options)
+			t.count(o)
 			if err != nil {
 				return fail(fmt.Errorf("%s: %w", spec.Workload.Name, err))
 			}
 			cc.Prog = prog
-			hits[i] = hit
-			if hit {
+			hits[i] = o != translated
+			if hits[i] {
 				r.cacheHits++
 			} else {
 				r.cacheMisses++

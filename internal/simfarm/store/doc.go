@@ -40,9 +40,9 @@
 // # Eviction and namespaces
 //
 // A byte budget (Options.MaxBytes) bounds the store: writes that push it
-// past the budget evict least-recently-used objects. Store.Namespace
-// derives per-tenant views by folding the tenant name into the content
-// address, so tenants sharing one directory can never observe each
+// past the budget evict least-recently-used objects. DeriveKey folds a
+// tenant name into a content address (Store.Namespace is a view that
+// applies it), so tenants sharing one directory can never observe each
 // other's objects — the isolation the cabt-serve multi-tenant API
-// builds on.
+// builds on: its farm hands the store keys already derived this way.
 package store
