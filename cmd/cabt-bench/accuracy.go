@@ -9,11 +9,11 @@ import (
 	"repro/internal/tc32asm"
 )
 
-// The accuracy column of the perf report: how far Level1/Level2
-// interrupt delivery drifts from the cycle-accurate reference, with and
-// without the dynamic correction (platform.DynNow keyed injection
-// against a Level3-recorded trajectory). The metric is the mean
-// absolute difference of delivery positions, in retired source
+// The interrupt-delivery accuracy table of -ablation: how far
+// Level1/Level2 interrupt delivery drifts from the cycle-accurate
+// reference, with and without the dynamic correction (platform.DynNow
+// keyed injection against a Level3-recorded trajectory). The metric is
+// the mean absolute difference of delivery positions, in retired source
 // instructions, against the Level3 run of the identical schedule.
 
 // accuracyProg mixes loads, stores and dependent arithmetic so the
@@ -51,11 +51,9 @@ buf:	.space	16
 
 // accuracyEntry is one measured delivery-accuracy series.
 type accuracyEntry struct {
-	Name            string  `json:"name"` // irq-accuracy/L<level>/<mode>
-	Level           int     `json:"level"`
-	Mode            string  `json:"mode"` // "plain" or "dyncorr"
-	Interrupts      int     `json:"interrupts"`
-	MeanAbsErrInsts float64 `json:"mean_abs_err_insts"`
+	Name            string // irq-accuracy/L<level>/<plain|dyncorr>
+	Interrupts      int
+	MeanAbsErrInsts float64
 }
 
 // accuracyInjector delivers the schedule in order whenever the chosen
@@ -159,8 +157,6 @@ func measureAccuracy() ([]accuracyEntry, error) {
 			}
 			entries = append(entries, accuracyEntry{
 				Name:            fmt.Sprintf("irq-accuracy/L%d/%s", int(lv), mode),
-				Level:           int(lv),
-				Mode:            mode,
 				Interrupts:      len(deliv),
 				MeanAbsErrInsts: mae,
 			})

@@ -1,18 +1,14 @@
 // Command cabt-bench regenerates every table and figure of the paper's
 // evaluation section, plus the ablation studies of this reproduction.
 // Results are printed next to the published values where the paper gives
-// numbers.
-//
-// -perf-json writes the machine-readable perf trajectory (per-benchmark
-// ns/op, allocs/op, simulated-cycles/wall-second, and the Table-1
-// compiled-vs-interpreted engine speedup); CI records it as
-// BENCH_PR4.json so future changes can be diffed against it.
+// numbers. Throughput with repeated samples and spread is bench/'s job
+// (bench/run.sh, -compare); -ablation also prints the interrupt-delivery
+// accuracy table, which is deterministic.
 //
 // Usage:
 //
 //	cabt-bench -all
 //	cabt-bench -fig5 -table1 -fig6 -table2 -ablation
-//	cabt-bench -perf-json BENCH_PR4.json [-perf-time 1s]
 package main
 
 import (
@@ -37,28 +33,15 @@ func main() {
 	fig6 := flag.Bool("fig6", false, "Figure 6: comparison of cycle accuracy")
 	table2 := flag.Bool("table2", false, "Table 2: software runtime comparison")
 	ablation := flag.Bool("ablation", false, "ablation studies")
-	perfJSON := flag.String("perf-json", "", "write the machine-readable perf trajectory to this file ('-' = stdout)")
-	perfTime := flag.Duration("perf-time", time.Second, "target measuring time per perf-trajectory benchmark")
-	perfBaseline := flag.String("perf-baseline", "", "recorded perf trajectory to diff the fresh -perf-json run against (warn-only)")
 	logFlags := cliutil.RegisterLogFlags()
 	flag.Parse()
 	check(logFlags.Setup("cabt-bench"))
 	if *all {
 		*fig5, *table1, *fig6, *table2, *ablation = true, true, true, true, true
 	}
-	if !*fig5 && !*table1 && !*fig6 && !*table2 && !*ablation && *perfJSON == "" {
+	if !*fig5 && !*table1 && !*fig6 && !*table2 && !*ablation {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *perfBaseline != "" && *perfJSON == "" {
-		check(fmt.Errorf("-perf-baseline needs a fresh measurement: pass -perf-json too"))
-	}
-	if *perfJSON != "" {
-		report, err := writePerfJSON(*perfJSON, *perfTime)
-		check(err)
-		if *perfBaseline != "" {
-			check(comparePerfBaseline(report, *perfBaseline))
-		}
 	}
 	if *fig5 {
 		rows, err := repro.Figure5()
@@ -92,7 +75,11 @@ func check(err error) {
 	}
 }
 
-// runAblations measures the design choices DESIGN.md calls out.
+// runAblations measures this reproduction's design choices: the
+// correction-flush shape, the host-execution engine, the Level-3 cache
+// probe, the cycle-generation rate, and the interrupt-delivery accuracy
+// of the dynamic correction ("Superblocks and dynamic correction" in
+// docs/architecture.md).
 func runAblations() {
 	fmt.Println("Ablation A — correction flush: Figure-3 two-wait vs ADD-register single drain")
 	fmt.Printf("%-10s %16s %16s %8s\n", "program", "two-wait (cyc)", "single (cyc)", "saving")
@@ -172,5 +159,14 @@ func runAblations() {
 			fmt.Printf(" %12d", sys.Stats().C6xCycles)
 		}
 		fmt.Println()
+	}
+	fmt.Println()
+
+	fmt.Println("Ablation F — interrupt-delivery accuracy: plain vs dynamically corrected clock")
+	fmt.Printf("%-24s %12s %24s\n", "series", "interrupts", "mean abs err (src insts)")
+	acc, err := measureAccuracy()
+	check(err)
+	for _, a := range acc {
+		fmt.Printf("%-24s %12d %24.2f\n", a.Name, a.Interrupts, a.MeanAbsErrInsts)
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -81,17 +80,9 @@ func main() {
 		fail(err)
 	}
 
-	// Chaos testing: CABT_FAULTS arms a seeded deterministic fault plan
-	// (e.g. "default:seed=42" or "net.delay:p=0.05,ms=3;server.err:p=0.1").
-	// Disk, crash and server-side network faults fire in this process;
-	// client-side network faults need the same variable on the workers.
-	if spec := os.Getenv("CABT_FAULTS"); spec != "" {
-		plan, err := faultinject.Parse(spec)
-		if err != nil {
-			fail(fmt.Errorf("CABT_FAULTS: %w", err))
-		}
-		faultinject.Activate(plan)
-		slog.Warn("fault injection armed", "plan", plan.String())
+	// Chaos testing: disk, crash and server-side network faults fire here.
+	if err := cliutil.ArmFaults(); err != nil {
+		fail(err)
 	}
 
 	cfg := server.Config{

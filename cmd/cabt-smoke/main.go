@@ -140,8 +140,10 @@ func startWorkers(client *http.Client, base string, n int, timeout time.Duration
 	}
 	deadline := time.Now().Add(timeout)
 	for {
-		if live := metricValue(client, base, "cabt_workers_live"); live >= n {
-			fmt.Printf("cabt-smoke: %d workers live\n", live)
+		// The gauge counts exited workers until their heartbeat
+		// expires, so it can exceed n: print the n started here.
+		if metricValue(client, base, "cabt_workers_live") >= n {
+			fmt.Printf("cabt-smoke: %d workers live\n", n)
 			return workers
 		}
 		if time.Now().After(deadline) {

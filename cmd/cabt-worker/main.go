@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
-	"repro/internal/faultinject"
 	"repro/internal/simfarm/dist"
 	"repro/internal/simfarm/store"
 )
@@ -56,18 +55,9 @@ func main() {
 		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	// Chaos testing: CABT_FAULTS arms a seeded deterministic fault plan
-	// in this worker — client-side network faults on every control-plane
-	// and store request, plus the worker.complete.crash point (the
-	// process exits with code 7; a supervisor loop restarts it and the
-	// task re-runs after lease expiry).
-	if spec := os.Getenv("CABT_FAULTS"); spec != "" {
-		plan, err := faultinject.Parse(spec)
-		if err != nil {
-			fail(fmt.Errorf("CABT_FAULTS: %w", err))
-		}
-		faultinject.Activate(plan)
-		slog.Warn("fault injection armed", "plan", plan.String())
+	// Chaos testing: client-side network faults, worker.complete.crash (exit 7).
+	if err := cliutil.ArmFaults(); err != nil {
+		fail(err)
 	}
 
 	cfg := dist.WorkerConfig{

@@ -8,7 +8,8 @@
 // One deliberate extension over the C6201: 32 registers per file (as on
 // the C64x) instead of 16, because the translator's fixed register binding
 // maps the TC32's 16 data + 16 address registers onto register file
-// A/B directly (see DESIGN.md).
+// A/B directly ("Delivery points and precise state" in
+// docs/architecture.md).
 //
 // # The ISA
 //

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -67,4 +68,20 @@ func WriteTrace(path string) error {
 		slog.Warn("trace ring overflowed, oldest events dropped", "dropped", d)
 	}
 	return obs.Trace.WriteChromeFile(path)
+}
+
+// ArmFaults arms the seeded fault plan in CABT_FAULTS (e.g.
+// "default:seed=42"; see faultinject.Parse) when the variable is set.
+func ArmFaults() error {
+	spec := os.Getenv("CABT_FAULTS")
+	if spec == "" {
+		return nil
+	}
+	plan, err := faultinject.Parse(spec)
+	if err != nil {
+		return fmt.Errorf("CABT_FAULTS: %w", err)
+	}
+	faultinject.Activate(plan)
+	slog.Warn("fault injection armed", "plan", plan.String())
+	return nil
 }
