@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"time"
 
 	"repro"
 	"repro/internal/cliutil"
@@ -76,10 +75,9 @@ func check(err error) {
 }
 
 // runAblations measures this reproduction's design choices: the
-// correction-flush shape, the host-execution engine, the Level-3 cache
-// probe, the cycle-generation rate, and the interrupt-delivery accuracy
-// of the dynamic correction ("Superblocks and dynamic correction" in
-// docs/architecture.md).
+// correction-flush shape, the Level-3 cache probe, the cycle-generation
+// rate, and the interrupt-delivery accuracy of the dynamic correction
+// ("Superblocks and dynamic correction" in docs/architecture.md).
 func runAblations() {
 	fmt.Println("Ablation A — correction flush: Figure-3 two-wait vs ADD-register single drain")
 	fmt.Printf("%-10s %16s %16s %8s\n", "program", "two-wait (cyc)", "single (cyc)", "saving")
@@ -95,31 +93,6 @@ func runAblations() {
 		}
 		two, one := run(false), run(true)
 		fmt.Printf("%-10s %16d %16d %7.1f%%\n", w.Name, two, one, 100*float64(two-one)/float64(two))
-	}
-	fmt.Println()
-
-	fmt.Println("Ablation E — C6x host-execution engine: packet interpreter vs threaded code")
-	fmt.Printf("%-10s %18s %18s %12s\n", "program", "interp (Mcyc/s)", "compiled", "speedup")
-	for _, name := range []string{"sieve", "ellip"} {
-		w, _ := workload.ByName(name)
-		f, err := tc32asm.Assemble(w.Source)
-		check(err)
-		prog, err := core.Translate(f, core.Options{Level: core.Level2})
-		check(err)
-		run := func(engine platform.Engine) float64 {
-			var best float64
-			for i := 0; i < 3; i++ {
-				sys := platform.NewWithEngine(prog, engine)
-				t0 := time.Now()
-				check(sys.Run())
-				if r := float64(sys.Stats().C6xCycles) / time.Since(t0).Seconds() / 1e6; r > best {
-					best = r
-				}
-			}
-			return best
-		}
-		im, cm := run(platform.EngineInterp), run(platform.EngineCompiled)
-		fmt.Printf("%-10s %18.1f %18.1f %11.2fx\n", w.Name, im, cm, cm/im)
 	}
 	fmt.Println()
 

@@ -103,9 +103,19 @@ var RegCorrCycles = regCorr
 // it (and their offset) to bind them at fuse time.
 var RegSyncBase = regSyncBase
 
-// Reserved C6x registers. TC32 data registers d0..d15 map to A0..A15 and
-// address registers a0..a15 to B0..B15; everything above is owned by the
-// translator.
+// HostReg is the fixed register binding of translated code: TC32 data
+// registers d0..d15 live in A0..A15 and address registers a0..a15 in
+// B0..B15. It is the one statement of the binding, read by the lowering,
+// the platform's architectural state and the debugger.
+func HostReg(r tc32.Reg) c6x.Reg {
+	if r < 16 {
+		return c6x.A(int(r))
+	}
+	return c6x.B(int(r) - 16)
+}
+
+// Reserved C6x registers: everything above HostReg's A0..A15 and B0..B15
+// is owned by the translator.
 var (
 	regTempA = []c6x.Reg{c6x.A(16), c6x.A(17), c6x.A(18), c6x.A(19), c6x.A(20), c6x.A(21), c6x.A(22), c6x.A(23)}
 	regTempB = []c6x.Reg{c6x.B(16), c6x.B(17), c6x.B(18), c6x.B(19), c6x.B(20), c6x.B(21), c6x.B(22), c6x.B(23)}
@@ -150,7 +160,7 @@ var ProbeRegs = struct {
 // the program, so the translated reti has no table and leaves fused
 // code at the interrupted leader.
 func FusedConstRegs() []c6x.Reg {
-	return []c6x.Reg{regLink, aR(tc32.RA)}
+	return []c6x.Reg{regLink, HostReg(tc32.A(tc32.RA))}
 }
 
 // Options configure a translation.

@@ -34,9 +34,6 @@ func (t *translator) newTBlock(label string, defines ...int) *tblock {
 	return tb
 }
 
-func dR(n uint8) c6x.Reg { return c6x.A(int(n)) } // TC32 data register
-func aR(n uint8) c6x.Reg { return c6x.B(int(n)) } // TC32 address register
-
 // lowerer lowers one source cycle region into tblocks.
 type lowerer struct {
 	t      *translator
@@ -298,7 +295,7 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*sched.Ins
 		if err != nil {
 			return nil, fmt.Errorf("core: call at %#x has no return site: %v", in.Addr, err)
 		}
-		l.emitI(c6x.Inst{Op: c6x.MVK, Dst: aR(tc32.RA), Src2: c6x.Imm(int32(retLbl)), SymImm: true})
+		l.emitI(c6x.Inst{Op: c6x.MVK, Dst: HostReg(tc32.A(tc32.RA)), Src2: c6x.Imm(int32(retLbl)), SymImm: true})
 		lbl, err := targetLabel(in.Target())
 		if err != nil {
 			return nil, err
@@ -316,7 +313,7 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*sched.Ins
 		// translator could not resolve.
 		return nil, fmt.Errorf("core: unresolvable indirect jump at %#x", in.Addr)
 	case tc32.RET, tc32.RET16:
-		b := sched.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(aR(tc32.RA))})
+		b := sched.New(c6x.Inst{Op: c6x.BREG, Src1: c6x.R(HostReg(tc32.A(tc32.RA)))})
 		b.Pin = sched.PinBranch
 		return &b, nil
 	case tc32.RETI:
@@ -351,29 +348,29 @@ func (l *lowerer) lowerTerminator(in tc32.Inst, bi int, level Level) (*sched.Ins
 	neg := false
 	switch in.Op {
 	case tc32.JEQ:
-		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.R(dR(in.Rs2))})
+		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.R(HostReg(tc32.D(in.Rs2)))})
 	case tc32.JNE:
-		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.R(dR(in.Rs2))})
+		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.R(HostReg(tc32.D(in.Rs2)))})
 		neg = true
 	case tc32.JLT:
-		l.emitI(c6x.Inst{Op: c6x.CMPLT, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.R(dR(in.Rs2))})
+		l.emitI(c6x.Inst{Op: c6x.CMPLT, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.R(HostReg(tc32.D(in.Rs2)))})
 	case tc32.JGE:
-		l.emitI(c6x.Inst{Op: c6x.CMPLT, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.R(dR(in.Rs2))})
+		l.emitI(c6x.Inst{Op: c6x.CMPLT, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.R(HostReg(tc32.D(in.Rs2)))})
 		neg = true
 	case tc32.JLTU:
-		l.emitI(c6x.Inst{Op: c6x.CMPLTU, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.R(dR(in.Rs2))})
+		l.emitI(c6x.Inst{Op: c6x.CMPLTU, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.R(HostReg(tc32.D(in.Rs2)))})
 	case tc32.JGEU:
-		l.emitI(c6x.Inst{Op: c6x.CMPLTU, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.R(dR(in.Rs2))})
+		l.emitI(c6x.Inst{Op: c6x.CMPLTU, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.R(HostReg(tc32.D(in.Rs2)))})
 		neg = true
 	case tc32.JZ:
-		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.Imm(0)})
+		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.Imm(0)})
 	case tc32.JNZ:
-		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(dR(in.Rs1)), Src2: c6x.Imm(0)})
+		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(HostReg(tc32.D(in.Rs1))), Src2: c6x.Imm(0)})
 		neg = true
 	case tc32.JZ16:
-		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(dR(tc32.ImplicitCond)), Src2: c6x.Imm(0)})
+		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(HostReg(tc32.D(tc32.ImplicitCond))), Src2: c6x.Imm(0)})
 	case tc32.JNZ16:
-		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(dR(tc32.ImplicitCond)), Src2: c6x.Imm(0)})
+		l.emitI(c6x.Inst{Op: c6x.CMPEQ, Dst: cond, Src1: c6x.R(HostReg(tc32.D(tc32.ImplicitCond))), Src2: c6x.Imm(0)})
 		neg = true
 	}
 

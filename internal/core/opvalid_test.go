@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/c6x"
 	"repro/internal/core"
 	"repro/internal/elf32"
 	"repro/internal/platform"
@@ -149,12 +148,11 @@ func seedRegs(r *rand.Rand, in tc32.Inst, p [2]uint32) (regs [tc32.NumRegs]uint3
 }
 
 // runTranslated runs prog on the C6x interpreter from the TC32 register
-// file regs (d → A0..A15, a → B0..B15) and returns the final one.
+// file regs and returns the final one.
 func runTranslated(prog *core.Program, regs [tc32.NumRegs]uint32) (out [tc32.NumRegs]uint32, err error) {
 	sys := platform.NewWithEngine(prog, platform.EngineInterp)
-	for k := 0; k < 16; k++ {
-		sys.CPU.SetReg(c6x.A(k), regs[tc32.D(uint8(k))])
-		sys.CPU.SetReg(c6x.B(k), regs[tc32.A(uint8(k))])
+	for r, v := range regs {
+		sys.CPU.SetReg(core.HostReg(tc32.Reg(r)), v)
 	}
 	if err := sys.Run(); err != nil {
 		return out, err
@@ -162,9 +160,5 @@ func runTranslated(prog *core.Program, regs [tc32.NumRegs]uint32) (out [tc32.Num
 	if !sys.CPU.Halted() {
 		return out, fmt.Errorf("did not halt")
 	}
-	for k := 0; k < 16; k++ {
-		out[tc32.D(uint8(k))] = sys.CPU.Reg(c6x.A(k))
-		out[tc32.A(uint8(k))] = sys.CPU.Reg(c6x.B(k))
-	}
-	return out, nil
+	return sys.State().R, nil
 }

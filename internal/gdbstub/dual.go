@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/c6x"
 	"repro/internal/core"
 	"repro/internal/elf32"
 	"repro/internal/platform"
+	"repro/internal/tc32"
 )
 
 // DualTarget debugs a translated program using the paper's two
@@ -76,25 +76,15 @@ func (d *DualTarget) System() *platform.System { return d.sys }
 // Exited reports whether the program has halted.
 func (d *DualTarget) Exited() bool { return d.exited }
 
-// Regs implements Target, translating the fixed register binding back to
-// source names: A0..A15 = d0..d15, B0..B15 = a0..a15.
-func (d *DualTarget) Regs() ([NumRegs]uint32, error) {
-	var r [NumRegs]uint32
-	for i := 0; i < 16; i++ {
-		r[i] = d.sys.CPU.Reg(c6x.A(i))
-		r[16+i] = d.sys.CPU.Reg(c6x.B(i))
-	}
-	r[32] = d.srcPC
-	return r, nil
-}
+// Regs implements Target: the platform's state names the registers in
+// source terms, and the pc is the harness's own.
+func (d *DualTarget) Regs() ([NumRegs]uint32, error) { return regs(d.sys.State(), d.srcPC), nil }
 
 // SetReg implements Target.
 func (d *DualTarget) SetReg(n int, v uint32) error {
 	switch {
-	case n < 16:
-		d.sys.CPU.SetReg(c6x.A(n), v)
 	case n < 32:
-		d.sys.CPU.SetReg(c6x.B(n-16), v)
+		d.sys.CPU.SetReg(core.HostReg(tc32.Reg(n)), v)
 	case n == 32:
 		// Setting the PC re-targets execution to a region boundary.
 		d.srcPC = v

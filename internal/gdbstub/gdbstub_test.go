@@ -386,7 +386,8 @@ func TestDualTargetFusedSystemSingleSteps(t *testing.T) {
 // TestDebuggerMemoryAccessIsInvisible: reading and writing memory from
 // the debugger does not perturb the debuggee on either target. The
 // clock, the debug-port output and the state of a device whose reads
-// mutate (a mailbox slot pops when read) are the same before and after;
+// mutate (a mailbox slot pops when read) are the same before and after,
+// and so is the architectural state (registers, interrupt state, clock);
 // accesses outside RAM and text are refused rather than performed, and
 // RAM still reads and writes.
 func TestDebuggerMemoryAccessIsInvisible(t *testing.T) {
@@ -402,13 +403,13 @@ func TestDebuggerMemoryAccessIsInvisible(t *testing.T) {
 	type subject struct {
 		name   string
 		tgt    Target
-		clock  func() int64
+		state  func() iss.ArchState
 		output func() []uint32
 		attach func(iss.Bus)
 	}
 	for _, s := range []subject{
-		{"iss", &ISSTarget{Sim: sim}, sim.Cycles, sim.Output, sim.AttachBus},
-		{"dual", d, func() int64 { return d.System().Stats().GeneratedCycles }, func() []uint32 { return d.System().Output }, d.System().AttachBus},
+		{"iss", &ISSTarget{Sim: sim}, sim.State, sim.Output, sim.AttachBus},
+		{"dual", d, d.System().State, func() []uint32 { return d.System().Output }, d.System().AttachBus},
 	} {
 		mbox := socbus.NewMailbox(2)
 		mbox.Write(0, 42, 0) // slot 0 full: a read would pop it
@@ -418,7 +419,7 @@ func TestDebuggerMemoryAccessIsInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		clock, output := s.clock(), fmt.Sprint(s.output())
+		state, output := s.state(), fmt.Sprint(s.output())
 		buf := make([]byte, 4)
 		for _, addr := range []uint32{socbus.MailboxBase, iss.IOBase + 0x100, iss.DebugPortAddr} {
 			if err := s.tgt.ReadMem(addr, buf); err == nil {
@@ -440,8 +441,8 @@ func TestDebuggerMemoryAccessIsInvisible(t *testing.T) {
 		if err := s.tgt.ReadMem(iss.RAMBase+8, buf); err != nil || fmt.Sprint(buf) != "[1 2 3 4]" {
 			t.Errorf("%s: RAM read back %v, %v", s.name, buf, err)
 		}
-		if got := s.clock(); got != clock {
-			t.Errorf("%s: debugger access moved the clock %d -> %d", s.name, clock, got)
+		for _, d := range s.state().Diff(state) {
+			t.Errorf("%s: debugger access changed the state: %s", s.name, d)
 		}
 		if got := fmt.Sprint(s.output()); got != output {
 			t.Errorf("%s: debugger access changed the output %s -> %s", s.name, output, got)

@@ -46,11 +46,11 @@ type ISSTarget struct {
 }
 
 // Regs implements Target.
-func (t *ISSTarget) Regs() ([NumRegs]uint32, error) {
-	var r [NumRegs]uint32
-	copy(r[:], t.Sim.Arch.R[:])
-	r[32] = t.Sim.Arch.PC
-	return r, nil
+func (t *ISSTarget) Regs() ([NumRegs]uint32, error) { return regs(t.Sim.State(), t.Sim.Arch.PC), nil }
+
+// regs lays out a core's architectural registers and pc in GDB order.
+func regs(st iss.ArchState, pc uint32) [NumRegs]uint32 {
+	return [NumRegs]uint32(append(st.R[:], pc))
 }
 
 // SetReg implements Target.

@@ -32,6 +32,46 @@ type Arch struct {
 	Mem *Memory
 }
 
+// ArchState is what a TC32 core model exposes for comparison: the
+// register files, the interrupt state and the position on the
+// source-cycle clock. The ISS and the translated platform both report it
+// (State), so one Diff compares any two cores. It leaves out the pc, which
+// the platform knows only at region boundaries, and memory.
+type ArchState struct {
+	R [tc32.NumRegs]uint32
+
+	IE, InHandler, Waiting, Halted bool
+	ShadowPC                       uint32
+
+	// Cycles is the core's position on the source-cycle clock.
+	Cycles int64
+}
+
+// Diff names every field in which a differs from want, one entry per
+// field ("d3: 0x5, want 0x7"); nil means equal.
+func (a ArchState) Diff(want ArchState) []string {
+	var d []string
+	for r := tc32.Reg(0); r < tc32.NumRegs; r++ {
+		// a11 holds a packet index, not the source return address, in
+		// translated code; ROADMAP item 13 makes it comparable.
+		if r != tc32.A(tc32.RA) && a.R[r] != want.R[r] {
+			d = append(d, fmt.Sprintf("%v: %#x, want %#x", r, a.R[r], want.R[r]))
+		}
+	}
+	field := func(name string, got, want any) {
+		if got != want {
+			d = append(d, fmt.Sprintf("%s: %v, want %v", name, got, want))
+		}
+	}
+	field("IE", a.IE, want.IE)
+	field("InHandler", a.InHandler, want.InHandler)
+	field("Waiting", a.Waiting, want.Waiting)
+	field("Halted", a.Halted, want.Halted)
+	field("ShadowPC", a.ShadowPC, want.ShadowPC)
+	field("Cycles", a.Cycles, want.Cycles)
+	return d
+}
+
 // Exec executes one instruction, updating registers, memory and PC, and
 // reports whether a conditional branch was taken. cycle is the current
 // core cycle, passed through to memory-mapped devices.

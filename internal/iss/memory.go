@@ -35,6 +35,16 @@ type Bus interface {
 	BusWrite32(addr uint32, val uint32, cycle int64)
 }
 
+// WaitReporter is the optional interface of an arbitrated SoC bus
+// (internal/soc): TakeWait drains the source-cycle wait-states the bus
+// charged for the transactions since the last call (arbitration
+// contention). Both core models find it at AttachBus and charge the
+// waits to their own clock: the ISS as pipeline stalls, the translated
+// platform as generated cycles.
+type WaitReporter interface {
+	TakeWait() int64
+}
+
 // Fault is a memory access fault.
 type Fault struct {
 	PC    uint32

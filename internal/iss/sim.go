@@ -56,6 +56,9 @@ type Sim struct {
 	irqVec  uint32
 	idled   int64
 
+	// waits is the attached bus when it is arbitrated (see WaitReporter).
+	waits WaitReporter
+
 	// IRQLine, if non-nil, is the external interrupt line input (level
 	// sensitive): it is sampled at every delivery point while IE is set.
 	IRQLine func() bool
@@ -132,8 +135,12 @@ func New(f *elf32.File, cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// AttachBus connects a memory-mapped I/O device.
-func (s *Sim) AttachBus(b Bus) { s.Arch.Mem.AttachBus(b) }
+// AttachBus connects a memory-mapped I/O device. A WaitReporter bus
+// has its wait-states charged by RunUntil.
+func (s *Sim) AttachBus(b Bus) {
+	s.Arch.Mem.AttachBus(b)
+	s.waits, _ = b.(WaitReporter)
+}
 
 // fetch returns the decoded instruction at pc.
 func (s *Sim) fetch(pc uint32) (*tc32.Inst, error) {
@@ -164,18 +171,6 @@ func (s *Sim) IRQDeliverable() bool {
 
 // WaitingForIRQ reports whether the core is idling in wfi.
 func (s *Sim) WaitingForIRQ() bool { return s.Arch.Waiting }
-
-// IdleTo advances the core's clock to cycle without executing anything —
-// the wfi idle of a quantum scheduler whose line cannot assert before
-// the next quantum boundary.
-func (s *Sim) IdleTo(cycle int64) {
-	if s.cfg.CycleAccurate {
-		if d := cycle - s.pipe.Cycles(); d > 0 {
-			s.pipe.Stall(d)
-			s.idled += d
-		}
-	}
-}
 
 // isLeader reports whether pc is a basic-block boundary.
 func (s *Sim) isLeader(pc uint32) bool {
@@ -291,6 +286,53 @@ func (s *Sim) Run() error {
 	return nil
 }
 
+// RunUntil executes until the clock reaches limit or the program halts,
+// charging the wait-states of an arbitrated bus (WaitReporter) after each
+// instruction. A core waiting in wfi whose line is idle advances its
+// clock to exactly limit: a quantum scheduler guarantees the line cannot
+// assert before then.
+func (s *Sim) RunUntil(limit int64) error {
+	for !s.Arch.Halted && s.Cycles() < limit {
+		if s.Arch.Waiting && !s.IRQLineAsserted() {
+			if d := limit - s.Cycles(); d > 0 && s.cfg.CycleAccurate {
+				s.pipe.Stall(d)
+				s.idled += d
+			}
+			return nil
+		}
+		if err := s.Step(); err != nil {
+			return err
+		}
+		if s.waits != nil {
+			s.Stall(s.waits.TakeWait())
+		}
+	}
+	return nil
+}
+
+// Now returns the core's position on the source-cycle clock (Cycles).
+func (s *Sim) Now() int64 { return s.Cycles() }
+
+// Halted reports whether the program has executed halt.
+func (s *Sim) Halted() bool { return s.Arch.Halted }
+
+// State returns the core's architectural state.
+func (s *Sim) State() ArchState {
+	a := &s.Arch
+	return ArchState{R: a.R, IE: a.IE, InHandler: a.InHandler, Waiting: a.Waiting,
+		Halted: a.Halted, ShadowPC: a.ShadowPC, Cycles: s.Cycles()}
+}
+
+// Counts is what a core has done so far, on either core model: source
+// instructions executed, interrupts delivered and source cycles idled in
+// wfi.
+type Counts struct{ Instructions, IRQsTaken, IdleCycles int64 }
+
+// Counts returns the instructions retired, interrupts taken and wfi idle.
+func (s *Sim) Counts() Counts {
+	return Counts{Instructions: s.Arch.Retired, IRQsTaken: s.stats.IRQsTaken, IdleCycles: s.idled}
+}
+
 // Cycles returns the core's position on the source-cycle clock: pipeline
 // cycles when cycle-accurate, retired instructions otherwise. This is the
 // clock a multi-core scheduler (internal/soc) advances in quanta.
@@ -324,14 +366,12 @@ func (s *Sim) Stats() Stats {
 	return st
 }
 
-// IRQVector returns the `__irq` handler address (0 = none).
-func (s *Sim) IRQVector() uint32 { return s.irqVec }
-
-// IdleCycles returns the cycles spent idling in wfi.
-func (s *Sim) IdleCycles() int64 { return s.idled }
-
 // Output returns the words the program wrote to the debug port.
 func (s *Sim) Output() []uint32 { return s.Arch.Mem.Output }
+
+// DebugOutput is Output under the name the translated platform, whose
+// Output is a field, can share.
+func (s *Sim) DebugOutput() []uint32 { return s.Arch.Mem.Output }
 
 // Desc returns the microarchitecture description in use.
 func (s *Sim) Desc() *march.Desc { return s.desc }

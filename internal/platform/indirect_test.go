@@ -113,8 +113,8 @@ func TestFusedRetiOntoPendingIRQ(t *testing.T) {
 			if got := a.Stats().IRQsTaken; got != int64(len(at)) {
 				t.Errorf("%s: %d interrupts taken, want %d", label, got, len(at))
 			}
-			if lv == core.Level3 && a.Stats().GeneratedCycles != iss.Cycles {
-				t.Errorf("%s: %d cycles, ISS %d", label, a.Stats().GeneratedCycles, iss.Cycles)
+			if lv == core.Level3 && a.Stats().GeneratedCycles != iss.State.Cycles {
+				t.Errorf("%s: %d cycles, ISS %d", label, a.Stats().GeneratedCycles, iss.State.Cycles)
 			}
 			if es := a.CPU.EngineStats(); es.DeoptsBy[c6x.DeoptIndirectMiss] != int64(len(at)) {
 				t.Errorf("%s: deopts %s, want every reti a table miss", label, es.DeoptSummary())

@@ -2,10 +2,10 @@ package platform
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/c6x"
 	"repro/internal/core"
 	"repro/internal/elf32"
 	"repro/internal/iss"
@@ -96,11 +96,8 @@ func (in *injector) line() bool {
 // irqRunState is everything the contract pins bit-identical.
 type irqRunState struct {
 	Output    []uint32
-	Cycles    int64
 	IRQsTaken int64
-	ShadowPC  uint32
-	D         [16]uint32
-	A         [16]uint32 // a11 excluded by the comparator (link fixup differs)
+	State     iss.ArchState
 }
 
 func runISSIRQ(t *testing.T, f *elf32.File, at []int64) (irqRunState, error) {
@@ -114,15 +111,7 @@ func runISSIRQ(t *testing.T, f *elf32.File, at []int64) (irqRunState, error) {
 		sim.IRQLine = inj.line
 	}
 	err = sim.Run()
-	st := sim.Stats()
-	return irqRunState{
-		Output:    sim.Output(),
-		Cycles:    st.Cycles,
-		IRQsTaken: st.IRQsTaken,
-		ShadowPC:  sim.Arch.ShadowPC,
-		D:         [16]uint32(sim.Arch.R[:16]),
-		A:         [16]uint32(sim.Arch.R[16:]),
-	}, err
+	return irqRunState{Output: sim.Output(), IRQsTaken: sim.Stats().IRQsTaken, State: sim.State()}, err
 }
 
 // runSysIRQ translates f and runs it to the end on the given engine with
@@ -144,42 +133,18 @@ func runSysIRQ(t *testing.T, f *elf32.File, opts core.Options, engine Engine, at
 func runPlatformIRQ(t *testing.T, f *elf32.File, opts core.Options, engine Engine, at []int64) (irqRunState, error) {
 	t.Helper()
 	sys, err := runSysIRQ(t, f, opts, engine, at)
-	st := sys.Stats()
-	rs := irqRunState{
-		Output:    sys.Output,
-		Cycles:    st.GeneratedCycles,
-		IRQsTaken: st.IRQsTaken,
-		ShadowPC:  sys.IRQShadowPC(),
-	}
-	for i := 0; i < 16; i++ {
-		rs.D[i] = sys.CPU.Regs[c6x.A(i)]
-		rs.A[i] = sys.CPU.Regs[c6x.B(i)]
-	}
-	return rs, err
+	return irqRunState{Output: sys.Output, IRQsTaken: sys.Stats().IRQsTaken, State: sys.State()}, err
 }
 
 func diffIRQState(ref, got irqRunState, label string) error {
 	if fmt.Sprint(ref.Output) != fmt.Sprint(got.Output) {
 		return fmt.Errorf("%s: output %v, want %v", label, got.Output, ref.Output)
 	}
-	if got.Cycles != ref.Cycles {
-		return fmt.Errorf("%s: cycles %d, want %d", label, got.Cycles, ref.Cycles)
-	}
 	if got.IRQsTaken != ref.IRQsTaken {
 		return fmt.Errorf("%s: irqs taken %d, want %d", label, got.IRQsTaken, ref.IRQsTaken)
 	}
-	if got.ShadowPC != ref.ShadowPC {
-		return fmt.Errorf("%s: shadow pc %#x, want %#x", label, got.ShadowPC, ref.ShadowPC)
-	}
-	for i := 0; i < 16; i++ {
-		if got.D[i] != ref.D[i] {
-			return fmt.Errorf("%s: d%d = %#x, want %#x", label, i, got.D[i], ref.D[i])
-		}
-		// a11 (the return-address register) holds a packet index in
-		// translated code; every other address register must match.
-		if i != 11 && got.A[i] != ref.A[i] {
-			return fmt.Errorf("%s: a%d = %#x, want %#x", label, i, got.A[i], ref.A[i])
-		}
+	if d := got.State.Diff(ref.State); d != nil {
+		return fmt.Errorf("%s: %s", label, strings.Join(d, "; "))
 	}
 	return nil
 }

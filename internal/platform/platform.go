@@ -26,6 +26,7 @@ import (
 	"repro/internal/c6x"
 	"repro/internal/core"
 	"repro/internal/iss"
+	"repro/internal/tc32"
 )
 
 // DefaultRatio is the number of C6x clock cycles per generated source
@@ -114,15 +115,6 @@ func (e Engine) String() string {
 	return "compiled"
 }
 
-// WaitReporter is the optional interface of an arbitrated SoC bus
-// (internal/soc): TakeWait drains the source-cycle wait-states the bus
-// charged for the transaction just performed (arbitration contention).
-// The platform adds them to the generated cycle stream exactly like the
-// ordinary I/O wait states.
-type WaitReporter interface {
-	TakeWait() int64
-}
-
 // System is the assembled platform: core, sync device, memories and bus.
 type System struct {
 	// Memory is the source system's address space, the same one the
@@ -137,8 +129,10 @@ type System struct {
 	CPU  *c6x.Sim
 	Sync *SyncDev
 
-	// waits is the attached bus when it is arbitrated (see WaitReporter).
-	waits WaitReporter
+	// waits is the attached bus when it is arbitrated (iss.WaitReporter):
+	// its wait-states join the generated cycle stream like the ordinary
+	// I/O wait states.
+	waits iss.WaitReporter
 
 	ctab  []byte // cache-table RAM in the emulation fabric
 	cBase uint32
@@ -267,7 +261,7 @@ func (sys *System) Engine() Engine { return sys.engine }
 // AttachBus connects the emulated SoC bus to the I/O window.
 func (sys *System) AttachBus(b iss.Bus) {
 	sys.Memory.AttachBus(b)
-	sys.waits, _ = b.(WaitReporter)
+	sys.waits, _ = b.(iss.WaitReporter)
 }
 
 // rd and wr are the cache table's little-endian port: size bytes (1, 2
@@ -753,14 +747,27 @@ func (sys *System) Stats() Stats {
 	}
 }
 
-// IRQShadowPC returns the source address interrupt entry shadowed (the
-// resume point of the most recent delivery) — the translated analog of
-// iss.Arch.ShadowPC, for differential tests.
-func (sys *System) IRQShadowPC() uint32 { return sys.irqShadowSrc }
+// State returns the core's architectural state in source terms: the
+// one place that reads the C6x register file back into TC32 names.
+// ShadowPC is the source resume point of the most recent delivery.
+func (sys *System) State() iss.ArchState {
+	st := iss.ArchState{IE: sys.irqIE, InHandler: sys.irqInHandler, Waiting: sys.irqWaiting,
+		Halted: sys.CPU.Halted(), ShadowPC: sys.irqShadowSrc, Cycles: sys.Now()}
+	for r := range st.R {
+		st.R[r] = sys.CPU.Regs[core.HostReg(tc32.Reg(r))]
+	}
+	return st
+}
 
-// IRQEnabled returns the platform-side IE flag (ei/di state).
-func (sys *System) IRQEnabled() bool { return sys.irqIE }
+// Counts returns the source instructions attributed to executed regions,
+// the interrupts delivered and the wfi idle.
+func (sys *System) Counts() iss.Counts {
+	return iss.Counts{Instructions: sys.srcInsts, IRQsTaken: sys.irqTaken, IdleCycles: sys.irqIdled}
+}
 
-// InIRQHandler reports whether the core is between interrupt entry and
-// reti.
-func (sys *System) InIRQHandler() bool { return sys.irqInHandler }
+// Halted reports whether the translated program has halted.
+func (sys *System) Halted() bool { return sys.CPU.Halted() }
+
+// DebugOutput returns the words the program wrote to the debug port
+// (the Output field).
+func (sys *System) DebugOutput() []uint32 { return sys.Output }

@@ -204,8 +204,8 @@ func TestProbeOpIRQ(t *testing.T) {
 						continue
 					}
 					compareProbe(t, engine.String()+" vs interp", sys, ref)
-					if sys.IRQShadowPC() != ref.IRQShadowPC() {
-						t.Errorf("%s: shadow pc %#x vs %#x", engine, sys.IRQShadowPC(), ref.IRQShadowPC())
+					for _, d := range sys.State().Diff(ref.State()) {
+						t.Errorf("%s: %s", engine, d)
 					}
 				}
 			})

@@ -169,8 +169,7 @@ func (a *Arbiter) Waits(core int) int64 { return a.waits[core] }
 // busPort is one core's window onto the shared bus: it runs every access
 // through the arbiter, timestamps the transaction with the grant cycle,
 // and accumulates the wait-states for the core's timing model to drain
-// (platform.WaitReporter on the translated side, an explicit Stall on the
-// ISS side).
+// (iss.WaitReporter, found by both core models at AttachBus).
 //
 // The parallel scheduler retargets arb/bus at a speculative lane's
 // private world for the duration of a quantum and sets rec to the
@@ -206,7 +205,7 @@ func (p *busPort) BusWrite32(addr uint32, val uint32, cycle int64) {
 	}
 }
 
-// TakeWait implements platform.WaitReporter: it drains the wait-states
+// TakeWait implements iss.WaitReporter: it drains the wait-states
 // accumulated since the last call.
 func (p *busPort) TakeWait() int64 {
 	w := p.pending

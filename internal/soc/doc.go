@@ -1,7 +1,8 @@
 // Package soc simulates a multi-core SoC: N TC32 cores — each executing
 // its own program on the translated emulation platform
 // (internal/platform) or on the cycle-accurate reference ISS
-// (internal/iss), selectable per core — around one shared SoC bus
+// (internal/iss), selectable per core and held behind one interface that
+// both satisfy directly — around one shared SoC bus
 // (internal/socbus) carrying the inter-core devices: shared memory, a
 // per-core mailbox/doorbell block, a bank of atomic counters, and the
 // interrupt controller.
@@ -29,11 +30,13 @@
 // transaction occupies the bus for Config.BusBusyCycles; a port whose
 // transaction arrives while the bus is busy is granted at the earliest
 // free cycle and the difference is charged back to the requesting core as
-// wait-state cycles — pipeline stalls on an ISS core, generated cycles on
-// a translated core (platform.WaitReporter). The arbitration policy
-// decides the intra-quantum service order of the cores, which is exactly
-// the order same-cycle contenders win the bus: FixedPriority always runs
-// core 0 first, RoundRobin rotates the starting core every quantum.
+// wait-state cycles. Both core models find the port's iss.WaitReporter at
+// AttachBus and drain it themselves inside RunUntil: pipeline stalls on
+// an ISS core, generated cycles on a translated core. The arbitration
+// policy decides the intra-quantum service order of the cores, which is
+// exactly the order same-cycle contenders win the bus: FixedPriority
+// always runs core 0 first, RoundRobin rotates the starting core every
+// quantum.
 //
 // # Interrupts
 //

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/iss"
 	"repro/internal/platform"
 	"repro/internal/socbus"
 	"repro/internal/workload"
@@ -20,34 +21,30 @@ import (
 // internal/workload/mcirq.go), which is what entitles the tests to
 // demand zero tolerance.
 
-// coreSnapshot is everything the matrix compares per core.
+// coreSnapshot is everything the matrix compares per core; the cycle
+// count is State's.
 type coreSnapshot struct {
 	Output       []uint32
-	Cycles       int64
 	Instructions int64
 	CPI          float64
 	BusGrants    int64
 	BusWaits     int64
 	IRQsTaken    int64
-	D            [16]uint32
-	A            [16]uint32 // index 11 excluded by compare (link fixup differs)
+	State        iss.ArchState
 }
 
 func snapshotSoC(s *System) []coreSnapshot {
 	st := s.Results()
 	out := make([]coreSnapshot, len(st.Cores))
 	for i, cr := range st.Cores {
-		d, a := s.CoreRegs(i)
 		out[i] = coreSnapshot{
 			Output:       cr.Output,
-			Cycles:       cr.Cycles,
 			Instructions: cr.Instructions,
 			CPI:          cr.CPI,
 			BusGrants:    cr.BusGrants,
 			BusWaits:     cr.BusWaitCycles,
 			IRQsTaken:    cr.IRQsTaken,
-			D:            d,
-			A:            a,
+			State:        s.cores[i].State(),
 		}
 	}
 	return out
@@ -82,9 +79,6 @@ func compareSnapshots(t *testing.T, label string, ref, got []coreSnapshot, mode 
 			if g.BusGrants != r.BusGrants {
 				t.Errorf("%s core %d: bus grants %d, want %d", label, i, g.BusGrants, r.BusGrants)
 			}
-			if g.Cycles != r.Cycles {
-				t.Errorf("%s core %d: cycles %d, want %d", label, i, g.Cycles, r.Cycles)
-			}
 			if g.Instructions != r.Instructions {
 				t.Errorf("%s core %d: instructions %d, want %d", label, i, g.Instructions, r.Instructions)
 			}
@@ -94,14 +88,11 @@ func compareSnapshots(t *testing.T, label string, ref, got []coreSnapshot, mode 
 			if g.BusWaits != r.BusWaits {
 				t.Errorf("%s core %d: bus waits %d, want %d", label, i, g.BusWaits, r.BusWaits)
 			}
+		} else {
+			g.State.Cycles = r.State.Cycles // timing
 		}
-		for r2 := 0; r2 < 16; r2++ {
-			if g.D[r2] != r.D[r2] {
-				t.Errorf("%s core %d: d%d = %#x, want %#x", label, i, r2, g.D[r2], r.D[r2])
-			}
-			if r2 != 11 && g.A[r2] != r.A[r2] {
-				t.Errorf("%s core %d: a%d = %#x, want %#x", label, i, r2, g.A[r2], r.A[r2])
-			}
+		for _, d := range g.State.Diff(r.State) {
+			t.Errorf("%s core %d: %s", label, i, d)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func (pr *parRuntime) startWorkers(s *System) {
 				case <-pr.stop:
 					return
 				case limit := <-pr.start[ci]:
-					lane.err = c.runUntil(limit)
+					lane.err = c.RunUntil(limit)
 					pr.done <- ci
 				}
 			}
@@ -165,9 +165,9 @@ func (pr *parRuntime) startWorkers(s *System) {
 func (pr *parRuntime) stopWorkers() { close(pr.stop) }
 
 // runParallel is the speculative parallel scheduler. Its quantum loop
-// is the sequential scheduler's, verbatim — the same liveness checks,
-// the same interrupt-controller clocking, the same quantum accounting —
-// with the per-quantum core servicing delegated to parallelQuantum.
+// is the sequential scheduler's — the same step between quanta
+// (beginQuantum) — with the per-quantum core servicing delegated to
+// parallelQuantum.
 func (s *System) runParallel() error {
 	if err := s.initParallel(); err != nil {
 		return err
@@ -177,30 +177,11 @@ func (s *System) runParallel() error {
 	pr.startWorkers(s)
 	defer pr.stopWorkers()
 	defer pr.flushObs(s)
-	target := int64(0)
-	for q := int64(0); ; q++ {
-		running, allWaiting := false, true
-		for _, c := range s.cores {
-			if !c.haltedCore() {
-				running = true
-				if !c.waitingCore() {
-					allWaiting = false
-				}
-			}
+	for q, target := int64(0), int64(0); ; q++ {
+		if done, err := s.beginQuantum(target); done || err != nil {
+			return err
 		}
-		if !running {
-			return nil
-		}
-		if allWaiting && !s.irqPossible() {
-			return fmt.Errorf("soc: deadlock: every running core waits in wfi with no line asserted and no timer armed")
-		}
-		if target >= s.cfg.MaxCycles {
-			return fmt.Errorf("soc: cycle limit (%d) exceeded with cores still running (deadlock?)", s.cfg.MaxCycles)
-		}
-		s.Arb.prune(target - s.cfg.Quantum - pruneSlack)
-		s.IRQ.Tick(target)
 		target += s.cfg.Quantum
-		s.quanta++
 		if err := s.parallelQuantum(q, target); err != nil {
 			return err
 		}
@@ -216,7 +197,7 @@ func (s *System) parallelQuantum(q, target int64) error {
 	pr := s.par
 	pr.run = pr.run[:0]
 	for _, ci := range s.scheduleOrder(q) {
-		if !s.cores[ci].haltedCore() {
+		if !s.cores[ci].Halted() {
 			pr.run = append(pr.run, ci)
 		}
 	}
@@ -225,7 +206,7 @@ func (s *System) parallelQuantum(q, target int64) error {
 	}
 	if len(pr.run) == 1 {
 		c := s.cores[pr.run[0]]
-		if err := c.runUntil(target); err != nil {
+		if err := c.RunUntil(target); err != nil {
 			return fmt.Errorf("soc: %s: %w", c.name, err)
 		}
 		return nil
@@ -242,7 +223,7 @@ func (s *System) parallelQuantum(q, target int64) error {
 		lane.arb.copyStateFrom(s.Arb)
 		lane.txns = lane.txns[:0]
 		lane.irqSnap = s.IRQ.CoreState(ci)
-		c.checkpoint()
+		c.Checkpoint()
 		c.port.arb, c.port.bus, c.port.rec = lane.arb, lane.bus, &lane.txns
 		c.irqSrc = lane.irq
 		pr.start[ci] <- target
@@ -256,7 +237,7 @@ func (s *System) parallelQuantum(q, target int64) error {
 	lead := s.cores[pr.run[0]]
 	pr.leadTxns = pr.leadTxns[:0]
 	lead.port.rec = &pr.leadTxns
-	leadErr := lead.runUntil(target)
+	leadErr := lead.RunUntil(target)
 	lead.port.rec = nil
 
 	// Join every lane before touching any of their state.
@@ -309,7 +290,7 @@ func (s *System) parallelQuantum(q, target int64) error {
 			if tracing {
 				traceSpec("commit", ci, qStart, target)
 			}
-			c.commitCheckpoint()
+			c.CommitCheckpoint()
 			pr.cs.noteMutations(lane.txns)
 			continue
 		}
@@ -323,7 +304,7 @@ func (s *System) parallelQuantum(q, target int64) error {
 		pr.specReruns[ci]++
 		pr.rerunTxns = pr.rerunTxns[:0]
 		c.port.rec = &pr.rerunTxns
-		err := c.runUntil(target)
+		err := c.RunUntil(target)
 		c.port.rec = nil
 		if err != nil {
 			runErr = fmt.Errorf("soc: %s: %w", c.name, err)

@@ -33,6 +33,14 @@ type CoreConfig struct {
 	Desc *march.Desc
 }
 
+// name labels core i in errors and results.
+func (cc *CoreConfig) name(i int) string {
+	if cc.Name == "" {
+		return fmt.Sprintf("core%d", i)
+	}
+	return cc.Name
+}
+
 // Config configures a System.
 type Config struct {
 	Cores []CoreConfig
@@ -103,14 +111,10 @@ func (cfg *Config) Validate() error {
 	}
 	for i, cc := range cfg.Cores {
 		if cc.ELF == nil && (cc.UseISS || cc.Prog == nil) {
-			name := cc.Name
-			if name == "" {
-				name = fmt.Sprintf("core%d", i)
-			}
 			if cc.UseISS {
-				return fmt.Errorf("soc: %s: ISS core needs an ELF", name)
+				return fmt.Errorf("soc: %s: ISS core needs an ELF", cc.name(i))
 			}
-			return fmt.Errorf("soc: %s: translated core needs an ELF or a Program", name)
+			return fmt.Errorf("soc: %s: translated core needs an ELF or a Program", cc.name(i))
 		}
 	}
 	if cfg.Parallel {
@@ -124,8 +128,27 @@ func (cfg *Config) Validate() error {
 	return nil
 }
 
+// coreModel is a TC32 core: *iss.Sim and *platform.System both satisfy
+// it directly. RunUntil advances the core's source-cycle clock (Now) to
+// a quantum target, charging the bus port's wait-states
+// (iss.WaitReporter) as it goes; Checkpoint, CommitCheckpoint and
+// Rollback are the parallel scheduler's speculation hooks.
+type coreModel interface {
+	RunUntil(limit int64) error
+	Now() int64
+	Halted() bool
+	WaitingForIRQ() bool
+	DebugOutput() []uint32
+	State() iss.ArchState
+	Counts() iss.Counts
+	Checkpoint()
+	CommitCheckpoint()
+	Rollback()
+}
+
 // coreState is one instantiated core.
 type coreState struct {
+	coreModel
 	name string
 	kind string
 	port *busPort
@@ -134,40 +157,22 @@ type coreState struct {
 	// normally the live controller, retargeted at a lane's shadow
 	// controller while the core runs speculatively.
 	irqSrc *socbus.IRQController
-
-	// Exactly one of the two is non-nil.
-	iss  *iss.Sim
-	plat *platform.System
 }
 
-// checkpoint saves the core's complete execution state through its
-// engine's hook.
-func (c *coreState) checkpoint() {
-	if c.iss != nil {
-		c.iss.Checkpoint()
-		return
+// host returns a translated core's C6x simulator, the source of the
+// C6x-only figures, and nil on an ISS core.
+func (c *coreState) host() *c6x.Sim {
+	if plat, ok := c.coreModel.(*platform.System); ok {
+		return plat.CPU
 	}
-	c.plat.Checkpoint()
+	return nil
 }
 
-// commitCheckpoint discards the outstanding checkpoint.
-func (c *coreState) commitCheckpoint() {
-	if c.iss != nil {
-		c.iss.CommitCheckpoint()
-		return
-	}
-	c.plat.CommitCheckpoint()
-}
-
-// rollback restores the state saved by checkpoint, including the bus
+// rollback restores the state saved by Checkpoint, including the bus
 // port's undrained wait-states (accumulated speculatively, never handed
 // to the timing model the checkpoint restored).
 func (c *coreState) rollback() {
-	if c.iss != nil {
-		c.iss.Rollback()
-	} else {
-		c.plat.Rollback()
-	}
+	c.Rollback()
 	c.port.pending = 0
 }
 
@@ -241,15 +246,10 @@ func New(cfg Config) (*System, error) {
 	s.Bus = socbus.NewBus(devs...)
 
 	for i, cc := range cfg.Cores {
-		name := cc.Name
-		if name == "" {
-			name = fmt.Sprintf("core%d", i)
-		}
+		name := cc.name(i)
 		cs := &coreState{name: name, irqSrc: s.IRQ, port: &busPort{core: i, arb: s.Arb, bus: s.Bus}}
+		line := func() bool { return cs.irqSrc.Line(i) }
 		if cc.UseISS {
-			if cc.ELF == nil {
-				return nil, fmt.Errorf("soc: %s: ISS core needs an ELF", name)
-			}
 			desc := cc.Desc
 			if desc == nil {
 				desc = cc.Options.Desc
@@ -259,16 +259,11 @@ func New(cfg Config) (*System, error) {
 				return nil, fmt.Errorf("soc: %s: %w", name, err)
 			}
 			sim.AttachBus(cs.port)
-			core := i
-			sim.IRQLine = func() bool { return cs.irqSrc.Line(core) }
-			cs.kind = KindISS
-			cs.iss = sim
+			sim.IRQLine = line
+			cs.coreModel, cs.kind = sim, KindISS
 		} else {
 			prog := cc.Prog
 			if prog == nil {
-				if cc.ELF == nil {
-					return nil, fmt.Errorf("soc: %s: translated core needs an ELF or a Program", name)
-				}
 				p, err := core.Translate(cc.ELF, cc.Options)
 				if err != nil {
 					return nil, fmt.Errorf("soc: %s: %w", name, err)
@@ -277,10 +272,8 @@ func New(cfg Config) (*System, error) {
 			}
 			sys := platform.NewWithEngine(prog, cfg.Engine)
 			sys.AttachBus(cs.port)
-			core := i
-			sys.IRQLine = func() bool { return cs.irqSrc.Line(core) }
-			cs.kind = KindTranslated
-			cs.plat = sys
+			sys.IRQLine = line
+			cs.coreModel, cs.kind = sys, KindTranslated
 		}
 		s.cores = append(s.cores, cs)
 	}
@@ -292,71 +285,6 @@ func (s *System) Cores() int { return len(s.cores) }
 
 // Quanta returns the number of scheduling quanta executed so far.
 func (s *System) Quanta() int64 { return s.quanta }
-
-// now returns the core's position on the shared source-cycle clock.
-func (c *coreState) now() int64 {
-	if c.iss != nil {
-		return c.iss.Cycles()
-	}
-	return c.plat.Now()
-}
-
-func (c *coreState) haltedCore() bool {
-	if c.iss != nil {
-		return c.iss.Arch.Halted
-	}
-	return c.plat.CPU.Halted()
-}
-
-// waitingCore reports whether the core is idling in wfi.
-func (c *coreState) waitingCore() bool {
-	if c.iss != nil {
-		return c.iss.WaitingForIRQ()
-	}
-	return c.plat.WaitingForIRQ()
-}
-
-// irqsTaken returns the core's delivered-interrupt count.
-func (c *coreState) irqsTaken() int64 {
-	if c.iss != nil {
-		return c.iss.Stats().IRQsTaken
-	}
-	return c.plat.Stats().IRQsTaken
-}
-
-// runUntil advances the core until its clock reaches limit or it halts,
-// draining bus wait-states into its timing model as it goes. A core
-// waiting in wfi whose line is idle advances its clock to exactly limit:
-// the strictly sequential scheduler guarantees no other core can raise
-// the line before the next quantum boundary, so the idle is exact — and
-// identical for ISS and translated cores, which is what keeps wfi wake
-// cycles bit-identical across the engines.
-func (c *coreState) runUntil(limit int64) error {
-	if c.iss != nil {
-		for !c.iss.Arch.Halted && c.iss.Cycles() < limit {
-			if c.iss.WaitingForIRQ() && !c.iss.IRQLineAsserted() {
-				c.iss.IdleTo(limit)
-				return nil
-			}
-			if err := c.iss.Step(); err != nil {
-				return err
-			}
-			if w := c.port.TakeWait(); w > 0 {
-				c.iss.Stall(w)
-			}
-		}
-		return nil
-	}
-	return c.plat.RunUntil(limit)
-}
-
-// output returns the core's debug-port writes.
-func (c *coreState) output() []uint32 {
-	if c.iss != nil {
-		return c.iss.Output()
-	}
-	return c.plat.Output
-}
 
 // scheduleOrder fills s.order with the core service order of quantum q.
 func (s *System) scheduleOrder(q int64) []int {
@@ -396,39 +324,17 @@ func (s *System) Run() error {
 // cycle.
 func (s *System) runSequential() error {
 	s.traceInit()
-	target := int64(0)
-	for q := int64(0); ; q++ {
-		running, allWaiting := false, true
-		for _, c := range s.cores {
-			if !c.haltedCore() {
-				running = true
-				if !c.waitingCore() {
-					allWaiting = false
-				}
-			}
+	for q, target := int64(0), int64(0); ; q++ {
+		if done, err := s.beginQuantum(target); done || err != nil {
+			return err
 		}
-		if !running {
-			return nil
-		}
-		if allWaiting && !s.irqPossible() {
-			return fmt.Errorf("soc: deadlock: every running core waits in wfi with no line asserted and no timer armed")
-		}
-		if target >= s.cfg.MaxCycles {
-			return fmt.Errorf("soc: cycle limit (%d) exceeded with cores still running (deadlock?)", s.cfg.MaxCycles)
-		}
-		s.Arb.prune(target - s.cfg.Quantum - pruneSlack)
-		// Clock the interrupt controller with the quantum's start time:
-		// timer lines raise here, between quanta, so every core observes
-		// the raise at the same boundary regardless of engine.
-		s.IRQ.Tick(target)
 		target += s.cfg.Quantum
-		s.quanta++
 		for _, ci := range s.scheduleOrder(q) {
 			c := s.cores[ci]
-			if c.haltedCore() {
+			if c.Halted() {
 				continue
 			}
-			if err := c.runUntil(target); err != nil {
+			if err := c.RunUntil(target); err != nil {
 				return fmt.Errorf("soc: %s: %w", c.name, err)
 			}
 		}
@@ -436,6 +342,38 @@ func (s *System) runSequential() error {
 			s.traceQuantum(q, target-s.cfg.Quantum, target)
 		}
 	}
+}
+
+// beginQuantum is the step between quanta of both schedulers, before the
+// quantum that starts at target: it reports done once every core has
+// halted, fails fast on deadlock and on the cycle limit, prunes the
+// arbiter's window and clocks the interrupt controller.
+func (s *System) beginQuantum(target int64) (done bool, err error) {
+	running, allWaiting := false, true
+	for _, c := range s.cores {
+		if !c.Halted() {
+			running = true
+			if !c.WaitingForIRQ() {
+				allWaiting = false
+			}
+		}
+	}
+	if !running {
+		return true, nil
+	}
+	if allWaiting && !s.irqPossible() {
+		return false, fmt.Errorf("soc: deadlock: every running core waits in wfi with no line asserted and no timer armed")
+	}
+	if target >= s.cfg.MaxCycles {
+		return false, fmt.Errorf("soc: cycle limit (%d) exceeded with cores still running (deadlock?)", s.cfg.MaxCycles)
+	}
+	s.Arb.prune(target - s.cfg.Quantum - pruneSlack)
+	// Clock the interrupt controller with the quantum's start time:
+	// timer lines raise here, between quanta, so every core observes
+	// the raise at the same boundary regardless of engine.
+	s.IRQ.Tick(target)
+	s.quanta++
+	return false, nil
 }
 
 // irqPossible reports whether any interrupt can still arrive while every
@@ -452,31 +390,14 @@ func (s *System) irqPossible() bool {
 }
 
 // Output returns the debug-port output of core i.
-func (s *System) Output(i int) []uint32 { return s.cores[i].output() }
-
-// CoreRegs returns the final TC32 register files of core i (data and
-// address registers) — directly from iss.Arch on an ISS core, from the
-// C6x register mapping (d→A0..15, a→B0..15) on a translated core. The
-// differential tests compare them bit-exactly; a11 is excluded there
-// because translated code keeps packet-index return links in it.
-func (s *System) CoreRegs(i int) (d, a [16]uint32) {
-	c := s.cores[i]
-	if c.iss != nil {
-		return [16]uint32(c.iss.Arch.R[:16]), [16]uint32(c.iss.Arch.R[16:])
-	}
-	for r := 0; r < 16; r++ {
-		d[r] = c.plat.CPU.Regs[c6x.A(r)]
-		a[r] = c.plat.CPU.Regs[c6x.B(r)]
-	}
-	return d, a
-}
+func (s *System) Output(i int) []uint32 { return s.cores[i].DebugOutput() }
 
 // EngineStats returns core i's engine-transition counters: how its
 // packets split between fused and generic execution (zero for an ISS
 // core). Kept out of Results, which is identical across engines.
 func (s *System) EngineStats(i int) c6x.EngineStats {
-	if c := s.cores[i]; c.plat != nil {
-		return c.plat.CPU.EngineStats()
+	if h := s.cores[i].host(); h != nil {
+		return h.EngineStats()
 	}
 	return c6x.EngineStats{}
 }
@@ -535,25 +456,20 @@ type Stats struct {
 func (s *System) Results() Stats {
 	st := Stats{Quanta: s.quanta, Quantum: s.cfg.Quantum}
 	for i, c := range s.cores {
+		n := c.Counts()
 		r := CoreResult{
 			Name:          c.name,
 			Kind:          c.kind,
-			Cycles:        c.now(),
+			Instructions:  n.Instructions,
+			Cycles:        c.Now(),
 			BusGrants:     s.Arb.Grants(i),
 			BusWaitCycles: s.Arb.Waits(i),
-			Output:        append([]uint32(nil), c.output()...),
+			IRQsTaken:     n.IRQsTaken,
+			IdleCycles:    n.IdleCycles,
+			Output:        append([]uint32(nil), c.DebugOutput()...),
 		}
-		if c.iss != nil {
-			is := c.iss.Stats()
-			r.Instructions = is.Retired
-			r.IRQsTaken = is.IRQsTaken
-			r.IdleCycles = c.iss.IdleCycles()
-		} else {
-			ps := c.plat.Stats()
-			r.Instructions = ps.SrcInstructions
-			r.C6xCycles = ps.C6xCycles
-			r.IRQsTaken = ps.IRQsTaken
-			r.IdleCycles = ps.IdleCycles
+		if h := c.host(); h != nil {
+			r.C6xCycles = h.Cycle()
 		}
 		if r.Instructions > 0 {
 			r.CPI = float64(r.Cycles) / float64(r.Instructions)

@@ -38,7 +38,7 @@ func (s *System) traceInit() {
 		prevWait:  make([]int64, n),
 	}
 	for i, c := range s.cores {
-		s.trc.prevIRQ[i] = c.irqsTaken()
+		s.trc.prevIRQ[i] = c.Counts().IRQsTaken
 		s.trc.prevGrant[i] = s.Arb.Grants(i)
 		s.trc.prevWait[i] = s.Arb.Waits(i)
 	}
@@ -56,7 +56,7 @@ func (s *System) traceQuantum(q, start, target int64) {
 		Args: [3]obs.Arg{{Key: "q", Val: q}},
 	})
 	for i, c := range s.cores {
-		if irqs := c.irqsTaken(); irqs > t.prevIRQ[i] {
+		if irqs := c.Counts().IRQsTaken; irqs > t.prevIRQ[i] {
 			obs.Trace.Emit(obs.Event{
 				Name: "irq", Cat: "soc", Ph: obs.PhaseInstant,
 				TS: target, TID: int64(i),
