@@ -195,12 +195,12 @@ func TestCompileRejectsIssueViolations(t *testing.T) {
 }
 
 // genLegalProgram builds a random schedule-contract-respecting program:
-// straight-line packets of ALU, memory and predicated operations with
-// conservative NOP padding covering every in-flight latency, plus a
-// counted loop, ending in HALT, with a subroutine called through the
-// link register B7 (a SymImm return label, a BREG return) from
-// straight-line code and from the loop. Every build must run it without
-// error.
+// straight-line packets of ALU, memory and predicated operations and
+// constant chains, with conservative NOP padding covering every
+// in-flight latency, plus a counted loop, ending in HALT, with a
+// subroutine called through the link register B7 (a SymImm return
+// label, a BREG return) from straight-line code and from the loop. Every
+// build must run it without error.
 func genLegalProgram(r *rand.Rand) []Packet {
 	var packets []Packet
 	emit := func(in Inst) { packets = append(packets, pk(in)) }
@@ -236,7 +236,7 @@ func genLegalProgram(r *rand.Rand) []Packet {
 	for k := 0; k < n; k++ {
 		dst := A(r.Intn(6))
 		s1, s2 := A(r.Intn(6)), A(r.Intn(6))
-		switch r.Intn(8) {
+		switch r.Intn(9) {
 		case 0, 1, 2:
 			op, u := pickBin()
 			emit(Inst{Op: op, Unit: u, Dst: dst, Src1: R(s1), Src2: R(s2)})
@@ -260,6 +260,13 @@ func genLegalProgram(r *rand.Rand) []Packet {
 			pred := Pred{Valid: true, Neg: r.Intn(2) == 0, Reg: A(r.Intn(6))}
 			op, u := pickBin()
 			emit(Inst{Op: op, Unit: u, Pred: pred, Dst: dst, Src1: R(s1), Src2: R(s2)})
+		case 8: // a constant chain, folded at fuse time: MVK, MVKH and ALU ops on constants
+			op, u := pickBin()
+			emit(Inst{Op: MVK, Unit: S1, Dst: dst, Src2: Imm(int32(r.Intn(4000) - 2000))})
+			emit(Inst{Op: MVKH, Unit: S1, Dst: dst, Src2: Imm(int32(r.Intn(1 << 16)))})
+			emit(Inst{Op: op, Unit: u, Dst: s1, Src1: Imm(int32(r.Intn(64))), Src2: Imm(int32(r.Intn(31)))})
+			op, u = pickBin()
+			emit(Inst{Op: op, Unit: u, Dst: s2, Src1: R(dst), Src2: R(s1)})
 		}
 	}
 
@@ -318,7 +325,8 @@ func TestCompiledMatchesInterpreterRandom(t *testing.T) {
 // fuzzer, letting it explore generator seeds beyond the property test's
 // fixed budget.
 func FuzzCompiledVsInterpreter(f *testing.F) {
-	for _, seed := range []int64{0, 1, 42, 1 << 40} {
+	// 1815, 907 and 1149 generate the most constant chains (8-9 each).
+	for _, seed := range []int64{0, 1, 42, 1 << 40, 1815, 907, 1149} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {

@@ -24,7 +24,8 @@
 // semantics and the one independent oracle. The fuser (fuse.go) compiles
 // a Program once into segments — closure chains that track the branch
 // delay and the in-flight writeback window symbolically and fold each
-// segment's cycle and statistics accounting into constants — ending at
+// segment's cycle and statistics accounting into constants, a constant
+// register write included until an op can observe it — ending at
 // region starts, control-flow forks and FuseConfig.MaxSegPackets (1 is
 // the unfused build, Compile); declared runtime routines become one
 // validated op (intrinsic.go), and Volatile memory ops the caller binds

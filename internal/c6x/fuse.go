@@ -1,6 +1,9 @@
 package c6x
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // This file is the package's one compiler: a region-graph compiler that
 // traces the translated program across execute packets — and across
@@ -31,6 +34,16 @@ import "sort"
 // error texts. Bit-identity with Step is the invariant every
 // fusing rule below preserves; the differential tests in fuse_test.go
 // and the platform matrix enforce it.
+//
+// Within a trace the fuser also tracks which registers hold fuse-time
+// constants (fold). An unpredicated direct write whose operands are
+// immediates or known registers (MVK, MVKH on a known register, any
+// all-constant ALU op) emits no op; later ALU ops read the register as
+// an immediate, and the write is pending until the first op that can
+// observe it lands it (land): a memory op, every terminal and exit, and
+// an op reading the register from Regs (a predicate, a BREG capture) or
+// writing it (a direct write, a slot commit). Tracking starts empty at
+// every segment.
 //
 // A memory op that faults mid-segment returns the interpreter's error
 // (packet, cycle, text) and leaves the interpreter's Stats: the error
@@ -441,6 +454,11 @@ type fctx struct {
 	accCyc, accPkts, accInsts, accNop int64
 	memSeen                           bool // a mem op ran since the last sync (fstall may be pending)
 	progress                          bool
+
+	// Fuse-time constants (fold): known marks the registers holding kval's
+	// value here; of those, pending marks the ones not in Regs yet (land).
+	known, pending uint64
+	kval           [2 * NumRegs]uint32
 }
 
 // compileSeg compiles the segment for state index si.
@@ -765,22 +783,24 @@ func (c *fctx) emit(pkt int, pl fplan) {
 		c.memSeen = true
 	}
 
-	// Commit ops, in due order.
+	// Commit ops, in due order. A slot write's register stays known until
+	// its commit, where a pending constant of it lands first.
 	for _, fi := range pl.due {
 		slot, reg := fi.slot, fi.reg
+		op := func(s *Sim) error {
+			s.Regs[reg] = s.fslotVal[slot]
+			return nil
+		}
 		if fi.pred {
-			c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+			op = func(s *Sim) error {
 				if s.fslotOn[slot] {
 					s.Regs[reg] = s.fslotVal[slot]
 				}
 				return nil
-			})
-		} else {
-			c.seg.ops = append(c.seg.ops, func(s *Sim) error {
-				s.Regs[reg] = s.fslotVal[slot]
-				return nil
-			})
+			}
 		}
+		c.seg.ops = append(c.seg.ops, c.landFor(reg, op))
+		c.known &^= 1 << reg
 	}
 	c.advance(pl)
 }
@@ -881,6 +901,61 @@ func (c *fctx) emitSync() {
 	})
 }
 
+// operand returns o, a known register replaced by its constant.
+func (c *fctx) operand(o Operand) Operand {
+	if !o.IsImm && c.known&(1<<o.Reg) != 0 {
+		return Imm(int32(c.kval[o.Reg]))
+	}
+	return o
+}
+
+// fold records a constant write of v to r that costs no op: r is known
+// from here and its write pending until the next op that can observe it.
+func (c *fctx) fold(r Reg, v uint32) {
+	c.known |= 1 << r
+	c.pending |= 1 << r
+	c.kval[r] = v
+}
+
+// land returns op preceded by the pending constant writes, which have
+// landed from then on: op itself when nothing is pending. Every op that
+// can observe the register file as a whole (a memory op, whose MemPort
+// may read it or fault, and every terminal and exit) is wrapped in it.
+func (c *fctx) land(op fop) fop {
+	var regs []Reg
+	var vals []uint32
+	for m := c.pending; m != 0; m &= m - 1 {
+		r := Reg(bits.TrailingZeros64(m))
+		regs, vals = append(regs, r), append(vals, c.kval[r])
+	}
+	c.pending = 0
+	switch len(regs) {
+	case 0:
+		return op
+	case 1:
+		r, v := regs[0], vals[0]
+		return func(s *Sim) error {
+			s.Regs[r] = v
+			return op(s)
+		}
+	}
+	return func(s *Sim) error {
+		for i, r := range regs {
+			s.Regs[r] = vals[i]
+		}
+		return op(s)
+	}
+}
+
+// landFor is land for an op that reads or writes Regs[r] only: the
+// pending writes land before it if r is one of them.
+func (c *fctx) landFor(r Reg, op fop) fop {
+	if c.pending&(1<<r) != 0 {
+		return c.land(op)
+	}
+	return op
+}
+
 // flushList returns the current in-flight window with rels rebased to
 // the exit's busy clock: a continuation's entry window, and what
 // flushWindow materializes at run time.
@@ -917,29 +992,29 @@ func leaveFused(s *Sim, fl []finflight, pc int, br fbr) {
 // cause.
 func (c *fctx) exitDeopt(pkt int, cause DeoptCause) {
 	a, fl, br := c.take(), c.flushList(), c.br
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		a.apply(s)
 		leaveFused(s, fl, pkt, br)
 		s.es.DeoptsBy[cause]++
 		return nil
-	})
+	}))
 }
 
 // exitHalt materializes the halted state (HALT executed this packet).
 func (c *fctx) exitHalt(exitPC int) {
 	a, fl, br := c.take(), c.flushList(), c.br
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		a.apply(s)
 		s.halted = true
 		leaveFused(s, fl, exitPC, br)
 		return nil
-	})
+	}))
 }
 
 // termHaltCond forks at run time on whether the guarded HALT executed.
 func (c *fctx) termHaltCond(exitPC int, fall int32) {
 	a, fl, br := c.take(), c.flushList(), c.br
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		a.apply(s)
 		if !s.halted {
 			s.fnext = fall
@@ -947,14 +1022,14 @@ func (c *fctx) termHaltCond(exitPC int, fall int32) {
 		}
 		leaveFused(s, fl, exitPC, br)
 		return nil
-	})
+	}))
 }
 
 // termCond forks on the predicated branch issued this packet (fcond0
 // was set by its issue op).
 func (c *fctx) termCond(taken, fall int32) {
 	a := c.take()
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		a.apply(s)
 		if s.fcond0 {
 			s.fnext = taken
@@ -962,17 +1037,17 @@ func (c *fctx) termCond(taken, fall int32) {
 			s.fnext = fall
 		}
 		return nil
-	})
+	}))
 }
 
 // termJump chains to the next segment.
 func (c *fctx) termJump(next int32) {
 	a := c.take()
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		a.apply(s)
 		s.fnext = next
 		return nil
-	})
+	}))
 }
 
 // indirectExit is the dispatch of a fired indirect branch: the target
@@ -1022,11 +1097,11 @@ func (x *indirectExit) fire(s *Sim) {
 // fires.
 func (c *fctx) termIndirect(reg Reg) {
 	a, x := c.take(), c.indirectExit(reg)
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		a.apply(s)
 		x.fire(s)
 		return nil
-	})
+	}))
 }
 
 // emitInst lowers one instruction. w is its planned write (nil for
@@ -1041,36 +1116,36 @@ func (c *fctx) emitInst(pkt int, in Inst, w *fwrite, issued int64) {
 			return // folded into the exit terminal
 		}
 		pr, neg := in.Pred.Reg, in.Pred.Neg
-		c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+		c.seg.ops = append(c.seg.ops, c.landFor(pr, func(s *Sim) error {
 			if (s.Regs[pr] != 0) == neg {
 				return nil
 			}
 			s.stats.Instructions++
 			s.halted = true
 			return nil
-		})
+		}))
 		return
 	case in.Op == BPKT || in.Op == BREG:
 		if !in.Pred.Valid {
 			// Accounting folded; only a register target is captured, at
 			// issue like Step (later writes to the register do not move it).
 			if r := in.Src1.Reg; in.Op == BREG && !in.Src1.IsImm {
-				c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+				c.seg.ops = append(c.seg.ops, c.landFor(r, func(s *Sim) error {
 					s.brTgt = int(int32(s.Regs[r]))
 					return nil
-				})
+				}))
 			}
 			return
 		}
 		pr, neg := in.Pred.Reg, in.Pred.Neg
-		c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+		c.seg.ops = append(c.seg.ops, c.landFor(pr, func(s *Sim) error {
 			t := (s.Regs[pr] != 0) != neg
 			if t {
 				s.stats.Instructions++
 			}
 			s.fcond0 = t
 			return nil
-		})
+		}))
 		return
 	case in.Op.IsMem():
 		c.emitMem(pkt, in, w, issued)
@@ -1107,12 +1182,17 @@ func (c *fctx) emitMem(pkt int, in Inst, w *fwrite, issued int64) {
 	} else {
 		body = memAccess(pkt, in, wr, issued)
 	}
+	if wr.direct {
+		c.known &^= 1 << wr.reg
+	}
+	// The MemPort (and a bound handler) may read the register file, and a
+	// fault ends the run: every pending constant lands first.
 	if !in.Pred.Valid {
-		c.seg.ops = append(c.seg.ops, body)
+		c.seg.ops = append(c.seg.ops, c.land(body))
 		return
 	}
 	pr, neg, track, slot := in.Pred.Reg, in.Pred.Neg, in.Op.IsLoad() && !wr.direct, wr.slot
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	c.seg.ops = append(c.seg.ops, c.land(func(s *Sim) error {
 		on := (s.Regs[pr] != 0) != neg
 		if track {
 			s.fslotOn[slot] = on
@@ -1122,7 +1202,7 @@ func (c *fctx) emitMem(pkt int, in Inst, w *fwrite, issued int64) {
 		}
 		s.stats.Instructions++
 		return body(s)
-	})
+	}))
 }
 
 // memAccess returns the op performing a load (into w's register or
@@ -1253,38 +1333,59 @@ func (b *boundAccess) load(s *Sim) error {
 }
 
 // emitALU lowers a register-writing ALU op: its table kernel bound to
-// the operand shape (fusedCompute) inside the direct/slot and predicate
-// shells. The unpredicated direct write, most of translator output, is
-// one closure (directWrite).
+// the operand shape (fusedCompute), a known register read as its
+// constant, inside the direct/slot and predicate shells. The unpredicated
+// direct write, most of translator output, is one closure (directWrite),
+// or none when every operand is a constant (fold).
 func (c *fctx) emitALU(in Inst, w *fwrite) {
-	slot, dst, direct := w.slot, w.reg, w.direct
-	// Unpredicated: instruction count folded into the accounting sync
-	// (pl.uncond).
-	if direct && !in.Pred.Valid {
-		c.seg.ops = append(c.seg.ops, directWrite(in, dst))
+	k := in.Op.info().kernel
+	a, b := in.args()
+	a, b = c.operand(a), c.operand(b)
+	if w.direct && !in.Pred.Valid && a.IsImm && b.IsImm {
+		c.fold(w.reg, k(uint32(a.Imm), uint32(b.Imm)))
 		return
 	}
-	compute := fusedCompute(in)
-	if !in.Pred.Valid {
-		c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	// A pending constant of the predicate lands before it is read, and one
+	// of a direct write's destination before the write (a slot write's
+	// lands at its commit).
+	op := aluOp(in.Pred, k, a, b, *w)
+	if w.direct {
+		op = c.landFor(w.reg, op)
+		c.known &^= 1 << w.reg
+	}
+	if in.Pred.Valid {
+		op = c.landFor(in.Pred.Reg, op)
+	}
+	c.seg.ops = append(c.seg.ops, op)
+}
+
+// aluOp returns the op computing k(a, b) into w's register or slot under
+// predicate p. Unpredicated, the instruction count is folded into the
+// accounting sync (pl.uncond).
+func aluOp(p Pred, k func(a, b uint32) uint32, a, b Operand, w fwrite) fop {
+	slot, dst := w.slot, w.reg
+	if w.direct && !p.Valid {
+		return directWrite(k, a, b, dst)
+	}
+	compute := fusedCompute(k, a, b)
+	if !p.Valid {
+		return func(s *Sim) error {
 			s.fslotVal[slot] = compute(s)
 			return nil
-		})
-		return
+		}
 	}
-	pr, neg := in.Pred.Reg, in.Pred.Neg
-	if direct {
-		c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	pr, neg := p.Reg, p.Neg
+	if w.direct {
+		return func(s *Sim) error {
 			if (s.Regs[pr] != 0) == neg {
 				return nil
 			}
 			s.stats.Instructions++
 			s.Regs[dst] = compute(s)
 			return nil
-		})
-		return
+		}
 	}
-	c.seg.ops = append(c.seg.ops, func(s *Sim) error {
+	return func(s *Sim) error {
 		if (s.Regs[pr] != 0) == neg {
 			s.fslotOn[slot] = false
 			return nil
@@ -1293,16 +1394,14 @@ func (c *fctx) emitALU(in Inst, w *fwrite) {
 		s.fslotOn[slot] = true
 		s.fslotVal[slot] = compute(s)
 		return nil
-	})
+	}
 }
 
-// fusedCompute builds the value function of an ALU op from its kernel
+// fusedCompute builds the value function of kernel k on operands a and b
 // (same-packet reads see packet-start register values: plan routes any
 // same-packet writer of a read register through a slot, so Regs is
 // stable here).
-func fusedCompute(in Inst) func(s *Sim) uint32 {
-	k := in.Op.info().kernel
-	a, b := in.args()
+func fusedCompute(k func(a, b uint32) uint32, a, b Operand) func(s *Sim) uint32 {
 	switch {
 	case !a.IsImm && !b.IsImm:
 		r1, r2 := a.Reg, b.Reg
@@ -1319,10 +1418,9 @@ func fusedCompute(in Inst) func(s *Sim) uint32 {
 }
 
 // directWrite is fusedCompute's shapes writing straight to Regs[dst]:
-// per op one closure call and one kernel call instead of two and one.
-func directWrite(in Inst, dst Reg) fop {
-	k := in.Op.info().kernel
-	a, b := in.args()
+// per op one closure call and one kernel call instead of two and one. An
+// all-constant write has no op (fold), so one operand is a register.
+func directWrite(k func(a, b uint32) uint32, a, b Operand, dst Reg) fop {
 	switch {
 	case !a.IsImm && !b.IsImm:
 		r1, r2 := a.Reg, b.Reg
@@ -1330,10 +1428,7 @@ func directWrite(in Inst, dst Reg) fop {
 	case !a.IsImm:
 		r1, v2 := a.Reg, uint32(b.Imm)
 		return func(s *Sim) error { s.Regs[dst] = k(s.Regs[r1], v2); return nil }
-	case !b.IsImm:
-		v1, r2 := uint32(a.Imm), b.Reg
-		return func(s *Sim) error { s.Regs[dst] = k(v1, s.Regs[r2]); return nil }
 	}
-	v := k(uint32(a.Imm), uint32(b.Imm))
-	return func(s *Sim) error { s.Regs[dst] = v; return nil }
+	v1, r2 := uint32(a.Imm), b.Reg
+	return func(s *Sim) error { s.Regs[dst] = k(v1, s.Regs[r2]); return nil }
 }

@@ -819,27 +819,45 @@ func fusedSteadyStateAllocs(t *testing.T, segPkts int) {
 // file directly — one op — because its read precedes its write inside
 // that op. Only another same-packet reader of the register forces the
 // value through a slot and a commit op, since that reader must see the
-// old value.
+// old value. Seeded from a constant in the same segment, B3 is known at
+// fuse time instead: the same writes fold and cost no op of their own.
 func TestFusedSelfReadWritesDirect(t *testing.T) {
-	ops := func(packets ...Packet) int {
+	seed := pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(0x1234)})
+	// ops returns the op count of the packets under test, in the segment
+	// that starts at packet first (1: the second seed is in it, 2: it is
+	// not) and ends in the halt exit.
+	ops := func(first int, packets ...Packet) int {
 		t.Helper()
-		packets = append([]Packet{pk(Inst{Op: MVK, Unit: S2, Dst: B(3), Src2: Imm(0x1234)})}, packets...)
+		packets = append([]Packet{seed, seed}, packets...)
 		packets = append(packets, pk(Inst{Op: HALT}))
-		_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0)}, packets...)
+		_, fs := runTriple(t, FuseConfig{RegionOf: regions(len(packets), 0, first)}, packets...)
 		if fs.EngineStats().GenericPackets != 0 {
 			t.Fatalf("left fused code: %+v", fs.EngineStats())
 		}
-		return len(fs.fused.segs[0].ops) - 2 // the seeding MVK and the halt exit
+		seg := fs.fused.segs[1]
+		if seg.pkt != first {
+			t.Fatalf("segment 1 starts at packet %d, want %d", seg.pkt, first)
+		}
+		return len(seg.ops) - 1 // the halt exit
 	}
 	mvkh := Inst{Op: MVKH, Unit: S2, Dst: B(3), Src2: Imm(0x5678)}
-	if n := ops(pk(mvkh)); n != 1 {
-		t.Errorf("lone MVKH lowered to %d ops, want 1 (direct write)", n)
-	}
-	if n := ops(pk(Inst{Op: ADD, Unit: L2, Dst: B(3), Src1: R(B(3)), Src2: Imm(1)})); n != 1 {
-		t.Errorf("self-incrementing ADD lowered to %d ops, want 1 (direct write)", n)
-	}
-	if n := ops(pk(mvkh, Inst{Op: MV, Unit: L2, Dst: B(4), Src1: R(B(3))})); n != 3 {
-		t.Errorf("MVKH with a foreign same-packet reader lowered to %d ops, want 3 (slot write, the reader, commit)", n)
+	inc := Inst{Op: ADD, Unit: L2, Dst: B(3), Src1: R(B(3)), Src2: Imm(1)}
+	reader := Inst{Op: MV, Unit: L2, Dst: B(4), Src1: R(B(3))}
+	for _, c := range []struct {
+		name        string
+		packet      Packet
+		seeded, run int // ops after a non-constant seed (B3 unknown), after a constant one (folded)
+	}{
+		{"lone MVKH", pk(mvkh), 1, 0},
+		{"self-incrementing ADD", pk(inc), 1, 0},
+		{"MVKH with a foreign same-packet reader", pk(mvkh, reader), 3, 2}, // slot write, the reader, commit; folded: the reader
+	} {
+		if n := ops(2, c.packet); n != c.seeded {
+			t.Errorf("%s on an unknown B3 lowered to %d ops, want %d", c.name, n, c.seeded)
+		}
+		if n := ops(1, c.packet); n != c.run {
+			t.Errorf("%s on a constant B3 lowered to %d ops, want %d", c.name, n, c.run)
+		}
 	}
 }
 

@@ -317,3 +317,89 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// statesByQuantum runs s on the sequential schedule, taking every core's
+// State after every quantum: runSequential with a look between quanta.
+func statesByQuantum(t *testing.T, s *System) [][]iss.ArchState {
+	t.Helper()
+	var states [][]iss.ArchState
+	for q, target := int64(0), int64(0); ; q++ {
+		done, err := s.beginQuantum(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			return states
+		}
+		target += s.cfg.Quantum
+		for _, ci := range s.scheduleOrder(q) {
+			if c := s.cores[ci]; !c.Halted() {
+				if err := c.RunUntil(target); err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+			}
+		}
+		st := make([]iss.ArchState, len(s.cores))
+		for i, c := range s.cores {
+			st[i] = c.State()
+		}
+		states = append(states, st)
+	}
+}
+
+// TestIRQStatePerQuantum compares every core's ArchState with the
+// all-ISS oracle's between quanta, not only after the halt, where the
+// interrupt flags (IE, InHandler, Waiting) are false on both sides:
+// every mc-irq-* workload, both tested quanta, both drain shapes, all
+// three translated engines at Level3. A translated core stops at the
+// first region boundary past the quantum's end and the ISS at the first
+// instruction boundary, so the two are compared where their clocks
+// agree, at a shared boundary or idle in wfi; the test fails if those
+// points never catch a core waiting or in its handler.
+func TestIRQStatePerQuantum(t *testing.T) {
+	newSoC := func(mw workload.MultiWorkload, quantum int64, useISS bool, opts core.Options, eng platform.Engine) *System {
+		cfg := buildConfig(t, mw, quantum, []bool{useISS}, opts)
+		cfg.Engine = eng
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%s: New: %v", mw.Name, err)
+		}
+		return s
+	}
+	var compared, waiting, handler int
+	for _, mw := range irqWorkloads(3) {
+		for _, quantum := range []int64{1, 64} {
+			ref := statesByQuantum(t, newSoC(mw, quantum, true, core.Options{}, platform.EngineCompiled))
+			for _, drain := range []bool{false, true} {
+				for _, eng := range []platform.Engine{platform.EngineInterp, platform.EngineCompiled, platform.EngineCompiledNoFuse} {
+					label := fmt.Sprintf("%s q=%d drain=%v %s", mw.Name, quantum, drain, eng)
+					got := statesByQuantum(t, newSoC(mw, quantum, false, core.Options{Level: core.Level3, SingleDrainCorrection: drain}, eng))
+					if len(got) != len(ref) {
+						t.Errorf("%s: %d quanta, oracle %d", label, len(got), len(ref))
+						continue
+					}
+					bad := 0
+					for q := range ref {
+						for i, want := range ref[q] {
+							if got[q][i].Cycles != want.Cycles {
+								continue
+							}
+							compared++
+							waiting += map[bool]int{true: 1}[want.Waiting]
+							handler += map[bool]int{true: 1}[want.InHandler]
+							for _, d := range got[q][i].Diff(want) {
+								if bad++; bad <= 5 {
+									t.Errorf("%s: quantum %d core %d: %s", label, q, i, d)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if waiting == 0 || handler == 0 {
+		t.Errorf("%d states compared, %d of them waiting and %d in the handler: too weak", compared, waiting, handler)
+	}
+	t.Logf("%d states compared, %d of them waiting and %d in the handler", compared, waiting, handler)
+}
