@@ -18,13 +18,15 @@
 // "none" disables) every batch is recorded durably and replayed on
 // restart, so finished results survive a crash. It is one append-only
 // file, compacted on each start; a directory there refuses to start.
-// cabt-worker processes may register over HTTP and drain submitted
-// batches through a leased work queue (-lease-ttl, -task-retries); with
-// no workers registered the server executes in-process, bit-identically.
-// Per-tenant submission rates can be capped with -rate-limit/-rate-burst
-// (429 + Retry-After beyond them). On SIGTERM the server drains:
-// submissions get 503, queued work is failed or finished, in-flight
-// batches complete and are journaled, then the process exits.
+// Every batch runs through one leased work queue. cabt-worker processes
+// may register over HTTP and lease its tasks (-lease-ttl); each batch's
+// -workers in-process lessees take its tasks while no worker is live,
+// and re-run in-process, bit-identically, any task whose delivery to a
+// worker failed or expired. Per-tenant submission rates can be
+// capped with -rate-limit/-rate-burst (429 + Retry-After beyond them).
+// On SIGTERM the server drains: submissions get 503, workers get no new
+// leases, the in-process lessees finish every accepted batch, which is
+// journaled, then the process exits.
 //
 // Usage:
 //
@@ -62,15 +64,14 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheDir := flag.String("cache-dir", "", "persistent translation-cache store directory (empty = in-memory only)")
 	cacheBudget := flag.Int64("cache-budget", 0, "store size budget in bytes, LRU-evicted (0 = unbounded)")
-	workers := flag.Int("workers", 0, "worker pool size per batch (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "in-process lessees per batch: jobs of one batch the server runs at once on its own farm (0 = GOMAXPROCS)")
 	retainTTL := flag.Duration("retain-ttl", 24*time.Hour, "prune finished job records older than this (0 = keep forever)")
 	retainMax := flag.Int("retain-max", 10000, "keep at most this many finished job records per tenant (0 = unlimited)")
 	gcInterval := flag.Duration("gc-interval", 0, "background store-GC sweep interval (0 = on-demand only, via POST /v1/admin/gc)")
 	gcMaxAge := flag.Duration("gc-max-age", 0, "evict store objects not used within this window on each sweep (0 = budget-only GC)")
 	adminToken := flag.String("admin-token", "", "enable /v1/admin endpoints for requests presenting this X-Cabt-Admin-Token (empty = disabled)")
 	journal := flag.String("journal", "", "durable batch journal path (default <cache-dir>/journal.cabt; \"none\" disables)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "distributed task lease TTL: an unheartbeated task is re-run elsewhere after this")
-	taskRetries := flag.Int("task-retries", 3, "distributed per-task delivery budget before the task is failed")
+	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "remote task lease TTL: an unheartbeated task is re-run in-process after this")
 	rateLimit := flag.Float64("rate-limit", 0, "per-tenant job submissions per second, 429 beyond (0 = unlimited)")
 	rateBurst := flag.Int("rate-burst", 10, "rate limiter burst size")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown budget for in-flight batches on SIGTERM")
@@ -88,7 +89,7 @@ func main() {
 	cfg := server.Config{
 		Workers: *workers, AdminToken: *adminToken,
 		RetainTTL: *retainTTL, RetainMax: *retainMax,
-		LeaseTTL: *leaseTTL, TaskRetries: *taskRetries,
+		LeaseTTL:  *leaseTTL,
 		RateLimit: *rateLimit, RateBurst: *rateBurst,
 	}
 	if *cacheDir != "" {

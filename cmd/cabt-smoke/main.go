@@ -112,7 +112,7 @@ func main() {
 		}
 		want := int64(2 * len(cold.Results))
 		if done != want {
-			fatalf("workers completed %d tasks, want %d (did the server run the batch locally?)", done, want)
+			fatalf("workers completed %d tasks, want %d (did a task fail on a worker, or the workers stop counting as live, so the server's in-process lessees ran it?)", done, want)
 		}
 		if st.RemoteHits == 0 {
 			fatalf("warm pass produced no remote-store hits (store stats: %+v)", st)

@@ -20,17 +20,6 @@ const (
 	BreakerHalfOpen
 )
 
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // BreakerConfig tunes a Breaker. The zero value means: trip after 3
 // consecutive failures, probe again after 5 s.
 type BreakerConfig struct {
@@ -43,12 +32,10 @@ type BreakerConfig struct {
 	Clock func() time.Time
 }
 
-// Breaker is a consecutive-failure circuit breaker. The server front
-// one guards distributed dispatch (persistently failing workers degrade
-// the server to local execution instead of burning every batch's retry
-// budget); the worker-side one guards the remote store (a persistently
-// unreachable store degrades translation to local-only instead of
-// paying a network timeout per cache miss).
+// Breaker is a consecutive-failure circuit breaker. It guards a
+// worker's remote store: a persistently unreachable store degrades
+// translation to local-only instead of paying a network timeout per
+// cache miss.
 //
 // Allow is the gate: callers skip the protected operation when it
 // returns false and report the outcome with Success/Failure when it
@@ -58,13 +45,12 @@ type Breaker struct {
 	name string
 	cfg  BreakerConfig
 
-	mu       sync.Mutex
-	state    BreakerState
-	fails    int       // consecutive failures while closed
-	until    time.Time // open until (state == BreakerOpen)
-	probing  bool      // a half-open probe is in flight
-	trips    int64
-	refusals int64
+	mu      sync.Mutex
+	state   BreakerState
+	fails   int       // consecutive failures while closed
+	until   time.Time // open until (state == BreakerOpen)
+	probing bool      // a half-open probe is in flight
+	trips   int64
 
 	ctrTrips *obs.Counter
 }
@@ -99,7 +85,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	case BreakerOpen:
 		if b.cfg.Clock().Before(b.until) {
-			b.refusals++
 			return false
 		}
 		b.state = BreakerHalfOpen
@@ -107,7 +92,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	default: // half-open
 		if b.probing {
-			b.refusals++
 			return false
 		}
 		b.probing = true
@@ -167,11 +151,4 @@ func (b *Breaker) Trips() int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.trips
-}
-
-// Refusals reports how many operations the breaker has short-circuited.
-func (b *Breaker) Refusals() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.refusals
 }

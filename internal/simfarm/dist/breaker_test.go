@@ -63,9 +63,6 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("open breaker allowed traffic inside cooldown")
 	}
-	if b.Refusals() == 0 {
-		t.Fatal("refusal not counted")
-	}
 
 	// Cooldown elapses: exactly one probe is allowed.
 	now = now.Add(6 * time.Second)

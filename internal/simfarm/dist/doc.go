@@ -5,18 +5,23 @@
 // It has three independent parts, composed by internal/simfarm/server:
 //
 //   - Journal: a durable, append-only, checksum-framed record of every
-//     batch (submitted/started/finished/failed), replayed on startup so
+//     batch (submitted, then finished or failed), replayed on startup so
 //     the server survives a restart without losing finished job results.
 //     Any damaged tail — a torn write, a flipped bit — is truncated at
 //     the last intact record, mirroring the translation store's
 //     corruption tolerance.
 //
-//   - Queue: a leased work queue. Worker processes (cmd/cabt-worker)
-//     register, lease one task at a time, heartbeat while executing and
-//     complete with the result. A lease that is not heartbeat within its
-//     TTL expires and the task is requeued with a retry budget, so a
-//     kill -9'd worker's tasks are re-run elsewhere and the batch still
-//     completes. Tasks carry fully resolved simfarm.Job / simfarm.SoCJob
+//   - Queue: a leased work queue, the one path of every batch. Worker
+//     processes (cmd/cabt-worker) register, lease one task at a time,
+//     heartbeat while executing and complete with the result; each
+//     batch's in-process lessees take its tasks through a Go call
+//     (Queue.Take) and run them on the server's farm. Both run a task
+//     with Execute. A remote lease that is not heartbeat within its TTL
+//     expires, and it and a remote worker's failed task go to an
+//     in-process lessee, so a kill -9'd or rotten worker costs one
+//     delivery and the batch still completes; with no live worker, or
+//     while the server drains, the in-process lessees take every task.
+//     Tasks carry fully resolved simfarm.Job / simfarm.SoCJob
 //     specs (everything is exported and JSON-serializable), so workers
 //     never resolve names against registries that could drift.
 //

@@ -20,12 +20,12 @@ import (
 // RecordType labels a journal record.
 type RecordType string
 
-// The batch lifecycle: every batch appends Submitted, then Started when
-// dispatch begins, then exactly one of Finished or Failed. Replay folds
-// records by batch ID, so duplicates and interleavings are harmless.
+// The batch lifecycle: every batch appends Submitted, then exactly one
+// of Finished or Failed. Replay folds records by batch ID, so
+// duplicates and interleavings are harmless, and a type it does not
+// know (older builds wrote "started") names the batch and nothing more.
 const (
 	RecordSubmitted RecordType = "submitted"
-	RecordStarted   RecordType = "started"
 	RecordFinished  RecordType = "finished"
 	RecordFailed    RecordType = "failed"
 )
@@ -43,8 +43,8 @@ type Record struct {
 	Tenant string     `json:"tenant,omitempty"`
 	Kind   string     `json:"kind,omitempty"`
 	Jobs   int        `json:"jobs,omitempty"`
-	// Time is the event time: creation for Submitted/Started, completion
-	// for Finished/Failed.
+	// Time is the event time: creation for Submitted, completion for
+	// Finished/Failed.
 	Time  time.Time `json:"time"`
 	Error string    `json:"error,omitempty"`
 

@@ -74,7 +74,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	recs := []Record{
 		rec("job-1", RecordSubmitted),
-		rec("job-1", RecordStarted),
+		rec("job-1", RecordType("started")), // older builds wrote it; replay keeps it as identity
 		rec("job-2", RecordSubmitted),
 		rec("job-1", RecordFinished),
 		{Type: RecordFailed, ID: "job-2", Kind: KindSoC, Time: time.Date(2026, 8, 7, 12, 1, 0, 0, time.UTC), Error: "boom"},

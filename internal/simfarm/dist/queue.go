@@ -9,16 +9,12 @@ import (
 )
 
 // QueueConfig tunes the leased work queue. The zero value is usable:
-// 15 s leases, 3 attempts per task, workers considered gone after two
-// lease TTLs of silence, wall clock.
+// 15 s leases, workers considered gone after two lease TTLs of silence,
+// wall clock.
 type QueueConfig struct {
-	// LeaseTTL is how long a leased task stays assigned without a
-	// heartbeat before it is requeued.
+	// LeaseTTL is how long a task leased to a remote worker stays
+	// assigned without a heartbeat before it is requeued.
 	LeaseTTL time.Duration
-	// MaxAttempts is the per-task delivery budget: a task whose lease
-	// expires or whose worker reports an execution failure is retried
-	// until it has been delivered MaxAttempts times, then failed.
-	MaxAttempts int
 	// WorkerTTL is how long a registered worker counts as live after its
 	// last contact (register, lease, heartbeat, complete).
 	WorkerTTL time.Duration
@@ -26,21 +22,21 @@ type QueueConfig struct {
 	Clock func() time.Time
 }
 
-const (
-	defaultLeaseTTL    = 15 * time.Second
-	defaultMaxAttempts = 3
-)
+const defaultLeaseTTL = 15 * time.Second
+
+// InProcess is the lessee name of the server's own in-process lessees
+// (Take); remote worker IDs never collide with it.
+const InProcess = "in-process"
 
 // QueueStats is a point-in-time snapshot for /v1/metrics.
 type QueueStats struct {
 	Pending     int   // enqueued, waiting for a lease
-	Leased      int   // currently leased to a worker
-	LiveWorkers int   // workers heard from within WorkerTTL
+	Leased      int   // currently leased, remotely or in-process
+	LiveWorkers int   // remote workers heard from within WorkerTTL
 	Enqueued    int64 // tasks ever enqueued
-	Completed   int64 // tasks delivered with a worker result
-	Failed      int64 // tasks failed by the queue (budget exhausted, drain)
-	Expiries    int64 // leases lost to TTL expiry
-	Retries     int64 // requeues (expiry or worker-reported failure)
+	Completed   int64 // tasks delivered with a result
+	Expiries    int64 // remote leases lost to TTL expiry
+	Retries     int64 // requeues after a remote expiry or failure
 }
 
 type workerState struct {
@@ -51,26 +47,29 @@ type workerState struct {
 type queueTask struct {
 	task     Task
 	ch       chan<- TaskResult
-	worker   string // "" while pending
+	worker   string // "" while pending, InProcess, or a remote worker ID
 	deadline time.Time
-	done     bool
-	// lastErr is the most recent worker-reported execution error, kept
-	// so a task that exhausts its budget can surface what actually went
-	// wrong instead of a bare "lease expired".
-	lastErr string
 }
 
 // Queue is the in-memory leased work queue. Enqueue hands back a
-// channel that receives exactly one TaskResult per task — from a
-// worker's completion or synthesized by the queue when a task exhausts
-// its budget — so the dispatcher's collect loop never hangs on a lost
-// worker. Leases expire lazily: every operation first requeues any
-// leased task whose deadline has passed. Durability is deliberately not
+// channel that receives exactly one TaskResult per task. Two kinds of
+// lessee take its tasks: remote workers over HTTP (Lease, Heartbeat,
+// Complete), and the server's in-process lessees (Take, Complete with
+// InProcess), which serve one batch each, block until the queue wakes
+// them, send no heartbeat, and hold leases that never expire. The lease
+// rule: remote workers get fresh tasks while the queue is not draining;
+// an in-process lessee takes its batch's task whose remote delivery
+// failed or expired, and any of its batch's pending tasks when no
+// remote worker is live or the queue is draining. So a healthy fleet
+// gets every task, a rotten one costs one delivery per task, and no
+// task is ever failed by the queue. Remote leases expire lazily: every
+// remote operation first requeues any lease whose deadline has passed. Durability is deliberately not
 // the queue's job — the journal records batches, and an unfinished
 // batch is failed on restart, so the queue can stay simple and
 // in-memory.
 type Queue struct {
-	mu sync.Mutex
+	mu   sync.Mutex
+	wake *sync.Cond // on mu: tells in-process lessees to look again
 	// instance is a per-queue random nonce embedded in worker IDs.
 	// Without it a restarted server's fresh queue would re-issue the same
 	// sequential IDs, and a pre-restart worker could silently impersonate
@@ -81,12 +80,14 @@ type Queue struct {
 	nextT    int
 	workers  map[string]*workerState
 	tasks    map[string]*queueTask
-	pending  []string // task IDs, lease order
+	pending  []string       // fresh task IDs, lease order
+	retry    []string       // task IDs whose remote delivery failed: in-process only
+	open     map[string]int // batch -> its tasks not yet delivered
 	draining bool
+	closed   bool
 
 	enqueued  int64
 	completed int64
-	failed    int64
 	expiries  int64
 	retries   int64
 }
@@ -96,9 +97,6 @@ func NewQueue(cfg QueueConfig) *Queue {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = defaultLeaseTTL
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = defaultMaxAttempts
-	}
 	if cfg.WorkerTTL <= 0 {
 		cfg.WorkerTTL = 2 * cfg.LeaseTTL
 	}
@@ -107,12 +105,15 @@ func NewQueue(cfg QueueConfig) *Queue {
 	}
 	var nonce [4]byte
 	rand.Read(nonce[:])
-	return &Queue{
+	q := &Queue{
 		cfg:      cfg,
 		instance: hex.EncodeToString(nonce[:]),
 		workers:  make(map[string]*workerState),
 		tasks:    make(map[string]*queueTask),
+		open:     make(map[string]int),
 	}
+	q.wake = sync.NewCond(&q.mu)
+	return q
 }
 
 // LeaseTTL returns the queue's lease duration (advertised to workers at
@@ -140,9 +141,8 @@ func (q *Queue) Known(workerID string) bool {
 	return ok
 }
 
-// LiveWorkers reports how many workers have been heard from within
-// WorkerTTL. The dispatcher uses it to choose distributed over local
-// execution.
+// LiveWorkers reports how many remote workers have been heard from
+// within WorkerTTL.
 func (q *Queue) LiveWorkers() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -163,8 +163,7 @@ func (q *Queue) liveWorkersLocked(now time.Time) int {
 // will be delivered on. The channel is buffered for the whole batch and
 // receives exactly len(tasks) sends, in completion order. Task IDs are
 // assigned here; the caller's Batch/Index/Kind/spec fields are
-// preserved. Enqueueing into a draining queue fails every task
-// immediately.
+// preserved.
 func (q *Queue) Enqueue(tasks []Task) <-chan TaskResult {
 	ch := make(chan TaskResult, len(tasks))
 	q.mu.Lock()
@@ -175,19 +174,17 @@ func (q *Queue) Enqueue(tasks []Task) <-chan TaskResult {
 		t.ID = fmt.Sprintf("t-%d", q.nextT)
 		t.Attempt = 0
 		q.enqueued++
-		if q.draining {
-			q.failed++
-			ch <- TaskResult{TaskID: t.ID, Index: t.Index, Err: "queue draining"}
-			continue
-		}
 		q.tasks[t.ID] = &queueTask{task: t, ch: ch}
+		q.open[t.Batch]++
 		q.pending = append(q.pending, t.ID)
 	}
+	q.wake.Broadcast()
 	return ch
 }
 
-// Lease hands the worker the next pending task, or nil when the queue
-// is empty or draining. The returned task's Attempt is 1-based.
+// Lease hands a remote worker the next fresh task, or nil when there is
+// none or the queue is draining. The returned task's Attempt is
+// 1-based.
 func (q *Queue) Lease(workerID string) *Task {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -196,14 +193,50 @@ func (q *Queue) Lease(workerID string) *Task {
 	if q.draining || len(q.pending) == 0 {
 		return nil
 	}
-	id := q.pending[0]
+	qt := q.tasks[q.pending[0]]
 	q.pending = q.pending[1:]
-	qt := q.tasks[id]
-	qt.worker = workerID
-	qt.deadline = now.Add(q.cfg.LeaseTTL)
+	qt.worker, qt.deadline = workerID, now.Add(q.cfg.LeaseTTL)
 	qt.task.Attempt++
 	t := qt.task
 	return &t
+}
+
+// Take is the Lease of an in-process lessee serving batch: it blocks
+// until the lease rule (see Queue) gives it one of the batch's tasks,
+// and returns nil once every task of the batch has been delivered or
+// the queue is closed. Liveness runs out without any queue event, so
+// whoever tracks time (the server's expiry sweep) must call Expire to
+// have it looked at again.
+func (q *Queue) Take(batch string) *Task {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for !q.closed && q.open[batch] > 0 {
+		if t := q.takeLocked(&q.retry, batch); t != nil {
+			return t
+		}
+		if q.draining || q.liveWorkersLocked(q.cfg.Clock()) == 0 {
+			if t := q.takeLocked(&q.pending, batch); t != nil {
+				return t
+			}
+		}
+		q.wake.Wait()
+	}
+	return nil
+}
+
+// takeLocked leases batch's first task on list in-process, or returns
+// nil when list holds none. Callers hold q.mu.
+func (q *Queue) takeLocked(list *[]string, batch string) *Task {
+	for i, id := range *list {
+		if qt := q.tasks[id]; qt.task.Batch == batch {
+			*list = append((*list)[:i], (*list)[i+1:]...)
+			qt.worker = InProcess
+			qt.task.Attempt++
+			t := qt.task
+			return &t
+		}
+	}
+	return nil
 }
 
 // Heartbeat extends the worker's leases on the listed tasks and returns
@@ -216,7 +249,7 @@ func (q *Queue) Heartbeat(workerID string, taskIDs []string) (lost []string) {
 	q.expireLocked(now)
 	for _, id := range taskIDs {
 		qt, ok := q.tasks[id]
-		if !ok || qt.done || qt.worker != workerID {
+		if !ok || qt.worker != workerID {
 			lost = append(lost, id)
 			continue
 		}
@@ -225,87 +258,71 @@ func (q *Queue) Heartbeat(workerID string, taskIDs []string) (lost []string) {
 	return lost
 }
 
-// Complete delivers a worker's result for a task. A completion is
-// accepted if the worker still holds the lease, or if the lease expired
-// but the task is back in pending un-leased — the work is done and
+// Complete delivers a lessee's result for a task. A completion is
+// accepted if the lessee still holds the lease, or if a remote lease
+// expired but no one has taken the task since — the work is done and
 // deterministic, so delivering it early is safe. It is rejected (false)
-// once the task has been completed or re-leased to another worker,
-// which is what prevents double delivery after an expiry race. A result
-// carrying a task-level execution error consumes an attempt and is
-// retried while budget remains.
+// once the task has been completed or re-leased, which is what prevents
+// double delivery after an expiry race. A remote worker's task-level
+// error, or a result without one, is not delivered: the task goes to an
+// in-process lessee.
 func (q *Queue) Complete(workerID string, res TaskResult) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.touch(workerID)
 	q.expireLocked(now)
 	qt, ok := q.tasks[res.TaskID]
-	if !ok || qt.done {
+	if !ok || (qt.worker != workerID && qt.worker != "") {
 		return false
 	}
-	if qt.worker != workerID && qt.worker != "" {
-		return false // re-leased elsewhere: the new holder owns delivery
-	}
-	if qt.worker == "" {
-		// Expired back to pending but not re-leased: accept, and drop it
-		// from the pending list.
-		q.unpend(res.TaskID)
-	}
-	if res.Err != "" {
-		qt.lastErr = res.Err
-	}
-	if res.Err != "" && qt.task.Attempt < q.cfg.MaxAttempts && !q.draining {
-		// Worker-reported execution failure with budget left: requeue.
-		q.retries++
-		qt.worker = ""
-		q.pending = append([]string{res.TaskID}, q.pending...)
+	if workerID != InProcess && (res.Err != "" || res.Sim == nil && res.SoC == nil) {
+		if qt.worker != "" { // else it already waits on the retry list
+			q.retryLocked(qt)
+		}
 		return true
 	}
-	qt.done = true
+	if qt.worker == "" {
+		q.pending, q.retry = remove(q.pending, res.TaskID), remove(q.retry, res.TaskID)
+	}
 	q.completed++
 	delete(q.tasks, res.TaskID)
+	if q.open[qt.task.Batch]--; q.open[qt.task.Batch] == 0 {
+		delete(q.open, qt.task.Batch)
+		q.wake.Broadcast() // the batch's lessees are done
+	}
 	res.Index = qt.task.Index
 	qt.ch <- res
 	return true
 }
 
-// Drain switches the queue into shutdown mode: no new leases are
-// granted, every pending un-leased task is failed immediately, and
-// in-flight leased tasks may still complete (the server waits for them
-// up to its drain timeout). Idempotent.
+// Drain switches the queue into shutdown mode: remote workers get no
+// new leases, in-process lessees take every pending task, and leased
+// tasks may still complete. Idempotent.
 func (q *Queue) Drain() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.draining {
-		return
-	}
 	q.draining = true
-	for _, id := range q.pending {
-		q.failTask(q.tasks[id], "queue draining")
-	}
-	q.pending = nil
+	q.wake.Broadcast()
 }
 
-// InFlight reports how many tasks are currently leased.
-func (q *Queue) InFlight() int {
+// Close makes every Take return nil, now and later.
+func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.expireLocked(q.cfg.Clock())
-	n := 0
-	for _, qt := range q.tasks {
-		if !qt.done && qt.worker != "" {
-			n++
-		}
-	}
-	return n
+	q.closed = true
+	q.wake.Broadcast()
 }
 
-// Expire requeues every lease whose deadline has passed. Expiry is also
-// performed lazily by every queue operation; a periodic Expire from the
-// server bounds requeue latency when no worker is talking to us.
+// Expire requeues every remote lease whose deadline has passed and
+// wakes the in-process lessees, whose lease rule depends on the clock.
+// Expiry is also performed lazily by every remote queue operation; a
+// periodic Expire from the server bounds requeue latency when no worker
+// is talking to us.
 func (q *Queue) Expire() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.expireLocked(q.cfg.Clock())
+	q.wake.Broadcast()
 }
 
 // Stats snapshots the queue for /v1/metrics.
@@ -315,16 +332,15 @@ func (q *Queue) Stats() QueueStats {
 	now := q.cfg.Clock()
 	q.expireLocked(now)
 	st := QueueStats{
-		Pending:     len(q.pending),
+		Pending:     len(q.pending) + len(q.retry),
 		LiveWorkers: q.liveWorkersLocked(now),
 		Enqueued:    q.enqueued,
 		Completed:   q.completed,
-		Failed:      q.failed,
 		Expiries:    q.expiries,
 		Retries:     q.retries,
 	}
 	for _, qt := range q.tasks {
-		if !qt.done && qt.worker != "" {
+		if qt.worker != "" {
 			st.Leased++
 		}
 	}
@@ -340,52 +356,33 @@ func (q *Queue) touch(workerID string) time.Time {
 	return now
 }
 
-// expireLocked requeues (or fails, once out of budget or draining)
-// every lease past its deadline. Callers hold q.mu.
+// expireLocked sends every remote lease past its deadline to the
+// retry list. Callers hold q.mu.
 func (q *Queue) expireLocked(now time.Time) {
-	for id, qt := range q.tasks {
-		if qt.done || qt.worker == "" || now.Before(qt.deadline) {
+	for _, qt := range q.tasks {
+		if qt.worker == "" || qt.worker == InProcess || now.Before(qt.deadline) {
 			continue
 		}
 		q.expiries++
-		qt.worker = ""
-		if q.draining {
-			q.failTask(qt, "queue draining")
-			continue
-		}
-		if qt.task.Attempt >= q.cfg.MaxAttempts {
-			msg := fmt.Sprintf("lease expired after %d attempts", qt.task.Attempt)
-			if qt.lastErr != "" {
-				msg = fmt.Sprintf("%s; last worker error: %s", msg, qt.lastErr)
-			}
-			q.failTask(qt, msg)
-			continue
-		}
-		q.retries++
-		// Requeue at the front: a retry should not wait behind the rest
-		// of the batch.
-		q.pending = append([]string{id}, q.pending...)
+		q.retryLocked(qt)
 	}
 }
 
-// failTask synthesizes a failure result for a task the queue gave up
-// on. Callers hold q.mu.
-func (q *Queue) failTask(qt *queueTask, msg string) {
-	if qt.done {
-		return
-	}
-	qt.done = true
-	q.failed++
-	delete(q.tasks, qt.task.ID)
-	qt.ch <- TaskResult{TaskID: qt.task.ID, Index: qt.task.Index, Err: msg}
+// retryLocked hands a task whose remote delivery failed or expired to
+// the in-process lessees. Callers hold q.mu.
+func (q *Queue) retryLocked(qt *queueTask) {
+	q.retries++
+	qt.worker = ""
+	q.retry = append(q.retry, qt.task.ID)
+	q.wake.Broadcast()
 }
 
-// unpend removes id from the pending list. Callers hold q.mu.
-func (q *Queue) unpend(id string) {
-	for i, p := range q.pending {
+// remove returns list without id.
+func remove(list []string, id string) []string {
+	for i, p := range list {
 		if p == id {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			return
+			return append(list[:i], list[i+1:]...)
 		}
 	}
+	return list
 }

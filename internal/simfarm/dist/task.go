@@ -38,11 +38,12 @@ const (
 	KindSoC = "soc"
 )
 
-// TaskResult is a worker's completion report for one task. Err is a
-// task-level execution failure (the worker could not run the job at
-// all); a deterministic job failure — functional mismatch, translation
-// error — travels inside the result's own Error field and is never
-// retried, exactly like the local path.
+// TaskResult is a lessee's completion report for one task. Err is a
+// task-level execution failure (the lessee could not run the job at
+// all); from a remote worker it sends the task to an in-process lessee.
+// A deterministic job failure — functional mismatch, translation error
+// — travels inside the result's own Error field and is delivered as it
+// is, whichever lessee ran the job.
 type TaskResult struct {
 	TaskID string `json:"task_id"`
 	Index  int    `json:"index"`
@@ -51,12 +52,11 @@ type TaskResult struct {
 	Sim *simfarm.Result    `json:"sim,omitempty"`
 	SoC *simfarm.SoCResult `json:"soc,omitempty"`
 
-	// CacheState carries Result.CacheOutcome across the wire (the field
-	// itself is unexported); CacheHits/CacheMisses carry the SoC
-	// per-core counts. The collector restores them before summarizing.
-	CacheState  int `json:"cache_state,omitempty"`
-	CacheHits   int `json:"cache_hits,omitempty"`
-	CacheMisses int `json:"cache_misses,omitempty"`
+	// Counts carries the result's Counts across the wire (the field
+	// itself is unexported): the job's share of the farm counters, which
+	// the server restores before summarizing and adds to the tenant's
+	// tally.
+	Counts simfarm.FarmStats `json:"counts"`
 
 	Err string `json:"error,omitempty"`
 }

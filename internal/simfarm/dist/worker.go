@@ -48,10 +48,10 @@ type WorkerConfig struct {
 // plane, then leases tasks one at a time, executes them on its one
 // single-worker Farm whose translation cache reads and writes the
 // shared store over HTTP, heartbeats while executing, and reports the
-// result. Execution is exactly the in-process farm path — same Farm,
-// same engine, same verification against the reference ISS — so a
-// distributed batch is bit-identical to a local one. The task's tenant
-// namespaces the farm's keys, as on the server.
+// result. Execution is Execute, exactly what the server's in-process
+// lessees run — same Farm, same engine, same verification against the
+// reference ISS — so a task's result is bit-identical wherever it ran.
+// The task's tenant namespaces the farm's keys, as on the server.
 type Worker struct {
 	cfg    WorkerConfig
 	id     string
@@ -196,33 +196,39 @@ func (w *Worker) lease() (*Task, error) {
 	return resp.Task, nil
 }
 
-// execute runs one task on the worker's farm under the task's tenant,
-// heartbeating at TTL/3 until the run finishes.
+// execute runs one task on the worker's farm, heartbeating at TTL/3
+// until the run finishes.
 func (w *Worker) execute(ctx context.Context, task *Task) TaskResult {
-	res := TaskResult{TaskID: task.ID, Index: task.Index, Worker: w.id}
 	w.cfg.Logf("task %s (%s, attempt %d)", task.ID, task.Kind, task.Attempt)
-
 	stop := w.heartbeat(ctx, task.ID)
 	defer stop()
-
-	switch {
-	case task.Kind == KindSim && task.Sim != nil:
-		task.Sim.Tenant = task.Tenant
-		results, _ := w.local.Run([]simfarm.Job{*task.Sim})
-		r := results[0]
-		res.Sim = &r
-		res.CacheState = r.CacheOutcome()
-	case task.Kind == KindSoC && task.SoC != nil:
-		task.SoC.Tenant = task.Tenant
-		results, _ := w.local.RunSoC([]simfarm.SoCJob{*task.SoC})
-		r := results[0]
-		res.SoC = &r
-		res.CacheHits, res.CacheMisses = r.CacheCounts()
-	default:
-		res.Err = fmt.Sprintf("malformed task: kind %q with no matching payload", task.Kind)
-	}
+	res := Execute(w.local, task)
+	res.Worker = w.id
 	if w.cfg.Ephemeral {
 		w.local = w.newFarm()
+	}
+	return res
+}
+
+// Execute runs one task on farm under the task's tenant: the work of
+// every lessee, a remote Worker and the server's in-process ones alike.
+// A task without the payload its Kind names comes back as a task-level
+// error.
+func Execute(farm *simfarm.Farm, task *Task) TaskResult {
+	res := TaskResult{TaskID: task.ID, Index: task.Index}
+	switch {
+	case task.Kind == KindSim && task.Sim != nil:
+		job := *task.Sim
+		job.Tenant = task.Tenant
+		results, _ := farm.Run([]simfarm.Job{job})
+		res.Sim, res.Counts = &results[0], results[0].Counts()
+	case task.Kind == KindSoC && task.SoC != nil:
+		job := *task.SoC
+		job.Tenant = task.Tenant
+		results, _ := farm.RunSoC([]simfarm.SoCJob{job})
+		res.SoC, res.Counts = &results[0], results[0].Counts()
+	default:
+		res.Err = fmt.Sprintf("malformed task: kind %q with no matching payload", task.Kind)
 	}
 	return res
 }
@@ -232,7 +238,6 @@ func (w *Worker) execute(ctx context.Context, task *Task) TaskResult {
 // heartbeats its last task through the drain).
 func (w *Worker) heartbeat(ctx context.Context, taskID string) (stop func()) {
 	done := make(chan struct{})
-	var once sync.Once
 	interval := w.ttl / 3
 	if interval <= 0 {
 		interval = defaultLeaseTTL / 3
@@ -256,7 +261,7 @@ func (w *Worker) heartbeat(ctx context.Context, taskID string) (stop func()) {
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	return func() { close(done) }
 }
 
 // complete reports a result, retrying transient transport errors with

@@ -159,22 +159,30 @@ func TestWorkerRunsSoCTask(t *testing.T) {
 		r.SoC.BusTransactions != want[0].BusTransactions || r.SoC.Quanta != want[0].Quanta {
 		t.Errorf("distributed SoC %+v != local %+v", r.SoC, want[0])
 	}
-	hits, misses := 0, 0
-	if r.CacheHits+r.CacheMisses == 0 {
-		t.Errorf("no cache counts on the wire: %+v (local: %d/%d)", r, hits, misses)
+	if r.Counts.JobsRun != 1 || r.Counts.CacheHits+r.Counts.CacheMisses != 2 {
+		t.Errorf("no cache counts on the wire: %+v", r)
 	}
 }
 
+// TestWorkerReportsMalformedTask: a worker reports a task it cannot run
+// as a task-level error, which the queue hands to an in-process lessee;
+// Execute there reports the same error as the task's result.
 func TestWorkerReportsMalformedTask(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// MaxAttempts 1: the worker-reported error is delivered, not retried.
-	q, _, base := controlPlane(t, QueueConfig{LeaseTTL: 3 * time.Second, MaxAttempts: 1})
-	startWorker(t, ctx, WorkerConfig{Server: base, Name: "w"})
+	q, _, base := controlPlane(t, QueueConfig{LeaseTTL: 3 * time.Second})
+	w := startWorker(t, ctx, WorkerConfig{Server: base, Name: "w"})
+	for w.ID() == "" {
+		time.Sleep(time.Millisecond)
+	}
 
 	ch := q.Enqueue([]Task{{Batch: "job-1", Index: 0, Kind: KindSim}}) // no payload
-	r := recv(t, ch)
-	if r.Err == "" {
+	task := q.Take("job-1")
+	if task.Attempt != 2 {
+		t.Fatalf("in-process lessee took %+v, want the worker's failed attempt retried", task)
+	}
+	q.Complete(InProcess, Execute(simfarm.New(simfarm.Config{Workers: 1}), task))
+	if r := recv(t, ch); r.Err == "" {
 		t.Fatalf("malformed task returned %+v, want error", r)
 	}
 }

@@ -42,8 +42,10 @@
 // observes every Desc field).
 //
 // All three are one memo type, and every key is scoped to [Job.Tenant],
-// so one Farm serves many tenants without sharing an entry between them
-// ([Farm.TenantStats] reports each tenant's share of the counters).
+// so one Farm serves many tenants without sharing an entry between them.
+// Each result carries its job's share of the farm's counters
+// ([Result.Counts]), so a tally per tenant is a sum over its results,
+// wherever they ran.
 //
 // The cache is optionally two-level: [NewPersistentTranslationCache]
 // backs the in-memory memo with a write-through on-disk store

@@ -36,15 +36,15 @@ type Config struct {
 // Farm runs simulation jobs on a bounded worker pool, memoizing
 // assembly, reference runs and translation across jobs and batches.
 // Each job's Tenant scopes every memo key (see tenantKey), so one farm
-// serves many tenants and keeps a tally for each.
+// serves many tenants; each Result's Counts is that job's share of the
+// farm's counters, for whoever keeps a tally per tenant.
 type Farm struct {
 	workers int
 	cache   *TranslationCache
 	engine  platform.Engine
 
-	elfs    memo[Key, assembled] // keyed on source-text hash (see elf)
-	refs    memo[Key, refRun]
-	tenants memo[string, *tally]
+	elfs memo[Key, assembled] // keyed on source-text hash (see elf)
+	refs memo[Key, refRun]
 
 	all tally // jobsRun, failed and refRuns only
 }
@@ -62,7 +62,7 @@ type refRun struct {
 	err    error
 }
 
-// tally counts a tenant's share of the farm's work.
+// tally is FarmStats for concurrent writers.
 type tally struct {
 	jobsRun, failed, refRuns atomic.Int64
 	hits, misses, diskHits   atomic.Int64
@@ -114,25 +114,6 @@ func (f *Farm) Stats() FarmStats {
 	fs := f.cache.lookups.stats()
 	fs.JobsRun, fs.Failed, fs.ReferenceRuns = f.all.jobsRun.Load(), f.all.failed.Load(), f.all.refRuns.Load()
 	return fs
-}
-
-// TenantStats returns what a farm running only tenant's jobs would
-// report; ok is false for a tenant the farm has run nothing for.
-func (f *Farm) TenantStats(tenant string) (FarmStats, bool) {
-	t, ok := f.tenants.lookup(tenant)
-	if !ok {
-		return FarmStats{}, false
-	}
-	return t.stats(), true
-}
-
-// Tenants returns the number of tenants the farm has run jobs for.
-func (f *Farm) Tenants() int { return f.tenants.len() }
-
-// tally returns tenant's counters.
-func (f *Farm) tally(tenant string) *tally {
-	t, _ := f.tenants.get(tenant, func() *tally { return new(tally) })
-	return t
 }
 
 // submitPool streams run(i) for every i in [0, n) through a bounded
@@ -208,12 +189,8 @@ func SummarizeResults(results []Result, wall time.Duration, workers int) BatchSt
 		if r.Err != nil || r.Error != "" {
 			bs.Failed++
 		}
-		switch r.cacheState {
-		case 1:
-			bs.CacheHits++
-		case 2:
-			bs.CacheMisses++
-		}
+		bs.CacheHits += r.counts.CacheHits
+		bs.CacheMisses += r.counts.CacheMisses
 		bs.TotalC6xCycles += r.C6xCycles
 		bs.TotalGeneratedCycles += r.GeneratedCycles
 	}
@@ -241,13 +218,13 @@ func (f *Farm) elf(tenant string, w workload.Workload) assembled {
 }
 
 // reference runs the cycle-accurate reference simulator for tenant,
-// memoized on (ELF contents, full microarchitecture description). The
-// wall-time of the first (actual) run is recorded and repeated for
-// memoized hits, so every job reports a meaningful ISS-speed baseline.
-func (f *Farm) reference(tenant string, a assembled, d *march.Desc) refRun {
-	r, _ := f.refs.get(tenantKey(tenant, referenceKey(a.hash, d)), func() refRun {
+// memoized on (ELF contents, full microarchitecture description); ran
+// reports whether this call ran it. The wall-time of the first (actual)
+// run is recorded and repeated for memoized hits, so every job reports
+// a meaningful ISS-speed baseline.
+func (f *Farm) reference(tenant string, a assembled, d *march.Desc) (r refRun, ran bool) {
+	return f.refs.get(tenantKey(tenant, referenceKey(a.hash, d)), func() refRun {
 		f.all.refRuns.Add(1)
-		f.tally(tenant).refRuns.Add(1)
 		start := time.Now()
 		s, err := iss.New(a.f, iss.Config{Desc: d, CycleAccurate: true})
 		if err != nil {
@@ -258,7 +235,6 @@ func (f *Farm) reference(tenant string, a assembled, d *march.Desc) refRun {
 		}
 		return refRun{wall: time.Since(start), stats: s.Stats(), output: s.Output()}
 	})
-	return r
 }
 
 // ELF returns the memoized assembled image of a workload (shared with
@@ -278,7 +254,7 @@ func (f *Farm) Reference(w workload.Workload, desc *march.Desc) (iss.Stats, []ui
 	if a.err != nil {
 		return iss.Stats{}, nil, a.err
 	}
-	r := f.reference("", a, desc)
+	r, _ := f.reference("", a, desc)
 	return r.stats, r.output, r.err
 }
 
@@ -286,14 +262,12 @@ func (f *Farm) Reference(w workload.Workload, desc *march.Desc) (iss.Stats, []ui
 // (memoized), translate (content-addressed cache), platform-run, verify
 // and measure.
 func (f *Farm) runJob(idx int, job Job) Result {
-	t := f.tally(job.Tenant)
 	f.all.jobsRun.Add(1)
-	t.jobsRun.Add(1)
 	obsJobs.Inc()
-	r := Result{Index: idx, Name: job.Workload.Name, Level: job.Options.Level, Config: job.Config}
+	r := Result{Index: idx, Name: job.Workload.Name, Level: job.Options.Level, Config: job.Config, counts: FarmStats{JobsRun: 1}}
 	fail := func(err error) Result {
 		f.all.failed.Add(1)
-		t.failed.Add(1)
+		r.counts.Failed = 1
 		obsJobsFailed.Inc()
 		r.Err = err
 		r.Error = err.Error()
@@ -314,8 +288,11 @@ func (f *Farm) runJob(idx int, job Job) Result {
 	}
 
 	endRef := obs.Trace.Span("reference", "farm", int64(idx))
-	ref := f.reference(job.Tenant, a, desc)
+	ref, ran := f.reference(job.Tenant, a, desc)
 	endRef()
+	if ran {
+		r.counts.ReferenceRuns = 1
+	}
 	obsStageReference.Observe(ref.wall.Seconds())
 	if ref.err != nil {
 		return fail(fmt.Errorf("%s: reference: %w", job.Workload.Name, ref.err))
@@ -334,18 +311,13 @@ func (f *Farm) runJob(idx int, job Job) Result {
 	endT := obs.Trace.Span("translate", "farm", int64(idx))
 	prog, o, err := f.cache.translate(job.Tenant, a.hash, a.f, job.Options)
 	endT()
-	t.count(o)
+	r.counts.lookup(o)
 	if err != nil {
 		return fail(fmt.Errorf("%s L%d: %w", job.Workload.Name, int(job.Options.Level), err))
 	}
 	r.TranslateWallSeconds = time.Since(tStart).Seconds()
 	obsStageTranslate.Observe(r.TranslateWallSeconds)
 	r.CacheHit = o != translated
-	if r.CacheHit {
-		r.cacheState = 1
-	} else {
-		r.cacheState = 2
-	}
 
 	runStart := time.Now()
 	endX := obs.Trace.Span("execute", "farm", int64(idx))

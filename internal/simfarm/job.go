@@ -69,21 +69,19 @@ type Result struct {
 	Err   error  `json:"-"`
 	Error string `json:"error,omitempty"`
 
-	// cacheState tracks whether this job reached translation, for batch
-	// hit/miss accounting (0 = never translated, 1 = hit, 2 = miss).
-	cacheState int
+	// counts is the job's share of the farm's counters.
+	counts FarmStats
 }
 
-// CacheOutcome reports the job's translation-cache outcome for batch
-// accounting: 0 = the job never reached translation, 1 = cache hit,
-// 2 = cache miss. It exists so the distributed path can carry the
-// outcome over the wire (the field is deliberately not serialized with
-// the result) and restore it with SetCacheOutcome before summarizing.
-func (r *Result) CacheOutcome() int { return r.cacheState }
+// Counts reports the job's share of the farm's cumulative counters: one
+// job run, its failure, the reference run and translation-cache lookup
+// it caused. Batch and tenant accounting sum it. It is not serialized
+// with the result, so the distributed path carries it over the wire and
+// restores it with SetCounts.
+func (r *Result) Counts() FarmStats { return r.counts }
 
-// SetCacheOutcome restores a wire-transferred cache outcome; see
-// CacheOutcome.
-func (r *Result) SetCacheOutcome(state int) { r.cacheState = state }
+// SetCounts restores wire-transferred counts; see Counts.
+func (r *Result) SetCounts(c FarmStats) { r.counts = c }
 
 // BatchStats summarizes one Farm.Run batch.
 type BatchStats struct {
@@ -118,6 +116,33 @@ type FarmStats struct {
 	// translation-cache store (a subset of CacheHits; 0 when the farm's
 	// cache is memory-only).
 	DiskCacheHits int64 `json:"disk_cache_hits"`
+}
+
+// Add sums o into s: the stats of the jobs of both.
+func (s *FarmStats) Add(o FarmStats) {
+	s.JobsRun += o.JobsRun
+	s.Failed += o.Failed
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.CachedPrograms += o.CachedPrograms
+	s.ReferenceRuns += o.ReferenceRuns
+	s.DiskCacheHits += o.DiskCacheHits
+}
+
+// lookup counts one translation-cache lookup served as o. Each key is
+// first looked up exactly once, as a miss or a disk hit, so those two
+// count the programs cached.
+func (s *FarmStats) lookup(o outcome) {
+	if o == translated {
+		s.CacheMisses++
+		s.CachedPrograms++
+		return
+	}
+	s.CacheHits++
+	if o == diskHit {
+		s.DiskCacheHits++
+		s.CachedPrograms++
+	}
 }
 
 // Report is the JSON document cmd/cabt-farm emits for a sweep.

@@ -42,18 +42,6 @@ func (m *memo[K, V]) get(key K, compute func() V) (v V, first bool) {
 	return c.v, true
 }
 
-// lookup is get without computing: ok is false for a key never asked.
-func (m *memo[K, V]) lookup(key K) (v V, ok bool) {
-	m.mu.Lock()
-	c, ok := m.m[key]
-	m.mu.Unlock()
-	if ok {
-		c.ready.Wait()
-		v = c.v
-	}
-	return v, ok
-}
-
 func (m *memo[K, V]) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -65,9 +65,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	s := mustNew(t, server.Config{
 		Workers: 2, Store: st,
-		Journal:     filepath.Join(t.TempDir(), "journal.cabt"),
-		LeaseTTL:    2 * time.Second,
-		TaskRetries: 8,
+		Journal:  filepath.Join(t.TempDir(), "journal.cabt"),
+		LeaseTTL: 2 * time.Second,
 	})
 	// Exactly cabt-serve's wiring: faults only on the worker control
 	// plane and store protocol, so the tenant API stays byte-comparable.
@@ -84,8 +83,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// Fault-free oracle first, while the plan is disarmed: no workers
-	// are up yet, so it runs locally — proven bit-identical to the
-	// distributed path by TestDistributedBatchMatchesLocal.
+	// are up yet, so the in-process lessees run it — proven
+	// bit-identical to remote workers by TestDistributedBatchMatchesLocal.
 	oracle := c.submitAndWait(req)
 	if oracle.Stats.Failed != 0 || len(oracle.Results) != 16 {
 		t.Fatalf("fault-free oracle: %+v", oracle)

@@ -18,10 +18,10 @@ import (
 	"repro/internal/simfarm/store"
 )
 
-// This file is the server's distribution layer: dispatching batches to
-// the leased work queue when workers are registered, replaying the
-// durable journal on startup, the /v1/metrics endpoint, submission
-// admission (drain + rate limit) and graceful shutdown.
+// This file is the server's distribution layer: running every batch
+// through the leased work queue and the server's in-process lessees,
+// replaying the durable journal on startup, the /v1/metrics endpoint,
+// submission admission (drain + rate limit) and graceful shutdown.
 
 // admitSubmission applies the submission gates shared by /v1/jobs and
 // /v1/soc-jobs: a draining server refuses new work outright (503, so a
@@ -88,8 +88,6 @@ func (s *Server) replayJournal() {
 			}
 		}
 		switch r.Type {
-		case dist.RecordSubmitted, dist.RecordStarted:
-			// Identity only; already folded above.
 		case dist.RecordFinished:
 			if finished() {
 				continue // duplicate replay
@@ -160,7 +158,9 @@ func idNumber(id string) int {
 }
 
 // startSweeper runs periodic lease expiry until the returned stop
-// function is called.
+// function is called. Its tick is also what wakes the in-process
+// lessees when the last remote worker falls silent: liveness runs out
+// without any queue event.
 func (s *Server) startSweeper() (stop func()) {
 	interval := s.queue.LeaseTTL() / 2
 	if interval < 50*time.Millisecond {
@@ -182,84 +182,62 @@ func (s *Server) startSweeper() (stop func()) {
 	return func() { close(done) }
 }
 
-// --- dispatch ---
+// --- execution ---
 
-// distributed reports whether a batch should go to the worker queue:
-// only when at least one worker is live and the dispatch breaker
-// admits it. The decision is taken once per batch at submission; with
-// no workers (or a tripped breaker) the server executes in-process on
-// its farm, bit-identical to the pre-distribution behavior —
-// distribution is an optimization, so degrading it is always safe.
-func (s *Server) distributed() bool {
-	if s.queue.LiveWorkers() == 0 || s.draining.Load() {
-		return false
-	}
-	return s.dispatch.Allow()
-}
-
-// dispatchOutcome feeds a finished distributed batch back to the
-// breaker: a batch with any permanently-failed task is a failure (the
-// worker fleet is unhealthy — retries and lease expiries were already
-// exhausted before a task fails), a clean batch is a success. Three
-// consecutive failed batches trip the breaker and the server falls
-// back to local execution until a cooldown probe succeeds.
-func (s *Server) dispatchOutcome(failed int) {
-	if failed > 0 {
-		s.dispatch.Failure()
-	} else {
-		s.dispatch.Success()
+// lessee is one in-process lessee of the server's queue: it runs the
+// tasks of batch that the lease rule gives it (dist.Queue.Take) on the
+// server's farm, until every task of the batch is delivered or Close.
+func (s *Server) lessee(batch string) {
+	defer s.lessees.Done()
+	for task := s.queue.Take(batch); task != nil; task = s.queue.Take(batch) {
+		s.queue.Complete(dist.InProcess, dist.Execute(s.farm, task))
 	}
 }
 
-// runSim executes a single-core batch, distributed when workers are
-// available, locally otherwise.
+// runSim executes a single-core batch.
 func (s *Server) runSim(rec *jobRecord, jobs []simfarm.Job) ([]simfarm.Result, simfarm.BatchStats) {
-	if !s.distributed() {
-		return s.local.Run(jobs)
-	}
 	results, wall, workers := fanOut(s, rec, jobs,
 		func(t *dist.Task, j *simfarm.Job) { t.Kind, t.Sim = dist.KindSim, j },
-		func(tr dist.TaskResult, j *simfarm.Job) (simfarm.Result, bool) {
+		func(tr dist.TaskResult, j *simfarm.Job) simfarm.Result {
 			if tr.Err != "" || tr.Sim == nil {
-				return simfarm.Result{Index: tr.Index, Name: j.Workload.Name, Level: j.Options.Level, Config: j.Config, Error: failure(tr)}, false
+				return simfarm.Result{Index: tr.Index, Name: j.Workload.Name, Level: j.Options.Level, Config: j.Config, Error: failure(tr)}
 			}
 			r := *tr.Sim
 			r.Index = tr.Index
-			r.SetCacheOutcome(tr.CacheState)
-			return r, true
+			r.SetCounts(tr.Counts)
+			return r
 		})
 	return results, simfarm.SummarizeResults(results, wall, workers)
 }
 
 // runSoC is runSim for multi-core batches.
 func (s *Server) runSoC(rec *jobRecord, jobs []simfarm.SoCJob) ([]simfarm.SoCResult, simfarm.SoCBatchStats) {
-	if !s.distributed() {
-		return s.local.RunSoC(jobs)
-	}
 	results, wall, workers := fanOut(s, rec, jobs,
 		func(t *dist.Task, j *simfarm.SoCJob) { t.Kind, t.SoC = dist.KindSoC, j },
-		func(tr dist.TaskResult, j *simfarm.SoCJob) (simfarm.SoCResult, bool) {
+		func(tr dist.TaskResult, j *simfarm.SoCJob) simfarm.SoCResult {
 			if tr.Err != "" || tr.SoC == nil {
 				return simfarm.SoCResult{Index: tr.Index, Name: j.Name, Config: j.Config, CoreCount: len(j.Cores),
-					Quantum: j.Quantum, Arbitration: j.Arbitration.String(), Error: failure(tr)}, false
+					Quantum: j.Quantum, Arbitration: j.Arbitration.String(), Error: failure(tr)}
 			}
 			r := *tr.SoC
 			r.Index = tr.Index
-			r.SetCacheCounts(tr.CacheHits, tr.CacheMisses)
-			return r, true
+			r.SetCounts(tr.Counts)
+			return r
 		})
 	return results, simfarm.SummarizeSoCResults(results, wall, workers)
 }
 
-// fanOut runs a batch's jobs as tasks on the worker queue, tells the
-// breaker whether any failed, and returns the results in job order with
-// the wall time and executor count. payload sets a task's kind and job;
-// result turns a finished task into its job's result, false if failed.
+// fanOut runs a batch's jobs as tasks on the queue, with the batch's
+// in-process lessees beside any remote workers, adds their counts to
+// the tenant's tally, and returns the results in job order with the
+// wall time and executor count: the live remote workers, or the
+// in-process lessees' pool size when there are none. payload sets a
+// task's kind and job; result turns a finished task into its job's
+// result.
 func fanOut[J, R any](s *Server, rec *jobRecord, jobs []J, payload func(*dist.Task, *J),
-	result func(dist.TaskResult, *J) (R, bool)) ([]R, time.Duration, int) {
-	s.journalAppend(rec.journalRecord(dist.RecordStarted, s.now()))
+	result func(dist.TaskResult, *J) R) ([]R, time.Duration, int) {
 	start := time.Now()
-	workers := s.queue.LiveWorkers()
+	workers := cmp.Or(s.queue.LiveWorkers(), s.farm.Workers())
 	tasks := make([]dist.Task, len(jobs))
 	for i := range jobs {
 		tasks[i] = dist.Task{Batch: rec.id, Index: i, Tenant: rec.tenant}
@@ -267,32 +245,40 @@ func fanOut[J, R any](s *Server, rec *jobRecord, jobs []J, payload func(*dist.Ta
 	}
 	results := make([]R, len(jobs))
 	ch := s.queue.Enqueue(tasks)
-	failed := 0
+	// As many lessees as one batch ran on before the queue was its only
+	// path: a cap shared by all batches queues a warm batch's jobs
+	// behind a cold one's, blocked on store writes.
+	for range min(s.farm.Workers(), len(jobs)) {
+		s.lessees.Add(1)
+		go s.lessee(rec.id)
+	}
+	var counts simfarm.FarmStats
 	for range jobs {
 		tr := <-ch
-		r, ok := result(tr, &jobs[tr.Index])
-		if !ok {
-			failed++
-		}
-		results[tr.Index] = r
+		results[tr.Index] = result(tr, &jobs[tr.Index])
+		counts.Add(tr.Counts)
 	}
-	s.dispatchOutcome(failed)
+	s.mu.Lock()
+	t := s.tenants[rec.tenant]
+	t.Add(counts)
+	s.tenants[rec.tenant] = t
+	s.mu.Unlock()
 	return results, time.Since(start), workers
 }
 
 // failure is the Error of a task that failed or brought back no result.
 func failure(tr dist.TaskResult) string {
-	return "distributed execution failed: " + cmp.Or(tr.Err, "worker returned no result")
+	return "execution failed: " + cmp.Or(tr.Err, "no result")
 }
 
 // --- shutdown ---
 
 // Drain gracefully quiesces the server: new submissions are refused
-// (503), the queue stops granting leases and fails its un-leased
-// backlog, and Drain waits — up to ctx — for every running batch to
-// finish and be journaled. In-flight distributed tasks complete on
-// their workers; in-flight local batches run to completion. After a
-// clean Drain, a restart replays every batch as finished.
+// (503), remote workers get no new leases, the in-process lessees take
+// every pending task, and Drain waits — up to ctx — for every running
+// batch to finish and be journaled. Tasks leased to workers complete
+// there. After a clean Drain, a restart replays every batch as
+// finished.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.queue.Drain()
@@ -347,7 +333,7 @@ func (s *Server) registerMetrics() {
 	gauge("cabt_draining", "1 while the server refuses new submissions",
 		func() float64 { return float64(b2i(s.draining.Load())) })
 	gauge("cabt_tenants", "tenants seen",
-		func() float64 { return float64(s.local.Tenants()) })
+		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.tenants)) })
 	counter("cabt_jobs_submitted_total", "batches submitted",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.submitted) })
 	gauge("cabt_jobs_running", "batches currently executing",
@@ -366,15 +352,9 @@ func (s *Server) registerMetrics() {
 	gauge("cabt_queue_leased", "tasks currently leased", qstat(func(q dist.QueueStats) int64 { return int64(q.Leased) }))
 	counter("cabt_queue_enqueued_total", "tasks enqueued", qstat(func(q dist.QueueStats) int64 { return q.Enqueued }))
 	counter("cabt_queue_completed_total", "tasks completed", qstat(func(q dist.QueueStats) int64 { return q.Completed }))
-	counter("cabt_queue_failed_total", "tasks failed permanently", qstat(func(q dist.QueueStats) int64 { return q.Failed }))
 	counter("cabt_queue_lease_expiries_total", "leases expired", qstat(func(q dist.QueueStats) int64 { return q.Expiries }))
-	counter("cabt_queue_retries_total", "task redeliveries after expiry", qstat(func(q dist.QueueStats) int64 { return q.Retries }))
-	gauge("cabt_workers_live", "workers with a fresh heartbeat", qstat(func(q dist.QueueStats) int64 { return int64(q.LiveWorkers) }))
-
-	gauge("cabt_dispatch_breaker_state", "dispatch breaker: 0 closed, 1 open, 2 half-open",
-		func() float64 { return float64(s.dispatch.State()) })
-	counter("cabt_dispatch_breaker_refusals_total", "batches sent local by an open dispatch breaker",
-		func() float64 { return float64(s.dispatch.Refusals()) })
+	counter("cabt_queue_retries_total", "task redeliveries after a remote expiry or failure", qstat(func(q dist.QueueStats) int64 { return q.Retries }))
+	gauge("cabt_workers_live", "remote workers with a fresh heartbeat", qstat(func(q dist.QueueStats) int64 { return int64(q.LiveWorkers) }))
 
 	if s.journal != nil {
 		gauge("cabt_journal_repaired_bytes", "damaged journal bytes discarded by the repair at open",

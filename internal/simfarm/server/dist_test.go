@@ -95,8 +95,8 @@ func metrics(t *testing.T, base string) map[string]string {
 }
 
 // TestDistributedBatchMatchesLocal submits the same sweep twice — once
-// with no workers (in-process execution) and once with two registered
-// workers — and requires identical deterministic results.
+// with no workers (the in-process lessees run it) and once with two
+// registered workers — and requires identical deterministic results.
 func TestDistributedBatchMatchesLocal(t *testing.T) {
 	st, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -138,11 +138,11 @@ func TestDistributedBatchMatchesLocal(t *testing.T) {
 		t.Errorf("distributed stats report %d workers, want 2", remote.Stats.Workers)
 	}
 
-	// The workers executed through the shared store and the queue saw
-	// the whole batch.
+	// The workers executed through the shared store, and both batches
+	// went through the queue.
 	m := metrics(t, ts.URL)
-	if m["cabt_queue_completed_total"] != fmt.Sprint(len(req.Workloads)*len(req.Levels)) {
-		t.Errorf("cabt_queue_completed_total = %s, want %d", m["cabt_queue_completed_total"], len(req.Workloads)*len(req.Levels))
+	if m["cabt_queue_completed_total"] != fmt.Sprint(2*len(local.Results)) {
+		t.Errorf("cabt_queue_completed_total = %s, want %d", m["cabt_queue_completed_total"], 2*len(local.Results))
 	}
 	if m["cabt_store_remote_gets_total"] == "0" {
 		t.Errorf("no remote store traffic: %v", m)
@@ -205,14 +205,15 @@ func (e *evilWorker) lease() *dist.Task {
 }
 
 // TestWorkerLossRequeues kills a worker mid-task (by having it lease
-// and vanish) and requires the batch to complete on the surviving
-// worker anyway.
+// and vanish) and requires the batch to complete anyway: the surviving
+// worker runs the other task, an in-process lessee the abandoned one.
 func TestWorkerLossRequeues(t *testing.T) {
 	_, ts, mk := distServer(t, server.Config{LeaseTTL: time.Second})
 	c := mk("")
 
-	// The evil worker registers first, so the batch is dispatched to the
-	// queue; it leases one task and is never heard from again.
+	// The evil worker registers first, so the in-process lessees leave
+	// the batch to workers; it leases one task and is never heard from
+	// again.
 	evil := newEvilWorker(t, ts.URL)
 
 	var sub server.SubmitResponse
@@ -221,8 +222,8 @@ func TestWorkerLossRequeues(t *testing.T) {
 		t.Fatal("evil worker got no task")
 	}
 
-	// A real worker arrives, drains the other task, and — once the evil
-	// lease expires — re-runs the abandoned one.
+	// A real worker arrives and drains the other task; once the evil
+	// lease expires, an in-process lessee re-runs the abandoned one.
 	startWorker(t, ts.URL, dist.WorkerConfig{Name: "survivor"})
 
 	var job server.JobResponse
@@ -377,8 +378,9 @@ func TestNewRefusesDirectoryJournal(t *testing.T) {
 
 // TestGracefulDrain wires a fake signal exactly like cabt-serve's main
 // and verifies the drain contract: the signal stops new submissions
-// (503), pending queue work fails fast, the in-flight task finishes,
-// and the batch lands journaled.
+// (503), the in-process lessees finish the pending task, the in-flight
+// worker task finishes, and the batch lands journaled with no failed
+// job.
 func TestGracefulDrain(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.cabt")
 	s, ts, mk := distServer(t, server.Config{Journal: journal, LeaseTTL: time.Minute})
@@ -423,6 +425,12 @@ func TestGracefulDrain(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// A worker gets no new lease while the server drains.
+	var lease dist.LeaseResponse
+	evil.post("/v1/workers/"+evil.id+"/lease", struct{}{}, &lease)
+	if lease.Task != nil {
+		t.Fatalf("draining server leased %+v", lease.Task)
+	}
 
 	// The in-flight worker finishes its task through the drain.
 	evil.post("/v1/workers/"+evil.id+"/complete", dist.TaskResult{
@@ -435,22 +443,13 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	var job server.JobResponse
 	c.do("GET", sub.URL, nil, http.StatusOK, &job)
-	if job.Status != "done" {
+	if job.Status != "done" || job.Stats.Failed != 0 {
 		t.Fatalf("batch after drain: %+v", job)
 	}
-	// One result came from the in-flight worker; the other was failed by
-	// the draining queue.
-	var failed int
 	for _, r := range job.Results {
 		if r.Error != "" {
-			failed++
-			if !strings.Contains(r.Error, "draining") {
-				t.Errorf("unexpected failure: %q", r.Error)
-			}
+			t.Errorf("failed job after drain: %+v", r)
 		}
-	}
-	if failed != 1 || job.Stats.Failed != 1 {
-		t.Fatalf("failed results = %d (stats %d), want 1", failed, job.Stats.Failed)
 	}
 
 	// The drained batch is journaled: a restart replays it verbatim.
@@ -460,6 +459,66 @@ func TestGracefulDrain(t *testing.T) {
 	_, ts2, _ := distServer(t, server.Config{Journal: journal})
 	if after := rawJob(t, ts2.URL, "", job.ID); !bytes.Equal(before, after) {
 		t.Fatalf("drained batch not journaled faithfully:\nbefore: %s\nafter:  %s", before, after)
+	}
+}
+
+// TestStrandedBatchRunsInProcess: a worker registers and falls silent.
+// A batch submitted while it still counts as live is left to workers;
+// once liveness runs out — no queue event marks that, the expiry
+// sweep's tick does — the in-process lessees run it.
+func TestStrandedBatchRunsInProcess(t *testing.T) {
+	_, ts, _ := distServer(t, server.Config{Workers: 2, LeaseTTL: time.Second}) // WorkerTTL 2 s
+	newEvilWorker(t, ts.URL)
+	c := &client{t: t, base: ts.URL, http: &http.Client{Timeout: 20 * time.Second}}
+	job := c.submitAndWait(server.SubmitRequest{Workloads: []string{"gcd"}, Levels: []int{0, 1}})
+	if job.Stats.Failed != 0 {
+		t.Fatalf("stranded batch: %+v", job)
+	}
+	// Executors at submission: the one live worker, not the lessees.
+	if job.Stats.Workers != 1 {
+		t.Errorf("batch reports %d executors, want 1 (submitted after the worker went stale?)", job.Stats.Workers)
+	}
+	if m := metrics(t, ts.URL); m["cabt_workers_live"] != "0" || m["cabt_queue_completed_total"] != "2" {
+		t.Errorf("workers_live = %s, completed = %s, want 0 and 2", m["cabt_workers_live"], m["cabt_queue_completed_total"])
+	}
+}
+
+// TestTenantStatsAfterRemoteRun: a batch a worker ran shows in its
+// tenant's /v1/stats farm figures and in cabt_tenants exactly as the
+// same batch run on a server without workers.
+func TestTenantStatsAfterRemoteRun(t *testing.T) {
+	req := server.SubmitRequest{Workloads: []string{"gcd", "sieve"}, Levels: []int{0, 1}}
+	run := func(remote bool) (simfarm.FarmStats, string) {
+		st, err := store.Open(t.TempDir(), store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts, mk := distServer(t, server.Config{Workers: 2, Store: st, LeaseTTL: time.Minute})
+		var w *dist.Worker
+		if remote {
+			w = startWorker(t, ts.URL, dist.WorkerConfig{Name: "w"})
+		}
+		c := mk("acme")
+		if job := c.submitAndWait(req); job.Stats.Failed != 0 {
+			t.Fatalf("remote=%v: %+v", remote, job)
+		}
+		if remote && w.TasksDone() == 0 {
+			t.Fatal("the worker ran nothing")
+		}
+		var stats server.StatsResponse
+		c.do("GET", "/v1/stats", nil, http.StatusOK, &stats)
+		if stats.TenantCount != 1 || len(stats.Tenants) != 1 {
+			t.Fatalf("remote=%v: stats %+v, want acme's", remote, stats)
+		}
+		return stats.Tenants[0].Farm, metrics(t, ts.URL)["cabt_tenants"]
+	}
+	want, wantTenants := run(false)
+	got, gotTenants := run(true)
+	if got != want || gotTenants != wantTenants {
+		t.Errorf("after a remote run: farm %+v, cabt_tenants %s; want %+v, %s", got, gotTenants, want, wantTenants)
+	}
+	if want.JobsRun != 4 || want.ReferenceRuns == 0 || want.CacheMisses == 0 {
+		t.Errorf("figures %+v exercise nothing", want)
 	}
 }
 

@@ -20,6 +20,19 @@
 // farm, and transitively repro.Measure, would produce for the same
 // (workload, options) pair.
 //
+// # Execution
+//
+// Every batch takes one path: its jobs become tasks on the server's
+// leased queue (dist.Queue), and the results are collected from it in
+// job order. Remote workers (cmd/cabt-worker) lease tasks over HTTP;
+// each batch's Config.Workers in-process lessees take its tasks through
+// a Go call and run them on the server's farm, with the same
+// dist.Execute. An in-process lessee takes a task only when no worker
+// is live, while the server drains, or when the task's delivery to a
+// worker failed or expired — so a healthy fleet gets every task, a
+// rotten one never fails a batch, and a drain finishes every batch it
+// accepted.
+//
 // # Tenancy
 //
 // The X-Cabt-Tenant header scopes a request. One Farm runs every
@@ -30,5 +43,7 @@
 // tenant is the store's root namespace, shared with local cabt-farm
 // -cache-dir runs against the same directory. Job records and stats are
 // scoped the same way: another tenant's job id answers 404, and
-// /v1/stats reports only the caller's own share of the farm counters.
+// /v1/stats reports only the caller's own share of the farm counters —
+// summed from its results (simfarm.Result.Counts), so the figures are
+// the same whichever process ran a job.
 package server

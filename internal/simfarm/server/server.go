@@ -23,8 +23,9 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// Workers is the farm's worker-pool size per batch: each locally
-	// executed batch runs on up to this many goroutines (0 = GOMAXPROCS).
+	// Workers is the number of in-process lessees each batch brings: at
+	// most this many of a batch's jobs run at once on the server's own
+	// farm (0 = GOMAXPROCS).
 	Workers int
 	// Store is the persistent level of the farm's translation cache,
 	// shared by every tenant; nil keeps the cache in memory only.
@@ -54,13 +55,10 @@ type Config struct {
 	// durability (records are in-memory only, as before).
 	Journal string
 
-	// LeaseTTL is the distributed task lease duration: a worker that
-	// stops heartbeating loses its task after this long and the task is
-	// re-run elsewhere (0 = the dist default, 15 s).
+	// LeaseTTL is the remote task lease duration: a worker that stops
+	// heartbeating loses its task after this long and the task is re-run
+	// in-process (0 = the dist default, 15 s).
 	LeaseTTL time.Duration
-	// TaskRetries is the per-task delivery budget for distributed
-	// execution (0 = the dist default, 3).
-	TaskRetries int
 
 	// RateLimit caps each tenant's job submissions per second (token
 	// bucket of RateBurst capacity); beyond it submissions get 429 with
@@ -70,10 +68,11 @@ type Config struct {
 	RateBurst int
 }
 
-// Server is the HTTP front-end of the simulation farm. It runs every
-// tenant's (X-Cabt-Tenant header) local batches on one Farm, whose
-// memo keys and store keys are derived from the tenant, so tenants share
-// server capacity but never cache entries.
+// Server is the HTTP front-end of the simulation farm. Every tenant's
+// (X-Cabt-Tenant header) batch becomes tasks on one leased queue, taken
+// by remote workers and by the server's in-process lessees, which run on
+// one Farm whose memo keys and store keys are derived from the tenant,
+// so tenants share server capacity but never cache entries.
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
@@ -84,20 +83,15 @@ type Server struct {
 	// in one process (tests) never read each other's closures.
 	reg *obs.Registry
 
-	// Distribution layer: queue and workerAPI always exist (a queue with
-	// no registered workers simply never wins the dispatch decision);
-	// journal, limiter and storeSrv are nil when unconfigured.
+	// Distribution layer: queue and workerAPI always exist; journal,
+	// limiter and storeSrv are nil when unconfigured.
 	queue    *dist.Queue
 	journal  *dist.Journal
 	limiter  *dist.RateLimiter
 	storeSrv *dist.StoreServer
-	// dispatch gates distributed execution: batches whose distributed
-	// runs keep coming back with permanently-failed tasks trip it, and
-	// while it is open every batch executes locally — the farm is always
-	// a correct (if slower) fallback, so degrading costs only speed.
-	dispatch *dist.Breaker
 
-	local *simfarm.Farm // runs every batch not dispatched to workers
+	farm    *simfarm.Farm  // the in-process lessees' farm
+	lessees sync.WaitGroup // running in-process lessees
 
 	draining    atomic.Bool
 	rateLimited atomic.Int64
@@ -110,6 +104,9 @@ type Server struct {
 	// submitted counts batches cumulatively — retention prunes records
 	// from jobs but must not shrink the reported submission counter.
 	submitted int
+	// tenants is each tenant's share of the farm counters, summed from
+	// its batches' results whichever process ran them.
+	tenants map[string]simfarm.FarmStats
 }
 
 // jobRecord tracks one submitted batch (single-core or SoC). done is
@@ -134,8 +131,8 @@ type jobRecord struct {
 	socResults []simfarm.SoCResult
 	socStats   simfarm.SoCBatchStats
 
-	// err marks a batch that never produced results (today: interrupted
-	// by a server restart, or rejected wholesale by a draining queue).
+	// err marks a batch that never produced results (interrupted by a
+	// server restart).
 	err string
 }
 
@@ -145,20 +142,19 @@ type jobRecord struct {
 // durability.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		cfg:   cfg,
-		mux:   http.NewServeMux(),
-		start: time.Now(),
-		reg:   obs.NewRegistry(),
-		queue: dist.NewQueue(dist.QueueConfig{LeaseTTL: cfg.LeaseTTL, MaxAttempts: cfg.TaskRetries, Clock: cfg.Clock}),
-		jobs:  map[string]*jobRecord{},
-
-		dispatch: dist.NewBreaker("dispatch", dist.BreakerConfig{Clock: cfg.Clock}),
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		start:   time.Now(),
+		reg:     obs.NewRegistry(),
+		queue:   dist.NewQueue(dist.QueueConfig{LeaseTTL: cfg.LeaseTTL, Clock: cfg.Clock}),
+		jobs:    map[string]*jobRecord{},
+		tenants: map[string]simfarm.FarmStats{},
 	}
 	var cache *simfarm.TranslationCache
 	if cfg.Store != nil {
 		cache = simfarm.NewPersistentTranslationCache(cfg.Store)
 	}
-	s.local = simfarm.New(simfarm.Config{Workers: cfg.Workers, Cache: cache})
+	s.farm = simfarm.New(simfarm.Config{Workers: cfg.Workers, Cache: cache})
 	if cfg.RateLimit > 0 {
 		s.limiter = dist.NewRateLimiter(cfg.RateLimit, cfg.RateBurst, cfg.Clock)
 	}
@@ -186,9 +182,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Clock == nil {
 		// Background lease-expiry sweep (expiry is also lazy on every
-		// queue operation; the sweep bounds requeue latency when no
-		// worker is talking to us). Tests with a fake clock drive expiry
-		// themselves.
+		// remote queue operation; the sweep bounds requeue latency when
+		// no worker is talking to us). Tests with a fake clock drive
+		// expiry themselves.
 		s.stopSweep = s.startSweeper()
 	}
 	s.registerMetrics()
@@ -215,12 +211,15 @@ func (s *Server) registerPprof() {
 	s.mux.HandleFunc("/debug/pprof/trace", gate(pprof.Trace))
 }
 
-// Close releases the server's background resources (expiry sweeper,
-// journal handle). It does not drain — call Drain first for a graceful
+// Close releases the server's background resources (in-process
+// lessees, once their current task is done; expiry sweeper; journal
+// handle). It does not drain — call Drain first for a graceful
 // shutdown. Idempotent.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
+		s.queue.Close()
+		s.lessees.Wait()
 		if s.stopSweep != nil {
 			s.stopSweep()
 		}
@@ -636,8 +635,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		JobsSubmitted: s.submitted,
-		TenantCount:   s.local.Tenants(),
+		TenantCount:   len(s.tenants),
 		Tenants:       []TenantStats{},
+	}
+	if fs, ok := s.tenants[tenant]; ok {
+		resp.Tenants = append(resp.Tenants, TenantStats{Tenant: tenant, Farm: fs})
 	}
 	for _, rec := range s.jobs {
 		select {
@@ -647,9 +649,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	if fs, ok := s.local.TenantStats(tenant); ok {
-		resp.Tenants = append(resp.Tenants, TenantStats{Tenant: tenant, Farm: fs})
-	}
 	if s.cfg.Store != nil {
 		st := s.cfg.Store.Stats()
 		resp.Store = &st
@@ -732,36 +731,25 @@ type HealthResponse struct {
 	Status string `json:"status"`
 	// Draining is true while the server refuses new submissions.
 	Draining bool `json:"draining,omitempty"`
-	// Workers is the live worker count (informational; a server with no
-	// workers is still ready — it executes locally).
+	// Workers is the live remote worker count (informational; a server
+	// with no workers is still ready — its in-process lessees run every
+	// task).
 	Workers int `json:"workers"`
-	// Dispatch is the dispatch breaker's state ("closed", "half-open",
-	// "open").
-	Dispatch string `json:"dispatch"`
 }
 
 // handleHealthz is process liveness: if the handler runs at all, the
 // process is alive. Always 200 — restarts are for dead processes, and a
 // degraded-but-serving server must not be killed by its supervisor.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:   "ok",
-		Workers:  s.queue.LiveWorkers(),
-		Dispatch: s.dispatch.State().String(),
-	})
+	writeJSON(w, http.StatusOK, HealthResponse{Status: "ok", Workers: s.queue.LiveWorkers()})
 }
 
 // handleReadyz is traffic readiness: 503 while draining so a load
-// balancer routes new submissions elsewhere, 200 otherwise. Degraded
-// dispatch (breaker open, no workers) is still ready — batches run
-// locally with identical results.
+// balancer routes new submissions elsewhere, 200 otherwise. A server
+// without live workers is ready: its in-process lessees run every task,
+// with identical results.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
-		Status:   "ok",
-		Draining: s.draining.Load(),
-		Workers:  s.queue.LiveWorkers(),
-		Dispatch: s.dispatch.State().String(),
-	}
+	resp := HealthResponse{Status: "ok", Draining: s.draining.Load(), Workers: s.queue.LiveWorkers()}
 	code := http.StatusOK
 	if resp.Draining {
 		resp.Status = "draining"

@@ -81,17 +81,14 @@ type SoCResult struct {
 	Err   error  `json:"-"`
 	Error string `json:"error,omitempty"`
 
-	cacheHits, cacheMisses int
+	counts FarmStats
 }
 
-// CacheCounts reports the job's translation-cache traffic (per-core hits
-// and misses) for batch accounting; like Result.CacheOutcome it exists so
-// the distributed path can carry the counts over the wire and restore
-// them with SetCacheCounts before summarizing.
-func (r *SoCResult) CacheCounts() (hits, misses int) { return r.cacheHits, r.cacheMisses }
+// Counts is Result.Counts for a SoC job: one lookup per translated core.
+func (r *SoCResult) Counts() FarmStats { return r.counts }
 
-// SetCacheCounts restores wire-transferred cache counts; see CacheCounts.
-func (r *SoCResult) SetCacheCounts(hits, misses int) { r.cacheHits, r.cacheMisses = hits, misses }
+// SetCounts restores wire-transferred counts; see Counts.
+func (r *SoCResult) SetCounts(c FarmStats) { r.counts = c }
 
 // SoCBatchStats summarizes one RunSoC batch.
 type SoCBatchStats struct {
@@ -140,8 +137,8 @@ func SummarizeSoCResults(results []SoCResult, wall time.Duration, workers int) S
 		if r.Err != nil || r.Error != "" {
 			bs.Failed++
 		}
-		bs.CacheHits += int64(r.cacheHits)
-		bs.CacheMisses += int64(r.cacheMisses)
+		bs.CacheHits += r.counts.CacheHits
+		bs.CacheMisses += r.counts.CacheMisses
 		bs.TotalCycles += r.TotalCycles
 	}
 	if t := bs.CacheHits + bs.CacheMisses; t > 0 {
@@ -157,9 +154,7 @@ func SummarizeSoCResults(results []SoCResult, wall time.Duration, workers int) S
 // translate the translated cores through the content-addressed cache,
 // assemble the SoC, run it, and verify every core's output.
 func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
-	t := f.tally(job.Tenant)
 	f.all.jobsRun.Add(1)
-	t.jobsRun.Add(1)
 	r := SoCResult{
 		Index:       idx,
 		Name:        job.Name,
@@ -167,10 +162,11 @@ func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
 		CoreCount:   len(job.Cores),
 		Quantum:     job.Quantum,
 		Arbitration: job.Arbitration.String(),
+		counts:      FarmStats{JobsRun: 1},
 	}
 	fail := func(err error) SoCResult {
 		f.all.failed.Add(1)
-		t.failed.Add(1)
+		r.counts.Failed = 1
 		r.Err = err
 		r.Error = err.Error()
 		return r
@@ -195,17 +191,12 @@ func (f *Farm) runSoCJob(idx int, job SoCJob) SoCResult {
 		cc := soc.CoreConfig{Name: spec.Workload.Name, ELF: a.f, UseISS: spec.UseISS, Options: spec.Options}
 		if !spec.UseISS {
 			prog, o, err := f.cache.translate(job.Tenant, a.hash, a.f, spec.Options)
-			t.count(o)
+			r.counts.lookup(o)
 			if err != nil {
 				return fail(fmt.Errorf("%s: %w", spec.Workload.Name, err))
 			}
 			cc.Prog = prog
 			hits[i] = o != translated
-			if hits[i] {
-				r.cacheHits++
-			} else {
-				r.cacheMisses++
-			}
 		}
 		cfg.Cores = append(cfg.Cores, cc)
 	}
